@@ -10,6 +10,7 @@ from .errors import (
     InvalidGrid,
     IoFailure,
     LengthMismatch,
+    NonFiniteOutput,
     NotPositiveDefinite,
     RemoteMalformed,
     RemoteUnavailable,

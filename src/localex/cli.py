@@ -7,11 +7,10 @@ Exit codes: 0 success, 1 configuration or usage error, 2 runtime failure.
 from __future__ import annotations
 
 import argparse
-import json
 import os.path
 import sys
 
-from .errors import ConfigError, EngineError, IoFailure
+from .errors import ConfigError, EngineError, read_json, write_text
 from .explain import (
     ExplainRequest,
     default_lambda,
@@ -27,6 +26,7 @@ from .harness import (
     load_config,
     load_input,
     reseed,
+    resolve,
     run_convergence,
     run_fidelity,
     run_stability,
@@ -70,39 +70,14 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _read_json(path: str) -> dict:
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            return json.load(fh)
-    except OSError as exc:
-        raise ConfigError(f"cannot read config {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise ConfigError(f"config {path} is not valid JSON: {exc}") from exc
-
-
-def _write_text(text: str, path: str | None) -> None:
-    if path is None:
-        sys.stdout.write(text)
-        return
-    try:
-        with open(path, "w", encoding="utf-8", newline="") as fh:
-            fh.write(text)
-    except OSError as exc:
-        raise IoFailure(f"cannot write {path}: {exc}") from exc
-
-
 def _cmd_explain(args: argparse.Namespace) -> int:
     if args.format == "csv":
         raise ConfigError("explain emits a single JSON explanation, not csv")
-    obj = _read_json(args.config)
+    obj = read_json(args.config, "config")
     base = os.path.dirname(os.path.abspath(args.config))
-
-    def resolve(p: str) -> str:
-        return p if os.path.isabs(p) else os.path.join(base, p)
-
     try:
-        model_path = resolve(obj["model"])
-        input_path = resolve(obj["input"])
+        model_path = resolve(obj["model"], base)
+        input_path = resolve(obj["input"], base)
         method_obj = obj["method"]
         n = int(obj["n"])
         seed = int(obj.get("seed", 0))
@@ -124,7 +99,7 @@ def _cmd_explain(args: argparse.Namespace) -> int:
         n=n, seed=seed, lam=lam, reference=reference,
     )
     exp = explain(req)
-    _write_text(json_dumps(explanation_to_json(exp)) + "\n", args.out)
+    write_text(json_dumps(explanation_to_json(exp)) + "\n", args.out)
     return 0
 
 
@@ -148,7 +123,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
 
 def _cmd_distributions(args: argparse.Namespace) -> int:
     if args.config is not None:
-        obj = _read_json(args.config)
+        obj = read_json(args.config, "config")
         try:
             d = int(obj["d"])
             sigmas = tuple(float(s) for s in obj["sigmas"])

@@ -1,8 +1,14 @@
-"""Error types shared across the package.
+"""Error types shared across the package, and the file helpers that turn OS
+and JSON failures into them.
 
 The CLI maps ConfigError to exit code 1 and every other failure to exit
 code 2, so keep configuration problems on the ConfigError branch.
 """
+from __future__ import annotations
+
+import json
+import sys
+from typing import Any
 
 
 class EngineError(Exception):
@@ -33,6 +39,10 @@ class RemoteMalformed(EngineError):
     """Remote model response did not match the request batch."""
 
 
+class NonFiniteOutput(EngineError):
+    """A model returned NaN or an infinite value."""
+
+
 class UnsupportedModel(EngineError):
     """Operation not defined for this model variant (e.g. gradient of Remote)."""
 
@@ -59,3 +69,26 @@ class DimensionTooLarge(EngineError):
 
 class IoFailure(EngineError):
     """Could not write an output artifact."""
+
+
+def read_json(path: str, what: str) -> Any:
+    """Parse a JSON input file; `what` names the file in the error message."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            return json.load(fh)
+    except OSError as exc:
+        raise ConfigError(f"cannot read {what} {path}: {exc}") from exc
+    except json.JSONDecodeError as exc:
+        raise ConfigError(f"{what} {path} is not valid JSON: {exc}") from exc
+
+
+def write_text(text: str, path: str | None) -> None:
+    """Write an output artifact to path, or to stdout when path is None."""
+    if path is None:
+        sys.stdout.write(text)
+        return
+    try:
+        with open(path, "w", encoding="utf-8", newline="") as fh:
+            fh.write(text)
+    except OSError as exc:
+        raise IoFailure(f"cannot write {path}: {exc}") from exc

@@ -1,13 +1,17 @@
 """Explanation methods: LIME, the weight-free GLIME family, KernelSHAP, and a
 SmoothGrad estimator, plus infinite-sample oracles for linear models.
 
-All methods are deterministic functions of their request, including the seed;
-identical requests yield identical explanations.
+Every surrogate method is one pipeline over a (sampling law, weighting, ridge)
+triple: draw n samples in feature space from the method's law, weight them by
+its kernel (unit weights for the GLIME family), lift them to raw inputs,
+evaluate the model and fit a weighted ridge surrogate. SmoothGrad fits no
+surrogate. All methods are deterministic functions of their request,
+including the seed; identical requests yield identical explanations.
 """
 from __future__ import annotations
 
 import itertools
-import math
+import typing
 from dataclasses import dataclass
 
 import numpy as np
@@ -42,63 +46,55 @@ EXACT_SHAP_MAX_D = 20
 
 
 @dataclass(frozen=True)
-class Lime:
+class _SigmaMethod:
+    """Method with a kernel or sampling width sigma > 0."""
+
+    sigma: float
+
+    def __post_init__(self) -> None:
+        if not self.sigma > 0:
+            raise ValueError(f"sigma must be > 0, got {self.sigma}")
+
+
+@dataclass(frozen=True)
+class Lime(_SigmaMethod):
     """Fair-coin masks weighted by the exponential kernel; ridge surrogate.
 
     unit_weights=True is the no-weighting ablation (pi = 1), used to probe how
     much of LIME's small-sigma instability the kernel itself causes.
     """
 
-    sigma: float
     unit_weights: bool = False
 
-    def __post_init__(self) -> None:
-        if not self.sigma > 0:
-            raise ValueError(f"sigma must be > 0, got {self.sigma}")
-
 
 @dataclass(frozen=True)
-class GlimeBinomial:
+class GlimeBinomial(_SigmaMethod):
     """Weight-free equivalent of Lime: Bernoulli(1/(1+e^{-1/sigma^2})) masks."""
 
-    sigma: float
-
-    def __post_init__(self) -> None:
-        if not self.sigma > 0:
-            raise ValueError(f"sigma must be > 0, got {self.sigma}")
+    # a class attribute, not a field: the GLIME methods fit unweighted samples
+    # drawn from law(d, sigma)
+    law = Binomial
 
 
 @dataclass(frozen=True)
-class GlimeGauss:
+class GlimeGauss(_SigmaMethod):
     """Additive Gaussian offsets in feature space; reference-independent."""
 
-    sigma: float
-
-    def __post_init__(self) -> None:
-        if not self.sigma > 0:
-            raise ValueError(f"sigma must be > 0, got {self.sigma}")
+    law = Gaussian
 
 
 @dataclass(frozen=True)
-class GlimeLaplace:
+class GlimeLaplace(_SigmaMethod):
     """Additive Laplace offsets, variance-matched to sigma^2 per coordinate."""
 
-    sigma: float
-
-    def __post_init__(self) -> None:
-        if not self.sigma > 0:
-            raise ValueError(f"sigma must be > 0, got {self.sigma}")
+    law = Laplace
 
 
 @dataclass(frozen=True)
-class GlimeUniform:
+class GlimeUniform(_SigmaMethod):
     """Additive uniform-box offsets, variance-matched to sigma^2 per coordinate."""
 
-    sigma: float
-
-    def __post_init__(self) -> None:
-        if not self.sigma > 0:
-            raise ValueError(f"sigma must be > 0, got {self.sigma}")
+    law = UniformBox
 
 
 @dataclass(frozen=True)
@@ -109,14 +105,8 @@ class KernelShap:
 
 
 @dataclass(frozen=True)
-class SmoothGrad:
+class SmoothGrad(_SigmaMethod):
     """Gaussian-smoothed gradient estimator on raw features."""
-
-    sigma: float
-
-    def __post_init__(self) -> None:
-        if not self.sigma > 0:
-            raise ValueError(f"sigma must be > 0, got {self.sigma}")
 
 
 MethodSpec = (
@@ -124,6 +114,7 @@ MethodSpec = (
 )
 
 _BINARY_METHODS = (Lime, GlimeBinomial, KernelShap)
+_METHODS = {cls.__name__: cls for cls in typing.get_args(MethodSpec)}
 
 
 def method_name(method: MethodSpec) -> str:
@@ -152,23 +143,14 @@ def method_from_json(obj: dict) -> MethodSpec:
         name = obj["method"]
     except (TypeError, KeyError) as exc:
         raise ConfigError("method entry must be an object with a 'method' tag") from exc
-    classes = {
-        "Lime": Lime,
-        "GlimeBinomial": GlimeBinomial,
-        "GlimeGauss": GlimeGauss,
-        "GlimeLaplace": GlimeLaplace,
-        "GlimeUniform": GlimeUniform,
-        "KernelShap": KernelShap,
-        "SmoothGrad": SmoothGrad,
-    }
-    if name not in classes:
+    if name not in _METHODS:
         raise ConfigError(f"unknown method: {name!r}")
     try:
         if name == "Lime":
             return Lime(float(obj["sigma"]), bool(obj.get("unit_weights", False)))
         if name == "KernelShap":
             return KernelShap(bool(obj.get("exact", True)))
-        return classes[name](float(obj["sigma"]))
+        return _METHODS[name](float(obj["sigma"]))
     except (KeyError, TypeError, ValueError) as exc:
         raise ConfigError(f"malformed {name} method entry: {exc}") from exc
 
@@ -257,7 +239,7 @@ def explanation_to_json(exp: Explanation) -> dict:
 
 
 def explanation_from_json(obj: dict) -> Explanation:
-    method = method_from_json({**obj, "method": obj["method"]})
+    method = method_from_json(obj)
     return Explanation(
         np.asarray(obj["w"]),
         float(obj["intercept"]),
@@ -272,60 +254,6 @@ def explanation_from_json(obj: dict) -> Explanation:
 
 # ---------------------------------------------------------------------------
 # the methods
-
-
-def _surrogate(
-    req: ExplainRequest,
-    design: np.ndarray,
-    responses: np.ndarray,
-    pi: np.ndarray,
-    lam: float,
-    n_recorded: int,
-) -> Explanation:
-    problem = RidgeProblem(design, responses, pi, lam, fit_intercept=True)
-    sol = solve_weighted_ridge(problem)
-    return Explanation(
-        sol.w, sol.intercept, sol.r2, req.method, n_recorded, req.seed, lam,
-        req.segmentation.d,
-    )
-
-
-def explain_lime(req: ExplainRequest) -> Explanation:
-    """Fair-coin masks, exponential-kernel weights, weighted ridge surrogate."""
-    if not isinstance(req.method, Lime):
-        raise ConfigError(f"explain_lime got method {method_name(req.method)}")
-    seg = req.segmentation
-    masks = draw(UniformBinary(seg.d), req.n, req.seed)
-    if req.method.unit_weights:
-        pi = np.ones(req.n)
-    else:
-        pi = batch_weights(ExpKernel(req.method.sigma), masks)
-    points = reconstruct_binary(req.x, req.reference, seg, masks)
-    responses = evaluate(req.model, points)
-    return _surrogate(req, masks, responses, pi, req.lam, req.n)
-
-
-def explain_glime(req: ExplainRequest) -> Explanation:
-    """Weight-free variants: sample from the transformed law, solve unweighted ridge."""
-    seg = req.segmentation
-    method = req.method
-    if isinstance(method, GlimeBinomial):
-        masks = draw(Binomial(seg.d, method.sigma), req.n, req.seed)
-        points = reconstruct_binary(req.x, req.reference, seg, masks)
-        design = masks
-    elif isinstance(method, (GlimeGauss, GlimeLaplace, GlimeUniform)):
-        dist_cls = {
-            GlimeGauss: Gaussian,
-            GlimeLaplace: Laplace,
-            GlimeUniform: UniformBox,
-        }[type(method)]
-        offsets = draw(dist_cls(seg.d, method.sigma), req.n, req.seed)
-        points = reconstruct_continuous(req.x, seg, offsets)
-        design = offsets
-    else:
-        raise ConfigError(f"explain_glime got method {method_name(method)}")
-    responses = evaluate(req.model, points)
-    return _surrogate(req, design, responses, np.ones(req.n), req.lam, req.n)
 
 
 def _all_interior_masks(d: int) -> np.ndarray:
@@ -350,31 +278,32 @@ def _sampled_interior_masks(d: int, n: int, seed: int) -> np.ndarray:
     return np.vstack(kept)[:n]
 
 
-def explain_kernelshap(req: ExplainRequest) -> Explanation:
-    """Shapley-kernel weighted regression with a fitted (free) intercept.
+def _design(req: ExplainRequest) -> tuple[np.ndarray, np.ndarray]:
+    """The method's samples in feature space and their weights: (design, pi).
 
-    Exact mode enumerates every non-degenerate coalition, which recovers
-    Shapley values for games whose interactions do not reach full degree d;
-    the acceptance suite checks this against brute-force enumeration.
+    KernelShap exact mode enumerates every non-degenerate coalition, which
+    recovers Shapley values for games whose interactions do not reach full
+    degree d; the acceptance suite checks this against brute-force enumeration.
     """
-    if not isinstance(req.method, KernelShap):
-        raise ConfigError(f"explain_kernelshap got method {method_name(req.method)}")
-    seg = req.segmentation
-    d = seg.d
-    if d < 2:
-        raise ShapDegenerate("KernelShap needs d >= 2: every coalition is degenerate")
-    if req.method.exact:
-        if d > EXACT_SHAP_MAX_D:
+    method, d, n = req.method, req.segmentation.d, req.n
+    if isinstance(method, Lime):
+        masks = draw(UniformBinary(d), n, req.seed)
+        if method.unit_weights:
+            return masks, np.ones(n)
+        return masks, batch_weights(ExpKernel(method.sigma), masks)
+    if isinstance(method, KernelShap):
+        if d < 2:
+            raise ShapDegenerate("KernelShap needs d >= 2: every coalition is degenerate")
+        if not method.exact:
+            masks = _sampled_interior_masks(d, n, req.seed)
+        elif d > EXACT_SHAP_MAX_D:
             raise DimensionTooLarge(
                 f"exact enumeration caps at d={EXACT_SHAP_MAX_D}, got d={d}"
             )
-        masks = _all_interior_masks(d)
-    else:
-        masks = _sampled_interior_masks(d, req.n, req.seed)
-    pi = batch_weights(ShapKernel(), masks)
-    points = reconstruct_binary(req.x, req.reference, seg, masks)
-    responses = evaluate(req.model, points)
-    return _surrogate(req, masks, responses, pi, 0.0, len(masks))
+        else:
+            masks = _all_interior_masks(d)
+        return masks, batch_weights(ShapKernel(), masks)
+    return draw(method.law(d, method.sigma), n, req.seed), np.ones(n)  # the GLIME family
 
 
 def smoothgrad_estimate(
@@ -392,20 +321,28 @@ def smoothgrad_estimate(
 
 
 def explain(req: ExplainRequest) -> Explanation:
-    """Dispatch a request to its method implementation."""
-    method = req.method
-    if isinstance(method, Lime):
-        return explain_lime(req)
-    if isinstance(method, (GlimeBinomial, GlimeGauss, GlimeLaplace, GlimeUniform)):
-        return explain_glime(req)
-    if isinstance(method, KernelShap):
-        return explain_kernelshap(req)
+    """Sample, weight, lift, evaluate and fit the ridge surrogate of a request.
+
+    KernelShap fits with lambda = 0 whatever the request says; its recorded n
+    is the number of coalitions used.
+    """
+    method, seg = req.method, req.segmentation
     if isinstance(method, SmoothGrad):
         w = smoothgrad_estimate(req.model, req.x, method.sigma, req.n, req.seed)
         fx = float(evaluate(req.model, req.x[None, :])[0])
         # local linearization around x: intercept f(x), no surrogate fit, no R^2
-        return Explanation(w, fx, None, method, req.n, req.seed, 0.0, req.segmentation.d)
-    raise ConfigError(f"unknown method: {method!r}")
+        return Explanation(w, fx, None, method, req.n, req.seed, 0.0, seg.d)
+    design, pi = _design(req)
+    if isinstance(method, _BINARY_METHODS):
+        points = reconstruct_binary(req.x, req.reference, seg, design)
+    else:
+        points = reconstruct_continuous(req.x, seg, design)
+    lam = 0.0 if isinstance(method, KernelShap) else req.lam
+    problem = RidgeProblem(design, evaluate(req.model, points), pi, lam)
+    sol = solve_weighted_ridge(problem)
+    return Explanation(
+        sol.w, sol.intercept, sol.r2, method, len(design), req.seed, lam, seg.d
+    )
 
 
 # ---------------------------------------------------------------------------

@@ -144,10 +144,3 @@ def feature_offsets(delta: np.ndarray, seg: Segmentation) -> np.ndarray:
     basis[np.arange(seg.size), seg.assignment] = 1.0 / counts[seg.assignment]
     return delta @ basis
 
-
-def segmentation_to_json(seg: Segmentation) -> dict:
-    return {"assignment": seg.assignment.tolist(), "d": seg.d, "shape": list(seg.shape)}
-
-
-def segmentation_from_json(obj: dict) -> Segmentation:
-    return Segmentation(np.asarray(obj["assignment"]), int(obj["d"]), tuple(obj["shape"]))

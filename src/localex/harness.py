@@ -11,14 +11,14 @@ import csv
 import dataclasses
 import io
 import json
-import sys
+import os.path
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Any, Callable
 
 import numpy as np
 
-from .errors import ConfigError, IoFailure
+from .errors import ConfigError, read_json, write_text
 from .explain import (
     ExplainRequest,
     Explanation,
@@ -43,7 +43,6 @@ from .sampling import (
     bernoulli_p,
     binomial_pmf,
     expected_weight_uniform,
-    splitmix64,
     substream_seed,
     weight,
 )
@@ -90,13 +89,7 @@ def json_dumps(obj: Any) -> str:
 def _csv_cell(v: Any) -> str:
     if v is None:
         return ""
-    if isinstance(v, bool):
-        return "true" if v else "false"
-    if isinstance(v, (int, np.integer)):
-        return str(int(v))
-    if isinstance(v, (float, np.floating)):
-        return fmt_float(float(v))
-    return str(v)
+    return v if isinstance(v, str) else _json_scalar(v)
 
 
 def emit(rows: list[dict], fmt: str, path: str | None) -> None:
@@ -122,14 +115,7 @@ def emit(rows: list[dict], fmt: str, path: str | None) -> None:
         text = "[\n" + body + "\n]\n"
     else:
         raise ConfigError(f"format must be csv or json, got {fmt!r}")
-    if path is None:
-        sys.stdout.write(text)
-        return
-    try:
-        with open(path, "w", encoding="utf-8", newline="") as fh:
-            fh.write(text)
-    except OSError as exc:
-        raise IoFailure(f"cannot write {path}: {exc}") from exc
+    write_text(text, path)
 
 
 # ---------------------------------------------------------------------------
@@ -182,19 +168,19 @@ class ExperimentConfig:
             method_from_json({**entry, "sigma": 1.0})  # validate tag and flags early
 
 
+def resolve(path: str, base_dir: str) -> str:
+    """A path from a config file, taken relative to the file's directory."""
+    return path if os.path.isabs(path) else os.path.join(base_dir, path)
+
+
 def config_from_json(obj: dict, base_dir: str = ".") -> ExperimentConfig:
-    import os.path
-
-    def resolve(p: str) -> str:
-        return p if os.path.isabs(p) else os.path.join(base_dir, p)
-
     try:
         seg = obj.get("segmentation") or {}
         met = obj.get("metrics") or {}
         out = obj.get("output") or {}
         return ExperimentConfig(
-            model_path=resolve(obj["model"]),
-            input_path=resolve(obj["input"]),
+            model_path=resolve(obj["model"], base_dir),
+            input_path=resolve(obj["input"], base_dir),
             method_entries=tuple(obj["methods"]),
             sigmas=tuple(float(s) for s in obj["sigmas"]),
             sample_sizes=tuple(int(n) for n in obj["sample_sizes"]),
@@ -207,7 +193,7 @@ def config_from_json(obj: dict, base_dir: str = ".") -> ExperimentConfig:
             epsilons=tuple(float(e) for e in met.get("epsilons", (0.5,))),
             norms=tuple(str(n) for n in met.get("norms", ("l2",))),
             m=int(met.get("m", 2048)),
-            out_path=None if out.get("path") is None else resolve(out["path"]),
+            out_path=None if out.get("path") is None else resolve(out["path"], base_dir),
             out_format=str(out.get("format", "csv")),
         )
     except (KeyError, TypeError, ValueError) as exc:
@@ -215,27 +201,13 @@ def config_from_json(obj: dict, base_dir: str = ".") -> ExperimentConfig:
 
 
 def load_config(path: str) -> ExperimentConfig:
-    import os.path
-
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            obj = json.load(fh)
-    except OSError as exc:
-        raise ConfigError(f"cannot read config {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise ConfigError(f"config {path} is not valid JSON: {exc}") from exc
-    return config_from_json(obj, base_dir=os.path.dirname(os.path.abspath(path)))
+    base_dir = os.path.dirname(os.path.abspath(path))
+    return config_from_json(read_json(path, "config"), base_dir=base_dir)
 
 
 def load_input(path: str) -> tuple[np.ndarray, tuple[int, ...] | None]:
     """Input file: either a flat JSON array or {"values": [...], "shape": [...]}."""
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            obj = json.load(fh)
-    except OSError as exc:
-        raise ConfigError(f"cannot read input {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise ConfigError(f"input {path} is not valid JSON: {exc}") from exc
+    obj = read_json(path, "input")
     if isinstance(obj, list):
         return np.asarray(obj, dtype=np.float64), None
     try:
@@ -307,7 +279,9 @@ def _materialize(entry: dict, sigma: float) -> MethodSpec:
 
 
 def _run_cells(cells: list, fn: Callable, jobs: int) -> list[dict]:
-    if jobs <= 1:
+    if jobs < 1:
+        raise ConfigError(f"jobs must be >= 1, got {jobs}")
+    if jobs == 1:
         return [fn(cell) for cell in cells]
     with ThreadPoolExecutor(max_workers=jobs) as pool:
         return list(pool.map(fn, cells))  # map preserves grid order
@@ -329,6 +303,16 @@ def _explain_cell(
     return explain(req)
 
 
+def _cell_row(keys: dict, metrics: tuple[str, ...], compute: Callable[[], dict]) -> dict:
+    """One table row: the cell's keys, then its metrics or a recorded failure."""
+    row = {**keys, **dict.fromkeys(metrics), "error": ""}
+    try:
+        row.update(compute())
+    except Exception as exc:  # record, keep sweeping
+        row["error"] = f"{type(exc).__name__}: {exc}"
+    return row
+
+
 def run_stability(config: ExperimentConfig, jobs: int = 1) -> list[dict]:
     """Mean/std of pairwise top-K Jaccard across seeds, per grid cell."""
     if len(config.seeds) < 2:
@@ -346,23 +330,15 @@ def run_stability(config: ExperimentConfig, jobs: int = 1) -> list[dict]:
     def one(cell) -> dict:
         entry, sigma, lam, n = cell
         method = _materialize(entry, sigma)
-        row = {
-            "method": _method_label(method),
-            "sigma": sigma,
-            "lambda": lam,
-            "n": n,
-            "mean_jaccard": None,
-            "std": None,
-            "error": "",
-        }
-        try:
+
+        def compute() -> dict:
             exps = [_explain_cell(ctx, method, n, lam, s) for s in config.seeds]
             report = top_k_jaccard(exps, k)
-            row["mean_jaccard"] = report.mean_jaccard
-            row["std"] = float(np.std(report.pairwise))
-        except Exception as exc:  # record, keep sweeping
-            row["error"] = f"{type(exc).__name__}: {exc}"
-        return row
+            std = float(np.std(report.pairwise))
+            return {"mean_jaccard": report.mean_jaccard, "std": std}
+
+        keys = {"method": _method_label(method), "sigma": sigma, "lambda": lam, "n": n}
+        return _cell_row(keys, ("mean_jaccard", "std"), compute)
 
     return _run_cells(cells, one, jobs)
 
@@ -384,26 +360,17 @@ def run_convergence(config: ExperimentConfig, jobs: int = 1) -> list[dict]:
 
     def one(cell) -> dict:
         sigma, lam, n = cell
-        row = {
-            "sigma": sigma,
-            "lambda": lam,
-            "n": n,
-            "mse": None,
-            "mae": None,
-            "pearson": None,
-            "spearman": None,
-            "mse_monotone": None,
-            "error": "",
-        }
-        try:
+
+        def compute() -> dict:
             lime = _explain_cell(ctx, Lime(sigma), n, lam, seed)
             binom = _explain_cell(ctx, GlimeBinomial(sigma), n, lam, seed)
             dist = explanation_distance(lime, binom)
-            row.update(mse=dist.mse, mae=dist.mae, pearson=dist.pearson,
-                       spearman=dist.spearman)
-        except Exception as exc:
-            row["error"] = f"{type(exc).__name__}: {exc}"
-        return row
+            return {"mse": dist.mse, "mae": dist.mae, "pearson": dist.pearson,
+                    "spearman": dist.spearman}
+
+        keys = {"sigma": sigma, "lambda": lam, "n": n}
+        return _cell_row(keys, ("mse", "mae", "pearson", "spearman", "mse_monotone"),
+                         compute)
 
     rows = _run_cells(cells, one, jobs)
     for start in range(0, len(rows), len(config.sample_sizes)):
@@ -437,16 +404,8 @@ def run_fidelity(config: ExperimentConfig, jobs: int = 1) -> list[dict]:
     def one(cell) -> dict:
         entry, sigma, eps, norm = cell
         method = _materialize(entry, sigma)
-        row = {
-            "method": _method_label(method),
-            "sigma": sigma,
-            "epsilon": eps,
-            "norm": norm,
-            "fidelity_mean": None,
-            "fidelity_std": None,
-            "error": "",
-        }
-        try:
+
+        def compute() -> dict:
             vals = []
             for s in config.seeds:
                 exp = _explain_cell(ctx, method, n, lam, s)
@@ -455,11 +414,12 @@ def run_fidelity(config: ExperimentConfig, jobs: int = 1) -> list[dict]:
                     config.m, substream_seed(s, _BALL_STREAM),
                 )
                 vals.append(rep.fidelity)
-            row["fidelity_mean"] = float(np.mean(vals))
-            row["fidelity_std"] = float(np.std(vals))
-        except Exception as exc:
-            row["error"] = f"{type(exc).__name__}: {exc}"
-        return row
+            return {"fidelity_mean": float(np.mean(vals)),
+                    "fidelity_std": float(np.std(vals))}
+
+        keys = {"method": _method_label(method), "sigma": sigma, "epsilon": eps,
+                "norm": norm}
+        return _cell_row(keys, ("fidelity_mean", "fidelity_std"), compute)
 
     return _run_cells(cells, one, jobs)
 
@@ -471,6 +431,8 @@ def distributions_table(d: int, sigmas: tuple[float, ...],
         raise ConfigError(f"d must be >= 1, got {d}")
     if not sigmas:
         raise ConfigError("sigmas must be non-empty")
+    if any(not s > 0 for s in sigmas):
+        raise ConfigError("sigmas must be > 0")
     if ks is None:
         ks = tuple(range(d + 1))
     if any(k < 0 or k > d for k in ks):

@@ -17,9 +17,11 @@ import numpy as np
 from .errors import (
     ConfigError,
     DimensionMismatch,
+    NonFiniteOutput,
     RemoteMalformed,
     RemoteUnavailable,
     UnsupportedModel,
+    read_json,
 )
 
 MLP_GRADIENT_STEP = 1e-5
@@ -164,9 +166,7 @@ def _remote_batch(model: Remote, batch: np.ndarray) -> np.ndarray:
         raise RemoteMalformed(f"remote values are not numeric: {exc}") from exc
 
 
-def evaluate(model: ModelSpec, points: np.ndarray) -> np.ndarray:
-    """Apply the model row-wise to an n x D matrix; returns a length-n vector."""
-    pts = _as_batch(model, points)
+def _forward(model: ModelSpec, pts: np.ndarray) -> np.ndarray:
     if isinstance(model, Linear):
         return pts @ model.coefficients + model.bias
     if isinstance(model, Quadratic):
@@ -184,6 +184,23 @@ def evaluate(model: ModelSpec, points: np.ndarray) -> np.ndarray:
             out[start : start + len(chunk)] = _remote_batch(model, chunk)
         return out
     raise TypeError(f"unknown model spec: {model!r}")
+
+
+def evaluate(model: ModelSpec, points: np.ndarray) -> np.ndarray:
+    """Apply the model row-wise to an n x D matrix; returns a length-n vector.
+
+    Raises NonFiniteOutput when any response is NaN or infinite, so no
+    non-finite value reaches the solver or the metrics.
+    """
+    pts = _as_batch(model, points)
+    with np.errstate(over="ignore", invalid="ignore"):  # reported below instead
+        out = _forward(model, pts)
+    bad = np.count_nonzero(~np.isfinite(out))
+    if bad:
+        raise NonFiniteOutput(
+            f"model returned {bad} non-finite value(s) for {len(out)} points"
+        )
+    return out
 
 
 def gradient(model: ModelSpec, point: np.ndarray) -> np.ndarray:
@@ -275,11 +292,4 @@ def model_to_json(model: ModelSpec) -> dict:
 
 
 def load_model(path: str) -> ModelSpec:
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            obj = json.load(fh)
-    except OSError as exc:
-        raise ConfigError(f"cannot read model file {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise ConfigError(f"model file {path} is not valid JSON: {exc}") from exc
-    return model_from_json(obj)
+    return model_from_json(read_json(path, "model file"))

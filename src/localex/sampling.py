@@ -45,8 +45,8 @@ def bernoulli_p(sigma: float) -> float:
 
 
 @dataclass(frozen=True)
-class UniformBinary:
-    """Fair-coin masks on {0,1}^d."""
+class _Law:
+    """Sampling law over d coordinates."""
 
     d: int
 
@@ -56,17 +56,25 @@ class UniformBinary:
 
 
 @dataclass(frozen=True)
-class Binomial:
-    """i.i.d. Bernoulli(p) masks with p = 1/(1+e^{-1/sigma^2})."""
+class _ScaledLaw(_Law):
+    """Sampling law with a width sigma > 0."""
 
-    d: int
     sigma: float
 
     def __post_init__(self) -> None:
-        if self.d < 1:
-            raise ValueError(f"d must be >= 1, got {self.d}")
+        super().__post_init__()
         if not self.sigma > 0:
             raise ValueError(f"sigma must be > 0, got {self.sigma}")
+
+
+@dataclass(frozen=True)
+class UniformBinary(_Law):
+    """Fair-coin masks on {0,1}^d."""
+
+
+@dataclass(frozen=True)
+class Binomial(_ScaledLaw):
+    """i.i.d. Bernoulli(p) masks with p = 1/(1+e^{-1/sigma^2})."""
 
     @property
     def p(self) -> float:
@@ -74,31 +82,13 @@ class Binomial:
 
 
 @dataclass(frozen=True)
-class Gaussian:
+class Gaussian(_ScaledLaw):
     """i.i.d. N(0, sigma^2) offsets per coordinate."""
-
-    d: int
-    sigma: float
-
-    def __post_init__(self) -> None:
-        if self.d < 1:
-            raise ValueError(f"d must be >= 1, got {self.d}")
-        if not self.sigma > 0:
-            raise ValueError(f"sigma must be > 0, got {self.sigma}")
 
 
 @dataclass(frozen=True)
-class Laplace:
+class Laplace(_ScaledLaw):
     """i.i.d. Laplace offsets, scale sigma/sqrt(2) so the variance is sigma^2."""
-
-    d: int
-    sigma: float
-
-    def __post_init__(self) -> None:
-        if self.d < 1:
-            raise ValueError(f"d must be >= 1, got {self.d}")
-        if not self.sigma > 0:
-            raise ValueError(f"sigma must be > 0, got {self.sigma}")
 
     @property
     def scale(self) -> float:
@@ -106,17 +96,8 @@ class Laplace:
 
 
 @dataclass(frozen=True)
-class UniformBox:
+class UniformBox(_ScaledLaw):
     """i.i.d. uniform offsets on [-sqrt(3)*sigma, sqrt(3)*sigma], variance sigma^2."""
-
-    d: int
-    sigma: float
-
-    def __post_init__(self) -> None:
-        if self.d < 1:
-            raise ValueError(f"d must be >= 1, got {self.d}")
-        if not self.sigma > 0:
-            raise ValueError(f"sigma must be > 0, got {self.sigma}")
 
     @property
     def half_width(self) -> float:

@@ -37,7 +37,7 @@ class RidgeProblem:
         if y.shape != (n,) or pi.shape != (n,):
             raise ValueError("responses and sample_weights must have length n")
         if not np.all(pi > 0):
-            raise ValueError(
+            raise SingularSystem(
                 "all sample weights must be strictly positive "
                 "(zero usually means a kernel weight underflowed)"
             )

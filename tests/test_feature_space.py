@@ -12,8 +12,6 @@ from localex.feature_space import (
     mean_reference,
     reconstruct_binary,
     reconstruct_continuous,
-    segmentation_from_json,
-    segmentation_to_json,
     singleton_segments,
 )
 
@@ -131,10 +129,3 @@ def test_feature_offsets_on_singletons_is_the_identity():
     delta = np.array([[1.0, 2.0, 3.0]])
     assert np.array_equal(feature_offsets(delta, seg), delta)
 
-
-def test_segmentation_json_round_trip():
-    seg = grid_segment(3, 3, 1, 2, 2)
-    back = segmentation_from_json(segmentation_to_json(seg))
-    assert back.d == seg.d
-    assert back.shape == seg.shape
-    assert np.array_equal(back.assignment, seg.assignment)

@@ -1,3 +1,5 @@
+import contextlib
+import io
 import json
 import math
 import subprocess
@@ -7,6 +9,7 @@ import numpy as np
 import pytest
 
 from conftest import asset
+from localex.cli import main
 from localex.errors import ConfigError
 from localex.harness import (
     ExperimentConfig,
@@ -255,12 +258,21 @@ def test_distributions_table_validates_arguments():
 
 
 # ---------------------------------------------------------------------------
-# command-line interface (subprocess, real exit codes)
+# command-line interface
 
 
-def cli(*args, cwd=None):
+def cli(*args):
+    """Run the command line in-process, captured like a finished subprocess."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(list(args))
+    return subprocess.CompletedProcess(args, code, out.getvalue(), err.getvalue())
+
+
+def run_module(*args):
+    """Run `python -m localex` in a child process, for the real exit status."""
     return subprocess.run([sys.executable, "-m", "localex", *args],
-                          capture_output=True, text=True, cwd=cwd)
+                          capture_output=True, text=True)
 
 
 def test_cli_explain_emits_the_documented_json_shape(tmp_path):
@@ -330,8 +342,8 @@ def test_cli_config_errors_exit_one(tmp_path):
 
 def test_cli_runtime_failures_exit_two(tmp_path):
     path = write_workspace(tmp_path)
-    proc = cli("stability", "--config", path, "--out",
-               str(tmp_path / "no_dir" / "x.csv"))
+    proc = run_module("stability", "--config", path, "--out",
+                      str(tmp_path / "no_dir" / "x.csv"))
     assert proc.returncode == 2
     assert "cannot write" in proc.stderr
 
@@ -349,3 +361,32 @@ def test_cli_runs_the_bundled_sample_configs():
     proc = cli("distributions", "--config", asset("distributions.json"))
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.startswith("sigma,k,")
+
+
+def explain_config(tmp_path, coefficients, sigma):
+    (tmp_path / "model.json").write_text(json.dumps(
+        {"kind": "linear", "coefficients": coefficients}))
+    (tmp_path / "input.json").write_text("[1.0, 2.0, 3.0]")
+    path = tmp_path / "explain.json"
+    path.write_text(json.dumps({"model": "model.json", "input": "input.json",
+                                "method": {"method": "Lime", "sigma": sigma},
+                                "n": 64}))
+    return str(path)
+
+
+@pytest.mark.parametrize("make_args, code", [
+    # model outputs overflow to inf
+    (lambda tmp: ["explain", "--config", explain_config(tmp, [1e308] * 3, 1.0)], 2),
+    # every kernel weight with k <= 1 of d = 3 underflows to zero
+    (lambda tmp: ["explain", "--config", explain_config(tmp, [0.3, -0.2, 0.5], 0.05)], 2),
+    (lambda tmp: ["distributions", "--dim", "3", "--sigmas", "0"], 1),
+    (lambda tmp: ["distributions", "--dim", "3", "--sigmas=-1"], 1),
+    (lambda tmp: ["distributions", "--dim", "3", "--sigmas", "nan"], 1),
+    (lambda tmp: ["stability", "--config", write_workspace(tmp), "--jobs", "0"], 1),
+    (lambda tmp: ["stability", "--config", write_workspace(tmp), "--jobs=-3"], 1),
+], ids=["nonfinite-output", "zero-weights", "sigma-zero", "sigma-negative",
+        "sigma-nan", "jobs-zero", "jobs-negative"])
+def test_cli_reports_bad_values_in_one_error_line(tmp_path, capsys, make_args, code):
+    assert main(make_args(tmp_path)) == code
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and err.count("\n") == 1, err

@@ -11,6 +11,7 @@ from conftest import asset
 from localex.errors import (
     ConfigError,
     DimensionMismatch,
+    NonFiniteOutput,
     RemoteMalformed,
     RemoteUnavailable,
     UnsupportedModel,
@@ -178,6 +179,8 @@ class _Handler(BaseHTTPRequestHandler):
             return
         if type(self).mode == "short":
             payload = {"values": [0.0]}
+        elif type(self).mode == "nonfinite":
+            payload = {"values": [float("nan"), float("inf")]}  # JSON NaN, Infinity
         elif type(self).mode == "garbage":
             self.send_response(200)
             self.send_header("Content-Type", "text/plain")
@@ -233,6 +236,12 @@ def test_remote_length_mismatch_is_malformed(server):
     _Handler.mode = "short"
     with pytest.raises(RemoteMalformed):
         evaluate(Remote(server), np.ones((3, 2)))
+
+
+def test_remote_nan_and_infinity_are_non_finite_outputs(server):
+    _Handler.mode = "nonfinite"
+    with pytest.raises(NonFiniteOutput):
+        evaluate(Remote(server), np.ones((2, 2)))
 
 
 def test_remote_non_json_body_is_malformed(server):

@@ -104,7 +104,7 @@ def test_singular_system_at_lambda_zero_with_duplicate_rows():
 
 
 def test_zero_sample_weights_are_rejected_with_a_hint():
-    with pytest.raises(ValueError, match="underflow"):
+    with pytest.raises(SingularSystem, match="underflow"):
         RidgeProblem(np.ones((2, 1)), np.ones(2), np.array([1.0, 0.0]), 1.0)
 
 
