@@ -76,7 +76,6 @@ from .sampling import (
     weight,
 )
 from .solver import (
-    CovarianceModel,
     RidgeProblem,
     RidgeSolution,
     analytic_moments,

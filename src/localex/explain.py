@@ -10,13 +10,14 @@ including the seed; identical requests yield identical explanations.
 """
 from __future__ import annotations
 
+import dataclasses
 import itertools
 import typing
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, DimensionTooLarge, ShapDegenerate
+from .errors import ConfigError, DimensionTooLarge, NonFiniteOutput, ShapDegenerate
 from .feature_space import (
     Reference,
     Segmentation,
@@ -26,12 +27,15 @@ from .feature_space import (
 from .models import ModelSpec, evaluate
 from .sampling import (
     Binomial,
+    DistributionSpec,
     ExpKernel,
     Gaussian,
     Laplace,
     ShapKernel,
     UniformBinary,
     UniformBox,
+    Unit,
+    WeightSpec,
     batch_weights,
     draw,
     splitmix64,
@@ -42,18 +46,34 @@ EXACT_SHAP_MAX_D = 20
 
 
 # ---------------------------------------------------------------------------
-# method specs
+# method specs: one row of the (law, kernel, ridge) table per class
+
+
+class _Method:
+    """A method's row, read by the pipeline instead of its type: sampler(d)
+    gives the (law, kernel) of its samples, then these class attributes."""
+
+    binary: bool = False  # lift samples against a reference, not as offsets
+    fixed_lam: float | None = None  # ridge strength the method fixes; None: the request's
+
+    @property
+    def label(self) -> str:  # the method column of sweep tables
+        return type(self).__name__
 
 
 @dataclass(frozen=True)
-class _SigmaMethod:
-    """Method with a kernel or sampling width sigma > 0."""
+class _SigmaMethod(_Method):
+    """Method with a kernel or sampling width sigma > 0; by default its samples
+    come unweighted from the class's law(d, sigma)."""
 
     sigma: float
 
     def __post_init__(self) -> None:
         if not self.sigma > 0:
             raise ValueError(f"sigma must be > 0, got {self.sigma}")
+
+    def sampler(self, d: int) -> tuple[DistributionSpec, WeightSpec]:
+        return self.law(d, self.sigma), Unit()
 
 
 @dataclass(frozen=True)
@@ -65,15 +85,22 @@ class Lime(_SigmaMethod):
     """
 
     unit_weights: bool = False
+    binary = True
+
+    def sampler(self, d: int) -> tuple[DistributionSpec, WeightSpec]:
+        return UniformBinary(d), Unit() if self.unit_weights else ExpKernel(self.sigma)
+
+    @property
+    def label(self) -> str:
+        return "LimeUnweighted" if self.unit_weights else "Lime"
 
 
 @dataclass(frozen=True)
 class GlimeBinomial(_SigmaMethod):
     """Weight-free equivalent of Lime: Bernoulli(1/(1+e^{-1/sigma^2})) masks."""
 
-    # a class attribute, not a field: the GLIME methods fit unweighted samples
-    # drawn from law(d, sigma)
     law = Binomial
+    binary = True
 
 
 @dataclass(frozen=True)
@@ -98,23 +125,31 @@ class GlimeUniform(_SigmaMethod):
 
 
 @dataclass(frozen=True)
-class KernelShap:
+class KernelShap(_Method):
     """Shapley-kernel weighted regression; exact mode enumerates all coalitions."""
 
     exact: bool = True
+    binary = True
+    fixed_lam = 0.0
+
+    def sampler(self, d: int) -> tuple[DistributionSpec, WeightSpec]:
+        return UniformBinary(d), ShapKernel()
 
 
 @dataclass(frozen=True)
 class SmoothGrad(_SigmaMethod):
     """Gaussian-smoothed gradient estimator on raw features."""
 
+    law = Gaussian  # drawn by smoothgrad_estimate, which fits no surrogate
+    fixed_lam = 0.0
+
 
 MethodSpec = (
     Lime | GlimeBinomial | GlimeGauss | GlimeLaplace | GlimeUniform | KernelShap | SmoothGrad
 )
 
-_BINARY_METHODS = (Lime, GlimeBinomial, KernelShap)
 _METHODS = {cls.__name__: cls for cls in typing.get_args(MethodSpec)}
+_FIELD_TYPES = {"float": float, "bool": bool}
 
 
 def method_name(method: MethodSpec) -> str:
@@ -122,19 +157,17 @@ def method_name(method: MethodSpec) -> str:
 
 
 def default_lambda(method: MethodSpec) -> float:
-    """Ridge strength default: 1 for ridge-based methods, 0 for KernelShap."""
-    return 0.0 if isinstance(method, (KernelShap, SmoothGrad)) else 1.0
+    """Ridge strength default: 1 unless the method fixes its own (KernelShap: 0)."""
+    return 1.0 if method.fixed_lam is None else method.fixed_lam
 
 
 def method_to_json(method: MethodSpec) -> dict:
+    """The method tag, then its fields, leaving out flags that are off by default."""
     obj: dict = {"method": method_name(method)}
-    sigma = getattr(method, "sigma", None)
-    if sigma is not None:
-        obj["sigma"] = sigma
-    if isinstance(method, Lime) and method.unit_weights:
-        obj["unit_weights"] = True
-    if isinstance(method, KernelShap):
-        obj["exact"] = method.exact
+    for f in dataclasses.fields(method):
+        value = getattr(method, f.name)
+        if value or f.default is not False:
+            obj[f.name] = value
     return obj
 
 
@@ -145,12 +178,13 @@ def method_from_json(obj: dict) -> MethodSpec:
         raise ConfigError("method entry must be an object with a 'method' tag") from exc
     if name not in _METHODS:
         raise ConfigError(f"unknown method: {name!r}")
+    cls = _METHODS[name]
     try:
-        if name == "Lime":
-            return Lime(float(obj["sigma"]), bool(obj.get("unit_weights", False)))
-        if name == "KernelShap":
-            return KernelShap(bool(obj.get("exact", True)))
-        return _METHODS[name](float(obj["sigma"]))
+        return cls(**{
+            f.name: _FIELD_TYPES[f.type](obj[f.name])
+            for f in dataclasses.fields(cls)
+            if f.name in obj or f.default is dataclasses.MISSING
+        })
     except (KeyError, TypeError, ValueError) as exc:
         raise ConfigError(f"malformed {name} method entry: {exc}") from exc
 
@@ -181,7 +215,7 @@ class ExplainRequest:
             raise ConfigError(f"sample count must be >= 1, got {self.n}")
         if not self.lam >= 0:
             raise ConfigError(f"lambda must be >= 0, got {self.lam}")
-        if isinstance(self.method, _BINARY_METHODS) and self.reference is None:
+        if self.method.binary and self.reference is None:
             raise ConfigError(
                 f"{method_name(self.method)} perturbs against a reference; none given"
             )
@@ -256,54 +290,26 @@ def explanation_from_json(obj: dict) -> Explanation:
 # the methods
 
 
-def _all_interior_masks(d: int) -> np.ndarray:
-    """All masks with 1 <= k <= d-1, in increasing integer order."""
-    codes = np.arange(1, 2**d - 1, dtype=np.uint32)
-    return ((codes[:, None] >> np.arange(d, dtype=np.uint32)) & 1).astype(np.float64)
-
-
-def _sampled_interior_masks(d: int, n: int, seed: int) -> np.ndarray:
-    """First n fair-coin masks with the degenerate coalitions discarded."""
+def _coalitions(method: KernelShap, law: UniformBinary, n: int, seed: int) -> np.ndarray:
+    """Every coalition with 1 <= k <= d-1 (exact mode, which recovers Shapley
+    values of games whose interactions stay below degree d), or the first n
+    such draws from law."""
+    d = law.d
+    if d < 2:
+        raise ShapDegenerate("KernelShap needs d >= 2: every coalition is degenerate")
+    if method.exact:
+        if d > EXACT_SHAP_MAX_D:
+            raise DimensionTooLarge(f"exact enumeration caps at d={EXACT_SHAP_MAX_D}, "
+                                    f"got d={d}")
+        codes = np.arange(1, 2**d - 1, dtype=np.uint32)
+        return ((codes[:, None] >> np.arange(d, dtype=np.uint32)) & 1).astype(np.float64)
     kept: list[np.ndarray] = []
-    total = 0
-    chunk = max(n, 256)
     for round_idx in itertools.count():
-        masks = draw(UniformBinary(d), chunk, splitmix64(seed ^ round_idx))
+        masks = draw(law, max(n, 256), splitmix64(seed ^ round_idx))
         k = masks.sum(axis=1)
-        good = masks[(k > 0) & (k < d)]
-        kept.append(good)
-        total += len(good)
-        if total >= n:
-            break
-    return np.vstack(kept)[:n]
-
-
-def _design(req: ExplainRequest) -> tuple[np.ndarray, np.ndarray]:
-    """The method's samples in feature space and their weights: (design, pi).
-
-    KernelShap exact mode enumerates every non-degenerate coalition, which
-    recovers Shapley values for games whose interactions do not reach full
-    degree d; the acceptance suite checks this against brute-force enumeration.
-    """
-    method, d, n = req.method, req.segmentation.d, req.n
-    if isinstance(method, Lime):
-        masks = draw(UniformBinary(d), n, req.seed)
-        if method.unit_weights:
-            return masks, np.ones(n)
-        return masks, batch_weights(ExpKernel(method.sigma), masks)
-    if isinstance(method, KernelShap):
-        if d < 2:
-            raise ShapDegenerate("KernelShap needs d >= 2: every coalition is degenerate")
-        if not method.exact:
-            masks = _sampled_interior_masks(d, n, req.seed)
-        elif d > EXACT_SHAP_MAX_D:
-            raise DimensionTooLarge(
-                f"exact enumeration caps at d={EXACT_SHAP_MAX_D}, got d={d}"
-            )
-        else:
-            masks = _all_interior_masks(d)
-        return masks, batch_weights(ShapKernel(), masks)
-    return draw(method.law(d, method.sigma), n, req.seed), np.ones(n)  # the GLIME family
+        kept.append(masks[(k > 0) & (k < d)])
+        if sum(map(len, kept)) >= n:
+            return np.vstack(kept)[:n]
 
 
 def smoothgrad_estimate(
@@ -317,29 +323,36 @@ def smoothgrad_estimate(
     x = np.asarray(x, dtype=np.float64)
     offsets = draw(Gaussian(x.shape[0], sigma), n, seed)
     responses = evaluate(model, x + offsets)
-    return (offsets.T @ responses) / (n * sigma * sigma)
+    with np.errstate(over="ignore", invalid="ignore"):  # reported just below
+        grad = (offsets.T @ responses) / (n * sigma * sigma)
+    if not np.all(np.isfinite(grad)):
+        raise NonFiniteOutput("SmoothGrad estimate overflowed: model responses are too large")
+    return grad
 
 
 def explain(req: ExplainRequest) -> Explanation:
-    """Sample, weight, lift, evaluate and fit the ridge surrogate of a request.
-
-    KernelShap fits with lambda = 0 whatever the request says; its recorded n
-    is the number of coalitions used.
+    """Draw the method's samples, weight them by its kernel, lift, evaluate and
+    fit the ridge surrogate with the method's fixed lambda, if it has one, else
+    the request's. KernelShap records the number of coalitions used as n.
     """
     method, seg = req.method, req.segmentation
+    lam = req.lam if method.fixed_lam is None else method.fixed_lam
     if isinstance(method, SmoothGrad):
         w = smoothgrad_estimate(req.model, req.x, method.sigma, req.n, req.seed)
         fx = float(evaluate(req.model, req.x[None, :])[0])
         # local linearization around x: intercept f(x), no surrogate fit, no R^2
-        return Explanation(w, fx, None, method, req.n, req.seed, 0.0, seg.d)
-    design, pi = _design(req)
-    if isinstance(method, _BINARY_METHODS):
+        return Explanation(w, fx, None, method, req.n, req.seed, lam, seg.d)
+    law, kernel = method.sampler(seg.d)
+    if isinstance(method, KernelShap):  # the one method with its own coalition set
+        design = _coalitions(method, law, req.n, req.seed)
+    else:
+        design = draw(law, req.n, req.seed)
+    pi = batch_weights(kernel, design)
+    if method.binary:
         points = reconstruct_binary(req.x, req.reference, seg, design)
     else:
         points = reconstruct_continuous(req.x, seg, design)
-    lam = 0.0 if isinstance(method, KernelShap) else req.lam
-    problem = RidgeProblem(design, evaluate(req.model, points), pi, lam)
-    sol = solve_weighted_ridge(problem)
+    sol = solve_weighted_ridge(RidgeProblem(design, evaluate(req.model, points), pi, lam))
     return Explanation(
         sol.w, sol.intercept, sol.r2, method, len(design), req.seed, lam, seg.d
     )
@@ -355,14 +368,12 @@ def infinite_limit_linear_binomial(
     x: np.ndarray,
     reference: Reference,
     seg: Segmentation,
-    sigma: float | None = None,
 ) -> tuple[np.ndarray, float]:
     """Limit of Lime/GlimeBinomial on a linear model: w_j = sum_seg c_i (x_i - r_i).
 
-    sigma is accepted for signature symmetry but the limit does not depend on
-    it; the kernel width only changes the finite-sample convergence rate.
+    The limit does not depend on sigma; the kernel width only changes the
+    finite-sample convergence rate.
     """
-    del sigma
     c = np.asarray(c, dtype=np.float64)
     x = np.asarray(x, dtype=np.float64)
     r = reference.values

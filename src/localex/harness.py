@@ -27,7 +27,6 @@ from .explain import (
     MethodSpec,
     explain,
     method_from_json,
-    method_name,
 )
 from .feature_space import (
     Reference,
@@ -208,13 +207,16 @@ def load_config(path: str) -> ExperimentConfig:
 def load_input(path: str) -> tuple[np.ndarray, tuple[int, ...] | None]:
     """Input file: either a flat JSON array or {"values": [...], "shape": [...]}."""
     obj = read_json(path, "input")
-    if isinstance(obj, list):
-        return np.asarray(obj, dtype=np.float64), None
     try:
-        values = np.asarray(obj["values"], dtype=np.float64)
-        shape = None if obj.get("shape") is None else tuple(int(s) for s in obj["shape"])
+        if isinstance(obj, list):
+            values, shape = np.asarray(obj, dtype=np.float64), None
+        else:
+            values = np.asarray(obj["values"], dtype=np.float64)
+            shape = None if obj.get("shape") is None else tuple(int(s) for s in obj["shape"])
     except (KeyError, TypeError, ValueError) as exc:
         raise ConfigError(f"malformed input file {path}: {exc}") from exc
+    if not np.all(np.isfinite(values)):
+        raise ConfigError(f"input file {path} holds NaN or infinite values")
     return values, shape
 
 
@@ -266,12 +268,6 @@ def build_context(config: ExperimentConfig) -> RunContext:
 
 # ---------------------------------------------------------------------------
 # sweep runners
-
-
-def _method_label(method: MethodSpec) -> str:
-    if isinstance(method, Lime) and method.unit_weights:
-        return "LimeUnweighted"
-    return method_name(method)
 
 
 def _materialize(entry: dict, sigma: float) -> MethodSpec:
@@ -337,7 +333,7 @@ def run_stability(config: ExperimentConfig, jobs: int = 1) -> list[dict]:
             std = float(np.std(report.pairwise))
             return {"mean_jaccard": report.mean_jaccard, "std": std}
 
-        keys = {"method": _method_label(method), "sigma": sigma, "lambda": lam, "n": n}
+        keys = {"method": method.label, "sigma": sigma, "lambda": lam, "n": n}
         return _cell_row(keys, ("mean_jaccard", "std"), compute)
 
     return _run_cells(cells, one, jobs)
@@ -417,7 +413,7 @@ def run_fidelity(config: ExperimentConfig, jobs: int = 1) -> list[dict]:
             return {"fidelity_mean": float(np.mean(vals)),
                     "fidelity_std": float(np.std(vals))}
 
-        keys = {"method": _method_label(method), "sigma": sigma, "epsilon": eps,
+        keys = {"method": method.label, "sigma": sigma, "epsilon": eps,
                 "norm": norm}
         return _cell_row(keys, ("fidelity_mean", "fidelity_std"), compute)
 

@@ -8,7 +8,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.stats
 
 from .errors import DimensionMismatch
 from .explain import Explanation
@@ -140,6 +139,13 @@ def local_fidelity(
     return FidelityReport(epsilon, norm, 1.0 / (1.0 + mse), m)
 
 
+def _average_ranks(a: np.ndarray) -> np.ndarray:
+    """1-based ranks with ties sharing their mean rank (scipy's rankdata default)."""
+    s = np.sort(a)
+    # a value first found at 0-based l and last at r - 1 ranks (l + 1 + r) / 2
+    return (np.searchsorted(s, a, "left") + np.searchsorted(s, a, "right") + 1) / 2
+
+
 def explanation_distance(e1: Explanation, e2: Explanation) -> ExplanationDistance:
     """MSE, MAE, Pearson, and Spearman between two attribution vectors."""
     if e1.d != e2.d:
@@ -153,8 +159,7 @@ def explanation_distance(e1: Explanation, e2: Explanation) -> ExplanationDistanc
     if np.ptp(a) == 0.0 or np.ptp(b) == 0.0:
         return ExplanationDistance(mse, mae, 0.0, 0.0, degenerate_variance=True)
     pearson = float(np.corrcoef(a, b)[0, 1])
-    ra = scipy.stats.rankdata(a)  # average ranks on ties
-    rb = scipy.stats.rankdata(b)
+    ra, rb = _average_ranks(a), _average_ranks(b)
     if np.ptp(ra) == 0.0 or np.ptp(rb) == 0.0:
         return ExplanationDistance(mse, mae, pearson, 0.0, degenerate_variance=True)
     spearman = float(np.corrcoef(ra, rb)[0, 1])

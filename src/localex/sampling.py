@@ -133,7 +133,7 @@ class ShapKernel:
 
 @dataclass(frozen=True)
 class Unit:
-    """pi(z') = 1."""
+    """pi(z) = 1 for any sample, binary or continuous."""
 
 
 WeightSpec = ExpKernel | ShapKernel | Unit
@@ -162,53 +162,41 @@ def draw(dist: DistributionSpec, n: int, seed: int) -> np.ndarray:
     raise TypeError(f"unknown distribution spec: {dist!r}")
 
 
-def _check_binary(zprime: np.ndarray) -> np.ndarray:
-    z = np.asarray(zprime, dtype=np.float64)
-    if not np.all((z == 0.0) | (z == 1.0)):
-        raise ValueError("weight kernels are defined on binary masks only")
-    return z
-
-
 def weight(wspec: WeightSpec, zprime: np.ndarray) -> float:
     """Kernel weight of a single binary mask."""
-    z = _check_binary(zprime)
+    z = np.asarray(zprime, dtype=np.float64)
     if z.ndim != 1:
         raise ValueError("weight takes a single mask; use batch_weights for matrices")
-    d = z.shape[0]
-    k = int(z.sum())
-    if isinstance(wspec, Unit):
-        return 1.0
-    if isinstance(wspec, ExpKernel):
-        return math.exp((k - d) / (wspec.sigma * wspec.sigma))
-    if isinstance(wspec, ShapKernel):
-        if k == 0 or k == d:
-            raise ShapDegenerate(
-                f"Shapley kernel weight is infinite at k={k} with d={d}; "
-                "exclude all-on/all-off coalitions"
-            )
-        # exact integer arithmetic, then one correctly rounded division
-        return (d - 1) / (math.comb(d, k) * k * (d - k))
-    raise TypeError(f"unknown weight spec: {wspec!r}")
+    return float(batch_weights(wspec, z[None, :])[0])
 
 
 def batch_weights(wspec: WeightSpec, zmatrix: np.ndarray) -> np.ndarray:
-    """Kernel weights for each row of an n x d binary matrix."""
-    z = _check_binary(zmatrix)
+    """Kernel weights for each row of an n x d sample matrix.
+
+    Unit takes any samples; the other kernels are defined on binary masks.
+    """
+    z = np.asarray(zmatrix, dtype=np.float64)
     if z.ndim != 2:
         raise ValueError("batch_weights takes an n x d matrix")
     n, d = z.shape
-    k = z.sum(axis=1)
     if isinstance(wspec, Unit):
         return np.ones(n)
+    if not np.all((z == 0.0) | (z == 1.0)):
+        raise ValueError("weight kernels are defined on binary masks only")
+    k = z.sum(axis=1)
     if isinstance(wspec, ExpKernel):
         return np.exp((k - d) / (wspec.sigma * wspec.sigma))
     if isinstance(wspec, ShapKernel):
-        if np.any(k == 0) or np.any(k == d):
+        degenerate = (k == 0) | (k == d)
+        if np.any(degenerate):
             raise ShapDegenerate(
-                "Shapley kernel weight is infinite for all-on/all-off coalitions"
+                f"Shapley kernel weight is infinite at k={int(k[degenerate][0])} "
+                f"with d={d}; exclude all-on/all-off coalitions"
             )
-        ki = k.astype(int)
-        return np.array([(d - 1) / (math.comb(d, x) * x * (d - x)) for x in ki])
+        # one weight per coalition size: exact integer arithmetic, then one
+        # correctly rounded division
+        by_size = [0.0] + [(d - 1) / (math.comb(d, j) * j * (d - j)) for j in range(1, d)]
+        return np.array(by_size)[k.astype(int)]
     raise TypeError(f"unknown weight spec: {wspec!r}")
 
 

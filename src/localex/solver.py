@@ -8,12 +8,12 @@ rescaling. The intercept is fit by weighted centering and is never penalized.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg
 
-from .errors import NotPositiveDefinite, SingularSystem, UnsupportedCombination
+from .errors import NonFiniteOutput, NotPositiveDefinite, SingularSystem, UnsupportedCombination
 from .sampling import Binomial, ExpKernel, Gaussian, Unit, UniformBinary
 
 
@@ -84,6 +84,7 @@ def _weighted_r2(
     return 1.0 - ss_res / ss_tot, False
 
 
+@np.errstate(over="ignore", invalid="ignore")  # overflow is reported as NonFiniteOutput
 def solve_weighted_ridge(problem: RidgeProblem) -> RidgeSolution:
     """Closed-form solve via an SPD factorization of the d x d Gram matrix.
 
@@ -126,14 +127,9 @@ def solve_weighted_ridge(problem: RidgeProblem) -> RidgeSolution:
     intercept = ybar - float(w @ zbar) if problem.fit_intercept else 0.0
     yhat = z @ w + intercept
     r2, degenerate = _weighted_r2(y, yhat, pi)
+    if not (np.all(np.isfinite(w)) and math.isfinite(intercept) and math.isfinite(r2)):
+        raise NonFiniteOutput("ridge fit overflowed: model responses are too large")
     return RidgeSolution(w, intercept, r2, degenerate)
-
-
-def r_squared(problem: RidgeProblem, solution: RidgeSolution) -> float:
-    """Weighted R^2 of a solution on its problem's samples."""
-    yhat = problem.design @ solution.w + solution.intercept
-    r2, _ = _weighted_r2(problem.responses, yhat, problem.sample_weights)
-    return r2
 
 
 # ---------------------------------------------------------------------------
@@ -184,32 +180,3 @@ def sherman_morrison_inverse(
     beta1 = (alpha1 + lam + (d - 2) * alpha2) / denom
     beta2 = -alpha2 / denom
     return beta1, beta2
-
-
-@dataclass(frozen=True)
-class CovarianceModel:
-    """Analytic covariance structure (alpha1, alpha2, lam, d) with its inverse."""
-
-    alpha1: float
-    alpha2: float
-    lam: float
-    d: int
-    beta1: float = field(default=float("nan"))
-    beta2: float = field(default=float("nan"))
-
-    @classmethod
-    def build(cls, alpha1: float, alpha2: float, lam: float, d: int) -> "CovarianceModel":
-        beta1, beta2 = sherman_morrison_inverse(alpha1, alpha2, lam, d)
-        return cls(alpha1, alpha2, lam, d, beta1, beta2)
-
-    def sigma_matrix(self) -> np.ndarray:
-        """Dense (alpha1 + lam - alpha2) I + alpha2 11^T."""
-        return (self.alpha1 + self.lam - self.alpha2) * np.eye(self.d) + (
-            self.alpha2 * np.ones((self.d, self.d))
-        )
-
-    def inverse_matrix(self) -> np.ndarray:
-        """Dense (beta1 - beta2) I + beta2 11^T."""
-        return (self.beta1 - self.beta2) * np.eye(self.d) + (
-            self.beta2 * np.ones((self.d, self.d))
-        )

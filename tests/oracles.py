@@ -9,9 +9,12 @@ from __future__ import annotations
 
 import itertools
 import math
+from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
+
+from localex.solver import RidgeProblem, RidgeSolution, sherman_morrison_inverse
 
 
 def ridge_bordered(
@@ -80,9 +83,52 @@ def shap_weight_direct(d: int, k: int) -> float:
     return (d - 1) / (math.comb(d, k) * k * (d - k))
 
 
+def r_squared(problem: RidgeProblem, solution: RidgeSolution) -> float:
+    """Weighted R^2 of a solution on its problem's samples, by the direct formula."""
+    y, pi = problem.responses, problem.sample_weights
+    yhat = problem.design @ solution.w + solution.intercept
+    ybar = pi @ y / pi.sum()
+    return float(1.0 - (pi @ (y - yhat) ** 2) / (pi @ (y - ybar) ** 2))
+
+
+@dataclass(frozen=True)
+class CovarianceModel:
+    """Analytic covariance structure (alpha1, alpha2, lam, d) with its inverse."""
+
+    alpha1: float
+    alpha2: float
+    lam: float
+    d: int
+    beta1: float = field(default=float("nan"))
+    beta2: float = field(default=float("nan"))
+
+    @classmethod
+    def build(cls, alpha1: float, alpha2: float, lam: float, d: int) -> "CovarianceModel":
+        beta1, beta2 = sherman_morrison_inverse(alpha1, alpha2, lam, d)
+        return cls(alpha1, alpha2, lam, d, beta1, beta2)
+
+    def sigma_matrix(self) -> np.ndarray:
+        """Dense (alpha1 + lam - alpha2) I + alpha2 11^T."""
+        return (self.alpha1 + self.lam - self.alpha2) * np.eye(self.d) + (
+            self.alpha2 * np.ones((self.d, self.d))
+        )
+
+    def inverse_matrix(self) -> np.ndarray:
+        """Dense (beta1 - beta2) I + beta2 11^T."""
+        return (self.beta1 - self.beta2) * np.eye(self.d) + (
+            self.beta2 * np.ones((self.d, self.d))
+        )
+
+
 def dense_sigma_inverse(alpha1: float, alpha2: float, lam: float, d: int) -> np.ndarray:
     sigma = (alpha1 + lam - alpha2) * np.eye(d) + alpha2 * np.ones((d, d))
     return np.linalg.inv(sigma)
+
+
+def average_ranks_direct(a) -> np.ndarray:
+    """1-based ranks with tied values sharing the mean of their positions."""
+    a = np.asarray(a)
+    return np.array([1 + np.sum(a < v) + (np.sum(a == v) - 1) / 2 for v in a])
 
 
 def jaccard_direct(a, b) -> float:

@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import ALL_METHODS
 from localex.errors import ConfigError, DimensionTooLarge, ShapDegenerate
 from localex.explain import (
     EXACT_SHAP_MAX_D,
@@ -53,10 +54,7 @@ def request(method, n=20000, seed=0, lam=1e-8, model=LINEAR8, x=X8, seg=SEG8,
 
 
 def test_method_json_round_trips():
-    methods = [Lime(0.5), Lime(0.5, unit_weights=True), GlimeBinomial(1.0),
-               GlimeGauss(0.3), GlimeLaplace(0.3), GlimeUniform(0.3),
-               KernelShap(), KernelShap(exact=False), SmoothGrad(0.1)]
-    for m in methods:
+    for m in ALL_METHODS:
         assert method_from_json(method_to_json(m)) == m
 
 
@@ -308,11 +306,16 @@ def test_smoothgrad_approaches_the_gradient_as_sigma_shrinks():
 
 
 def test_explanation_json_round_trips_with_method_flags():
-    for method in (Lime(0.5, unit_weights=True), KernelShap(), SmoothGrad(0.2)):
+    for method in ALL_METHODS:
         exp = explain(request(method, n=200, lam=default_lambda(method)))
         obj = explanation_to_json(exp)
-        assert set(obj) >= {"method", "sigma", "lambda", "n", "seed", "d", "w",
-                            "intercept", "r2"}
+        # the key order is part of the output bytes
+        keys = ["method", "sigma", "lambda", "n", "seed", "d", "w", "intercept", "r2"]
+        if getattr(method, "unit_weights", False):
+            keys.append("unit_weights")
+        if isinstance(method, KernelShap):
+            keys.append("exact")
+        assert list(obj) == keys
         back = explanation_from_json(obj)
         assert back.method == exp.method
         assert np.allclose(back.w, exp.w)

@@ -1,16 +1,19 @@
 import contextlib
+import importlib.util
 import io
 import json
 import math
+import os.path
 import subprocess
 import sys
 
 import numpy as np
 import pytest
 
-from conftest import asset
+from conftest import ALL_METHODS, asset
 from localex.cli import main
 from localex.errors import ConfigError
+from localex.explain import KernelShap, SmoothGrad, method_to_json
 from localex.harness import (
     ExperimentConfig,
     build_context,
@@ -363,13 +366,13 @@ def test_cli_runs_the_bundled_sample_configs():
     assert proc.stdout.startswith("sigma,k,")
 
 
-def explain_config(tmp_path, coefficients, sigma):
+def explain_config(tmp_path, coefficients, sigma, method="Lime", x=(1.0, 2.0, 3.0)):
     (tmp_path / "model.json").write_text(json.dumps(
         {"kind": "linear", "coefficients": coefficients}))
-    (tmp_path / "input.json").write_text("[1.0, 2.0, 3.0]")
+    (tmp_path / "input.json").write_text(json.dumps(list(x)))
     path = tmp_path / "explain.json"
     path.write_text(json.dumps({"model": "model.json", "input": "input.json",
-                                "method": {"method": "Lime", "sigma": sigma},
+                                "method": {"method": method, "sigma": sigma},
                                 "n": 64}))
     return str(path)
 
@@ -379,14 +382,60 @@ def explain_config(tmp_path, coefficients, sigma):
     (lambda tmp: ["explain", "--config", explain_config(tmp, [1e308] * 3, 1.0)], 2),
     # every kernel weight with k <= 1 of d = 3 underflows to zero
     (lambda tmp: ["explain", "--config", explain_config(tmp, [0.3, -0.2, 0.5], 0.05)], 2),
+    # finite model outputs too large for the ridge solve and the SmoothGrad sum
+    (lambda tmp: ["explain", "--config",
+                  explain_config(tmp, [1e307] * 3, 1.0, method="GlimeGauss")], 2),
+    (lambda tmp: ["explain", "--config",
+                  explain_config(tmp, [1e307] * 3, 1.0, method="SmoothGrad")], 2),
+    (lambda tmp: ["explain", "--config",
+                  explain_config(tmp, [0.3, -0.2, 0.5], 1.0, x=(1.0, math.nan, 3.0))], 1),
     (lambda tmp: ["distributions", "--dim", "3", "--sigmas", "0"], 1),
     (lambda tmp: ["distributions", "--dim", "3", "--sigmas=-1"], 1),
     (lambda tmp: ["distributions", "--dim", "3", "--sigmas", "nan"], 1),
     (lambda tmp: ["stability", "--config", write_workspace(tmp), "--jobs", "0"], 1),
     (lambda tmp: ["stability", "--config", write_workspace(tmp), "--jobs=-3"], 1),
-], ids=["nonfinite-output", "zero-weights", "sigma-zero", "sigma-negative",
+], ids=["nonfinite-output", "zero-weights", "ridge-overflow", "smoothgrad-overflow",
+        "nan-input", "sigma-zero", "sigma-negative",
         "sigma-nan", "jobs-zero", "jobs-negative"])
+@pytest.mark.filterwarnings("error::RuntimeWarning")  # a warning is a second line
 def test_cli_reports_bad_values_in_one_error_line(tmp_path, capsys, make_args, code):
     assert main(make_args(tmp_path)) == code
     err = capsys.readouterr().err
     assert err.startswith("error:") and err.count("\n") == 1, err
+
+
+def load_tracing():
+    """The benchmark's span tracer, loaded from its file in perfbench/."""
+    path = os.path.join(os.path.dirname(__file__), "..", "perfbench", "tracing.py")
+    spec = importlib.util.spec_from_file_location("perfbench_tracing", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+@pytest.mark.parametrize("method", ALL_METHODS, ids=repr)
+def test_explain_runs_each_pipeline_layer_once(tmp_path, method):
+    cfg = tmp_path / "explain.json"
+    cfg.write_text(json.dumps({"model": asset("quadratic_10.json"),
+                               "input": asset("input_10.json"),
+                               "method": method_to_json(method), "n": 64}))
+    tracer = load_tracing().Tracer()
+    tracer.install()
+    try:
+        proc = cli("explain", "--config", str(cfg))
+    finally:
+        tracer.uninstall()
+    assert proc.returncode == 0, proc.stderr
+    assert tracer.patches.missing == []
+    calls = {k[:-len(".calls")]: v for k, v in tracer.pass_summary().items()
+             if k.endswith(".calls")}
+    if isinstance(method, SmoothGrad):  # an estimator, not a ridge surrogate
+        ridge_layers = ("sampling.batch_weights", "feature_space.lift", "solver.solve")
+        assert [calls[layer] for layer in ridge_layers] == [0, 0, 0]
+    else:
+        assert calls["sampling.batch_weights"] == calls["feature_space.lift"] == 1
+        assert calls["models.evaluate"] == calls["solver.solve"] == 1
+    if method == KernelShap(exact=True):  # enumerates its coalitions
+        assert calls["sampling.draw"] == 0
+    else:
+        assert calls["sampling.draw"] >= 1

@@ -1,3 +1,7 @@
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -14,7 +18,7 @@ from localex.metrics import (
     top_k_jaccard,
 )
 from localex.models import Linear, Quadratic
-from oracles import jaccard_direct
+from oracles import average_ranks_direct, jaccard_direct
 
 
 def make_exp(w, seed=0):
@@ -206,3 +210,27 @@ def test_spearman_tracks_rank_agreement_not_magnitudes():
 def test_distance_requires_matching_dimensions():
     with pytest.raises(DimensionMismatch):
         explanation_distance(make_exp([1.0]), make_exp([1.0, 2.0], seed=1))
+
+
+@given(st.integers(min_value=0, max_value=2**32 - 1))
+@settings(max_examples=50)
+def test_spearman_uses_average_ranks_on_ties(seed):
+    rng = np.random.default_rng(seed)
+    a = rng.integers(-2, 3, size=12).astype(np.float64)  # many ties, and -0.0
+    a[rng.random(12) < 0.3] *= -0.0
+    b = rng.normal(size=12)
+    d = explanation_distance(make_exp(a), make_exp(b))
+    if d.degenerate_variance:
+        return
+    direct = np.corrcoef(average_ranks_direct(a), average_ranks_direct(b))[0, 1]
+    assert d.spearman == direct
+
+
+def test_import_leaves_scipy_stats_unloaded():
+    import localex
+
+    src = os.path.dirname(os.path.dirname(localex.__file__))
+    code = "import sys, localex; print('scipy.stats' in sys.modules)"
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": src}, check=True)
+    assert proc.stdout.strip() == "False"

@@ -8,15 +8,13 @@ from hypothesis import strategies as st
 from localex.errors import NotPositiveDefinite, SingularSystem, UnsupportedCombination
 from localex.sampling import Binomial, ExpKernel, Gaussian, Laplace, UniformBinary, Unit, draw
 from localex.solver import (
-    CovarianceModel,
     RidgeProblem,
     RidgeSolution,
     analytic_moments,
-    r_squared,
     sherman_morrison_inverse,
     solve_weighted_ridge,
 )
-from oracles import dense_sigma_inverse, ridge_bordered
+from oracles import CovarianceModel, dense_sigma_inverse, r_squared, ridge_bordered
 
 SEEDS = st.integers(min_value=0, max_value=2**32 - 1)
 
