@@ -22,11 +22,10 @@ def main() -> None:
     parser.add_argument("--config", default=os.path.join(ASSETS, "convergence.json"))
     parser.add_argument("--out", default="convergence.csv")
     parser.add_argument("--format", choices=("csv", "json"), default="csv")
-    parser.add_argument("--jobs", type=int, default=4)
     args = parser.parse_args()
 
     config = load_config(args.config)
-    rows = run_convergence(config, jobs=args.jobs)
+    rows = run_convergence(config)
     emit(rows, args.format, args.out)
 
     print(f"wrote {args.out}")

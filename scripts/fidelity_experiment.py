@@ -22,11 +22,10 @@ def main() -> None:
     parser.add_argument("--config", default=os.path.join(ASSETS, "fidelity.json"))
     parser.add_argument("--out", default="fidelity.csv")
     parser.add_argument("--format", choices=("csv", "json"), default="csv")
-    parser.add_argument("--jobs", type=int, default=4)
     args = parser.parse_args()
 
     config = load_config(args.config)
-    rows = run_fidelity(config, jobs=args.jobs)
+    rows = run_fidelity(config)
     emit(rows, args.format, args.out)
 
     print(f"wrote {args.out}")

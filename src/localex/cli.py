@@ -20,6 +20,7 @@ from .explain import (
 )
 from .harness import (
     build_space,
+    config_block,
     distributions_table,
     emit,
     json_dumps,
@@ -47,7 +48,6 @@ def _add_common(sp: argparse.ArgumentParser, config_required: bool) -> None:
                     help="table format (default: config's, else csv)")
     sp.add_argument("--seed", type=int, default=None,
                     help="master seed; replaces the config's seed(s)")
-    sp.add_argument("--jobs", type=int, default=1, help="parallel grid cells")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -81,12 +81,12 @@ def _cmd_explain(args: argparse.Namespace) -> int:
         method_obj = obj["method"]
         n = int(obj["n"])
         seed = int(obj.get("seed", 0))
-        seg_obj = obj.get("segmentation") or {}
+        seg_obj = config_block(obj.get("segmentation"), "segmentation")
         reference_kind = str(obj.get("reference", "mean"))
+        method = method_from_json(method_obj)
+        lam = float(obj["lambda"]) if "lambda" in obj else default_lambda(method)
     except (KeyError, TypeError, ValueError) as exc:
         raise ConfigError(f"malformed explain config: {exc}") from exc
-    method = method_from_json(method_obj)
-    lam = float(obj["lambda"]) if "lambda" in obj else default_lambda(method)
     if args.seed is not None:
         seed = args.seed
     model = load_model(model_path)
@@ -114,7 +114,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     config = load_config(args.config)
     if args.seed is not None:
         config = reseed(config, args.seed)
-    rows = _RUNNERS[args.command](config, jobs=args.jobs)
+    rows = _RUNNERS[args.command](config)
     fmt = args.format or config.out_format
     path = args.out if args.out is not None else config.out_path
     emit(rows, fmt, path)

@@ -10,9 +10,9 @@ from __future__ import annotations
 import csv
 import dataclasses
 import io
+import itertools
 import json
 import os.path
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Any, Callable
 
@@ -35,7 +35,7 @@ from .feature_space import (
     mean_reference,
     singleton_segments,
 )
-from .metrics import explanation_distance, local_fidelity, top_k_jaccard
+from .metrics import NORMS, explanation_distance, local_fidelity, top_k_jaccard
 from .models import ModelSpec, load_model
 from .sampling import (
     ShapKernel,
@@ -58,7 +58,8 @@ def fmt_float(x: float) -> str:
     return format(float(x), ".17g")
 
 
-def _json_scalar(v: Any) -> str:
+def json_dumps(v: Any) -> str:
+    """JSON text with deterministic float formatting (17 significant digits)."""
     if v is None:
         return "null"
     if isinstance(v, bool):
@@ -70,25 +71,20 @@ def _json_scalar(v: Any) -> str:
     if isinstance(v, str):
         return json.dumps(v)
     if isinstance(v, (list, tuple)):
-        return "[" + ", ".join(_json_scalar(item) for item in v) + "]"
+        return "[" + ", ".join(json_dumps(item) for item in v) + "]"
     if isinstance(v, dict):
         return (
             "{"
-            + ", ".join(f"{json.dumps(str(k))}: {_json_scalar(val)}" for k, val in v.items())
+            + ", ".join(f"{json.dumps(str(k))}: {json_dumps(val)}" for k, val in v.items())
             + "}"
         )
     raise TypeError(f"cannot serialize {type(v).__name__}")
 
 
-def json_dumps(obj: Any) -> str:
-    """JSON text with deterministic float formatting (17 significant digits)."""
-    return _json_scalar(obj)
-
-
 def _csv_cell(v: Any) -> str:
     if v is None:
         return ""
-    return v if isinstance(v, str) else _json_scalar(v)
+    return v if isinstance(v, str) else json_dumps(v)
 
 
 def emit(rows: list[dict], fmt: str, path: str | None) -> None:
@@ -151,10 +147,15 @@ class ExperimentConfig:
             raise ConfigError("seeds must be distinct")
         if any(n < 1 for n in self.sample_sizes):
             raise ConfigError("sample sizes must be >= 1")
-        if any(not s > 0 for s in self.sigmas):
-            raise ConfigError("sigmas must be > 0")
+        for name in ("sigmas", "epsilons"):
+            if any(not v > 0 for v in getattr(self, name)):
+                raise ConfigError(f"{name} must be > 0")
         if any(lam < 0 for lam in self.lambdas):
             raise ConfigError("lambdas must be >= 0")
+        if any(norm not in NORMS for norm in self.norms):
+            raise ConfigError(f"norms must be among {', '.join(NORMS)}")
+        if self.m < 1:
+            raise ConfigError("m must be >= 1")
         if self.reference_kind not in ("mean", "zero"):
             raise ConfigError("reference must be 'mean' or 'zero'")
         if self.out_format not in ("csv", "json"):
@@ -172,11 +173,20 @@ def resolve(path: str, base_dir: str) -> str:
     return path if os.path.isabs(path) else os.path.join(base_dir, path)
 
 
-def config_from_json(obj: dict, base_dir: str = ".") -> ExperimentConfig:
+def config_block(value: Any, what: str) -> dict:
+    """A config value that must be a JSON object; absent or empty reads as {}."""
+    value = value or {}
+    if not isinstance(value, dict):
+        raise ConfigError(f"{what} must be a JSON object")
+    return value
+
+
+def config_from_json(obj: Any, base_dir: str = ".") -> ExperimentConfig:
+    obj = config_block(obj, "experiment config")
+    seg = config_block(obj.get("segmentation"), "segmentation")
+    met = config_block(obj.get("metrics"), "metrics")
+    out = config_block(obj.get("output"), "output")
     try:
-        seg = obj.get("segmentation") or {}
-        met = obj.get("metrics") or {}
-        out = obj.get("output") or {}
         return ExperimentConfig(
             model_path=resolve(obj["model"], base_dir),
             input_path=resolve(obj["input"], base_dir),
@@ -270,19 +280,6 @@ def build_context(config: ExperimentConfig) -> RunContext:
 # sweep runners
 
 
-def _materialize(entry: dict, sigma: float) -> MethodSpec:
-    return method_from_json({**entry, "sigma": sigma})
-
-
-def _run_cells(cells: list, fn: Callable, jobs: int) -> list[dict]:
-    if jobs < 1:
-        raise ConfigError(f"jobs must be >= 1, got {jobs}")
-    if jobs == 1:
-        return [fn(cell) for cell in cells]
-    with ThreadPoolExecutor(max_workers=jobs) as pool:
-        return list(pool.map(fn, cells))  # map preserves grid order
-
-
 def _explain_cell(
     ctx: RunContext, method: MethodSpec, n: int, lam: float, seed: int
 ) -> Explanation:
@@ -309,37 +306,32 @@ def _cell_row(keys: dict, metrics: tuple[str, ...], compute: Callable[[], dict])
     return row
 
 
-def run_stability(config: ExperimentConfig, jobs: int = 1) -> list[dict]:
+def run_stability(config: ExperimentConfig) -> list[dict]:
     """Mean/std of pairwise top-K Jaccard across seeds, per grid cell."""
     if len(config.seeds) < 2:
         raise ConfigError("stability needs at least two seeds")
     ctx = build_context(config)
-    k = config.k if config.k is not None else min(20, ctx.segmentation.d)
-    cells = [
-        (entry, sigma, lam, n)
-        for entry in config.method_entries
-        for sigma in config.sigmas
-        for lam in config.lambdas
-        for n in config.sample_sizes
-    ]
-
-    def one(cell) -> dict:
-        entry, sigma, lam, n = cell
-        method = _materialize(entry, sigma)
+    d = ctx.segmentation.d
+    if config.k is not None and not 1 <= config.k <= d:
+        raise ConfigError(f"k must be in [1, {d}], got {config.k}")
+    rows = []
+    for entry, sigma, lam, n in itertools.product(
+        config.method_entries, config.sigmas, config.lambdas, config.sample_sizes
+    ):
+        method = method_from_json({**entry, "sigma": sigma})
 
         def compute() -> dict:
             exps = [_explain_cell(ctx, method, n, lam, s) for s in config.seeds]
-            report = top_k_jaccard(exps, k)
+            report = top_k_jaccard(exps, config.k)
             std = float(np.std(report.pairwise))
             return {"mean_jaccard": report.mean_jaccard, "std": std}
 
         keys = {"method": method.label, "sigma": sigma, "lambda": lam, "n": n}
-        return _cell_row(keys, ("mean_jaccard", "std"), compute)
+        rows.append(_cell_row(keys, ("mean_jaccard", "std"), compute))
+    return rows
 
-    return _run_cells(cells, one, jobs)
 
-
-def run_convergence(config: ExperimentConfig, jobs: int = 1) -> list[dict]:
+def run_convergence(config: ExperimentConfig) -> list[dict]:
     """Distance between Lime and GlimeBinomial explanations as n grows.
 
     Each (sigma, lambda) group carries an mse_monotone flag: whether the MSE
@@ -347,40 +339,32 @@ def run_convergence(config: ExperimentConfig, jobs: int = 1) -> list[dict]:
     """
     ctx = build_context(config)
     seed = config.seeds[0]
-    cells = [
-        (sigma, lam, n)
-        for sigma in config.sigmas
-        for lam in config.lambdas
-        for n in config.sample_sizes
-    ]
+    rows = []
+    for sigma, lam in itertools.product(config.sigmas, config.lambdas):
+        group = []
+        for n in config.sample_sizes:
 
-    def one(cell) -> dict:
-        sigma, lam, n = cell
+            def compute() -> dict:
+                lime = _explain_cell(ctx, Lime(sigma), n, lam, seed)
+                binom = _explain_cell(ctx, GlimeBinomial(sigma), n, lam, seed)
+                dist = explanation_distance(lime, binom)
+                return {"mse": dist.mse, "mae": dist.mae, "pearson": dist.pearson,
+                        "spearman": dist.spearman}
 
-        def compute() -> dict:
-            lime = _explain_cell(ctx, Lime(sigma), n, lam, seed)
-            binom = _explain_cell(ctx, GlimeBinomial(sigma), n, lam, seed)
-            dist = explanation_distance(lime, binom)
-            return {"mse": dist.mse, "mae": dist.mae, "pearson": dist.pearson,
-                    "spearman": dist.spearman}
-
-        keys = {"sigma": sigma, "lambda": lam, "n": n}
-        return _cell_row(keys, ("mse", "mae", "pearson", "spearman", "mse_monotone"),
-                         compute)
-
-    rows = _run_cells(cells, one, jobs)
-    for start in range(0, len(rows), len(config.sample_sizes)):
-        group = rows[start : start + len(config.sample_sizes)]
+            keys = {"sigma": sigma, "lambda": lam, "n": n}
+            group.append(_cell_row(
+                keys, ("mse", "mae", "pearson", "spearman", "mse_monotone"), compute))
         mses = [r["mse"] for r in group if r["error"] == ""]
         monotone = len(mses) == len(group) and all(
             later < earlier for earlier, later in zip(mses, mses[1:])
         )
         for r in group:
             r["mse_monotone"] = monotone
+        rows += group
     return rows
 
 
-def run_fidelity(config: ExperimentConfig, jobs: int = 1) -> list[dict]:
+def run_fidelity(config: ExperimentConfig) -> list[dict]:
     """Local fidelity per method and ball radius, mean/std over seeds.
 
     Explanations use the first sample-size and lambda of the grid; the ball
@@ -389,35 +373,31 @@ def run_fidelity(config: ExperimentConfig, jobs: int = 1) -> list[dict]:
     ctx = build_context(config)
     n = config.sample_sizes[0]
     lam = config.lambdas[0]
-    cells = [
-        (entry, sigma, eps, norm)
-        for entry in config.method_entries
-        for sigma in config.sigmas
-        for eps in config.epsilons
-        for norm in config.norms
-    ]
+    rows = []
+    for entry, sigma in itertools.product(config.method_entries, config.sigmas):
+        method = method_from_json({**entry, "sigma": sigma})
+        # every (epsilon, norm) cell scores the same explanations; a failed one
+        # is not kept, so each cell retries it and records the same error
+        exps: dict[int, Explanation] = {}
+        for eps, norm in itertools.product(config.epsilons, config.norms):
 
-    def one(cell) -> dict:
-        entry, sigma, eps, norm = cell
-        method = _materialize(entry, sigma)
+            def compute() -> dict:
+                vals = []
+                for s in config.seeds:
+                    if s not in exps:
+                        exps[s] = _explain_cell(ctx, method, n, lam, s)
+                    rep = local_fidelity(
+                        ctx.model, ctx.x, exps[s], ctx.segmentation, eps, norm,
+                        config.m, substream_seed(s, _BALL_STREAM),
+                    )
+                    vals.append(rep.fidelity)
+                return {"fidelity_mean": float(np.mean(vals)),
+                        "fidelity_std": float(np.std(vals))}
 
-        def compute() -> dict:
-            vals = []
-            for s in config.seeds:
-                exp = _explain_cell(ctx, method, n, lam, s)
-                rep = local_fidelity(
-                    ctx.model, ctx.x, exp, ctx.segmentation, eps, norm,
-                    config.m, substream_seed(s, _BALL_STREAM),
-                )
-                vals.append(rep.fidelity)
-            return {"fidelity_mean": float(np.mean(vals)),
-                    "fidelity_std": float(np.std(vals))}
-
-        keys = {"method": method.label, "sigma": sigma, "epsilon": eps,
-                "norm": norm}
-        return _cell_row(keys, ("fidelity_mean", "fidelity_std"), compute)
-
-    return _run_cells(cells, one, jobs)
+            keys = {"method": method.label, "sigma": sigma, "epsilon": eps,
+                    "norm": norm}
+            rows.append(_cell_row(keys, ("fidelity_mean", "fidelity_std"), compute))
+    return rows
 
 
 def distributions_table(d: int, sigmas: tuple[float, ...],

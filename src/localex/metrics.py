@@ -15,6 +15,7 @@ from .feature_space import Segmentation, feature_offsets
 from .models import ModelSpec, evaluate
 
 DEFAULT_TOP_K = 20
+NORMS = ("l1", "l2", "linf")  # the balls sample_ball can draw
 
 
 @dataclass(frozen=True)
@@ -106,7 +107,7 @@ def sample_ball(
         g /= np.abs(g).sum(axis=1, keepdims=True)
         radius = epsilon * rng.random(m) ** (1.0 / dim)
         return x + radius[:, None] * g
-    raise ValueError(f"norm must be one of l1, l2, linf; got {norm!r}")
+    raise ValueError(f"norm must be one of {', '.join(NORMS)}; got {norm!r}")
 
 
 def local_fidelity(

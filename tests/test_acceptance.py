@@ -330,6 +330,6 @@ def test_criterion_12_identical_configs_reproduce_byte_identical_outputs(tmp_pat
     for fmt in ("csv", "json"):
         first = tmp_path / f"first.{fmt}"
         second = tmp_path / f"second.{fmt}"
-        emit(run_stability(config, jobs=2), fmt, str(first))
-        emit(run_stability(config, jobs=1), fmt, str(second))
+        emit(run_stability(config), fmt, str(first))
+        emit(run_stability(config), fmt, str(second))
         assert first.read_bytes() == second.read_bytes()

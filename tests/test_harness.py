@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 
 from conftest import ALL_METHODS, asset
+from localex import harness
 from localex.cli import main
 from localex.errors import ConfigError
 from localex.explain import KernelShap, SmoothGrad, method_to_json
@@ -176,11 +177,6 @@ def test_run_stability_emits_one_row_per_grid_cell(tmp_path):
         assert 0.0 <= row["mean_jaccard"] <= 1.0
 
 
-def test_run_stability_parallel_matches_serial(tmp_path):
-    config = load_config(write_workspace(tmp_path))
-    assert run_stability(config, jobs=4) == run_stability(config, jobs=1)
-
-
 def test_run_stability_records_cell_failures_and_continues(tmp_path):
     rng = np.random.default_rng(0)
     d = 25  # exact enumeration refuses d > 20
@@ -226,12 +222,23 @@ def test_run_fidelity_reports_mean_and_std_over_seeds(tmp_path):
         assert row["fidelity_std"] >= 0.0
 
 
+def test_run_fidelity_explains_each_method_sigma_and_seed_once(tmp_path, monkeypatch):
+    seeds = []
+    monkeypatch.setattr(harness, "explain",
+                        lambda req, real=harness.explain: seeds.append(req.seed) or real(req))
+    path = write_workspace(tmp_path, metrics={"epsilons": [0.25, 0.5], "m": 64})
+    rows = run_fidelity(load_config(path))
+    assert len(rows) == 8  # 2 methods x 2 sigmas x 2 epsilons x 1 norm
+    assert all(row["error"] == "" for row in rows)
+    assert seeds == [0, 1, 2] * 4  # each (method, sigma) explains each seed once
+
+
 def test_sweeps_are_deterministic_end_to_end(tmp_path):
     config = load_config(write_workspace(tmp_path))
     a = tmp_path / "a.csv"
     b = tmp_path / "b.csv"
-    emit(run_stability(config, jobs=2), "csv", str(a))
-    emit(run_stability(config, jobs=3), "csv", str(b))
+    emit(run_stability(config), "csv", str(a))
+    emit(run_stability(config), "csv", str(b))
     assert a.read_bytes() == b.read_bytes()
 
 
@@ -309,8 +316,7 @@ def test_cli_explain_seed_flag_overrides_the_config(tmp_path):
 def test_cli_stability_writes_identical_bytes_across_runs(tmp_path):
     path = write_workspace(tmp_path)
     for name in ("a.csv", "b.csv"):
-        proc = cli("stability", "--config", path, "--out", str(tmp_path / name),
-                   "--jobs", "2")
+        proc = cli("stability", "--config", path, "--out", str(tmp_path / name))
         assert proc.returncode == 0, proc.stderr
     assert (tmp_path / "a.csv").read_bytes() == (tmp_path / "b.csv").read_bytes()
     header = (tmp_path / "a.csv").read_bytes().split(b"\r\n")[0]
@@ -366,14 +372,21 @@ def test_cli_runs_the_bundled_sample_configs():
     assert proc.stdout.startswith("sigma,k,")
 
 
-def explain_config(tmp_path, coefficients, sigma, method="Lime", x=(1.0, 2.0, 3.0)):
+def explain_config(tmp_path, coefficients, sigma, method="Lime", x=(1.0, 2.0, 3.0),
+                   **extra):
     (tmp_path / "model.json").write_text(json.dumps(
         {"kind": "linear", "coefficients": coefficients}))
     (tmp_path / "input.json").write_text(json.dumps(list(x)))
     path = tmp_path / "explain.json"
     path.write_text(json.dumps({"model": "model.json", "input": "input.json",
                                 "method": {"method": method, "sigma": sigma},
-                                "n": 64}))
+                                "n": 64, **extra}))
+    return str(path)
+
+
+def json_file(tmp_path, obj):
+    path = tmp_path / "file.json"
+    path.write_text(json.dumps(obj))
     return str(path)
 
 
@@ -394,14 +407,53 @@ def explain_config(tmp_path, coefficients, sigma, method="Lime", x=(1.0, 2.0, 3.
     (lambda tmp: ["distributions", "--dim", "3", "--sigmas", "nan"], 1),
     (lambda tmp: ["stability", "--config", write_workspace(tmp), "--jobs", "0"], 1),
     (lambda tmp: ["stability", "--config", write_workspace(tmp), "--jobs=-3"], 1),
+    (lambda tmp: ["explain", "--config",
+                  explain_config(tmp, [0.3, -0.2, 0.5], 1.0, **{"lambda": "abc"})], 1),
+    (lambda tmp: ["explain", "--config",
+                  explain_config(tmp, [0.3, -0.2, 0.5], 1.0, **{"lambda": None})], 1),
+    # config blocks that are not JSON objects
+    (lambda tmp: ["explain", "--config",
+                  explain_config(tmp, [0.3, -0.2, 0.5], 1.0, segmentation=[1, 3])], 1),
+    (lambda tmp: ["stability", "--config", write_workspace(tmp, segmentation=[2, 2])], 1),
+    (lambda tmp: ["fidelity", "--config", write_workspace(tmp, metrics=[0.5])], 1),
+    (lambda tmp: ["stability", "--config", write_workspace(tmp, output=["x.csv"])], 1),
+    (lambda tmp: ["stability", "--config", json_file(tmp, [{"model": "model.json"}])], 1),
+    # metric settings no cell could use
+    (lambda tmp: ["fidelity", "--config", write_workspace(tmp, metrics={"norms": ["l3"]})], 1),
+    (lambda tmp: ["fidelity", "--config", write_workspace(tmp, metrics={"epsilons": [-1]})], 1),
+    (lambda tmp: ["fidelity", "--config", write_workspace(tmp, metrics={"m": 0})], 1),
+    (lambda tmp: ["stability", "--config",
+                  write_workspace(tmp, d=32, rows_cols=(2, 8), metrics={"k": 99})], 1),
 ], ids=["nonfinite-output", "zero-weights", "ridge-overflow", "smoothgrad-overflow",
         "nan-input", "sigma-zero", "sigma-negative",
-        "sigma-nan", "jobs-zero", "jobs-negative"])
+        "sigma-nan", "jobs-zero", "jobs-negative", "lambda-string", "lambda-null",
+        "explain-segmentation-list", "sweep-segmentation-list", "metrics-list",
+        "output-list", "config-array", "norm-l3", "epsilon-negative", "m-zero",
+        "k-above-d"])
 @pytest.mark.filterwarnings("error::RuntimeWarning")  # a warning is a second line
 def test_cli_reports_bad_values_in_one_error_line(tmp_path, capsys, make_args, code):
     assert main(make_args(tmp_path)) == code
     err = capsys.readouterr().err
     assert err.startswith("error:") and err.count("\n") == 1, err
+
+
+@pytest.mark.parametrize("name, command", [
+    ("stability", "stability"), ("convergence", "converge"), ("fidelity", "fidelity"),
+])
+def test_experiment_scripts_write_the_cli_table(tmp_path, monkeypatch, capsys, name,
+                                                command):
+    path = os.path.join(os.path.dirname(__file__), "..", "scripts", f"{name}_experiment.py")
+    monkeypatch.setattr(sys, "path", list(sys.path))  # the script prepends src/
+    spec = importlib.util.spec_from_file_location(f"{name}_experiment", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    out = tmp_path / f"{name}.csv"
+    monkeypatch.setattr(sys, "argv", [path, "--out", str(out)])
+    module.main()
+    assert capsys.readouterr().out.startswith(f"wrote {out}\n")
+    proc = cli(command, "--config", asset(f"{name}.json"))
+    assert proc.returncode == 0, proc.stderr
+    assert out.read_bytes() == proc.stdout.encode()
 
 
 def load_tracing():
