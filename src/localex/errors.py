@@ -7,6 +7,7 @@ code 2, so keep configuration problems on the ConfigError branch.
 from __future__ import annotations
 
 import json
+import os
 import sys
 from typing import Any
 
@@ -27,7 +28,7 @@ class LengthMismatch(EngineError):
     """Vector lengths disagree (raw space vs feature space)."""
 
 
-class InvalidGrid(EngineError):
+class InvalidGrid(ConfigError):
     """Grid segmentation parameters are non-positive or oversized."""
 
 
@@ -85,10 +86,29 @@ def read_json(path: str, what: str) -> Any:
 def write_text(text: str, path: str | None) -> None:
     """Write an output artifact to path, or to stdout when path is None."""
     if path is None:
-        sys.stdout.write(text)
+        try:
+            sys.stdout.write(text)
+            sys.stdout.flush()
+        except BrokenPipeError as exc:
+            _discard_stdout()
+            raise IoFailure(f"cannot write to stdout: {exc}") from exc
         return
     try:
         with open(path, "w", encoding="utf-8", newline="") as fh:
             fh.write(text)
     except OSError as exc:
         raise IoFailure(f"cannot write {path}: {exc}") from exc
+
+
+def _discard_stdout() -> None:
+    """Point stdout's descriptor at the null device, so the interpreter's flush
+    of what is still buffered at exit cannot fail a second time."""
+    try:
+        fd = sys.stdout.fileno()
+    except (AttributeError, OSError, ValueError):  # no descriptor: nothing is flushed to one
+        return
+    devnull = os.open(os.devnull, os.O_WRONLY)
+    try:
+        os.dup2(devnull, fd)
+    finally:
+        os.close(devnull)

@@ -113,8 +113,8 @@ def reconstruct_binary(
         raise LengthMismatch(f"mask width {z.shape[-1]} != d={seg.d}")
     if not np.all((z == 0.0) | (z == 1.0)):
         raise ValueError("binary reconstruction requires a 0/1 mask")
-    mask = z[..., seg.assignment]
-    return np.where(mask == 1.0, x, r.values)
+    # gather the boolean mask (1 byte per entry), not the float one
+    return np.where(z.astype(bool)[..., seg.assignment], x, r.values)
 
 
 def reconstruct_continuous(

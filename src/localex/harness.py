@@ -251,6 +251,9 @@ def build_space(
             raise ConfigError("grid segmentation needs an input with an image shape")
         if grid_rows is None or grid_cols is None:
             raise ConfigError("grid segmentation needs both rows and cols")
+        for name, count in (("rows", grid_rows), ("cols", grid_cols)):
+            if isinstance(count, bool) or not isinstance(count, (int, np.integer)):
+                raise ConfigError(f"segmentation {name} must be an integer, got {count!r}")
         h, w = shape[0], shape[1]
         c = shape[2] if len(shape) == 3 else 1
         seg = grid_segment(h, w, c, int(grid_rows), int(grid_cols))
@@ -296,13 +299,22 @@ def _explain_cell(
     return explain(req)
 
 
+def _failure(exc: Exception) -> str:
+    """The error-column text of a failed cell."""
+    return f"{type(exc).__name__}: {exc}"
+
+
 def _cell_row(keys: dict, metrics: tuple[str, ...], compute: Callable[[], dict]) -> dict:
-    """One table row: the cell's keys, then its metrics or a recorded failure."""
+    """One table row: the cell's keys, then its metrics or a recorded failure.
+
+    compute returns the metric values, or {"error": text} for a failure it
+    already recorded.
+    """
     row = {**keys, **dict.fromkeys(metrics), "error": ""}
     try:
         row.update(compute())
     except Exception as exc:  # record, keep sweeping
-        row["error"] = f"{type(exc).__name__}: {exc}"
+        row["error"] = _failure(exc)
     return row
 
 
@@ -368,35 +380,55 @@ def run_fidelity(config: ExperimentConfig) -> list[dict]:
     """Local fidelity per method and ball radius, mean/std over seeds.
 
     Explanations use the first sample-size and lambda of the grid; the ball
-    sample for each seed comes from a disjoint substream.
+    sample for each seed comes from a disjoint substream. Each (seed, epsilon,
+    norm) ball is drawn and evaluated once, after every explanation exists, and
+    scored against all of that seed's explanations.
     """
     ctx = build_context(config)
     n = config.sample_sizes[0]
     lam = config.lambdas[0]
+    cells = [(method_from_json({**entry, "sigma": sigma}), sigma)
+             for entry, sigma in itertools.product(config.method_entries, config.sigmas)]
+    balls = list(itertools.product(config.epsilons, config.norms))
+    # a failed explanation or ball keeps its error text, not the exception,
+    # whose traceback would pin the arrays of the frames it passed through
+    exps: dict[tuple[int, int], Explanation | str] = {}
+    for (i, (method, _)), s in itertools.product(enumerate(cells), config.seeds):
+        try:
+            exps[i, s] = _explain_cell(ctx, method, n, lam, s)
+        except Exception as exc:  # recorded in every cell of this method
+            exps[i, s] = _failure(exc)
+    fids: dict[tuple[int, int, int], float | str] = {}
+    for s in config.seeds:
+        scored = [i for i in range(len(cells)) if isinstance(exps[i, s], Explanation)]
+        if not scored:
+            continue
+        for b, (eps, norm) in enumerate(balls):
+            try:
+                reports = local_fidelity(
+                    ctx.model, ctx.x, [exps[i, s] for i in scored], ctx.segmentation,
+                    eps, norm, config.m, substream_seed(s, _BALL_STREAM),
+                )
+                fids.update({(i, s, b): rep.fidelity for i, rep in zip(scored, reports)})
+            except Exception as exc:  # recorded in every cell this ball scores
+                fids.update(dict.fromkeys(((i, s, b) for i in scored), _failure(exc)))
     rows = []
-    for entry, sigma in itertools.product(config.method_entries, config.sigmas):
-        method = method_from_json({**entry, "sigma": sigma})
-        # every (epsilon, norm) cell scores the same explanations; a failed one
-        # is not kept, so each cell retries it and records the same error
-        exps: dict[int, Explanation] = {}
-        for eps, norm in itertools.product(config.epsilons, config.norms):
+    for (i, (method, sigma)), (b, (eps, norm)) in itertools.product(enumerate(cells),
+                                                                    enumerate(balls)):
 
-            def compute() -> dict:
-                vals = []
-                for s in config.seeds:
-                    if s not in exps:
-                        exps[s] = _explain_cell(ctx, method, n, lam, s)
-                    rep = local_fidelity(
-                        ctx.model, ctx.x, exps[s], ctx.segmentation, eps, norm,
-                        config.m, substream_seed(s, _BALL_STREAM),
-                    )
-                    vals.append(rep.fidelity)
-                return {"fidelity_mean": float(np.mean(vals)),
-                        "fidelity_std": float(np.std(vals))}
+        def compute() -> dict:
+            vals = []
+            for s in config.seeds:  # the first failure in seed order, explain first
+                value = exps[i, s] if isinstance(exps[i, s], str) else fids[i, s, b]
+                if isinstance(value, str):
+                    return {"error": value}
+                vals.append(value)
+            return {"fidelity_mean": float(np.mean(vals)),
+                    "fidelity_std": float(np.std(vals))}
 
-            keys = {"method": method.label, "sigma": sigma, "epsilon": eps,
-                    "norm": norm}
-            rows.append(_cell_row(keys, ("fidelity_mean", "fidelity_std"), compute))
+        keys = {"method": method.label, "sigma": sigma, "epsilon": eps,
+                "norm": norm}
+        rows.append(_cell_row(keys, ("fidelity_mean", "fidelity_std"), compute))
     return rows
 
 

@@ -6,6 +6,7 @@ ties broken toward lower indices; pass use_abs=True to rank by magnitude.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
@@ -113,31 +114,38 @@ def sample_ball(
 def local_fidelity(
     model: ModelSpec,
     x: np.ndarray,
-    explanation: Explanation,
+    explanations: Sequence[Explanation],
     segmentation: Segmentation,
     epsilon: float,
     norm: str,
     m: int,
     seed: int,
-) -> FidelityReport:
+) -> list[FidelityReport]:
     """1/(1 + mean squared surrogate error) over an epsilon-ball around x.
 
     Ball points are projected to feature space as per-segment mean offsets and
-    fed to the linear surrogate (intercept + w . offset). Explanations fit on
+    fed to each linear surrogate (intercept + w . offset). Explanations fit on
     binary masks are evaluated under the same additive-offset convention, so
     fidelity compares how each learned linear function tracks the model near x
-    regardless of how it was fit.
+    regardless of how it was fit. The ball is drawn, projected and evaluated
+    once and scored against every explanation; one report per explanation, in
+    order.
     """
-    if explanation.d != segmentation.d:
-        raise DimensionMismatch(
-            f"explanation has d={explanation.d}, segmentation d={segmentation.d}"
-        )
+    for e in explanations:
+        if e.d != segmentation.d:
+            raise DimensionMismatch(
+                f"explanation has d={e.d}, segmentation d={segmentation.d}"
+            )
     x = np.asarray(x, dtype=np.float64)
     points = sample_ball(x, epsilon, norm, m, seed)
     offsets = feature_offsets(points - x, segmentation)
-    surrogate = explanation.intercept + offsets @ explanation.w
-    mse = float(np.mean((evaluate(model, points) - surrogate) ** 2))
-    return FidelityReport(epsilon, norm, 1.0 / (1.0 + mse), m)
+    f = evaluate(model, points)
+    reports = []
+    for e in explanations:
+        surrogate = e.intercept + offsets @ e.w
+        mse = float(np.mean((f - surrogate) ** 2))
+        reports.append(FidelityReport(epsilon, norm, 1.0 / (1.0 + mse), m))
+    return reports
 
 
 def _average_ranks(a: np.ndarray) -> np.ndarray:

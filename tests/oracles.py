@@ -14,6 +14,10 @@ from typing import Callable
 
 import numpy as np
 
+from localex.explain import ExplainRequest, explain, method_from_json
+from localex.harness import _BALL_STREAM, ExperimentConfig, build_context
+from localex.metrics import local_fidelity
+from localex.sampling import substream_seed
 from localex.solver import RidgeProblem, RidgeSolution, sherman_morrison_inverse
 
 
@@ -134,3 +138,33 @@ def average_ranks_direct(a) -> np.ndarray:
 def jaccard_direct(a, b) -> float:
     sa, sb = set(a), set(b)
     return len(sa & sb) / len(sa | sb)
+
+
+def fidelity_rows_direct(config: ExperimentConfig) -> list[dict]:
+    """The fidelity table by the plain nested loop: every (cell, seed) explains
+    afresh and scores its explanation alone on a freshly drawn ball."""
+    ctx = build_context(config)
+    rows = []
+    for entry, sigma, eps, norm in itertools.product(
+        config.method_entries, config.sigmas, config.epsilons, config.norms
+    ):
+        method = method_from_json({**entry, "sigma": sigma})
+        row = {"method": method.label, "sigma": sigma, "epsilon": eps, "norm": norm,
+               "fidelity_mean": None, "fidelity_std": None, "error": ""}
+        try:
+            vals = []
+            for s in config.seeds:
+                exp = explain(ExplainRequest(
+                    model=ctx.model, x=ctx.x, segmentation=ctx.segmentation,
+                    method=method, n=config.sample_sizes[0], seed=s,
+                    lam=config.lambdas[0], reference=ctx.reference))
+                (report,) = local_fidelity(ctx.model, ctx.x, [exp], ctx.segmentation,
+                                           eps, norm, config.m,
+                                           substream_seed(s, _BALL_STREAM))
+                vals.append(report.fidelity)
+            row["fidelity_mean"] = float(np.mean(vals))
+            row["fidelity_std"] = float(np.std(vals))
+        except Exception as exc:
+            row["error"] = f"{type(exc).__name__}: {exc}"
+        rows.append(row)
+    return rows

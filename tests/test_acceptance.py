@@ -275,8 +275,8 @@ def test_criterion_10_matched_continuous_sampling_improves_fidelity():
             reference=Reference(np.zeros(10))))
         fid = {
             e.method.__class__.__name__: local_fidelity(
-                model, x, e, seg, epsilon=0.5, norm="l2", m=20_000, seed=12345
-            ).fidelity
+                model, x, [e], seg, epsilon=0.5, norm="l2", m=20_000, seed=12345
+            )[0].fidelity
             for e in (gauss, lime)
         }
         assert fid["GlimeGauss"] >= fid["Lime"]

@@ -100,6 +100,19 @@ def test_reconstruct_binary_swaps_whole_segments():
     assert batch.tolist() == [[1, 2, 3, 4], [0, 0, 3, 4]]
 
 
+@pytest.mark.parametrize("mask_shape", [(16,), (200, 16)], ids=["one-mask", "batch"])
+def test_reconstruct_binary_matches_the_direct_float_formula(mask_shape):
+    rng = np.random.default_rng(5)
+    seg = grid_segment(16, 16, 3, 4, 4)
+    x = rng.normal(size=seg.size)
+    r = Reference(rng.normal(size=seg.size))
+    z = rng.integers(0, 2, size=mask_shape).astype(np.float64)
+    m = z[..., seg.assignment]
+    direct = m * x + (1.0 - m) * r.values  # no exact zeros in x or r, so bit-exact
+    out = reconstruct_binary(x, r, seg, z)
+    assert out.shape == direct.shape and out.tobytes() == direct.tobytes()
+
+
 def test_reconstruct_binary_rejects_fractional_masks():
     seg = singleton_segments(2)
     with pytest.raises(ValueError):

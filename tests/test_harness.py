@@ -11,9 +11,10 @@ import numpy as np
 import pytest
 
 from conftest import ALL_METHODS, asset
-from localex import harness
+from oracles import fidelity_rows_direct
+from localex import harness, metrics
 from localex.cli import main
-from localex.errors import ConfigError
+from localex.errors import ConfigError, IoFailure, NonFiniteOutput, write_text
 from localex.explain import KernelShap, SmoothGrad, method_to_json
 from localex.harness import (
     ExperimentConfig,
@@ -233,6 +234,73 @@ def test_run_fidelity_explains_each_method_sigma_and_seed_once(tmp_path, monkeyp
     assert seeds == [0, 1, 2] * 4  # each (method, sigma) explains each seed once
 
 
+def test_run_fidelity_draws_each_ball_once(tmp_path, monkeypatch):
+    draws = []
+
+    def recording(x, epsilon, norm, m, seed, real=metrics.sample_ball):
+        draws.append((seed, epsilon, norm))
+        return real(x, epsilon, norm, m, seed)
+
+    monkeypatch.setattr(metrics, "sample_ball", recording)
+    path = write_workspace(tmp_path, metrics={"epsilons": [0.25, 0.5], "m": 64})
+    rows = run_fidelity(load_config(path))
+    assert len(rows) == 8 and all(row["error"] == "" for row in rows)
+    # 3 seeds x 2 epsilons x 1 norm, shared by 2 methods x 2 sigmas
+    assert len(draws) == len(set(draws)) == 6
+
+
+def test_run_fidelity_draws_no_ball_for_a_seed_without_explanations(tmp_path,
+                                                                   monkeypatch):
+    seeds = []
+    monkeypatch.setattr(metrics, "sample_ball",
+                        lambda x, eps, norm, m, seed, real=metrics.sample_ball:
+                        seeds.append(seed) or real(x, eps, norm, m, seed))
+    # at n = 8 and lambda = 0, Lime's normal equations are singular for seed 2 only
+    path = write_workspace(tmp_path, methods=[{"method": "Lime"}], sample_sizes=[8],
+                           lambdas=[0.0], seeds=[1, 2, 4])
+    rows = run_fidelity(load_config(path))
+    assert all(row["error"].startswith("SingularSystem:") for row in rows)
+    assert seeds == [substream_seed(s, harness._BALL_STREAM) for s in (1, 4)]
+
+
+def fail_wide_balls(monkeypatch, x, epsilons):
+    """Model evaluation on a ball fails when a point leaves the smaller radius,
+    whatever order the balls are drawn in."""
+    def evaluate(model, points, real=metrics.evaluate):
+        if np.max(np.abs(points - x)) > min(epsilons):
+            raise NonFiniteOutput("model returned NaN on a wide ball")
+        return real(model, points)
+
+    monkeypatch.setattr(metrics, "evaluate", evaluate)
+
+
+@pytest.mark.parametrize("overrides, wide_balls_fail, errors", [
+    # SmoothGrad needs singleton segments, so each of its explanations fails
+    ({"methods": [{"method": "Lime"}, {"method": "SmoothGrad"}, {"method": "GlimeGauss"}]},
+     False, {"ConfigError"}),
+    ({"methods": [{"method": "Lime"}, {"method": "GlimeGauss"}]}, True,
+     {"NonFiniteOutput"}),
+    # at n = 8 and lambda = 0 some seeds give singular normal equations
+    ({"methods": [{"method": "Lime"}, {"method": "GlimeBinomial"}, {"method": "GlimeGauss"}],
+      "sample_sizes": [8], "lambdas": [0.0], "seeds": [1, 4, 2, 5]},
+     False, {"SingularSystem"}),
+    ({"methods": [{"method": "Lime"}, {"method": "GlimeBinomial"}, {"method": "GlimeGauss"}],
+      "sample_sizes": [8], "lambdas": [0.0], "seeds": [1, 4, 2, 5]},
+     True, {"SingularSystem", "NonFiniteOutput"}),
+], ids=["explain-fails", "ball-fails", "some-seeds-fail", "seeds-and-balls-fail"])
+def test_run_fidelity_matches_the_direct_nested_loop(tmp_path, monkeypatch, overrides,
+                                                     wide_balls_fail, errors):
+    epsilons = [0.25, 0.5]
+    path = write_workspace(tmp_path, **overrides, metrics={
+        "epsilons": epsilons, "norms": ["l2", "linf"], "m": 64})
+    config = load_config(path)
+    if wide_balls_fail:
+        fail_wide_balls(monkeypatch, build_context(config).x, epsilons)
+    rows = run_fidelity(config)
+    assert json_dumps(rows) == json_dumps(fidelity_rows_direct(config))  # every bit
+    assert {row["error"].split(":")[0] for row in rows} == errors | {""}
+
+
 def test_sweeps_are_deterministic_end_to_end(tmp_path):
     config = load_config(write_workspace(tmp_path))
     a = tmp_path / "a.csv"
@@ -357,6 +425,34 @@ def test_cli_runtime_failures_exit_two(tmp_path):
     assert "cannot write" in proc.stderr
 
 
+class ClosedPipe(io.StringIO):
+    """A stdout whose reader has gone away."""
+
+    def write(self, text):
+        raise BrokenPipeError(32, "Broken pipe")
+
+
+def test_a_closed_stdout_is_an_io_failure_in_one_error_line(monkeypatch, capsys):
+    monkeypatch.setattr(sys, "stdout", ClosedPipe())
+    with pytest.raises(IoFailure, match="cannot write to stdout"):
+        write_text("table\n", None)
+    assert main(["distributions", "--dim", "3", "--sigmas", "0.5"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: cannot write to stdout") and err.count("\n") == 1, err
+
+
+def test_cli_exits_two_without_a_traceback_when_the_reader_closes_stdout():
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "localex", "distributions", "--dim", "3", "--sigmas", "0.5"],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True)
+    proc.stdout.close()  # the reader is gone before the table is written
+    err = proc.stderr.read()
+    proc.stderr.close()
+    # no second error from the interpreter's own flush of stdout at exit
+    assert proc.wait(timeout=60) == 2
+    assert err.startswith("error: cannot write to stdout") and err.count("\n") == 1, err
+
+
 def test_cli_master_seed_changes_sweep_outputs(tmp_path):
     path = write_workspace(tmp_path)
     a = cli("stability", "--config", path)
@@ -381,6 +477,16 @@ def explain_config(tmp_path, coefficients, sigma, method="Lime", x=(1.0, 2.0, 3.
     path.write_text(json.dumps({"model": "model.json", "input": "input.json",
                                 "method": {"method": method, "sigma": sigma},
                                 "n": 64, **extra}))
+    return str(path)
+
+
+def grid_explain_config(tmp_path, rows, cols):
+    """An explain config on write_workspace's 2x4 image with the given grid."""
+    write_workspace(tmp_path)
+    path = tmp_path / "explain.json"
+    path.write_text(json.dumps({"model": "model.json", "input": "input.json",
+                                "segmentation": {"rows": rows, "cols": cols},
+                                "method": {"method": "Lime", "sigma": 1.0}, "n": 64}))
     return str(path)
 
 
@@ -424,12 +530,20 @@ def json_file(tmp_path, obj):
     (lambda tmp: ["fidelity", "--config", write_workspace(tmp, metrics={"m": 0})], 1),
     (lambda tmp: ["stability", "--config",
                   write_workspace(tmp, d=32, rows_cols=(2, 8), metrics={"k": 99})], 1),
+    # grid settings: a string, a fraction, and a grid larger than the 2x4 image
+    (lambda tmp: ["explain", "--config", grid_explain_config(tmp, "x", 2)], 1),
+    (lambda tmp: ["explain", "--config", grid_explain_config(tmp, 2.5, 2)], 1),
+    (lambda tmp: ["explain", "--config", grid_explain_config(tmp, 3, 2)], 1),
+    (lambda tmp: ["fidelity", "--config", write_workspace(tmp, rows_cols=("x", 2))], 1),
+    (lambda tmp: ["fidelity", "--config", write_workspace(tmp, rows_cols=(2, 2.5))], 1),
+    (lambda tmp: ["fidelity", "--config", write_workspace(tmp, rows_cols=(2, 5))], 1),
 ], ids=["nonfinite-output", "zero-weights", "ridge-overflow", "smoothgrad-overflow",
         "nan-input", "sigma-zero", "sigma-negative",
         "sigma-nan", "jobs-zero", "jobs-negative", "lambda-string", "lambda-null",
         "explain-segmentation-list", "sweep-segmentation-list", "metrics-list",
         "output-list", "config-array", "norm-l3", "epsilon-negative", "m-zero",
-        "k-above-d"])
+        "k-above-d", "explain-grid-string", "explain-grid-fraction", "explain-grid-too-big",
+        "sweep-grid-string", "sweep-grid-fraction", "sweep-grid-too-big"])
 @pytest.mark.filterwarnings("error::RuntimeWarning")  # a warning is a second line
 def test_cli_reports_bad_values_in_one_error_line(tmp_path, capsys, make_args, code):
     assert main(make_args(tmp_path)) == code

@@ -138,7 +138,7 @@ def test_fidelity_is_one_for_an_exact_surrogate():
     model = Linear(c, 0.3)
     x = np.array([0.2, 0.1, -0.4])
     exp = Explanation(c, float(c @ x + 0.3), None, Lime(1.0), 10, 0, 0.0, 3)
-    rep = local_fidelity(model, x, exp, singleton_segments(3), 0.5, "l2", 2000, 1)
+    rep = local_fidelity(model, x, [exp], singleton_segments(3), 0.5, "l2", 2000, 1)[0]
     assert rep.fidelity == pytest.approx(1.0, abs=1e-12)
 
 
@@ -146,7 +146,7 @@ def test_fidelity_drops_below_one_for_a_zero_surrogate_on_varying_f():
     model = Linear(np.array([2.0, 2.0]), 0.0)
     x = np.zeros(2)
     exp = Explanation(np.zeros(2), 0.0, None, Lime(1.0), 10, 0, 0.0, 2)
-    rep = local_fidelity(model, x, exp, singleton_segments(2), 1.0, "l2", 2000, 1)
+    rep = local_fidelity(model, x, [exp], singleton_segments(2), 1.0, "l2", 2000, 1)[0]
     assert 0.0 < rep.fidelity < 1.0
 
 
@@ -156,8 +156,8 @@ def test_fidelity_matches_the_closed_form_for_a_pure_quadratic():
     eps = 1.3
     model = Quadratic(np.eye(2), np.zeros(2), 0.0)
     exp = Explanation(np.zeros(2), 0.0, None, Lime(1.0), 10, 0, 0.0, 2)
-    rep = local_fidelity(model, np.zeros(2), exp, singleton_segments(2),
-                         eps, "l2", 200000, 2)
+    rep = local_fidelity(model, np.zeros(2), [exp], singleton_segments(2),
+                         eps, "l2", 200000, 2)[0]
     assert rep.fidelity == pytest.approx(1.0 / (1.0 + eps**4 / 3.0), rel=0.02)
 
 
@@ -167,7 +167,7 @@ def test_fidelity_aggregates_segments_by_mean_offset():
     model = Linear(np.array([1.0, 1.0]), 0.0)
     x = np.zeros(2)
     exp = Explanation(np.array([2.0]), 0.0, None, Lime(1.0), 10, 0, 0.0, 1)
-    rep = local_fidelity(model, x, exp, seg, 0.5, "linf", 4000, 3)
+    rep = local_fidelity(model, x, [exp], seg, 0.5, "linf", 4000, 3)[0]
     # f(z) = z0 + z1 = 2 * mean(z) = surrogate exactly
     assert rep.fidelity == pytest.approx(1.0, abs=1e-12)
 
