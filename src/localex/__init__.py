@@ -1,5 +1,5 @@
 """Model-agnostic local explanations: LIME, the weight-free GLIME family,
-KernelSHAP, and a SmoothGrad estimator, with analytic infinite-sample limits,
+KernelSHAP and SmoothGrad, with analytic infinite-sample limits,
 stability and fidelity metrics, and a deterministic experiment harness.
 """
 from .errors import (
@@ -37,7 +37,6 @@ from .explain import (
     infinite_limit_linear_gauss,
     method_from_json,
     method_to_json,
-    smoothgrad_estimate,
 )
 from .feature_space import (
     Reference,
@@ -61,6 +60,7 @@ from .metrics import (
 from .models import Linear, Mlp, Quadratic, Remote, evaluate, gradient, load_model
 from .sampling import (
     Binomial,
+    Coalitions,
     ExpKernel,
     Gaussian,
     Laplace,

@@ -10,7 +10,7 @@ import argparse
 import os.path
 import sys
 
-from .errors import ConfigError, EngineError, read_json, write_text
+from .errors import MALFORMED, ConfigError, EngineError, read_json, write_text
 from .explain import (
     ExplainRequest,
     default_lambda,
@@ -32,7 +32,7 @@ from .harness import (
     run_fidelity,
     run_stability,
 )
-from .models import load_model
+from .models import check_input, load_model
 
 
 class _Parser(argparse.ArgumentParser):
@@ -85,7 +85,7 @@ def _cmd_explain(args: argparse.Namespace) -> int:
         reference_kind = str(obj.get("reference", "mean"))
         method = method_from_json(method_obj)
         lam = float(obj["lambda"]) if "lambda" in obj else default_lambda(method)
-    except (KeyError, TypeError, ValueError) as exc:
+    except MALFORMED as exc:
         raise ConfigError(f"malformed explain config: {exc}") from exc
     if args.seed is not None:
         seed = args.seed
@@ -94,6 +94,7 @@ def _cmd_explain(args: argparse.Namespace) -> int:
     seg, reference = build_space(
         x, shape, seg_obj.get("rows"), seg_obj.get("cols"), reference_kind
     )
+    check_input(model, x)
     req = ExplainRequest(
         model=model, x=x, segmentation=seg, method=method,
         n=n, seed=seed, lam=lam, reference=reference,
@@ -128,7 +129,7 @@ def _cmd_distributions(args: argparse.Namespace) -> int:
             d = int(obj["d"])
             sigmas = tuple(float(s) for s in obj["sigmas"])
             ks = None if obj.get("ks") is None else tuple(int(k) for k in obj["ks"])
-        except (KeyError, TypeError, ValueError) as exc:
+        except MALFORMED as exc:
             raise ConfigError(f"malformed distributions config: {exc}") from exc
     else:
         if args.dim is None or args.sigmas is None:

@@ -12,6 +12,12 @@ import sys
 from typing import Any
 
 
+# what parsing a config value can raise: a missing key, a wrong type, a bad
+# literal, or an overflow (a JSON number such as 1e400 reads as inf, and int(inf)
+# overflows)
+MALFORMED = (KeyError, TypeError, ValueError, OverflowError)
+
+
 class EngineError(Exception):
     """Base class for all errors raised by this package."""
 

@@ -1,32 +1,27 @@
-"""Explanation methods: LIME, the weight-free GLIME family, KernelSHAP, and a
-SmoothGrad estimator, plus infinite-sample oracles for linear models.
+"""Explanation methods: LIME, the weight-free GLIME family, KernelSHAP and
+SmoothGrad, plus infinite-sample oracles for linear models.
 
-Every surrogate method is one pipeline over a (sampling law, weighting, ridge)
-triple: draw n samples in feature space from the method's law, weight them by
-its kernel (unit weights for the GLIME family), lift them to raw inputs,
-evaluate the model and fit a weighted ridge surrogate. SmoothGrad fits no
-surrogate. All methods are deterministic functions of their request,
-including the seed; identical requests yield identical explanations.
+Every method is one (sampling law, weighting, fit) row run by one pipeline:
+draw n samples in feature space from the method's law, weight them by its
+kernel (unit weights for the GLIME family and SmoothGrad), lift them to raw
+inputs, evaluate the model and fit, by weighted ridge or, for SmoothGrad, from
+the law's known moments. All methods are deterministic functions of their
+request, including the seed; identical requests yield identical explanations.
 """
 from __future__ import annotations
 
 import dataclasses
-import itertools
 import typing
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, DimensionTooLarge, NonFiniteOutput, ShapDegenerate
-from .feature_space import (
-    Reference,
-    Segmentation,
-    reconstruct_binary,
-    reconstruct_continuous,
-)
+from .errors import MALFORMED, ConfigError, NonFiniteOutput
+from .feature_space import Reference, Segmentation, reconstruct_binary, reconstruct_continuous
 from .models import ModelSpec, evaluate
 from .sampling import (
     Binomial,
+    Coalitions,
     DistributionSpec,
     ExpKernel,
     Gaussian,
@@ -38,15 +33,12 @@ from .sampling import (
     WeightSpec,
     batch_weights,
     draw,
-    splitmix64,
 )
 from .solver import RidgeProblem, solve_weighted_ridge
 
-EXACT_SHAP_MAX_D = 20
-
 
 # ---------------------------------------------------------------------------
-# method specs: one row of the (law, kernel, ridge) table per class
+# method specs: one row of the (law, kernel, fit) table per class
 
 
 class _Method:
@@ -55,6 +47,7 @@ class _Method:
 
     binary: bool = False  # lift samples against a reference, not as offsets
     fixed_lam: float | None = None  # ridge strength the method fixes; None: the request's
+    known_moments: bool = False  # fit from the law's known covariance, not by ridge
 
     @property
     def label(self) -> str:  # the method column of sweep tables
@@ -133,15 +126,17 @@ class KernelShap(_Method):
     fixed_lam = 0.0
 
     def sampler(self, d: int) -> tuple[DistributionSpec, WeightSpec]:
-        return UniformBinary(d), ShapKernel()
+        return Coalitions(d, self.exact), ShapKernel()
 
 
 @dataclass(frozen=True)
 class SmoothGrad(_SigmaMethod):
-    """Gaussian-smoothed gradient estimator on raw features."""
+    """Gaussian-smoothed gradient on raw features: GlimeGauss's samples, fit
+    by the Gaussian law's known covariance sigma^2 I instead of by ridge."""
 
-    law = Gaussian  # drawn by smoothgrad_estimate, which fits no surrogate
+    law = Gaussian
     fixed_lam = 0.0
+    known_moments = True
 
 
 MethodSpec = (
@@ -185,7 +180,7 @@ def method_from_json(obj: dict) -> MethodSpec:
             for f in dataclasses.fields(cls)
             if f.name in obj or f.default is dataclasses.MISSING
         })
-    except (KeyError, TypeError, ValueError) as exc:
+    except MALFORMED as exc:
         raise ConfigError(f"malformed {name} method entry: {exc}") from exc
 
 
@@ -219,10 +214,9 @@ class ExplainRequest:
             raise ConfigError(
                 f"{method_name(self.method)} perturbs against a reference; none given"
             )
-        if isinstance(self.method, SmoothGrad) and (
-            self.segmentation.d != self.segmentation.size
-        ):
-            raise ConfigError("SmoothGrad is defined on raw features (singleton segments)")
+        if self.method.known_moments and self.segmentation.d != self.segmentation.size:
+            raise ConfigError(f"{method_name(self.method)} is defined on raw features "
+                              "(singleton segments)")
 
 
 @dataclass(frozen=True)
@@ -290,72 +284,39 @@ def explanation_from_json(obj: dict) -> Explanation:
 # the methods
 
 
-def _coalitions(method: KernelShap, law: UniformBinary, n: int, seed: int) -> np.ndarray:
-    """Every coalition with 1 <= k <= d-1 (exact mode, which recovers Shapley
-    values of games whose interactions stay below degree d), or the first n
-    such draws from law."""
-    d = law.d
-    if d < 2:
-        raise ShapDegenerate("KernelShap needs d >= 2: every coalition is degenerate")
-    if method.exact:
-        if d > EXACT_SHAP_MAX_D:
-            raise DimensionTooLarge(f"exact enumeration caps at d={EXACT_SHAP_MAX_D}, "
-                                    f"got d={d}")
-        codes = np.arange(1, 2**d - 1, dtype=np.uint32)
-        return ((codes[:, None] >> np.arange(d, dtype=np.uint32)) & 1).astype(np.float64)
-    kept: list[np.ndarray] = []
-    for round_idx in itertools.count():
-        masks = draw(law, max(n, 256), splitmix64(seed ^ round_idx))
-        k = masks.sum(axis=1)
-        kept.append(masks[(k > 0) & (k < d)])
-        if sum(map(len, kept)) >= n:
-            return np.vstack(kept)[:n]
-
-
-def smoothgrad_estimate(
-    model: ModelSpec, x: np.ndarray, sigma: float, n: int, seed: int
-) -> np.ndarray:
-    """(1/sigma^2) * mean of z' f(x + z') over Gaussian offsets.
-
-    By Stein's identity this estimates the Gaussian-smoothed gradient
-    E[grad f(x + z')]; as sigma -> 0 it approaches the plain gradient.
-    """
-    x = np.asarray(x, dtype=np.float64)
-    offsets = draw(Gaussian(x.shape[0], sigma), n, seed)
-    responses = evaluate(model, x + offsets)
+def _known_moment_estimate(design: np.ndarray, y: np.ndarray, sigma: float) -> np.ndarray:
+    """Sigma^{-1} E[z f(x + z)] for Gaussian offsets z with known Sigma = sigma^2 I. By
+    Stein's identity this estimates the Gaussian-smoothed gradient E[grad f(x + z)]."""
+    n = len(design)
     with np.errstate(over="ignore", invalid="ignore"):  # reported just below
-        grad = (offsets.T @ responses) / (n * sigma * sigma)
+        grad = (design.T @ y) / (n * sigma * sigma)
     if not np.all(np.isfinite(grad)):
         raise NonFiniteOutput("SmoothGrad estimate overflowed: model responses are too large")
     return grad
 
 
 def explain(req: ExplainRequest) -> Explanation:
-    """Draw the method's samples, weight them by its kernel, lift, evaluate and
-    fit the ridge surrogate with the method's fixed lambda, if it has one, else
-    the request's. KernelShap records the number of coalitions used as n.
-    """
+    """Draw the method's samples, weight them by its kernel, lift, evaluate and fit:
+    by ridge with the method's fixed lambda, if it has one, else the request's,
+    or from known moments. n records the samples used (exact KernelShap: all)."""
     method, seg = req.method, req.segmentation
     lam = req.lam if method.fixed_lam is None else method.fixed_lam
-    if isinstance(method, SmoothGrad):
-        w = smoothgrad_estimate(req.model, req.x, method.sigma, req.n, req.seed)
-        fx = float(evaluate(req.model, req.x[None, :])[0])
-        # local linearization around x: intercept f(x), no surrogate fit, no R^2
-        return Explanation(w, fx, None, method, req.n, req.seed, lam, seg.d)
     law, kernel = method.sampler(seg.d)
-    if isinstance(method, KernelShap):  # the one method with its own coalition set
-        design = _coalitions(method, law, req.n, req.seed)
-    else:
-        design = draw(law, req.n, req.seed)
+    design = draw(law, req.n, req.seed)
     pi = batch_weights(kernel, design)
     if method.binary:
         points = reconstruct_binary(req.x, req.reference, seg, design)
     else:
         points = reconstruct_continuous(req.x, seg, design)
-    sol = solve_weighted_ridge(RidgeProblem(design, evaluate(req.model, points), pi, lam))
-    return Explanation(
-        sol.w, sol.intercept, sol.r2, method, len(design), req.seed, lam, seg.d
-    )
+    y = evaluate(req.model, points)
+    if method.known_moments:
+        w = _known_moment_estimate(design, y, method.sigma)
+        # local linearization around x: intercept f(x), no surrogate, no R^2
+        fit = w, float(evaluate(req.model, req.x[None, :])[0]), None
+    else:
+        sol = solve_weighted_ridge(RidgeProblem(design, y, pi, lam))
+        fit = sol.w, sol.intercept, sol.r2
+    return Explanation(*fit, method, len(design), req.seed, lam, seg.d)
 
 
 # ---------------------------------------------------------------------------

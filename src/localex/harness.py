@@ -18,7 +18,7 @@ from typing import Any, Callable
 
 import numpy as np
 
-from .errors import ConfigError, read_json, write_text
+from .errors import MALFORMED, ConfigError, read_json, write_text
 from .explain import (
     ExplainRequest,
     Explanation,
@@ -36,7 +36,7 @@ from .feature_space import (
     singleton_segments,
 )
 from .metrics import NORMS, explanation_distance, local_fidelity, top_k_jaccard
-from .models import ModelSpec, load_model
+from .models import ModelSpec, check_input, load_model
 from .sampling import (
     ShapKernel,
     bernoulli_p,
@@ -205,7 +205,7 @@ def config_from_json(obj: Any, base_dir: str = ".") -> ExperimentConfig:
             out_path=None if out.get("path") is None else resolve(out["path"], base_dir),
             out_format=str(out.get("format", "csv")),
         )
-    except (KeyError, TypeError, ValueError) as exc:
+    except MALFORMED as exc:
         raise ConfigError(f"malformed experiment config: {exc}") from exc
 
 
@@ -223,8 +223,10 @@ def load_input(path: str) -> tuple[np.ndarray, tuple[int, ...] | None]:
         else:
             values = np.asarray(obj["values"], dtype=np.float64)
             shape = None if obj.get("shape") is None else tuple(int(s) for s in obj["shape"])
-    except (KeyError, TypeError, ValueError) as exc:
+    except MALFORMED as exc:
         raise ConfigError(f"malformed input file {path}: {exc}") from exc
+    if values.ndim != 1 or values.size == 0:
+        raise ConfigError(f"input file {path} must hold a non-empty flat array of numbers")
     if not np.all(np.isfinite(values)):
         raise ConfigError(f"input file {path} holds NaN or infinite values")
     return values, shape
@@ -276,6 +278,7 @@ def build_context(config: ExperimentConfig) -> RunContext:
     seg, reference = build_space(
         x, shape, config.grid_rows, config.grid_cols, config.reference_kind
     )
+    check_input(model, x)
     return RunContext(model, x, seg, reference)
 
 

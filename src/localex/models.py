@@ -15,6 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import (
+    MALFORMED,
     ConfigError,
     DimensionMismatch,
     NonFiniteOutput,
@@ -25,6 +26,8 @@ from .errors import (
 )
 
 MLP_GRADIENT_STEP = 1e-5
+REMOTE_MAX_TIMEOUT_MS = 3_600_000  # one hour per request
+REMOTE_MAX_RETRIES = 10  # attempts follow each other without a pause
 
 
 @dataclass(frozen=True)
@@ -100,12 +103,15 @@ class Remote:
     retries: int = 0
 
     def __post_init__(self) -> None:
+        if not self.endpoint.startswith(("http://", "https://")):
+            raise ValueError(f"endpoint must be an http:// or https:// URL, got {self.endpoint!r}")
         if self.batch_size < 1:
             raise ValueError("batch_size must be positive")
-        if self.timeout_ms < 1:
-            raise ValueError("timeout_ms must be positive")
-        if self.retries < 0:
-            raise ValueError("retries must be >= 0")
+        if not 1 <= self.timeout_ms <= REMOTE_MAX_TIMEOUT_MS:
+            raise ValueError(f"timeout_ms must be in [1, {REMOTE_MAX_TIMEOUT_MS}], "
+                             f"got {self.timeout_ms}")
+        if not 0 <= self.retries <= REMOTE_MAX_RETRIES:
+            raise ValueError(f"retries must be in [0, {REMOTE_MAX_RETRIES}], got {self.retries}")
 
 
 ModelSpec = Linear | Quadratic | Mlp | Remote
@@ -120,6 +126,13 @@ def input_dim(model: ModelSpec) -> int | None:
     if isinstance(model, Mlp):
         return model.weights[0].shape[0]
     return None
+
+
+def check_input(model: ModelSpec, x: np.ndarray) -> None:
+    """Reject an input whose length is not the model's declared input width."""
+    dim = input_dim(model)
+    if dim is not None and len(x) != dim:
+        raise ConfigError(f"input has length {len(x)}, model expects {dim}")
 
 
 def _as_batch(model: ModelSpec, points: np.ndarray) -> np.ndarray:
@@ -253,7 +266,7 @@ def model_from_json(obj: dict) -> ModelSpec:
                 int(obj.get("batch_size", 64)),
                 int(obj.get("retries", 0)),
             )
-    except (KeyError, TypeError, ValueError) as exc:
+    except MALFORMED as exc:
         raise ConfigError(f"malformed '{kind}' model: {exc}") from exc
     raise ConfigError(f"unknown model kind: {kind!r}")
 

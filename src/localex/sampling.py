@@ -8,13 +8,15 @@ than silently fitting an unweighted problem.
 """
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ShapDegenerate
+from .errors import DimensionTooLarge, ShapDegenerate
 
+EXACT_SHAP_MAX_D = 20
 _MASK64 = (1 << 64) - 1
 
 
@@ -104,7 +106,24 @@ class UniformBox(_ScaledLaw):
         return math.sqrt(3.0) * self.sigma
 
 
-DistributionSpec = UniformBinary | Binomial | Gaussian | Laplace | UniformBox
+@dataclass(frozen=True)
+class Coalitions(_Law):
+    """KernelSHAP's coalition set: every mask with 1 <= k <= d-1 (exact mode,
+    which recovers Shapley values of games whose interactions stay below
+    degree d, and ignores n and seed), or the first n such fair-coin draws."""
+
+    exact: bool = True
+
+    def __post_init__(self) -> None:
+        super().__post_init__()
+        if self.d < 2:
+            raise ShapDegenerate("KernelShap needs d >= 2: every coalition is degenerate")
+        if self.exact and self.d > EXACT_SHAP_MAX_D:
+            raise DimensionTooLarge(f"exact enumeration caps at d={EXACT_SHAP_MAX_D}, "
+                                    f"got d={self.d}")
+
+
+DistributionSpec = UniformBinary | Binomial | Gaussian | Laplace | UniformBox | Coalitions
 
 
 # ---------------------------------------------------------------------------
@@ -144,9 +163,14 @@ WeightSpec = ExpKernel | ShapKernel | Unit
 
 
 def draw(dist: DistributionSpec, n: int, seed: int) -> np.ndarray:
-    """Draw an n x d sample matrix; a pure function of (dist, n, seed)."""
+    """Draw an n x d sample matrix; a pure function of (dist, n, seed).
+
+    Exact Coalitions is the one law that sets its own row count, 2^d - 2.
+    """
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
+    if isinstance(dist, Coalitions):  # before the generator: exact mode takes no seed
+        return _coalitions(dist, n, seed)
     rng = np.random.default_rng(seed)
     if isinstance(dist, UniformBinary):
         return rng.integers(0, 2, size=(n, dist.d)).astype(np.float64)
@@ -160,6 +184,20 @@ def draw(dist: DistributionSpec, n: int, seed: int) -> np.ndarray:
         h = dist.half_width
         return rng.uniform(-h, h, size=(n, dist.d))
     raise TypeError(f"unknown distribution spec: {dist!r}")
+
+
+def _coalitions(law: Coalitions, n: int, seed: int) -> np.ndarray:
+    d = law.d
+    if law.exact:
+        codes = np.arange(1, 2**d - 1, dtype=np.uint32)
+        return ((codes[:, None] >> np.arange(d, dtype=np.uint32)) & 1).astype(np.float64)
+    kept: list[np.ndarray] = []
+    for round_idx in itertools.count():  # fair coins, rejecting k in {0, d}
+        masks = draw(UniformBinary(d), max(n, 256), splitmix64(seed ^ round_idx))
+        k = masks.sum(axis=1)
+        kept.append(masks[(k > 0) & (k < d)])
+        if sum(map(len, kept)) >= n:
+            return np.vstack(kept)[:n]
 
 
 def weight(wspec: WeightSpec, zprime: np.ndarray) -> float:

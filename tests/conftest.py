@@ -1,6 +1,7 @@
 import os.path
 
 from localex.explain import (
+    ExplainRequest,
     GlimeBinomial,
     GlimeGauss,
     GlimeLaplace,
@@ -8,7 +9,9 @@ from localex.explain import (
     KernelShap,
     Lime,
     SmoothGrad,
+    explain,
 )
+from localex.feature_space import singleton_segments
 
 ASSETS = os.path.join(os.path.dirname(__file__), "..", "assets")
 
@@ -21,3 +24,9 @@ ALL_METHODS = (Lime(0.5), Lime(0.5, unit_weights=True), GlimeBinomial(1.0),
 
 def asset(name: str) -> str:
     return os.path.join(ASSETS, name)
+
+
+def smoothgrad(model, x, sigma, n, seed):
+    """SmoothGrad's attributions on singleton segments of x."""
+    return explain(ExplainRequest(model=model, x=x, segmentation=singleton_segments(x.size),
+                                  method=SmoothGrad(sigma), n=n, seed=seed)).w

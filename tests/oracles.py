@@ -17,7 +17,8 @@ import numpy as np
 from localex.explain import ExplainRequest, explain, method_from_json
 from localex.harness import _BALL_STREAM, ExperimentConfig, build_context
 from localex.metrics import local_fidelity
-from localex.sampling import substream_seed
+from localex.models import ModelSpec, evaluate
+from localex.sampling import splitmix64, substream_seed
 from localex.solver import RidgeProblem, RidgeSolution, sherman_morrison_inverse
 
 
@@ -73,6 +74,34 @@ def central_difference_gradient(
         lo[i] -= h
         g[i] = (fn(hi) - fn(lo)) / (2.0 * h)
     return g
+
+
+def coalitions_direct(d: int, n: int, seed: int, exact: bool) -> np.ndarray:
+    """KernelSHAP's coalition set, bit j of a mask being feature j: every mask
+    with 1 <= k <= d-1 in code order (exact), or the first n fair-coin masks
+    that are neither empty nor full, drawn max(n, 256) per round under the
+    round's seed splitmix64(seed ^ round)."""
+    if exact:
+        return np.array([[(code >> j) & 1 for j in range(d)]
+                         for code in range(1, 2**d - 1)], dtype=np.float64)
+    kept: list[np.ndarray] = []
+    round_idx = 0
+    while len(kept) < n:
+        rng = np.random.default_rng(splitmix64(seed ^ round_idx))
+        for mask in rng.integers(0, 2, size=(max(n, 256), d)):
+            if 0 < mask.sum() < d:
+                kept.append(mask.astype(np.float64))
+        round_idx += 1
+    return np.array(kept[:n])
+
+
+def smoothgrad_direct(model: ModelSpec, x: np.ndarray, sigma: float, n: int,
+                      seed: int) -> np.ndarray:
+    """SmoothGrad as its defining sum: (1/sigma^2) * (1/n) * sum_i z_i f(x + z_i)
+    over n Gaussian offsets z_i, each coordinate summed exactly (fsum)."""
+    z = np.random.default_rng(seed).normal(0.0, sigma, size=(n, x.size))
+    f = evaluate(model, x + z)
+    return np.array([math.fsum(z[:, j] * f) for j in range(x.size)]) / (n * sigma**2)
 
 
 def count_pmf_direct(d: int, p: float, k: int) -> float:

@@ -11,7 +11,7 @@ import time
 import numpy as np
 import pytest
 
-from conftest import asset
+from conftest import asset, smoothgrad
 from localex.errors import SingularSystem
 from localex.explain import (
     ExplainRequest,
@@ -21,7 +21,6 @@ from localex.explain import (
     Lime,
     explain,
     infinite_limit_linear_binomial,
-    smoothgrad_estimate,
 )
 from localex.feature_space import (
     Reference,
@@ -229,13 +228,12 @@ def test_criterion_09_smoothed_gradients_match_analytic_gradients():
         rng = np.random.default_rng(5)
         c = rng.normal(size=8) * 0.4
         x8 = rng.normal(size=8) * 0.3
-        w = smoothgrad_estimate(Linear(c, 0.2), x8, sigma=1.0, n=50_000, seed=1)
+        w = smoothgrad(Linear(c, 0.2), x8, sigma=1.0, n=50_000, seed=1)
         assert np.max(np.abs(w - c)) <= 0.02
 
         # quadratic f(z) = z1^2 + z2^2: grad at [1, 0] is [2, 0]
         quad = Quadratic(np.eye(2), np.zeros(2), 0.0)
-        w = smoothgrad_estimate(
-            quad, np.array([1.0, 0.0]), sigma=0.1, n=100_000, seed=0)
+        w = smoothgrad(quad, np.array([1.0, 0.0]), sigma=0.1, n=100_000, seed=0)
         assert np.max(np.abs(w - np.array([2.0, 0.0]))) <= 0.05
 
         # tanh network: shrinking sigma shrinks the smoothing bias. Probe at
@@ -257,7 +255,7 @@ def test_criterion_09_smoothed_gradients_match_analytic_gradients():
         g = gradient(model, probe)
         errors = [
             float(np.max(np.abs(
-                smoothgrad_estimate(model, probe, sigma, n=200_000, seed=0) - g)))
+                smoothgrad(model, probe, sigma, n=200_000, seed=0) - g)))
             for sigma in (0.5, 0.1, 0.02)
         ]
         assert errors[2] < errors[1] < errors[0]

@@ -3,10 +3,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import ALL_METHODS
+from conftest import ALL_METHODS, smoothgrad
 from localex.errors import ConfigError, DimensionTooLarge, ShapDegenerate
 from localex.explain import (
-    EXACT_SHAP_MAX_D,
     ExplainRequest,
     GlimeBinomial,
     GlimeGauss,
@@ -24,7 +23,6 @@ from localex.explain import (
     method_from_json,
     method_name,
     method_to_json,
-    smoothgrad_estimate,
 )
 from localex.feature_space import (
     Reference,
@@ -33,7 +31,8 @@ from localex.feature_space import (
     singleton_segments,
 )
 from localex.models import Linear, Quadratic, evaluate, gradient
-from oracles import shapley_bruteforce
+from localex.sampling import EXACT_SHAP_MAX_D
+from oracles import shapley_bruteforce, smoothgrad_direct
 
 RNG = np.random.default_rng(2718)
 C8 = RNG.normal(size=8) * 0.4
@@ -250,7 +249,7 @@ def test_kernelshap_efficiency_on_interior_games():
 
 
 def test_smoothgrad_recovers_a_linear_gradient():
-    est = smoothgrad_estimate(LINEAR8, X8, 0.5, 50000, 4)
+    est = smoothgrad(LINEAR8, X8, 0.5, 50000, 4)
     assert np.allclose(est, C8, atol=0.02)
 
 
@@ -259,7 +258,8 @@ def test_smoothgrad_explanation_wraps_the_estimate():
     assert exp.r2 is None
     assert exp.lam == 0.0
     assert exp.intercept == pytest.approx(float(evaluate(LINEAR8, X8[None])[0]))
-    assert np.array_equal(exp.w, smoothgrad_estimate(LINEAR8, X8, 0.5, 2000, 0))
+    direct = smoothgrad_direct(LINEAR8, X8, 0.5, 2000, 0)
+    assert np.allclose(exp.w, direct, rtol=1e-12, atol=0)
 
 
 def test_smoothgrad_bias_vanishes_for_affine_gradients():
@@ -269,7 +269,7 @@ def test_smoothgrad_bias_vanishes_for_affine_gradients():
     model = Quadratic(rng.normal(size=(4, 4)) * 0.5, rng.normal(size=4), 0.0)
     x = rng.normal(size=4)
     g = gradient(model, x)
-    est = smoothgrad_estimate(model, x, 0.5, 400000, 6)
+    est = smoothgrad(model, x, 0.5, 400000, 6)
     assert np.allclose(est, g, atol=0.05)
 
 
@@ -296,7 +296,7 @@ def test_smoothgrad_approaches_the_gradient_as_sigma_shrinks():
             a = mid
     x = 0.5 * (a + b)
     g = gradient(model, x)
-    errs = [np.abs(smoothgrad_estimate(model, x, s, 100000, 8) - g).max()
+    errs = [np.abs(smoothgrad(model, x, s, 100000, 8) - g).max()
             for s in (0.5, 0.1, 0.02)]
     assert errs[0] > errs[1] > errs[2]
 

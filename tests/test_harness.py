@@ -472,7 +472,7 @@ def explain_config(tmp_path, coefficients, sigma, method="Lime", x=(1.0, 2.0, 3.
                    **extra):
     (tmp_path / "model.json").write_text(json.dumps(
         {"kind": "linear", "coefficients": coefficients}))
-    (tmp_path / "input.json").write_text(json.dumps(list(x)))
+    (tmp_path / "input.json").write_text(json.dumps(x))
     path = tmp_path / "explain.json"
     path.write_text(json.dumps({"model": "model.json", "input": "input.json",
                                 "method": {"method": method, "sigma": sigma},
@@ -490,10 +490,29 @@ def grid_explain_config(tmp_path, rows, cols):
     return str(path)
 
 
-def json_file(tmp_path, obj):
-    path = tmp_path / "file.json"
+def json_file(tmp_path, obj, name="file.json"):
+    path = tmp_path / name
     path.write_text(json.dumps(obj))
     return str(path)
+
+
+def overflow(path):
+    """path, after its JSON infinities are rewritten as the number 1e400, which
+    also parses as inf."""
+    with open(path, encoding="utf-8") as fh:
+        text = fh.read()
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(text.replace("Infinity", "1e400"))
+    return path
+
+
+def remote_explain_config(tmp_path, **fields):
+    """An explain config whose remote model has these fields. Each bad field is
+    rejected at load, so no connection is opened."""
+    path = explain_config(tmp_path, [0.3, -0.2, 0.5], 1.0)
+    overflow(json_file(tmp_path, {"kind": "remote", "endpoint": "http://127.0.0.1:9/f",
+                                  **fields}, name="model.json"))
+    return path
 
 
 @pytest.mark.parametrize("make_args, code", [
@@ -537,13 +556,44 @@ def json_file(tmp_path, obj):
     (lambda tmp: ["fidelity", "--config", write_workspace(tmp, rows_cols=("x", 2))], 1),
     (lambda tmp: ["fidelity", "--config", write_workspace(tmp, rows_cols=(2, 2.5))], 1),
     (lambda tmp: ["fidelity", "--config", write_workspace(tmp, rows_cols=(2, 5))], 1),
+    # a model that does not take the input's width
+    (lambda tmp: ["explain", "--config", explain_config(tmp, [0.3, -0.2], 1.0)], 1),
+    (lambda tmp: ["stability", "--config",
+                  write_workspace(tmp, model=asset("mlp_small.json"),
+                                  input=asset("input_10.json"), segmentation=None)], 1),
+    # inputs that are not a non-empty flat array
+    (lambda tmp: ["explain", "--config", explain_config(tmp, [0.3], 1.0, x={"values": 1})], 1),
+    (lambda tmp: ["explain", "--config", explain_config(tmp, [0.3], 1.0, x=[])], 1),
+    (lambda tmp: ["stability", "--config", write_workspace(
+        tmp, input=json_file(tmp, {"values": []}), segmentation=None)], 1),
+    (lambda tmp: ["explain", "--config",
+                  explain_config(tmp, [0.3, -0.2], 1.0, x={"values": [[1, 2], [3, 4]]})], 1),
+    # JSON numbers too large to be an integer
+    (lambda tmp: ["explain", "--config",
+                  overflow(explain_config(tmp, [0.3, -0.2, 0.5], 1.0, n=math.inf))], 1),
+    (lambda tmp: ["stability", "--config",
+                  overflow(write_workspace(tmp, sample_sizes=[math.inf]))], 1),
+    (lambda tmp: ["fidelity", "--config",
+                  overflow(write_workspace(tmp, metrics={"m": math.inf}))], 1),
+    (lambda tmp: ["distributions", "--config",
+                  overflow(json_file(tmp, {"d": math.inf, "sigmas": [0.5]}))], 1),
+    (lambda tmp: ["explain", "--config", remote_explain_config(tmp, timeout_ms=math.inf)], 1),
+    # remote settings it cannot use
+    (lambda tmp: ["explain", "--config", remote_explain_config(tmp, endpoint="x")], 1),
+    (lambda tmp: ["explain", "--config", remote_explain_config(tmp, timeout_ms=1e308)], 1),
+    (lambda tmp: ["explain", "--config", remote_explain_config(tmp, retries=1e9)], 1),
 ], ids=["nonfinite-output", "zero-weights", "ridge-overflow", "smoothgrad-overflow",
         "nan-input", "sigma-zero", "sigma-negative",
         "sigma-nan", "jobs-zero", "jobs-negative", "lambda-string", "lambda-null",
         "explain-segmentation-list", "sweep-segmentation-list", "metrics-list",
         "output-list", "config-array", "norm-l3", "epsilon-negative", "m-zero",
         "k-above-d", "explain-grid-string", "explain-grid-fraction", "explain-grid-too-big",
-        "sweep-grid-string", "sweep-grid-fraction", "sweep-grid-too-big"])
+        "sweep-grid-string", "sweep-grid-fraction", "sweep-grid-too-big",
+        "explain-model-width", "sweep-model-width", "input-scalar", "input-empty",
+        "sweep-input-empty-values", "input-2d", "explain-n-overflow",
+        "sweep-sample-sizes-overflow", "fidelity-m-overflow", "distributions-d-overflow",
+        "remote-timeout-overflow", "remote-endpoint-not-http", "remote-timeout-huge",
+        "remote-retries-huge"])
 @pytest.mark.filterwarnings("error::RuntimeWarning")  # a warning is a second line
 def test_cli_reports_bad_values_in_one_error_line(tmp_path, capsys, make_args, code):
     assert main(make_args(tmp_path)) == code
@@ -595,13 +645,8 @@ def test_explain_runs_each_pipeline_layer_once(tmp_path, method):
     assert tracer.patches.missing == []
     calls = {k[:-len(".calls")]: v for k, v in tracer.pass_summary().items()
              if k.endswith(".calls")}
-    if isinstance(method, SmoothGrad):  # an estimator, not a ridge surrogate
-        ridge_layers = ("sampling.batch_weights", "feature_space.lift", "solver.solve")
-        assert [calls[layer] for layer in ridge_layers] == [0, 0, 0]
-    else:
-        assert calls["sampling.batch_weights"] == calls["feature_space.lift"] == 1
-        assert calls["models.evaluate"] == calls["solver.solve"] == 1
-    if method == KernelShap(exact=True):  # enumerates its coalitions
-        assert calls["sampling.draw"] == 0
-    else:
-        assert calls["sampling.draw"] >= 1
+    for layer in ("sampling.draw", "sampling.batch_weights", "feature_space.lift"):
+        assert calls[layer] == 1, layer
+    # SmoothGrad's known moments need no solve, and f(x) is its intercept
+    expected = (2, 0) if isinstance(method, SmoothGrad) else (1, 1)
+    assert (calls["models.evaluate"], calls["solver.solve"]) == expected

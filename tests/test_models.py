@@ -17,12 +17,15 @@ from localex.errors import (
     UnsupportedModel,
 )
 from localex.models import (
+    REMOTE_MAX_RETRIES,
+    REMOTE_MAX_TIMEOUT_MS,
     Linear,
     Mlp,
     Quadratic,
     Remote,
     evaluate,
     gradient,
+    check_input,
     input_dim,
     load_model,
     model_from_json,
@@ -87,6 +90,26 @@ def test_input_dim_per_family():
     assert input_dim(Linear(np.ones(7))) == 7
     assert input_dim(small_mlp()) == 3
     assert input_dim(Remote("http://localhost:1/f")) is None
+
+
+def test_check_input_compares_the_input_length_with_the_model_width():
+    check_input(Linear(np.ones(3)), np.zeros(3))
+    check_input(Remote("http://localhost:1/f"), np.zeros(5))  # the server decides
+    with pytest.raises(ConfigError, match="input has length 4, model expects 3"):
+        check_input(Linear(np.ones(3)), np.zeros(4))
+
+
+def test_remote_rejects_what_it_cannot_use():
+    for endpoint in ("x", "", "ftp://localhost/f", "localhost:1/f"):
+        with pytest.raises(ValueError, match="endpoint"):
+            Remote(endpoint)
+    for timeout_ms in (0, REMOTE_MAX_TIMEOUT_MS + 1, 10**308):
+        with pytest.raises(ValueError, match="timeout_ms"):
+            Remote("http://localhost:1/f", timeout_ms=timeout_ms)
+    for retries in (-1, REMOTE_MAX_RETRIES + 1, 10**9):
+        with pytest.raises(ValueError, match="retries"):
+            Remote("http://localhost:1/f", retries=retries)
+    Remote("https://localhost:1/f", timeout_ms=REMOTE_MAX_TIMEOUT_MS, retries=REMOTE_MAX_RETRIES)
 
 
 # ---------------------------------------------------------------------------

@@ -5,9 +5,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from localex.errors import ShapDegenerate
+from localex.errors import DimensionTooLarge, ShapDegenerate
 from localex.sampling import (
+    EXACT_SHAP_MAX_D,
     Binomial,
+    Coalitions,
     ExpKernel,
     Gaussian,
     Laplace,
@@ -24,7 +26,7 @@ from localex.sampling import (
     substream_seed,
     weight,
 )
-from oracles import count_pmf_direct, lime_weight_direct, shap_weight_direct
+from oracles import coalitions_direct, count_pmf_direct, lime_weight_direct, shap_weight_direct
 
 U64 = st.integers(min_value=0, max_value=2**64 - 1)
 
@@ -120,6 +122,33 @@ def test_distributions_reject_nonpositive_dimension(bad):
 def test_distributions_reject_nonpositive_sigma(bad):
     with pytest.raises(ValueError):
         Gaussian(3, bad)
+
+
+@pytest.mark.parametrize("d, n, seed", [
+    (2, 1, 0), (3, 300, 7), (6, 40, 2**63 + 5), (10, 1000, 2**64 - 1), (16, 257, 3),
+])
+def test_coalitions_match_the_direct_draw_in_both_modes(d, n, seed):
+    assert np.array_equal(draw(Coalitions(d, exact=False), n, seed),
+                          coalitions_direct(d, n, seed, exact=False))
+    if d <= 10:  # the direct enumeration is a Python loop over 2^d codes
+        assert np.array_equal(draw(Coalitions(d), n, seed),
+                              coalitions_direct(d, n, seed, exact=True))
+
+
+def test_exact_coalitions_ignore_n_and_seed():
+    every = draw(Coalitions(5), 1, 0)
+    assert every.shape == (30, 5)
+    assert np.array_equal(every, draw(Coalitions(5), 999, 2**63 + 1))
+    assert set(every.sum(axis=1)) == {1, 2, 3, 4}
+
+
+def test_coalitions_reject_degenerate_and_oversized_sets_when_built():
+    for exact in (True, False):
+        with pytest.raises(ShapDegenerate, match="KernelShap needs d >= 2"):
+            Coalitions(1, exact)
+    with pytest.raises(DimensionTooLarge, match=f"caps at d={EXACT_SHAP_MAX_D}, got d=21"):
+        Coalitions(EXACT_SHAP_MAX_D + 1)
+    Coalitions(EXACT_SHAP_MAX_D + 1, exact=False)  # sampled mode has no cap
 
 
 # ---------------------------------------------------------------------------
