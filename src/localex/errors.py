@@ -7,6 +7,7 @@ code 2, so keep configuration problems on the ConfigError branch.
 from __future__ import annotations
 
 import json
+import math
 import os
 import sys
 from typing import Any
@@ -16,6 +17,15 @@ from typing import Any
 # literal, or an overflow (a JSON number such as 1e400 reads as inf, and int(inf)
 # overflows)
 MALFORMED = (KeyError, TypeError, ValueError, OverflowError)
+
+
+def check_positive(name: str, *values: float, error: type[Exception] = ValueError) -> None:
+    """Raise error unless every value is a finite number > 0: a kernel or sampling
+    width, or a ball radius. A JSON number such as 1e400 reads as inf, and NaN
+    compares false, so both fail."""
+    for value in values:
+        if not 0 < value < math.inf:
+            raise error(f"{name} must be finite and > 0, got {value}")
 
 
 class EngineError(Exception):

@@ -11,12 +11,13 @@ request, including the seed; identical requests yield identical explanations.
 from __future__ import annotations
 
 import dataclasses
+import math
 import typing
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import MALFORMED, ConfigError, NonFiniteOutput
+from .errors import MALFORMED, ConfigError, NonFiniteOutput, check_positive
 from .feature_space import Reference, Segmentation, reconstruct_binary, reconstruct_continuous
 from .models import ModelSpec, evaluate
 from .sampling import (
@@ -62,8 +63,7 @@ class _SigmaMethod(_Method):
     sigma: float
 
     def __post_init__(self) -> None:
-        if not self.sigma > 0:
-            raise ValueError(f"sigma must be > 0, got {self.sigma}")
+        check_positive("sigma", self.sigma)
 
     def sampler(self, d: int) -> tuple[DistributionSpec, WeightSpec]:
         return self.law(d, self.sigma), Unit()
@@ -144,7 +144,16 @@ MethodSpec = (
 )
 
 _METHODS = {cls.__name__: cls for cls in typing.get_args(MethodSpec)}
-_FIELD_TYPES = {"float": float, "bool": bool}
+
+
+def _json_bool(value: object) -> bool:
+    """A method flag: JSON true or false, nothing that merely converts to one."""
+    if not isinstance(value, bool):
+        raise TypeError(f"expected true or false, got {value!r}")
+    return value
+
+
+_FIELD_TYPES = {"float": float, "bool": _json_bool}
 
 
 def method_name(method: MethodSpec) -> str:
@@ -208,8 +217,10 @@ class ExplainRequest:
             )
         if self.n < 1:
             raise ConfigError(f"sample count must be >= 1, got {self.n}")
-        if not self.lam >= 0:
-            raise ConfigError(f"lambda must be >= 0, got {self.lam}")
+        if self.seed < 0:
+            raise ConfigError(f"seed must be >= 0, got {self.seed}")
+        if not 0 <= self.lam < math.inf:
+            raise ConfigError(f"lambda must be finite and >= 0, got {self.lam}")
         if self.method.binary and self.reference is None:
             raise ConfigError(
                 f"{method_name(self.method)} perturbs against a reference; none given"

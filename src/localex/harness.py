@@ -12,13 +12,14 @@ import dataclasses
 import io
 import itertools
 import json
+import math
 import os.path
 from dataclasses import dataclass
 from typing import Any, Callable
 
 import numpy as np
 
-from .errors import MALFORMED, ConfigError, read_json, write_text
+from .errors import MALFORMED, ConfigError, check_positive, read_json, write_text
 from .explain import (
     ExplainRequest,
     Explanation,
@@ -145,13 +146,14 @@ class ExperimentConfig:
                 raise ConfigError(f"{name} must be non-empty")
         if len(set(self.seeds)) != len(self.seeds):
             raise ConfigError("seeds must be distinct")
+        if any(s < 0 for s in self.seeds):
+            raise ConfigError("seeds must be >= 0")
         if any(n < 1 for n in self.sample_sizes):
             raise ConfigError("sample sizes must be >= 1")
         for name in ("sigmas", "epsilons"):
-            if any(not v > 0 for v in getattr(self, name)):
-                raise ConfigError(f"{name} must be > 0")
-        if any(lam < 0 for lam in self.lambdas):
-            raise ConfigError("lambdas must be >= 0")
+            check_positive(name, *getattr(self, name), error=ConfigError)
+        if not all(0 <= lam < math.inf for lam in self.lambdas):
+            raise ConfigError("lambdas must be finite and >= 0")
         if any(norm not in NORMS for norm in self.norms):
             raise ConfigError(f"norms must be among {', '.join(NORMS)}")
         if self.m < 1:
@@ -442,8 +444,7 @@ def distributions_table(d: int, sigmas: tuple[float, ...],
         raise ConfigError(f"d must be >= 1, got {d}")
     if not sigmas:
         raise ConfigError("sigmas must be non-empty")
-    if any(not s > 0 for s in sigmas):
-        raise ConfigError("sigmas must be > 0")
+    check_positive("sigmas", *sigmas, error=ConfigError)
     if ks is None:
         ks = tuple(range(d + 1))
     if any(k < 0 or k > d for k in ks):

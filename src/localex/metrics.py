@@ -1,7 +1,7 @@
 """Stability and local-fidelity metrics for explanations.
 
-Top-K selection uses raw attribution values by default (not magnitudes), with
-ties broken toward lower indices; pass use_abs=True to rank by magnitude.
+Top-K selection ranks raw attribution values, not magnitudes, with ties broken
+toward lower indices.
 """
 from __future__ import annotations
 
@@ -10,7 +10,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import DimensionMismatch
+from .errors import DimensionMismatch, check_positive
 from .explain import Explanation
 from .feature_space import Segmentation, feature_offsets
 from .models import ModelSpec, evaluate
@@ -50,16 +50,13 @@ class ExplanationDistance:
     degenerate_variance: bool = False
 
 
-def top_k_indices(w: np.ndarray, k: int, use_abs: bool = False) -> np.ndarray:
+def top_k_indices(w: np.ndarray, k: int) -> np.ndarray:
     """Indices of the k largest entries; ties resolved toward lower indices."""
-    vals = np.abs(w) if use_abs else np.asarray(w)
     # stable sort on the negated values keeps lower indices first among ties
-    return np.argsort(-vals, kind="stable")[:k]
+    return np.argsort(-np.asarray(w), kind="stable")[:k]
 
 
-def top_k_jaccard(
-    explanations: list[Explanation], k: int | None = None, use_abs: bool = False
-) -> StabilityReport:
+def top_k_jaccard(explanations: list[Explanation], k: int | None = None) -> StabilityReport:
     """Pairwise top-K Jaccard stability across explanations of one instance."""
     if len(explanations) < 2:
         raise ValueError("need at least two explanations to measure stability")
@@ -70,7 +67,7 @@ def top_k_jaccard(
         k = min(DEFAULT_TOP_K, d)
     if not 1 <= k <= d:
         raise ValueError(f"k must be in [1, {d}], got {k}")
-    tops = [frozenset(top_k_indices(e.w, k, use_abs).tolist()) for e in explanations]
+    tops = [frozenset(top_k_indices(e.w, k).tolist()) for e in explanations]
     pairs = []
     for i in range(len(tops)):
         for j in range(i + 1, len(tops)):
@@ -90,8 +87,7 @@ def sample_ball(
     uniform. Deterministic per (x, epsilon, norm, m, seed).
     """
     x = np.asarray(x, dtype=np.float64)
-    if not epsilon > 0:
-        raise ValueError(f"epsilon must be > 0, got {epsilon}")
+    check_positive("epsilon", epsilon)
     if m < 1:
         raise ValueError(f"m must be >= 1, got {m}")
     dim = x.shape[0]

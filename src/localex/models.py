@@ -7,7 +7,9 @@ response and leaves the assumption to the caller.
 """
 from __future__ import annotations
 
+import dataclasses
 import json
+import typing
 import urllib.error
 import urllib.request
 from dataclasses import dataclass
@@ -30,12 +32,32 @@ REMOTE_MAX_TIMEOUT_MS = 3_600_000  # one hour per request
 REMOTE_MAX_RETRIES = 10  # attempts follow each other without a pause
 
 
+class _Model:
+    """A model kind's row, read by evaluate, gradient and the file codec instead
+    of its type: these attributes, forward(points) and gradient(point). A model
+    file holds the kind tag, then fields_to_json(); from_fields reads them back,
+    an absent field taking its dataclass default."""
+
+    kind: str  # the model file's "kind" tag
+    width: int | None  # declared input width; None: the server defines it
+
+    def fields_to_json(self) -> dict:
+        values = {f.name: getattr(self, f.name) for f in dataclasses.fields(self)}
+        return {k: v.tolist() if isinstance(v, np.ndarray) else v for k, v in values.items()}
+
+    @classmethod
+    def from_fields(cls, obj: dict) -> ModelSpec:
+        return cls(**{f.name: obj[f.name] for f in dataclasses.fields(cls)
+                      if f.name in obj or f.default is dataclasses.MISSING})
+
+
 @dataclass(frozen=True)
-class Linear:
+class Linear(_Model):
     """f(x) = c . x + bias."""
 
     coefficients: np.ndarray
     bias: float = 0.0
+    kind = "linear"
 
     def __post_init__(self) -> None:
         c = np.asarray(self.coefficients, dtype=np.float64)
@@ -44,14 +66,23 @@ class Linear:
         object.__setattr__(self, "coefficients", c)
         object.__setattr__(self, "bias", float(self.bias))
 
+    width = property(lambda self: self.coefficients.shape[0])
+
+    def forward(self, pts: np.ndarray) -> np.ndarray:
+        return pts @ self.coefficients + self.bias
+
+    def gradient(self, x: np.ndarray) -> np.ndarray:
+        return self.coefficients.copy()
+
 
 @dataclass(frozen=True)
-class Quadratic:
+class Quadratic(_Model):
     """f(x) = x^T A x + c . x + bias; A is symmetrized at construction."""
 
     matrix: np.ndarray
     coefficients: np.ndarray
     bias: float = 0.0
+    kind = "quadratic"
 
     def __post_init__(self) -> None:
         a = np.asarray(self.matrix, dtype=np.float64)
@@ -64,17 +95,27 @@ class Quadratic:
         object.__setattr__(self, "coefficients", c)
         object.__setattr__(self, "bias", float(self.bias))
 
+    width = property(lambda self: self.coefficients.shape[0])
+
+    def forward(self, pts: np.ndarray) -> np.ndarray:
+        quad = np.einsum("ni,ij,nj->n", pts, self.matrix, pts)
+        return quad + pts @ self.coefficients + self.bias
+
+    def gradient(self, x: np.ndarray) -> np.ndarray:
+        return 2.0 * (self.matrix @ x) + self.coefficients
+
 
 @dataclass(frozen=True)
-class Mlp:
+class Mlp(_Model):
     """Fixed-weight dense network, tanh hidden activations, scalar linear output.
 
     weights[i] has shape (fan_in, fan_out); weights are loaded from a file and
-    never trained.
+    never trained. The file lists them as layers of {"weights", "bias"}.
     """
 
     weights: tuple[np.ndarray, ...]
     biases: tuple[np.ndarray, ...]
+    kind = "mlp"
 
     def __post_init__(self) -> None:
         ws = tuple(np.asarray(w, dtype=np.float64) for w in self.weights)
@@ -92,17 +133,47 @@ class Mlp:
         object.__setattr__(self, "weights", ws)
         object.__setattr__(self, "biases", bs)
 
+    width = property(lambda self: self.weights[0].shape[0])
+
+    def forward(self, pts: np.ndarray) -> np.ndarray:
+        h = pts
+        for w, b in zip(self.weights[:-1], self.biases[:-1]):
+            h = np.tanh(h @ w + b)
+        return (h @ self.weights[-1] + self.biases[-1])[:, 0]
+
+    def gradient(self, x: np.ndarray) -> np.ndarray:
+        """Central differences, one batched evaluation of 2D shifted points."""
+        h, dim = MLP_GRADIENT_STEP, self.width
+        shifts = np.vstack([x + h * np.eye(dim), x - h * np.eye(dim)])
+        vals = evaluate(self, shifts)
+        return (vals[:dim] - vals[dim:]) / (2.0 * h)
+
+    def fields_to_json(self) -> dict:
+        return {"layers": [{"weights": w.tolist(), "bias": b.tolist()}
+                           for w, b in zip(self.weights, self.biases)]}
+
+    @classmethod
+    def from_fields(cls, obj: dict) -> Mlp:
+        layers = obj["layers"]
+        return cls(tuple(layer["weights"] for layer in layers),
+                   tuple(layer["bias"] for layer in layers))
+
 
 @dataclass(frozen=True)
-class Remote:
+class Remote(_Model):
     """HTTP adapter: POST {"points": [[...]]} -> {"values": [...]}."""
 
     endpoint: str
     timeout_ms: int = 10000
     batch_size: int = 64
     retries: int = 0
+    kind = "remote"
+    width = None
 
     def __post_init__(self) -> None:
+        object.__setattr__(self, "endpoint", str(self.endpoint))
+        for name in ("timeout_ms", "batch_size", "retries"):
+            object.__setattr__(self, name, int(getattr(self, name)))
         if not self.endpoint.startswith(("http://", "https://")):
             raise ValueError(f"endpoint must be an http:// or https:// URL, got {self.endpoint!r}")
         if self.batch_size < 1:
@@ -113,24 +184,61 @@ class Remote:
         if not 0 <= self.retries <= REMOTE_MAX_RETRIES:
             raise ValueError(f"retries must be in [0, {REMOTE_MAX_RETRIES}], got {self.retries}")
 
+    def forward(self, pts: np.ndarray) -> np.ndarray:
+        out = np.empty(len(pts))
+        for start in range(0, len(pts), self.batch_size):
+            chunk = pts[start : start + self.batch_size]
+            out[start : start + len(chunk)] = self._post(chunk)
+        return out
+
+    def gradient(self, x: np.ndarray) -> np.ndarray:
+        raise UnsupportedModel("gradient is not available for remote models")
+
+    def _post(self, batch: np.ndarray) -> np.ndarray:
+        body = json.dumps({"points": batch.tolist()}).encode("utf-8")
+        request = urllib.request.Request(
+            self.endpoint, data=body, headers={"Content-Type": "application/json"}
+        )
+        last_error: Exception | None = None
+        for _ in range(self.retries + 1):
+            try:
+                with urllib.request.urlopen(request, timeout=self.timeout_ms / 1000.0) as resp:
+                    raw = resp.read()
+                break
+            except (urllib.error.URLError, TimeoutError, OSError) as exc:
+                # HTTPError is a URLError subclass, so status >= 400 lands here too
+                last_error = exc
+        else:
+            raise RemoteUnavailable(f"remote model at {self.endpoint} failed: {last_error}")
+        try:
+            payload = json.loads(raw.decode("utf-8"))
+        except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+            raise RemoteMalformed(f"remote returned invalid JSON: {exc}") from exc
+        values = payload.get("values") if isinstance(payload, dict) else None
+        if not isinstance(values, list) or len(values) != len(batch):
+            raise RemoteMalformed(
+                f"remote returned {0 if not isinstance(values, list) else len(values)} "
+                f"values for {len(batch)} points"
+            )
+        try:
+            return np.asarray(values, dtype=np.float64)
+        except (TypeError, ValueError) as exc:
+            raise RemoteMalformed(f"remote values are not numeric: {exc}") from exc
+
 
 ModelSpec = Linear | Quadratic | Mlp | Remote
+
+_KINDS = {cls.kind: cls for cls in typing.get_args(ModelSpec)}
 
 
 def input_dim(model: ModelSpec) -> int | None:
     """Declared input width; None for Remote (the server defines it)."""
-    if isinstance(model, Linear):
-        return model.coefficients.shape[0]
-    if isinstance(model, Quadratic):
-        return model.coefficients.shape[0]
-    if isinstance(model, Mlp):
-        return model.weights[0].shape[0]
-    return None
+    return model.width
 
 
 def check_input(model: ModelSpec, x: np.ndarray) -> None:
     """Reject an input whose length is not the model's declared input width."""
-    dim = input_dim(model)
+    dim = model.width
     if dim is not None and len(x) != dim:
         raise ConfigError(f"input has length {len(x)}, model expects {dim}")
 
@@ -139,64 +247,10 @@ def _as_batch(model: ModelSpec, points: np.ndarray) -> np.ndarray:
     pts = np.asarray(points, dtype=np.float64)
     if pts.ndim != 2:
         raise DimensionMismatch(f"points must be an n x D matrix, got shape {pts.shape}")
-    dim = input_dim(model)
+    dim = model.width
     if dim is not None and pts.shape[1] != dim:
-        raise DimensionMismatch(
-            f"points have width {pts.shape[1]}, model expects {dim}"
-        )
+        raise DimensionMismatch(f"points have width {pts.shape[1]}, model expects {dim}")
     return pts
-
-
-def _remote_batch(model: Remote, batch: np.ndarray) -> np.ndarray:
-    body = json.dumps({"points": batch.tolist()}).encode("utf-8")
-    request = urllib.request.Request(
-        model.endpoint, data=body, headers={"Content-Type": "application/json"}
-    )
-    last_error: Exception | None = None
-    for _ in range(model.retries + 1):
-        try:
-            with urllib.request.urlopen(request, timeout=model.timeout_ms / 1000.0) as resp:
-                raw = resp.read()
-            break
-        except (urllib.error.URLError, TimeoutError, OSError) as exc:
-            # HTTPError is a URLError subclass, so status >= 400 lands here too
-            last_error = exc
-    else:
-        raise RemoteUnavailable(f"remote model at {model.endpoint} failed: {last_error}")
-    try:
-        payload = json.loads(raw.decode("utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
-        raise RemoteMalformed(f"remote returned invalid JSON: {exc}") from exc
-    values = payload.get("values") if isinstance(payload, dict) else None
-    if not isinstance(values, list) or len(values) != len(batch):
-        raise RemoteMalformed(
-            f"remote returned {0 if not isinstance(values, list) else len(values)} "
-            f"values for {len(batch)} points"
-        )
-    try:
-        return np.asarray(values, dtype=np.float64)
-    except (TypeError, ValueError) as exc:
-        raise RemoteMalformed(f"remote values are not numeric: {exc}") from exc
-
-
-def _forward(model: ModelSpec, pts: np.ndarray) -> np.ndarray:
-    if isinstance(model, Linear):
-        return pts @ model.coefficients + model.bias
-    if isinstance(model, Quadratic):
-        quad = np.einsum("ni,ij,nj->n", pts, model.matrix, pts)
-        return quad + pts @ model.coefficients + model.bias
-    if isinstance(model, Mlp):
-        h = pts
-        for w, b in zip(model.weights[:-1], model.biases[:-1]):
-            h = np.tanh(h @ w + b)
-        return (h @ model.weights[-1] + model.biases[-1])[:, 0]
-    if isinstance(model, Remote):
-        out = np.empty(len(pts))
-        for start in range(0, len(pts), model.batch_size):
-            chunk = pts[start : start + model.batch_size]
-            out[start : start + len(chunk)] = _remote_batch(model, chunk)
-        return out
-    raise TypeError(f"unknown model spec: {model!r}")
 
 
 def evaluate(model: ModelSpec, points: np.ndarray) -> np.ndarray:
@@ -207,32 +261,20 @@ def evaluate(model: ModelSpec, points: np.ndarray) -> np.ndarray:
     """
     pts = _as_batch(model, points)
     with np.errstate(over="ignore", invalid="ignore"):  # reported below instead
-        out = _forward(model, pts)
+        out = model.forward(pts)
     bad = np.count_nonzero(~np.isfinite(out))
     if bad:
-        raise NonFiniteOutput(
-            f"model returned {bad} non-finite value(s) for {len(out)} points"
-        )
+        raise NonFiniteOutput(f"model returned {bad} non-finite value(s) for {len(out)} points")
     return out
 
 
 def gradient(model: ModelSpec, point: np.ndarray) -> np.ndarray:
     """Gradient at one point; analytic for Linear/Quadratic, central differences for Mlp."""
-    if isinstance(model, Remote):
-        raise UnsupportedModel("gradient is not available for remote models")
     x = np.asarray(point, dtype=np.float64)
-    dim = input_dim(model)
-    if x.shape != (dim,):
+    dim = model.width
+    if dim is not None and x.shape != (dim,):
         raise DimensionMismatch(f"point has shape {x.shape}, model expects ({dim},)")
-    if isinstance(model, Linear):
-        return model.coefficients.copy()
-    if isinstance(model, Quadratic):
-        return 2.0 * (model.matrix @ x) + model.coefficients
-    # Mlp: central differences, one batched evaluation of 2D shifted points
-    h = MLP_GRADIENT_STEP
-    shifts = np.vstack([x + h * np.eye(dim), x - h * np.eye(dim)])
-    vals = evaluate(model, shifts)
-    return (vals[:dim] - vals[dim:]) / (2.0 * h)
+    return model.gradient(x)
 
 
 # ---------------------------------------------------------------------------
@@ -244,64 +286,16 @@ def model_from_json(obj: dict) -> ModelSpec:
         kind = obj["kind"]
     except (TypeError, KeyError) as exc:
         raise ConfigError("model file must be an object with a 'kind' tag") from exc
+    if not isinstance(kind, str) or kind not in _KINDS:  # a list kind is unhashable
+        raise ConfigError(f"unknown model kind: {kind!r}")
     try:
-        if kind == "linear":
-            return Linear(np.asarray(obj["coefficients"]), float(obj.get("bias", 0.0)))
-        if kind == "quadratic":
-            return Quadratic(
-                np.asarray(obj["matrix"]),
-                np.asarray(obj["coefficients"]),
-                float(obj.get("bias", 0.0)),
-            )
-        if kind == "mlp":
-            layers = obj["layers"]
-            return Mlp(
-                tuple(np.asarray(layer["weights"]) for layer in layers),
-                tuple(np.asarray(layer["bias"]) for layer in layers),
-            )
-        if kind == "remote":
-            return Remote(
-                str(obj["endpoint"]),
-                int(obj.get("timeout_ms", 10000)),
-                int(obj.get("batch_size", 64)),
-                int(obj.get("retries", 0)),
-            )
+        return _KINDS[kind].from_fields(obj)
     except MALFORMED as exc:
         raise ConfigError(f"malformed '{kind}' model: {exc}") from exc
-    raise ConfigError(f"unknown model kind: {kind!r}")
 
 
 def model_to_json(model: ModelSpec) -> dict:
-    if isinstance(model, Linear):
-        return {
-            "kind": "linear",
-            "coefficients": model.coefficients.tolist(),
-            "bias": model.bias,
-        }
-    if isinstance(model, Quadratic):
-        return {
-            "kind": "quadratic",
-            "matrix": model.matrix.tolist(),
-            "coefficients": model.coefficients.tolist(),
-            "bias": model.bias,
-        }
-    if isinstance(model, Mlp):
-        return {
-            "kind": "mlp",
-            "layers": [
-                {"weights": w.tolist(), "bias": b.tolist()}
-                for w, b in zip(model.weights, model.biases)
-            ],
-        }
-    if isinstance(model, Remote):
-        return {
-            "kind": "remote",
-            "endpoint": model.endpoint,
-            "timeout_ms": model.timeout_ms,
-            "batch_size": model.batch_size,
-            "retries": model.retries,
-        }
-    raise TypeError(f"unknown model spec: {model!r}")
+    return {"kind": model.kind, **model.fields_to_json()}
 
 
 def load_model(path: str) -> ModelSpec:

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionTooLarge, ShapDegenerate
+from .errors import DimensionTooLarge, ShapDegenerate, check_positive
 
 EXACT_SHAP_MAX_D = 20
 _MASK64 = (1 << 64) - 1
@@ -65,8 +65,7 @@ class _ScaledLaw(_Law):
 
     def __post_init__(self) -> None:
         super().__post_init__()
-        if not self.sigma > 0:
-            raise ValueError(f"sigma must be > 0, got {self.sigma}")
+        check_positive("sigma", self.sigma)
 
 
 @dataclass(frozen=True)
@@ -141,8 +140,7 @@ class ExpKernel:
     sigma: float
 
     def __post_init__(self) -> None:
-        if not self.sigma > 0:
-            raise ValueError(f"sigma must be > 0, got {self.sigma}")
+        check_positive("sigma", self.sigma)
 
 
 @dataclass(frozen=True)
@@ -242,8 +240,7 @@ def binomial_pmf(d: int, sigma: float, k: int) -> float:
     """P(#kept = k) under the binomial mask law: C(d,k) e^{k/s^2}/(1+e^{1/s^2})^d."""
     if not 0 <= k <= d:
         raise ValueError(f"k must be in [0, {d}], got {k}")
-    if not sigma > 0:
-        raise ValueError(f"sigma must be > 0, got {sigma}")
+    check_positive("sigma", sigma)
     inv = 1.0 / (sigma * sigma)
     log_comb = math.lgamma(d + 1) - math.lgamma(k + 1) - math.lgamma(d - k + 1)
     # log(1 + e^{1/s^2}) = 1/s^2 + log1p(e^{-1/s^2}), stable for small sigma
@@ -255,7 +252,6 @@ def expected_weight_uniform(d: int, sigma: float) -> float:
     """Mean exponential-kernel weight under fair-coin masks: ((1+e^{-1/s^2})/2)^d."""
     if d < 1:
         raise ValueError(f"d must be >= 1, got {d}")
-    if not sigma > 0:
-        raise ValueError(f"sigma must be > 0, got {sigma}")
+    check_positive("sigma", sigma)
     inv = 1.0 / (sigma * sigma)
     return math.exp(d * (math.log1p(math.exp(-inv)) - math.log(2.0)))

@@ -25,7 +25,6 @@ class RidgeProblem:
     responses: np.ndarray
     sample_weights: np.ndarray
     lam: float
-    fit_intercept: bool = True
 
     def __post_init__(self) -> None:
         z = np.asarray(self.design, dtype=np.float64)
@@ -56,7 +55,6 @@ class RidgeSolution:
     w: np.ndarray
     intercept: float
     r2: float
-    degenerate_variance: bool = False
 
     def __post_init__(self) -> None:
         w = np.asarray(self.w, dtype=np.float64)
@@ -67,21 +65,16 @@ class RidgeSolution:
         object.__setattr__(self, "r2", float(self.r2))
 
 
-def _weighted_r2(
-    y: np.ndarray, yhat: np.ndarray, pi: np.ndarray
-) -> tuple[float, bool]:
-    """Weighted coefficient of determination with the degenerate-variance flag."""
+def _weighted_r2(y: np.ndarray, yhat: np.ndarray, pi: np.ndarray) -> float:
+    """Weighted coefficient of determination; 0 for constant responses, which
+    the intercept fits exactly."""
     sw = pi / pi.sum()
     ybar = sw @ y
     ss_res = pi @ (y - yhat) ** 2
     ss_tot = pi @ (y - ybar) ** 2
     if ss_tot == 0.0:
-        # constant responses: perfect-constant fits score 0 without a flag,
-        # nonzero residuals score 0 with the flag raised; the threshold is
-        # relative to the response scale so factorization roundoff stays quiet
-        tiny = 1e-20 * max(1.0, float(pi @ y**2))
-        return 0.0, bool(ss_res > tiny)
-    return 1.0 - ss_res / ss_tot, False
+        return 0.0
+    return 1.0 - ss_res / ss_tot
 
 
 @np.errstate(over="ignore", invalid="ignore")  # overflow is reported as NonFiniteOutput
@@ -94,16 +87,11 @@ def solve_weighted_ridge(problem: RidgeProblem) -> RidgeSolution:
     """
     z, y, pi = problem.design, problem.responses, problem.sample_weights
     d = z.shape[1]
-    if problem.fit_intercept:
-        sw = pi / pi.sum()
-        zbar = sw @ z
-        ybar = float(sw @ y)
-        zc = z - zbar
-        yc = y - ybar
-    else:
-        zbar = np.zeros(d)
-        ybar = 0.0
-        zc, yc = z, y
+    sw = pi / pi.sum()
+    zbar = sw @ z
+    ybar = float(sw @ y)
+    zc = z - zbar
+    yc = y - ybar
     gram = (zc * pi[:, None]).T @ zc
     rhs = zc.T @ (pi * yc)
     if problem.lam == 0.0:
@@ -124,12 +112,12 @@ def solve_weighted_ridge(problem: RidgeProblem) -> RidgeSolution:
         raise SingularSystem(
             f"SPD factorization failed (lambda={problem.lam}): {exc}"
         ) from exc
-    intercept = ybar - float(w @ zbar) if problem.fit_intercept else 0.0
+    intercept = ybar - float(w @ zbar)
     yhat = z @ w + intercept
-    r2, degenerate = _weighted_r2(y, yhat, pi)
+    r2 = _weighted_r2(y, yhat, pi)
     if not (np.all(np.isfinite(w)) and math.isfinite(intercept) and math.isfinite(r2)):
         raise NonFiniteOutput("ridge fit overflowed: model responses are too large")
-    return RidgeSolution(w, intercept, r2, degenerate)
+    return RidgeSolution(w, intercept, r2)
 
 
 # ---------------------------------------------------------------------------

@@ -506,12 +506,29 @@ def overflow(path):
     return path
 
 
+def with_method(path, **fields):
+    """path, after these fields are added to its explain config's method entry."""
+    with open(path, encoding="utf-8") as fh:
+        cfg = json.load(fh)
+    cfg["method"].update(fields)
+    with open(path, "w", encoding="utf-8") as fh:
+        json.dump(cfg, fh)
+    return path
+
+
+def model_explain_config(tmp_path, model):
+    """An explain config on a 3-vector whose model file holds model."""
+    path = explain_config(tmp_path, [0.3, -0.2, 0.5], 1.0)
+    json_file(tmp_path, model, name="model.json")
+    return path
+
+
 def remote_explain_config(tmp_path, **fields):
     """An explain config whose remote model has these fields. Each bad field is
     rejected at load, so no connection is opened."""
-    path = explain_config(tmp_path, [0.3, -0.2, 0.5], 1.0)
-    overflow(json_file(tmp_path, {"kind": "remote", "endpoint": "http://127.0.0.1:9/f",
-                                  **fields}, name="model.json"))
+    path = model_explain_config(
+        tmp_path, {"kind": "remote", "endpoint": "http://127.0.0.1:9/f", **fields})
+    overflow(str(tmp_path / "model.json"))
     return path
 
 
@@ -582,6 +599,33 @@ def remote_explain_config(tmp_path, **fields):
     (lambda tmp: ["explain", "--config", remote_explain_config(tmp, endpoint="x")], 1),
     (lambda tmp: ["explain", "--config", remote_explain_config(tmp, timeout_ms=1e308)], 1),
     (lambda tmp: ["explain", "--config", remote_explain_config(tmp, retries=1e9)], 1),
+    # widths, lambdas and radii of 1e400, which reads as inf
+    (lambda tmp: ["explain", "--config", overflow(
+        explain_config(tmp, [0.3, -0.2, 0.5], math.inf, method="GlimeGauss"))], 1),
+    (lambda tmp: ["explain", "--config",
+                  overflow(explain_config(tmp, [0.3, -0.2, 0.5], math.inf))], 1),
+    (lambda tmp: ["explain", "--config", overflow(
+        explain_config(tmp, [0.3, -0.2, 0.5], 1.0, **{"lambda": math.inf}))], 1),
+    (lambda tmp: ["fidelity", "--config",
+                  overflow(write_workspace(tmp, metrics={"epsilons": [math.inf]}))], 1),
+    (lambda tmp: ["stability", "--config", overflow(write_workspace(tmp, sigmas=[math.inf]))],
+     1),
+    (lambda tmp: ["stability", "--config", overflow(write_workspace(tmp, lambdas=[math.inf]))],
+     1),
+    # negative seeds
+    (lambda tmp: ["explain", "--config", explain_config(tmp, [0.3, -0.2, 0.5], 1.0),
+                  "--seed=-1"], 1),
+    (lambda tmp: ["explain", "--config", explain_config(tmp, [0.3, -0.2, 0.5], 1.0, seed=-3)],
+     1),
+    (lambda tmp: ["stability", "--config", write_workspace(tmp, seeds=[-3, 1])], 1),
+    # method flags that are not JSON booleans
+    (lambda tmp: ["explain", "--config", with_method(
+        explain_config(tmp, [0.3, -0.2, 0.5], 1.0), unit_weights="false")], 1),
+    (lambda tmp: ["stability", "--config",
+                  write_workspace(tmp, methods=[{"method": "KernelShap", "exact": "no"}])], 1),
+    # model files whose kind or endpoint is not a string
+    (lambda tmp: ["explain", "--config", model_explain_config(tmp, {"kind": ["x"]})], 1),
+    (lambda tmp: ["explain", "--config", remote_explain_config(tmp, endpoint=123)], 1),
 ], ids=["nonfinite-output", "zero-weights", "ridge-overflow", "smoothgrad-overflow",
         "nan-input", "sigma-zero", "sigma-negative",
         "sigma-nan", "jobs-zero", "jobs-negative", "lambda-string", "lambda-null",
@@ -593,7 +637,10 @@ def remote_explain_config(tmp_path, **fields):
         "sweep-input-empty-values", "input-2d", "explain-n-overflow",
         "sweep-sample-sizes-overflow", "fidelity-m-overflow", "distributions-d-overflow",
         "remote-timeout-overflow", "remote-endpoint-not-http", "remote-timeout-huge",
-        "remote-retries-huge"])
+        "remote-retries-huge", "gauss-sigma-inf", "lime-sigma-inf", "lambda-inf",
+        "fidelity-epsilon-inf", "sweep-sigma-inf", "sweep-lambda-inf", "seed-flag-negative",
+        "explain-seed-negative", "sweep-seeds-negative", "unit-weights-string",
+        "exact-string", "model-kind-list", "remote-endpoint-number"])
 @pytest.mark.filterwarnings("error::RuntimeWarning")  # a warning is a second line
 def test_cli_reports_bad_values_in_one_error_line(tmp_path, capsys, make_args, code):
     assert main(make_args(tmp_path)) == code

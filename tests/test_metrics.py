@@ -32,7 +32,6 @@ def make_exp(w, seed=0):
 
 def test_top_k_indices_orders_by_value():
     assert top_k_indices(np.array([0.1, 3.0, -5.0, 2.0]), 2).tolist() == [1, 3]
-    assert top_k_indices(np.array([0.1, 3.0, -5.0, 2.0]), 2, use_abs=True).tolist() == [2, 1]
 
 
 def test_top_k_ties_resolve_to_lower_indices():

@@ -8,6 +8,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from conftest import asset
+from localex.harness import json_dumps
 from localex.errors import (
     ConfigError,
     DimensionMismatch,
@@ -178,6 +179,13 @@ def test_load_model_reads_the_bundled_assets():
                       ("mlp_small.json", 8)):
         m = load_model(asset(name))
         assert input_dim(m) == dim
+
+
+@pytest.mark.parametrize("name", ["linear_8x8.json", "quadratic_10.json", "mlp_small.json"])
+def test_bundled_model_files_are_what_model_to_json_writes(name):
+    with open(asset(name), "rb") as fh:
+        data = fh.read()
+    assert (json_dumps(model_to_json(load_model(asset(name)))) + "\n").encode() == data
 
 
 def test_load_model_missing_file_is_a_config_error():

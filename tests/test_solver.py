@@ -19,28 +19,16 @@ from oracles import CovarianceModel, dense_sigma_inverse, r_squared, ridge_borde
 SEEDS = st.integers(min_value=0, max_value=2**32 - 1)
 
 
-def random_problem(seed: int, n: int = 40, d: int = 5, lam: float = 0.3,
-                   fit_intercept: bool = True) -> RidgeProblem:
+def random_problem(seed: int, n: int = 40, d: int = 5, lam: float = 0.3) -> RidgeProblem:
     rng = np.random.default_rng(seed)
     z = rng.normal(size=(n, d))
     y = rng.normal(size=n)
     pi = rng.uniform(0.1, 2.0, size=n)
-    return RidgeProblem(z, y, pi, lam, fit_intercept)
+    return RidgeProblem(z, y, pi, lam)
 
 
 # ---------------------------------------------------------------------------
 # closed-form solve
-
-
-def test_exact_fit_without_intercept():
-    p = RidgeProblem(np.array([[1.0], [1.0]]), np.array([1.0, 1.0]),
-                     np.ones(2), 0.0, fit_intercept=False)
-    sol = solve_weighted_ridge(p)
-    assert sol.w == pytest.approx([1.0])
-    assert sol.intercept == 0.0
-    # constant responses: zero residual with zero variance reports R^2 = 0
-    assert sol.r2 == 0.0
-    assert not sol.degenerate_variance
 
 
 def test_constant_responses_put_everything_in_the_intercept():
@@ -49,6 +37,8 @@ def test_constant_responses_put_everything_in_the_intercept():
     sol = solve_weighted_ridge(p)
     assert np.allclose(sol.w, 0.0)
     assert sol.intercept == pytest.approx(0.5)
+    # constant responses: zero residual with zero variance reports R^2 = 0
+    assert sol.r2 == 0.0
 
 
 def test_huge_lambda_shrinks_w_to_zero_and_keeps_the_weighted_mean():
@@ -69,17 +59,6 @@ def test_solution_matches_bordered_normal_equations(seed):
     w, b = ridge_bordered(p.design, p.responses, p.sample_weights, p.lam)
     assert np.allclose(sol.w, w, atol=1e-9)
     assert sol.intercept == pytest.approx(b, abs=1e-9)
-
-
-@given(SEEDS)
-@settings(max_examples=40)
-def test_no_intercept_solution_matches_direct_normal_equations(seed):
-    p = random_problem(seed, fit_intercept=False)
-    sol = solve_weighted_ridge(p)
-    z, y, pi = p.design, p.responses, p.sample_weights
-    w = np.linalg.solve(z.T @ (pi[:, None] * z) + p.lam * np.eye(5), z.T @ (pi * y))
-    assert np.allclose(sol.w, w, atol=1e-9)
-    assert sol.intercept == 0.0
 
 
 @given(SEEDS)
@@ -173,15 +152,6 @@ def test_weighted_r_squared_matches_the_direct_formula():
     ybar = pi @ y / pi.sum()
     direct = 1.0 - (pi @ (y - yhat) ** 2) / (pi @ (y - ybar) ** 2)
     assert sol.r2 == pytest.approx(direct, abs=1e-10)
-
-
-def test_degenerate_variance_flag_on_constant_responses_with_residual():
-    # no intercept and huge lambda: prediction ~ 0 but y is constant 1
-    p = RidgeProblem(np.ones((5, 1)), np.ones(5), np.ones(5), 1e9,
-                     fit_intercept=False)
-    sol = solve_weighted_ridge(p)
-    assert sol.r2 == 0.0
-    assert sol.degenerate_variance
 
 
 # ---------------------------------------------------------------------------
