@@ -10,7 +10,7 @@ import argparse
 import os.path
 import sys
 
-from .errors import MALFORMED, ConfigError, EngineError, read_json, write_text
+from .errors import ConfigError, EngineError, field, read_json, write_text
 from .explain import (
     ExplainRequest,
     default_lambda,
@@ -73,27 +73,22 @@ def build_parser() -> argparse.ArgumentParser:
 def _cmd_explain(args: argparse.Namespace) -> int:
     if args.format == "csv":
         raise ConfigError("explain emits a single JSON explanation, not csv")
-    obj = read_json(args.config, "config")
+    obj = config_block(read_json(args.config, "config"), "explain config")
     base = os.path.dirname(os.path.abspath(args.config))
-    try:
-        model_path = resolve(obj["model"], base)
-        input_path = resolve(obj["input"], base)
-        method_obj = obj["method"]
-        n = int(obj["n"])
-        seed = int(obj.get("seed", 0))
-        seg_obj = config_block(obj.get("segmentation"), "segmentation")
-        reference_kind = str(obj.get("reference", "mean"))
-        method = method_from_json(method_obj)
-        lam = float(obj["lambda"]) if "lambda" in obj else default_lambda(method)
-    except MALFORMED as exc:
-        raise ConfigError(f"malformed explain config: {exc}") from exc
+    model_path = resolve(field(obj, "model", str), base)
+    input_path = resolve(field(obj, "input", str), base)
+    method = method_from_json(field(obj, "method", dict))
+    n = field(obj, "n", int)
+    seed = field(obj, "seed", int, 0)
+    seg = field(obj, "segmentation", dict, None) or {}
+    rows, cols = field(seg, "rows", int, None), field(seg, "cols", int, None)
+    reference_kind = field(obj, "reference", str, "mean")
+    lam = field(obj, "lambda", float, default_lambda(method))
     if args.seed is not None:
         seed = args.seed
     model = load_model(model_path)
     x, shape = load_input(input_path)
-    seg, reference = build_space(
-        x, shape, seg_obj.get("rows"), seg_obj.get("cols"), reference_kind
-    )
+    seg, reference = build_space(x, shape, rows, cols, reference_kind)
     check_input(model, x)
     req = ExplainRequest(
         model=model, x=x, segmentation=seg, method=method,
@@ -124,13 +119,10 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
 
 def _cmd_distributions(args: argparse.Namespace) -> int:
     if args.config is not None:
-        obj = read_json(args.config, "config")
-        try:
-            d = int(obj["d"])
-            sigmas = tuple(float(s) for s in obj["sigmas"])
-            ks = None if obj.get("ks") is None else tuple(int(k) for k in obj["ks"])
-        except MALFORMED as exc:
-            raise ConfigError(f"malformed distributions config: {exc}") from exc
+        obj = config_block(read_json(args.config, "config"), "distributions config")
+        d = field(obj, "d", int)
+        sigmas = field(obj, "sigmas", [float])
+        ks = field(obj, "ks", [int], None)
     else:
         if args.dim is None or args.sigmas is None:
             raise ConfigError("distributions needs --config or both --dim and --sigmas")
@@ -153,12 +145,10 @@ def main(argv: list[str] | None = None) -> int:
         if args.command == "distributions":
             return _cmd_distributions(args)
         return _cmd_sweep(args)
-    except ConfigError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
     except EngineError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+        # one line, whatever the text holds: a path from a config may hold line breaks
+        print("error: " + "\\n".join(str(exc).splitlines()), file=sys.stderr)
+        return 1 if isinstance(exc, ConfigError) else 2
 
 
 if __name__ == "__main__":

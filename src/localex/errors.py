@@ -1,5 +1,5 @@
-"""Error types shared across the package, and the file helpers that turn OS
-and JSON failures into them.
+"""Error types shared across the package, the file helpers that turn OS and
+JSON failures into them, and the one reader that types every JSON field.
 
 The CLI maps ConfigError to exit code 1 and every other failure to exit
 code 2, so keep configuration problems on the ConfigError branch.
@@ -7,25 +7,24 @@ code 2, so keep configuration problems on the ConfigError branch.
 from __future__ import annotations
 
 import json
-import math
 import os
 import sys
-from typing import Any
+from dataclasses import MISSING, fields
+from typing import Any, get_type_hints
 
 
-# what parsing a config value can raise: a missing key, a wrong type, a bad
-# literal, or an overflow (a JSON number such as 1e400 reads as inf, and int(inf)
-# overflows)
+# what a constructor that converts JSON arrays or range-checks its fields can
+# raise: a missing key, a wrong type, a bad value, or an overflow
 MALFORMED = (KeyError, TypeError, ValueError, OverflowError)
 
 
-def check_positive(name: str, *values: float, error: type[Exception] = ValueError) -> None:
-    """Raise error unless every value is a finite number > 0: a kernel or sampling
-    width, or a ball radius. A JSON number such as 1e400 reads as inf, and NaN
-    compares false, so both fail."""
+def check_scale(name: str, *values: float, error: type[Exception] = ValueError) -> None:
+    """Raise error unless every value is a usable kernel or sampling width or ball
+    radius, a number in [1e-150, 1e150]. The laws and kernels divide by a width's
+    square, which stays a finite, normal double there; NaN fails the test."""
     for value in values:
-        if not 0 < value < math.inf:
-            raise error(f"{name} must be finite and > 0, got {value}")
+        if not 1e-150 <= value <= 1e150:
+            raise error(f"{name} must lie in [1e-150, 1e150], got {value}")
 
 
 class EngineError(Exception):
@@ -93,10 +92,51 @@ def read_json(path: str, what: str) -> Any:
     try:
         with open(path, "r", encoding="utf-8") as fh:
             return json.load(fh)
-    except OSError as exc:
-        raise ConfigError(f"cannot read {what} {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
+    # RecursionError: arrays or objects nested too deep to parse
+    except (json.JSONDecodeError, UnicodeDecodeError, RecursionError) as exc:
         raise ConfigError(f"{what} {path} is not valid JSON: {exc}") from exc
+    except (OSError, ValueError) as exc:  # ValueError: a NUL character in the path
+        raise ConfigError(f"cannot read {what} {path}: {exc}") from exc
+
+
+# each field kind: the JSON types it takes (true and false are never numbers) and its
+# name in errors. Any other kind, such as an array annotation, takes a list for the
+# constructor to convert.
+_FIELD_KINDS = {int: ((int,), "an integer"), float: ((int, float), "a number"),
+                bool: ((bool,), "true or false"), str: ((str,), "a string"),
+                dict: ((dict,), "an object"), list: ((list,), "a list")}
+
+
+def field(obj: dict, key: str, kind: Any, default: Any = MISSING) -> Any:
+    """obj[key] read as kind: int, float (any number, returned as a float), bool, str,
+    dict, or [kind], a list of kind returned as a tuple. An absent key, or null where
+    the default is None, reads as the default; without one it is a ConfigError, as is
+    a value that kind does not take."""
+    if key not in obj or obj[key] is None and default is None:
+        if default is MISSING:
+            raise ConfigError(f"missing field {key!r}")
+        return default
+    return _as_kind(obj[key], kind, key)
+
+
+def _as_kind(value: Any, kind: Any, name: str) -> Any:
+    listed = isinstance(kind, list)
+    types, expected = _FIELD_KINDS.get(list if listed else kind, ((list,), "an array"))
+    if isinstance(value, types) and (bool in types or not isinstance(value, bool)):
+        if listed:
+            return tuple(_as_kind(item, kind[0], f"{name}[{i}]") for i, item in enumerate(value))
+        try:
+            return float(value) if kind is float else value
+        except OverflowError:  # an integer literal beyond the double range
+            expected = "a number in the double range"
+    raise ConfigError(f"{name} must be {expected}, got {json.dumps(value)}")
+
+
+def read_fields(cls: type, obj: dict) -> dict:
+    """Keyword arguments for dataclass cls from a JSON object, each field read by its
+    annotation and an absent one taking its default."""
+    hints = get_type_hints(cls)
+    return {f.name: field(obj, f.name, hints[f.name], f.default) for f in fields(cls)}
 
 
 def write_text(text: str, path: str | None) -> None:
@@ -112,7 +152,7 @@ def write_text(text: str, path: str | None) -> None:
     try:
         with open(path, "w", encoding="utf-8", newline="") as fh:
             fh.write(text)
-    except OSError as exc:
+    except (OSError, ValueError) as exc:  # ValueError: a NUL character in the path
         raise IoFailure(f"cannot write {path}: {exc}") from exc
 
 

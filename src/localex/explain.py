@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import MALFORMED, ConfigError, NonFiniteOutput, check_positive
+from .errors import MALFORMED, ConfigError, NonFiniteOutput, check_scale, field, read_fields
 from .feature_space import Reference, Segmentation, reconstruct_binary, reconstruct_continuous
 from .models import ModelSpec, evaluate
 from .sampling import (
@@ -63,7 +63,7 @@ class _SigmaMethod(_Method):
     sigma: float
 
     def __post_init__(self) -> None:
-        check_positive("sigma", self.sigma)
+        check_scale("sigma", self.sigma)
 
     def sampler(self, d: int) -> tuple[DistributionSpec, WeightSpec]:
         return self.law(d, self.sigma), Unit()
@@ -146,16 +146,6 @@ MethodSpec = (
 _METHODS = {cls.__name__: cls for cls in typing.get_args(MethodSpec)}
 
 
-def _json_bool(value: object) -> bool:
-    """A method flag: JSON true or false, nothing that merely converts to one."""
-    if not isinstance(value, bool):
-        raise TypeError(f"expected true or false, got {value!r}")
-    return value
-
-
-_FIELD_TYPES = {"float": float, "bool": _json_bool}
-
-
 def method_name(method: MethodSpec) -> str:
     return type(method).__name__
 
@@ -176,19 +166,12 @@ def method_to_json(method: MethodSpec) -> dict:
 
 
 def method_from_json(obj: dict) -> MethodSpec:
-    try:
-        name = obj["method"]
-    except (TypeError, KeyError) as exc:
-        raise ConfigError("method entry must be an object with a 'method' tag") from exc
+    name = field(obj, "method", str)
     if name not in _METHODS:
         raise ConfigError(f"unknown method: {name!r}")
     cls = _METHODS[name]
     try:
-        return cls(**{
-            f.name: _FIELD_TYPES[f.type](obj[f.name])
-            for f in dataclasses.fields(cls)
-            if f.name in obj or f.default is dataclasses.MISSING
-        })
+        return cls(**read_fields(cls, obj))
     except MALFORMED as exc:
         raise ConfigError(f"malformed {name} method entry: {exc}") from exc
 
@@ -278,16 +261,15 @@ def explanation_to_json(exp: Explanation) -> dict:
 
 
 def explanation_from_json(obj: dict) -> Explanation:
-    method = method_from_json(obj)
     return Explanation(
-        np.asarray(obj["w"]),
-        float(obj["intercept"]),
-        None if obj.get("r2") is None else float(obj["r2"]),
-        method,
-        int(obj["n"]),
-        int(obj["seed"]),
-        float(obj["lambda"]),
-        int(obj["d"]),
+        field(obj, "w", [float]),
+        field(obj, "intercept", float),
+        field(obj, "r2", float, None),
+        method_from_json(obj),
+        field(obj, "n", int),
+        field(obj, "seed", int),
+        field(obj, "lambda", float),
+        field(obj, "d", int),
     )
 
 

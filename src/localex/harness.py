@@ -19,7 +19,7 @@ from typing import Any, Callable
 
 import numpy as np
 
-from .errors import MALFORMED, ConfigError, check_positive, read_json, write_text
+from .errors import MALFORMED, ConfigError, check_scale, field, read_json, write_text
 from .explain import (
     ExplainRequest,
     Explanation,
@@ -39,12 +39,11 @@ from .feature_space import (
 from .metrics import NORMS, explanation_distance, local_fidelity, top_k_jaccard
 from .models import ModelSpec, check_input, load_model
 from .sampling import (
-    ShapKernel,
     bernoulli_p,
     binomial_pmf,
     expected_weight_uniform,
+    shap_weights_by_size,
     substream_seed,
-    weight,
 )
 
 DEFAULT_SEEDS = tuple(range(10))
@@ -151,7 +150,7 @@ class ExperimentConfig:
         if any(n < 1 for n in self.sample_sizes):
             raise ConfigError("sample sizes must be >= 1")
         for name in ("sigmas", "epsilons"):
-            check_positive(name, *getattr(self, name), error=ConfigError)
+            check_scale(name, *getattr(self, name), error=ConfigError)
         if not all(0 <= lam < math.inf for lam in self.lambdas):
             raise ConfigError("lambdas must be finite and >= 0")
         if any(norm not in NORMS for norm in self.norms):
@@ -176,8 +175,7 @@ def resolve(path: str, base_dir: str) -> str:
 
 
 def config_block(value: Any, what: str) -> dict:
-    """A config value that must be a JSON object; absent or empty reads as {}."""
-    value = value or {}
+    """A config file's top level, which must be a JSON object."""
     if not isinstance(value, dict):
         raise ConfigError(f"{what} must be a JSON object")
     return value
@@ -185,30 +183,28 @@ def config_block(value: Any, what: str) -> dict:
 
 def config_from_json(obj: Any, base_dir: str = ".") -> ExperimentConfig:
     obj = config_block(obj, "experiment config")
-    seg = config_block(obj.get("segmentation"), "segmentation")
-    met = config_block(obj.get("metrics"), "metrics")
-    out = config_block(obj.get("output"), "output")
-    try:
-        return ExperimentConfig(
-            model_path=resolve(obj["model"], base_dir),
-            input_path=resolve(obj["input"], base_dir),
-            method_entries=tuple(obj["methods"]),
-            sigmas=tuple(float(s) for s in obj["sigmas"]),
-            sample_sizes=tuple(int(n) for n in obj["sample_sizes"]),
-            lambdas=tuple(float(l) for l in obj["lambdas"]),
-            seeds=tuple(int(s) for s in obj.get("seeds", DEFAULT_SEEDS)),
-            grid_rows=seg.get("rows"),
-            grid_cols=seg.get("cols"),
-            reference_kind=str(obj.get("reference", "mean")),
-            k=None if met.get("k") is None else int(met["k"]),
-            epsilons=tuple(float(e) for e in met.get("epsilons", (0.5,))),
-            norms=tuple(str(n) for n in met.get("norms", ("l2",))),
-            m=int(met.get("m", 2048)),
-            out_path=None if out.get("path") is None else resolve(out["path"], base_dir),
-            out_format=str(out.get("format", "csv")),
-        )
-    except MALFORMED as exc:
-        raise ConfigError(f"malformed experiment config: {exc}") from exc
+    seg = field(obj, "segmentation", dict, None) or {}
+    met = field(obj, "metrics", dict, None) or {}
+    out = field(obj, "output", dict, None) or {}
+    out_path = field(out, "path", str, None)
+    return ExperimentConfig(
+        model_path=resolve(field(obj, "model", str), base_dir),
+        input_path=resolve(field(obj, "input", str), base_dir),
+        method_entries=field(obj, "methods", [dict]),
+        sigmas=field(obj, "sigmas", [float]),
+        sample_sizes=field(obj, "sample_sizes", [int]),
+        lambdas=field(obj, "lambdas", [float]),
+        seeds=field(obj, "seeds", [int], DEFAULT_SEEDS),
+        grid_rows=field(seg, "rows", int, None),
+        grid_cols=field(seg, "cols", int, None),
+        reference_kind=field(obj, "reference", str, "mean"),
+        k=field(met, "k", int, None),
+        epsilons=field(met, "epsilons", [float], (0.5,)),
+        norms=field(met, "norms", [str], ("l2",)),
+        m=field(met, "m", int, 2048),
+        out_path=None if out_path is None else resolve(out_path, base_dir),
+        out_format=field(out, "format", str, "csv"),
+    )
 
 
 def load_config(path: str) -> ExperimentConfig:
@@ -220,13 +216,10 @@ def load_input(path: str) -> tuple[np.ndarray, tuple[int, ...] | None]:
     """Input file: either a flat JSON array or {"values": [...], "shape": [...]}."""
     obj = read_json(path, "input")
     try:
-        if isinstance(obj, list):
-            values, shape = np.asarray(obj, dtype=np.float64), None
-        else:
-            values = np.asarray(obj["values"], dtype=np.float64)
-            shape = None if obj.get("shape") is None else tuple(int(s) for s in obj["shape"])
+        values = np.asarray(obj if isinstance(obj, list) else obj["values"], dtype=np.float64)
     except MALFORMED as exc:
         raise ConfigError(f"malformed input file {path}: {exc}") from exc
+    shape = None if isinstance(obj, list) else field(obj, "shape", [int], None)
     if values.ndim != 1 or values.size == 0:
         raise ConfigError(f"input file {path} must hold a non-empty flat array of numbers")
     if not np.all(np.isfinite(values)):
@@ -255,12 +248,9 @@ def build_space(
             raise ConfigError("grid segmentation needs an input with an image shape")
         if grid_rows is None or grid_cols is None:
             raise ConfigError("grid segmentation needs both rows and cols")
-        for name, count in (("rows", grid_rows), ("cols", grid_cols)):
-            if isinstance(count, bool) or not isinstance(count, (int, np.integer)):
-                raise ConfigError(f"segmentation {name} must be an integer, got {count!r}")
         h, w = shape[0], shape[1]
         c = shape[2] if len(shape) == 3 else 1
-        seg = grid_segment(h, w, c, int(grid_rows), int(grid_cols))
+        seg = grid_segment(h, w, c, grid_rows, grid_cols)
     else:
         seg = singleton_segments(x.shape[0])
     if x.shape[0] != seg.size:
@@ -444,20 +434,17 @@ def distributions_table(d: int, sigmas: tuple[float, ...],
         raise ConfigError(f"d must be >= 1, got {d}")
     if not sigmas:
         raise ConfigError("sigmas must be non-empty")
-    check_positive("sigmas", *sigmas, error=ConfigError)
+    check_scale("sigmas", *sigmas, error=ConfigError)
     if ks is None:
         ks = tuple(range(d + 1))
-    if any(k < 0 or k > d for k in ks):
-        raise ConfigError(f"ks must lie in [0, {d}]")
+    if not ks or any(k < 0 or k > d for k in ks):
+        raise ConfigError(f"ks must be non-empty and lie in [0, {d}]")
+    shap = shap_weights_by_size(d)
     rows = []
     for sigma in sigmas:
         p = bernoulli_p(sigma)
         mean_w = expected_weight_uniform(d, sigma)
         for k in ks:
-            mask = np.r_[np.ones(k), np.zeros(d - k)]
-            shap = None
-            if 0 < k < d:
-                shap = weight(ShapKernel(), mask)
             rows.append(
                 {
                     "sigma": sigma,
@@ -465,7 +452,7 @@ def distributions_table(d: int, sigmas: tuple[float, ...],
                     "bernoulli_p": p,
                     "count_pmf": binomial_pmf(d, sigma, k),
                     "exp_kernel_weight": float(np.exp((k - d) / sigma**2)),
-                    "shap_kernel_weight": shap,
+                    "shap_kernel_weight": float(shap[k]) if 0 < k < d else None,
                     "expected_weight_uniform": mean_w,
                 }
             )

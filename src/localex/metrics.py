@@ -10,7 +10,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import DimensionMismatch, check_positive
+from .errors import DimensionMismatch, check_scale
 from .explain import Explanation
 from .feature_space import Segmentation, feature_offsets
 from .models import ModelSpec, evaluate
@@ -87,7 +87,7 @@ def sample_ball(
     uniform. Deterministic per (x, epsilon, norm, m, seed).
     """
     x = np.asarray(x, dtype=np.float64)
-    check_positive("epsilon", epsilon)
+    check_scale("epsilon", epsilon)
     if m < 1:
         raise ValueError(f"m must be >= 1, got {m}")
     dim = x.shape[0]

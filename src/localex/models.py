@@ -24,6 +24,8 @@ from .errors import (
     RemoteMalformed,
     RemoteUnavailable,
     UnsupportedModel,
+    field,
+    read_fields,
     read_json,
 )
 
@@ -47,8 +49,7 @@ class _Model:
 
     @classmethod
     def from_fields(cls, obj: dict) -> ModelSpec:
-        return cls(**{f.name: obj[f.name] for f in dataclasses.fields(cls)
-                      if f.name in obj or f.default is dataclasses.MISSING})
+        return cls(**read_fields(cls, obj))
 
 
 @dataclass(frozen=True)
@@ -154,9 +155,8 @@ class Mlp(_Model):
 
     @classmethod
     def from_fields(cls, obj: dict) -> Mlp:
-        layers = obj["layers"]
-        return cls(tuple(layer["weights"] for layer in layers),
-                   tuple(layer["bias"] for layer in layers))
+        layers = field(obj, "layers", [dict])
+        return cls([layer["weights"] for layer in layers], [layer["bias"] for layer in layers])
 
 
 @dataclass(frozen=True)
@@ -171,9 +171,6 @@ class Remote(_Model):
     width = None
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "endpoint", str(self.endpoint))
-        for name in ("timeout_ms", "batch_size", "retries"):
-            object.__setattr__(self, name, int(getattr(self, name)))
         if not self.endpoint.startswith(("http://", "https://")):
             raise ValueError(f"endpoint must be an http:// or https:// URL, got {self.endpoint!r}")
         if self.batch_size < 1:
@@ -231,11 +228,6 @@ ModelSpec = Linear | Quadratic | Mlp | Remote
 _KINDS = {cls.kind: cls for cls in typing.get_args(ModelSpec)}
 
 
-def input_dim(model: ModelSpec) -> int | None:
-    """Declared input width; None for Remote (the server defines it)."""
-    return model.width
-
-
 def check_input(model: ModelSpec, x: np.ndarray) -> None:
     """Reject an input whose length is not the model's declared input width."""
     dim = model.width
@@ -282,11 +274,10 @@ def gradient(model: ModelSpec, point: np.ndarray) -> np.ndarray:
 
 
 def model_from_json(obj: dict) -> ModelSpec:
-    try:
-        kind = obj["kind"]
-    except (TypeError, KeyError) as exc:
-        raise ConfigError("model file must be an object with a 'kind' tag") from exc
-    if not isinstance(kind, str) or kind not in _KINDS:  # a list kind is unhashable
+    if not isinstance(obj, dict):
+        raise ConfigError("model file must be a JSON object")
+    kind = field(obj, "kind", str)
+    if kind not in _KINDS:
         raise ConfigError(f"unknown model kind: {kind!r}")
     try:
         return _KINDS[kind].from_fields(obj)

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionTooLarge, ShapDegenerate, check_positive
+from .errors import DimensionTooLarge, ShapDegenerate, check_scale
 
 EXACT_SHAP_MAX_D = 20
 _MASK64 = (1 << 64) - 1
@@ -65,7 +65,7 @@ class _ScaledLaw(_Law):
 
     def __post_init__(self) -> None:
         super().__post_init__()
-        check_positive("sigma", self.sigma)
+        check_scale("sigma", self.sigma)
 
 
 @dataclass(frozen=True)
@@ -140,7 +140,7 @@ class ExpKernel:
     sigma: float
 
     def __post_init__(self) -> None:
-        check_positive("sigma", self.sigma)
+        check_scale("sigma", self.sigma)
 
 
 @dataclass(frozen=True)
@@ -229,18 +229,22 @@ def batch_weights(wspec: WeightSpec, zmatrix: np.ndarray) -> np.ndarray:
                 f"Shapley kernel weight is infinite at k={int(k[degenerate][0])} "
                 f"with d={d}; exclude all-on/all-off coalitions"
             )
-        # one weight per coalition size: exact integer arithmetic, then one
-        # correctly rounded division
-        by_size = [0.0] + [(d - 1) / (math.comb(d, j) * j * (d - j)) for j in range(1, d)]
-        return np.array(by_size)[k.astype(int)]
+        return shap_weights_by_size(d)[k.astype(int)]
     raise TypeError(f"unknown weight spec: {wspec!r}")
+
+
+def shap_weights_by_size(d: int) -> np.ndarray:
+    """Shapley kernel weight of a coalition of each size k in [0, d): exact integer
+    arithmetic, then one correctly rounded division. Entry 0 holds 0.0; the weight
+    is infinite there and at k = d, so callers exclude both sizes."""
+    return np.array([0.0] + [(d - 1) / (math.comb(d, j) * j * (d - j)) for j in range(1, d)])
 
 
 def binomial_pmf(d: int, sigma: float, k: int) -> float:
     """P(#kept = k) under the binomial mask law: C(d,k) e^{k/s^2}/(1+e^{1/s^2})^d."""
     if not 0 <= k <= d:
         raise ValueError(f"k must be in [0, {d}], got {k}")
-    check_positive("sigma", sigma)
+    check_scale("sigma", sigma)
     inv = 1.0 / (sigma * sigma)
     log_comb = math.lgamma(d + 1) - math.lgamma(k + 1) - math.lgamma(d - k + 1)
     # log(1 + e^{1/s^2}) = 1/s^2 + log1p(e^{-1/s^2}), stable for small sigma
@@ -252,6 +256,6 @@ def expected_weight_uniform(d: int, sigma: float) -> float:
     """Mean exponential-kernel weight under fair-coin masks: ((1+e^{-1/s^2})/2)^d."""
     if d < 1:
         raise ValueError(f"d must be >= 1, got {d}")
-    check_positive("sigma", sigma)
+    check_scale("sigma", sigma)
     inv = 1.0 / (sigma * sigma)
     return math.exp(d * (math.log1p(math.exp(-inv)) - math.log(2.0)))

@@ -523,6 +523,13 @@ def model_explain_config(tmp_path, model):
     return path
 
 
+def input_bytes(tmp_path, data):
+    """An explain config on a 3-vector whose input file holds these bytes."""
+    path = explain_config(tmp_path, [0.3, -0.2, 0.5], 1.0)
+    (tmp_path / "input.json").write_bytes(data)
+    return path
+
+
 def remote_explain_config(tmp_path, **fields):
     """An explain config whose remote model has these fields. Each bad field is
     rejected at load, so no connection is opened."""
@@ -626,6 +633,51 @@ def remote_explain_config(tmp_path, **fields):
     # model files whose kind or endpoint is not a string
     (lambda tmp: ["explain", "--config", model_explain_config(tmp, {"kind": ["x"]})], 1),
     (lambda tmp: ["explain", "--config", remote_explain_config(tmp, endpoint=123)], 1),
+    # JSON values that only convert to the field's type: a fraction or a string for an
+    # integer, a string or a boolean for a number, a fraction for a shape
+    (lambda tmp: ["explain", "--config", explain_config(tmp, [0.3, -0.2, 0.5], 1.0, n=64.9)], 1),
+    (lambda tmp: ["explain", "--config", explain_config(tmp, [0.3, -0.2, 0.5], 1.0, n="64")], 1),
+    (lambda tmp: ["explain", "--config",
+                  explain_config(tmp, [0.3, -0.2, 0.5], 1.0, seed=2.7)], 1),
+    (lambda tmp: ["explain", "--config", explain_config(tmp, [0.3, -0.2, 0.5], True)], 1),
+    (lambda tmp: ["explain", "--config", explain_config(tmp, [0.3, -0.2, 0.5], "0.5")], 1),
+    (lambda tmp: ["explain", "--config",
+                  explain_config(tmp, [0.3, -0.2, 0.5], 1.0, **{"lambda": 10**400})], 1),
+    (lambda tmp: ["stability", "--config", write_workspace(tmp, sigmas=[True])], 1),
+    (lambda tmp: ["stability", "--config", write_workspace(tmp, sample_sizes=[64.5])], 1),
+    (lambda tmp: ["stability", "--config", write_workspace(tmp, lambdas=[False])], 1),
+    (lambda tmp: ["stability", "--config", write_workspace(tmp, seeds=[0, 1.9])], 1),
+    (lambda tmp: ["stability", "--config", write_workspace(tmp, metrics={"k": 2.5})], 1),
+    (lambda tmp: ["fidelity", "--config", write_workspace(tmp, metrics={"m": 8.5})], 1),
+    (lambda tmp: ["fidelity", "--config",
+                  write_workspace(tmp, metrics={"epsilons": ["0.5"]})], 1),
+    (lambda tmp: ["distributions", "--config", json_file(tmp, {"d": 4.9, "sigmas": [0.5]})],
+     1),
+    (lambda tmp: ["distributions", "--config",
+                  json_file(tmp, {"d": 4, "sigmas": [0.5], "ks": [1.5]})], 1),
+    (lambda tmp: ["explain", "--config", explain_config(
+        tmp, [0.3, -0.2, 0.5], 1.0, x={"values": [1.0, 2.0, 3.0], "shape": [3.7]})], 1),
+    (lambda tmp: ["explain", "--config", model_explain_config(
+        tmp, {"kind": "linear", "coefficients": [0.3, -0.2, 0.5], "bias": True})], 1),
+    (lambda tmp: ["explain", "--config", remote_explain_config(tmp, batch_size=2.7)], 1),
+    (lambda tmp: ["explain", "--config", remote_explain_config(tmp, retries=True)], 1),
+    # widths whose square is 0 or infinite, and an empty list of counts
+    (lambda tmp: ["explain", "--config",
+                  explain_config(tmp, [0.3, -0.2, 0.5], 1e-200, method="GlimeBinomial")], 1),
+    (lambda tmp: ["distributions", "--config", json_file(tmp, {"d": 4, "sigmas": [1e200]})],
+     1),
+    (lambda tmp: ["distributions", "--config",
+                  json_file(tmp, {"d": 4, "sigmas": [0.5], "ks": []})], 1),
+    # input files that do not decode: bytes that are not UTF-8, arrays nested too deep
+    (lambda tmp: ["explain", "--config", input_bytes(tmp, b"\xff\xfe[1, 2, 3]")], 1),
+    (lambda tmp: ["explain", "--config", input_bytes(tmp, b"[" * 100_000)], 1),
+    # paths holding a NUL character or a line break
+    (lambda tmp: ["explain", "--config",
+                  explain_config(tmp, [0.3, -0.2, 0.5], 1.0, model="a\x00b")], 1),
+    (lambda tmp: ["explain", "--config",
+                  explain_config(tmp, [0.3, -0.2, 0.5], 1.0, model="a\nb")], 1),
+    (lambda tmp: ["stability", "--config", write_workspace(tmp, output={"path": "a\x00b"})],
+     2),
 ], ids=["nonfinite-output", "zero-weights", "ridge-overflow", "smoothgrad-overflow",
         "nan-input", "sigma-zero", "sigma-negative",
         "sigma-nan", "jobs-zero", "jobs-negative", "lambda-string", "lambda-null",
@@ -640,7 +692,16 @@ def remote_explain_config(tmp_path, **fields):
         "remote-retries-huge", "gauss-sigma-inf", "lime-sigma-inf", "lambda-inf",
         "fidelity-epsilon-inf", "sweep-sigma-inf", "sweep-lambda-inf", "seed-flag-negative",
         "explain-seed-negative", "sweep-seeds-negative", "unit-weights-string",
-        "exact-string", "model-kind-list", "remote-endpoint-number"])
+        "exact-string", "model-kind-list", "remote-endpoint-number", "explain-n-fraction",
+        "explain-n-string", "explain-seed-fraction", "sigma-true", "sigma-string",
+        "lambda-integer-overflow", "sweep-sigmas-true", "sweep-sample-sizes-fraction",
+        "sweep-lambdas-false", "sweep-seeds-fraction", "metrics-k-fraction",
+        "metrics-m-fraction", "metrics-epsilons-string", "distributions-d-fraction",
+        "distributions-ks-fraction", "input-shape-fraction", "model-bias-true",
+        "remote-batch-size-fraction", "remote-retries-true", "binomial-sigma-tiny",
+        "distributions-sigma-huge", "distributions-ks-empty", "input-not-utf8",
+        "input-nested-too-deep", "model-path-nul", "model-path-line-break",
+        "output-path-nul"])
 @pytest.mark.filterwarnings("error::RuntimeWarning")  # a warning is a second line
 def test_cli_reports_bad_values_in_one_error_line(tmp_path, capsys, make_args, code):
     assert main(make_args(tmp_path)) == code
@@ -674,6 +735,18 @@ def load_tracing():
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
+
+
+def test_every_trace_site_resolves():
+    tracing = load_tracing()
+    patches = tracing.Patches()
+    try:
+        for sites in tracing.LAYERS.values():
+            for site in sites:
+                patches.wrap(site, lambda fn: fn)
+    finally:
+        patches.undo()
+    assert patches.missing == []
 
 
 @pytest.mark.parametrize("method", ALL_METHODS, ids=repr)

@@ -27,7 +27,6 @@ from localex.models import (
     evaluate,
     gradient,
     check_input,
-    input_dim,
     load_model,
     model_from_json,
     model_to_json,
@@ -88,9 +87,9 @@ def test_evaluate_rejects_wrong_width():
 
 
 def test_input_dim_per_family():
-    assert input_dim(Linear(np.ones(7))) == 7
-    assert input_dim(small_mlp()) == 3
-    assert input_dim(Remote("http://localhost:1/f")) is None
+    assert Linear(np.ones(7)).width == 7
+    assert small_mlp().width == 3
+    assert Remote("http://localhost:1/f").width is None
 
 
 def test_check_input_compares_the_input_length_with_the_model_width():
@@ -159,7 +158,7 @@ def test_model_json_round_trips():
         back = model_from_json(model_to_json(m))
         assert type(back) is type(m)
         if not isinstance(m, Remote):
-            pts = rng.normal(size=(5, input_dim(m)))
+            pts = rng.normal(size=(5, m.width))
             assert np.allclose(evaluate(back, pts), evaluate(m, pts))
         else:
             assert back == m
@@ -178,7 +177,7 @@ def test_load_model_reads_the_bundled_assets():
     for name, dim in (("linear_8x8.json", 64), ("quadratic_10.json", 10),
                       ("mlp_small.json", 8)):
         m = load_model(asset(name))
-        assert input_dim(m) == dim
+        assert m.width == dim
 
 
 @pytest.mark.parametrize("name", ["linear_8x8.json", "quadratic_10.json", "mlp_small.json"])
