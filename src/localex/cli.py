@@ -41,15 +41,6 @@ class _Parser(argparse.ArgumentParser):
         raise ConfigError(message)
 
 
-def _add_common(sp: argparse.ArgumentParser, config_required: bool) -> None:
-    sp.add_argument("--config", required=config_required, help="JSON config file")
-    sp.add_argument("--out", default=None, help="output path (default stdout)")
-    sp.add_argument("--format", choices=("csv", "json"), default=None,
-                    help="table format (default: config's, else csv)")
-    sp.add_argument("--seed", type=int, default=None,
-                    help="master seed; replaces the config's seed(s)")
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="localex",
                      description="local explanation engine and experiment harness")
@@ -62,11 +53,17 @@ def build_parser() -> argparse.ArgumentParser:
         ("distributions", "dump sampling pmfs and kernel weights"),
     ):
         sp = subs.add_parser(name, help=blurb)
-        _add_common(sp, config_required=name != "distributions")
+        sp.add_argument("--config", required=name != "distributions", help="JSON config file")
+        sp.add_argument("--out", default=None, help="output path (default stdout)")
+        sp.add_argument("--format", choices=("csv", "json"), default=None,
+                        help="table format (default: config's, else csv)")
         if name == "distributions":
             sp.add_argument("--dim", type=int, default=None, help="number of segments d")
             sp.add_argument("--sigmas", default=None,
                             help="comma-separated kernel widths")
+        else:
+            sp.add_argument("--seed", type=int, default=None,
+                            help="master seed; replaces the config's seed(s)")
     return parser
 
 

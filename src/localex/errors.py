@@ -27,6 +27,17 @@ def check_scale(name: str, *values: float, error: type[Exception] = ValueError) 
             raise error(f"{name} must lie in [1e-150, 1e150], got {value}")
 
 
+MAX_VALUES = 2**27  # float64 values one array of rows may hold: 1 GiB
+
+
+def check_rows(name: str, rows: int, width: int) -> None:
+    """Raise ConfigError unless rows of width float64 values fit in MAX_VALUES,
+    so that no count read from a config asks for an unbounded array."""
+    if rows * width > MAX_VALUES:
+        raise ConfigError(f"{name} x width must be at most {MAX_VALUES} values, "
+                          f"got {rows} x {width}")
+
+
 class EngineError(Exception):
     """Base class for all errors raised by this package."""
 

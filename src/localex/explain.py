@@ -17,7 +17,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import MALFORMED, ConfigError, NonFiniteOutput, check_scale, field, read_fields
+from .errors import (MALFORMED, ConfigError, NonFiniteOutput, check_rows, check_scale, field,
+                     read_fields)
 from .feature_space import Reference, Segmentation, reconstruct_binary, reconstruct_continuous
 from .models import ModelSpec, evaluate
 from .sampling import (
@@ -200,6 +201,7 @@ class ExplainRequest:
             )
         if self.n < 1:
             raise ConfigError(f"sample count must be >= 1, got {self.n}")
+        check_rows("n", self.n, x.size)
         if self.seed < 0:
             raise ConfigError(f"seed must be >= 0, got {self.seed}")
         if not 0 <= self.lam < math.inf:

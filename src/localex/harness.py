@@ -19,7 +19,8 @@ from typing import Any, Callable
 
 import numpy as np
 
-from .errors import MALFORMED, ConfigError, check_scale, field, read_json, write_text
+from .errors import (MALFORMED, ConfigError, check_rows, check_scale, field, read_json,
+                     write_text)
 from .explain import (
     ExplainRequest,
     Explanation,
@@ -47,6 +48,7 @@ from .sampling import (
 )
 
 DEFAULT_SEEDS = tuple(range(10))
+MAX_DISTRIBUTIONS_D = 4096  # the table takes about 1 s to build at this d
 _BALL_STREAM = 1_000_003  # fidelity ball draws use a substream disjoint from masks
 
 
@@ -271,6 +273,8 @@ def build_context(config: ExperimentConfig) -> RunContext:
         x, shape, config.grid_rows, config.grid_cols, config.reference_kind
     )
     check_input(model, x)
+    check_rows("sample size", max(config.sample_sizes), x.size)
+    check_rows("m", config.m, x.size)
     return RunContext(model, x, seg, reference)
 
 
@@ -278,38 +282,35 @@ def build_context(config: ExperimentConfig) -> RunContext:
 # sweep runners
 
 
+def _attempt(compute: Callable[[], Any]) -> Any:
+    """compute()'s value, or its failure as a cell's error text: the text, not
+    the exception, whose traceback would pin the arrays of the frames it left."""
+    try:
+        return compute()
+    except Exception as exc:  # record, keep sweeping
+        return f"{type(exc).__name__}: {exc}"
+
+
 def _explain_cell(
     ctx: RunContext, method: MethodSpec, n: int, lam: float, seed: int
-) -> Explanation:
-    req = ExplainRequest(
-        model=ctx.model,
-        x=ctx.x,
-        segmentation=ctx.segmentation,
-        method=method,
-        n=n,
-        seed=seed,
-        lam=lam,
-        reference=ctx.reference,
-    )
-    return explain(req)
+) -> Explanation | str:
+    """One explanation, or the text of its failure or its request's rejection."""
+    return _attempt(lambda: explain(ExplainRequest(
+        model=ctx.model, x=ctx.x, segmentation=ctx.segmentation, method=method,
+        n=n, seed=seed, lam=lam, reference=ctx.reference)))
 
 
-def _failure(exc: Exception) -> str:
-    """The error-column text of a failed cell."""
-    return f"{type(exc).__name__}: {exc}"
-
-
-def _cell_row(keys: dict, metrics: tuple[str, ...], compute: Callable[[], dict]) -> dict:
-    """One table row: the cell's keys, then its metrics or a recorded failure.
-
-    compute returns the metric values, or {"error": text} for a failure it
-    already recorded.
-    """
+def _cell_row(keys: dict, metrics: tuple[str, ...], parts: list,
+              score: Callable[..., dict]) -> dict:
+    """One table row: the cell's keys, then the first error text among parts,
+    in order, or else score(*parts), whose own failure is recorded as text."""
     row = {**keys, **dict.fromkeys(metrics), "error": ""}
-    try:
-        row.update(compute())
-    except Exception as exc:  # record, keep sweeping
-        row["error"] = _failure(exc)
+    failed = [part for part in parts if isinstance(part, str)]
+    value = failed[0] if failed else _attempt(lambda: score(*parts))
+    if isinstance(value, str):
+        row["error"] = value
+    else:
+        row.update(value)
     return row
 
 
@@ -321,20 +322,19 @@ def run_stability(config: ExperimentConfig) -> list[dict]:
     d = ctx.segmentation.d
     if config.k is not None and not 1 <= config.k <= d:
         raise ConfigError(f"k must be in [1, {d}], got {config.k}")
+
+    def score(*exps: Explanation) -> dict:
+        report = top_k_jaccard(list(exps), config.k)
+        return {"mean_jaccard": report.mean_jaccard, "std": float(np.std(report.pairwise))}
+
     rows = []
     for entry, sigma, lam, n in itertools.product(
         config.method_entries, config.sigmas, config.lambdas, config.sample_sizes
     ):
         method = method_from_json({**entry, "sigma": sigma})
-
-        def compute() -> dict:
-            exps = [_explain_cell(ctx, method, n, lam, s) for s in config.seeds]
-            report = top_k_jaccard(exps, config.k)
-            std = float(np.std(report.pairwise))
-            return {"mean_jaccard": report.mean_jaccard, "std": std}
-
+        exps = [_explain_cell(ctx, method, n, lam, s) for s in config.seeds]
         keys = {"method": method.label, "sigma": sigma, "lambda": lam, "n": n}
-        rows.append(_cell_row(keys, ("mean_jaccard", "std"), compute))
+        rows.append(_cell_row(keys, ("mean_jaccard", "std"), exps, score))
     return rows
 
 
@@ -346,21 +346,21 @@ def run_convergence(config: ExperimentConfig) -> list[dict]:
     """
     ctx = build_context(config)
     seed = config.seeds[0]
+
+    def score(lime: Explanation, binom: Explanation) -> dict:
+        dist = explanation_distance(lime, binom)
+        return {"mse": dist.mse, "mae": dist.mae, "pearson": dist.pearson,
+                "spearman": dist.spearman}
+
     rows = []
     for sigma, lam in itertools.product(config.sigmas, config.lambdas):
         group = []
         for n in config.sample_sizes:
-
-            def compute() -> dict:
-                lime = _explain_cell(ctx, Lime(sigma), n, lam, seed)
-                binom = _explain_cell(ctx, GlimeBinomial(sigma), n, lam, seed)
-                dist = explanation_distance(lime, binom)
-                return {"mse": dist.mse, "mae": dist.mae, "pearson": dist.pearson,
-                        "spearman": dist.spearman}
-
+            pair = [_explain_cell(ctx, method, n, lam, seed)
+                    for method in (Lime(sigma), GlimeBinomial(sigma))]
             keys = {"sigma": sigma, "lambda": lam, "n": n}
             group.append(_cell_row(
-                keys, ("mse", "mae", "pearson", "spearman", "mse_monotone"), compute))
+                keys, ("mse", "mae", "pearson", "spearman", "mse_monotone"), pair, score))
         mses = [r["mse"] for r in group if r["error"] == ""]
         monotone = len(mses) == len(group) and all(
             later < earlier for earlier, later in zip(mses, mses[1:])
@@ -385,53 +385,40 @@ def run_fidelity(config: ExperimentConfig) -> list[dict]:
     cells = [(method_from_json({**entry, "sigma": sigma}), sigma)
              for entry, sigma in itertools.product(config.method_entries, config.sigmas)]
     balls = list(itertools.product(config.epsilons, config.norms))
-    # a failed explanation or ball keeps its error text, not the exception,
-    # whose traceback would pin the arrays of the frames it passed through
-    exps: dict[tuple[int, int], Explanation | str] = {}
-    for (i, (method, _)), s in itertools.product(enumerate(cells), config.seeds):
-        try:
-            exps[i, s] = _explain_cell(ctx, method, n, lam, s)
-        except Exception as exc:  # recorded in every cell of this method
-            exps[i, s] = _failure(exc)
+    exps = {(i, s): _explain_cell(ctx, method, n, lam, s)
+            for (i, (method, _)), s in itertools.product(enumerate(cells), config.seeds)}
     fids: dict[tuple[int, int, int], float | str] = {}
     for s in config.seeds:
         scored = [i for i in range(len(cells)) if isinstance(exps[i, s], Explanation)]
         if not scored:
             continue
         for b, (eps, norm) in enumerate(balls):
-            try:
-                reports = local_fidelity(
-                    ctx.model, ctx.x, [exps[i, s] for i in scored], ctx.segmentation,
-                    eps, norm, config.m, substream_seed(s, _BALL_STREAM),
-                )
-                fids.update({(i, s, b): rep.fidelity for i, rep in zip(scored, reports)})
-            except Exception as exc:  # recorded in every cell this ball scores
-                fids.update(dict.fromkeys(((i, s, b) for i in scored), _failure(exc)))
+            reports = _attempt(lambda: local_fidelity(
+                ctx.model, ctx.x, [exps[i, s] for i in scored], ctx.segmentation,
+                eps, norm, config.m, substream_seed(s, _BALL_STREAM),
+            ))
+            for j, i in enumerate(scored):  # a failed ball fails every cell it scores
+                fids[i, s, b] = reports if isinstance(reports, str) else reports[j].fidelity
+
+    def score(*vals: float) -> dict:
+        return {"fidelity_mean": float(np.mean(vals)), "fidelity_std": float(np.std(vals))}
+
     rows = []
     for (i, (method, sigma)), (b, (eps, norm)) in itertools.product(enumerate(cells),
                                                                     enumerate(balls)):
-
-        def compute() -> dict:
-            vals = []
-            for s in config.seeds:  # the first failure in seed order, explain first
-                value = exps[i, s] if isinstance(exps[i, s], str) else fids[i, s, b]
-                if isinstance(value, str):
-                    return {"error": value}
-                vals.append(value)
-            return {"fidelity_mean": float(np.mean(vals)),
-                    "fidelity_std": float(np.std(vals))}
-
-        keys = {"method": method.label, "sigma": sigma, "epsilon": eps,
-                "norm": norm}
-        rows.append(_cell_row(keys, ("fidelity_mean", "fidelity_std"), compute))
+        # per seed, a failed explanation comes before its ball
+        vals = [exps[i, s] if isinstance(exps[i, s], str) else fids[i, s, b]
+                for s in config.seeds]
+        keys = {"method": method.label, "sigma": sigma, "epsilon": eps, "norm": norm}
+        rows.append(_cell_row(keys, ("fidelity_mean", "fidelity_std"), vals, score))
     return rows
 
 
 def distributions_table(d: int, sigmas: tuple[float, ...],
                         ks: tuple[int, ...] | None = None) -> list[dict]:
     """Inspection dump: per (sigma, k) the count pmf and kernel weights."""
-    if d < 1:
-        raise ConfigError(f"d must be >= 1, got {d}")
+    if not 1 <= d <= MAX_DISTRIBUTIONS_D:
+        raise ConfigError(f"d must be in [1, {MAX_DISTRIBUTIONS_D}], got {d}")
     if not sigmas:
         raise ConfigError("sigmas must be non-empty")
     check_scale("sigmas", *sigmas, error=ConfigError)

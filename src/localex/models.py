@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import time
 import typing
 import urllib.error
 import urllib.request
@@ -31,7 +32,7 @@ from .errors import (
 
 MLP_GRADIENT_STEP = 1e-5
 REMOTE_MAX_TIMEOUT_MS = 3_600_000  # one hour per request
-REMOTE_MAX_RETRIES = 10  # attempts follow each other without a pause
+REMOTE_MAX_RETRIES = 10  # the pauses between attempts add up to 6.55 s at most
 
 
 class _Model:
@@ -197,7 +198,9 @@ class Remote(_Model):
             self.endpoint, data=body, headers={"Content-Type": "application/json"}
         )
         last_error: Exception | None = None
-        for _ in range(self.retries + 1):
+        for attempt in range(self.retries + 1):
+            if attempt:  # back off: 0.05 s before the first retry, doubling up to 1 s
+                time.sleep(min(0.05 * 2 ** (attempt - 1), 1.0))
             try:
                 with urllib.request.urlopen(request, timeout=self.timeout_ms / 1000.0) as resp:
                     raw = resp.read()

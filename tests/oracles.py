@@ -14,9 +14,9 @@ from typing import Callable
 
 import numpy as np
 
-from localex.explain import ExplainRequest, explain, method_from_json
-from localex.harness import _BALL_STREAM, ExperimentConfig, build_context
-from localex.metrics import local_fidelity
+from localex.explain import ExplainRequest, GlimeBinomial, Lime, explain, method_from_json
+from localex.harness import _BALL_STREAM, ExperimentConfig, RunContext, build_context
+from localex.metrics import explanation_distance, local_fidelity, top_k_jaccard
 from localex.models import ModelSpec, evaluate
 from localex.sampling import splitmix64, substream_seed
 from localex.solver import RidgeProblem, RidgeSolution, sherman_morrison_inverse
@@ -169,6 +169,65 @@ def jaccard_direct(a, b) -> float:
     return len(sa & sb) / len(sa | sb)
 
 
+def _explain_direct(ctx: RunContext, method, n: int, lam: float, seed: int):
+    return explain(ExplainRequest(model=ctx.model, x=ctx.x, segmentation=ctx.segmentation,
+                                  method=method, n=n, seed=seed, lam=lam,
+                                  reference=ctx.reference))
+
+
+def _failure_text(exc: Exception) -> str:
+    return f"{type(exc).__name__}: {exc}"
+
+
+def stability_rows_direct(config: ExperimentConfig) -> list[dict]:
+    """The stability table by the plain nested loop, one try per cell."""
+    ctx = build_context(config)
+    rows = []
+    for entry, sigma, lam, n in itertools.product(
+        config.method_entries, config.sigmas, config.lambdas, config.sample_sizes
+    ):
+        method = method_from_json({**entry, "sigma": sigma})
+        row = {"method": method.label, "sigma": sigma, "lambda": lam, "n": n,
+               "mean_jaccard": None, "std": None, "error": ""}
+        try:
+            exps = [_explain_direct(ctx, method, n, lam, s) for s in config.seeds]
+            report = top_k_jaccard(exps, config.k)
+            row["mean_jaccard"] = report.mean_jaccard
+            row["std"] = float(np.std(report.pairwise))
+        except Exception as exc:
+            row["error"] = _failure_text(exc)
+        rows.append(row)
+    return rows
+
+
+def convergence_rows_direct(config: ExperimentConfig) -> list[dict]:
+    """The convergence table by the plain nested loop, one try per cell; a
+    group's MSE is monotone when every cell succeeded and it strictly falls."""
+    ctx = build_context(config)
+    seed = config.seeds[0]
+    rows = []
+    for sigma, lam in itertools.product(config.sigmas, config.lambdas):
+        group = []
+        for n in config.sample_sizes:
+            row = {"sigma": sigma, "lambda": lam, "n": n, "mse": None, "mae": None,
+                   "pearson": None, "spearman": None, "mse_monotone": None, "error": ""}
+            try:
+                dist = explanation_distance(
+                    _explain_direct(ctx, Lime(sigma), n, lam, seed),
+                    _explain_direct(ctx, GlimeBinomial(sigma), n, lam, seed))
+                row.update(mse=dist.mse, mae=dist.mae, pearson=dist.pearson,
+                           spearman=dist.spearman)
+            except Exception as exc:
+                row["error"] = _failure_text(exc)
+            group.append(row)
+        mses = [row["mse"] for row in group]
+        monotone = None not in mses and all(b < a for a, b in zip(mses, mses[1:]))
+        for row in group:
+            row["mse_monotone"] = monotone
+        rows += group
+    return rows
+
+
 def fidelity_rows_direct(config: ExperimentConfig) -> list[dict]:
     """The fidelity table by the plain nested loop: every (cell, seed) explains
     afresh and scores its explanation alone on a freshly drawn ball."""
@@ -183,10 +242,7 @@ def fidelity_rows_direct(config: ExperimentConfig) -> list[dict]:
         try:
             vals = []
             for s in config.seeds:
-                exp = explain(ExplainRequest(
-                    model=ctx.model, x=ctx.x, segmentation=ctx.segmentation,
-                    method=method, n=config.sample_sizes[0], seed=s,
-                    lam=config.lambdas[0], reference=ctx.reference))
+                exp = _explain_direct(ctx, method, config.sample_sizes[0], config.lambdas[0], s)
                 (report,) = local_fidelity(ctx.model, ctx.x, [exp], ctx.segmentation,
                                            eps, norm, config.m,
                                            substream_seed(s, _BALL_STREAM))
@@ -194,6 +250,6 @@ def fidelity_rows_direct(config: ExperimentConfig) -> list[dict]:
             row["fidelity_mean"] = float(np.mean(vals))
             row["fidelity_std"] = float(np.std(vals))
         except Exception as exc:
-            row["error"] = f"{type(exc).__name__}: {exc}"
+            row["error"] = _failure_text(exc)
         rows.append(row)
     return rows

@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import ALL_METHODS, smoothgrad
-from localex.errors import ConfigError, DimensionTooLarge, ShapDegenerate
+from localex.errors import MAX_VALUES, ConfigError, DimensionTooLarge, ShapDegenerate
 from localex.explain import (
     ExplainRequest,
     GlimeBinomial,
@@ -106,6 +106,9 @@ def test_request_validates_counts_and_lambda():
         request(Lime(0.5), lam=-1.0)
     with pytest.raises(ConfigError):
         request(Lime(0.5), x=np.zeros(5))  # length mismatch vs segmentation
+    request(Lime(0.5), n=MAX_VALUES // X8.size)  # n x D at the limit; nothing is drawn
+    with pytest.raises(ConfigError, match="at most"):
+        request(Lime(0.5), n=MAX_VALUES // X8.size + 1)
 
 
 # ---------------------------------------------------------------------------

@@ -11,10 +11,10 @@ import numpy as np
 import pytest
 
 from conftest import ALL_METHODS, asset
-from oracles import fidelity_rows_direct
+from oracles import convergence_rows_direct, fidelity_rows_direct, stability_rows_direct
 from localex import harness, metrics
 from localex.cli import main
-from localex.errors import ConfigError, IoFailure, NonFiniteOutput, write_text
+from localex.errors import MAX_VALUES, ConfigError, IoFailure, NonFiniteOutput, write_text
 from localex.explain import KernelShap, SmoothGrad, method_to_json
 from localex.harness import (
     ExperimentConfig,
@@ -128,6 +128,17 @@ def test_config_rejects_empty_and_duplicate_grids():
         ExperimentConfig(**{**base, "lambdas": (-0.5,)})
     with pytest.raises(ConfigError):
         ExperimentConfig(**{**base, "reference_kind": "median"})
+
+
+@pytest.mark.parametrize("counts", [
+    lambda rows: {"sample_sizes": [8, rows]},
+    lambda rows: {"metrics": {"m": rows}},
+], ids=["sample-size", "m"])
+def test_build_context_bounds_rows_by_the_value_limit(tmp_path, counts):
+    rows = MAX_VALUES // 8  # the workspace input has D = 8
+    build_context(load_config(write_workspace(tmp_path, **counts(rows))))
+    with pytest.raises(ConfigError, match="at most"):
+        build_context(load_config(write_workspace(tmp_path, **counts(rows + 1))))
 
 
 def test_unknown_method_in_config_fails_early(tmp_path):
@@ -301,6 +312,44 @@ def test_run_fidelity_matches_the_direct_nested_loop(tmp_path, monkeypatch, over
     assert {row["error"].split(":")[0] for row in rows} == errors | {""}
 
 
+# failing cells: exact KernelShap past its width cap, Lime's kernel weights
+# underflowing at sigma = 0.05, SmoothGrad on a grid, and lambda = 0 with too
+# few samples, singular for every seed (n < d) or, at n = 8 of d = 4, for some
+FAILING_SWEEPS = {
+    "exact-shap-too-wide": dict(d=25, segmentation=None, methods=[
+        {"method": "KernelShap", "exact": True}, {"method": "GlimeBinomial"}]),
+    "zero-weights": dict(methods=[{"method": "Lime"}, {"method": "SmoothGrad"},
+                                  {"method": "GlimeBinomial"}], sigmas=[0.05, 1.0]),
+    "lambda-zero-n-below-d": dict(d=16, segmentation=None, sample_sizes=[8, 12, 64],
+                                  lambdas=[0.0, 1.0]),
+    "some-seeds-fail": dict(methods=[{"method": "Lime"}, {"method": "GlimeBinomial"},
+                                     {"method": "GlimeGauss"}],
+                            sample_sizes=[8, 64], lambdas=[0.0], seeds=[2, 1, 4, 5]),
+}
+
+
+@pytest.mark.parametrize("name, errors", [
+    ("exact-shap-too-wide", {"DimensionTooLarge"}),
+    ("zero-weights", {"SingularSystem", "ConfigError"}),
+    ("lambda-zero-n-below-d", {"SingularSystem"}),
+    ("some-seeds-fail", {"SingularSystem"}),
+])
+def test_run_stability_matches_the_direct_nested_loop(tmp_path, name, errors):
+    config = load_config(write_workspace(tmp_path, **FAILING_SWEEPS[name]))
+    rows = run_stability(config)
+    assert json_dumps(rows) == json_dumps(stability_rows_direct(config))  # every bit
+    assert {row["error"].split(":")[0] for row in rows} == errors | {""}
+
+
+@pytest.mark.parametrize("name", ["zero-weights", "lambda-zero-n-below-d",
+                                  "some-seeds-fail"])
+def test_run_convergence_matches_the_direct_nested_loop(tmp_path, name):
+    config = load_config(write_workspace(tmp_path, **FAILING_SWEEPS[name]))
+    rows = run_convergence(config)
+    assert json_dumps(rows) == json_dumps(convergence_rows_direct(config))  # every bit
+    assert {row["error"].split(":")[0] for row in rows} == {"SingularSystem", ""}
+
+
 def test_sweeps_are_deterministic_end_to_end(tmp_path):
     config = load_config(write_workspace(tmp_path))
     a = tmp_path / "a.csv"
@@ -333,6 +382,8 @@ def test_distributions_table_validates_arguments():
         distributions_table(4, ())
     with pytest.raises(ConfigError):
         distributions_table(4, (1.0,), ks=(5,))
+    with pytest.raises(ConfigError, match="4096"):
+        distributions_table(harness.MAX_DISTRIBUTIONS_D + 1, (1.0,))
 
 
 # ---------------------------------------------------------------------------
@@ -554,6 +605,7 @@ def remote_explain_config(tmp_path, **fields):
     (lambda tmp: ["distributions", "--dim", "3", "--sigmas", "0"], 1),
     (lambda tmp: ["distributions", "--dim", "3", "--sigmas=-1"], 1),
     (lambda tmp: ["distributions", "--dim", "3", "--sigmas", "nan"], 1),
+    (lambda tmp: ["distributions", "--dim", "3", "--sigmas", "1", "--seed", "5"], 1),
     (lambda tmp: ["stability", "--config", write_workspace(tmp), "--jobs", "0"], 1),
     (lambda tmp: ["stability", "--config", write_workspace(tmp), "--jobs=-3"], 1),
     (lambda tmp: ["explain", "--config",
@@ -602,6 +654,14 @@ def remote_explain_config(tmp_path, **fields):
     (lambda tmp: ["distributions", "--config",
                   overflow(json_file(tmp, {"d": math.inf, "sigmas": [0.5]}))], 1),
     (lambda tmp: ["explain", "--config", remote_explain_config(tmp, timeout_ms=math.inf)], 1),
+    # counts of 401 digits: n x D, the largest sample size x D and m x D past
+    # MAX_VALUES, and a distributions d past its cap
+    (lambda tmp: ["explain", "--config",
+                  explain_config(tmp, [0.3, -0.2, 0.5], 1.0, n=10**400)], 1),
+    (lambda tmp: ["stability", "--config", write_workspace(tmp, sample_sizes=[10**400])], 1),
+    (lambda tmp: ["fidelity", "--config", write_workspace(tmp, metrics={"m": 10**400})], 1),
+    (lambda tmp: ["distributions", "--config", json_file(tmp, {"d": 10**400, "sigmas": [0.5]})],
+     1),
     # remote settings it cannot use
     (lambda tmp: ["explain", "--config", remote_explain_config(tmp, endpoint="x")], 1),
     (lambda tmp: ["explain", "--config", remote_explain_config(tmp, timeout_ms=1e308)], 1),
@@ -680,7 +740,8 @@ def remote_explain_config(tmp_path, **fields):
      2),
 ], ids=["nonfinite-output", "zero-weights", "ridge-overflow", "smoothgrad-overflow",
         "nan-input", "sigma-zero", "sigma-negative",
-        "sigma-nan", "jobs-zero", "jobs-negative", "lambda-string", "lambda-null",
+        "sigma-nan", "distributions-seed", "jobs-zero", "jobs-negative", "lambda-string",
+        "lambda-null",
         "explain-segmentation-list", "sweep-segmentation-list", "metrics-list",
         "output-list", "config-array", "norm-l3", "epsilon-negative", "m-zero",
         "k-above-d", "explain-grid-string", "explain-grid-fraction", "explain-grid-too-big",
@@ -688,7 +749,9 @@ def remote_explain_config(tmp_path, **fields):
         "explain-model-width", "sweep-model-width", "input-scalar", "input-empty",
         "sweep-input-empty-values", "input-2d", "explain-n-overflow",
         "sweep-sample-sizes-overflow", "fidelity-m-overflow", "distributions-d-overflow",
-        "remote-timeout-overflow", "remote-endpoint-not-http", "remote-timeout-huge",
+        "remote-timeout-overflow", "explain-n-huge", "sweep-sample-sizes-huge",
+        "fidelity-m-huge", "distributions-d-huge", "remote-endpoint-not-http",
+        "remote-timeout-huge",
         "remote-retries-huge", "gauss-sigma-inf", "lime-sigma-inf", "lambda-inf",
         "fidelity-epsilon-inf", "sweep-sigma-inf", "sweep-lambda-inf", "seed-flag-negative",
         "explain-seed-negative", "sweep-seeds-negative", "unit-weights-string",
@@ -707,25 +770,6 @@ def test_cli_reports_bad_values_in_one_error_line(tmp_path, capsys, make_args, c
     assert main(make_args(tmp_path)) == code
     err = capsys.readouterr().err
     assert err.startswith("error:") and err.count("\n") == 1, err
-
-
-@pytest.mark.parametrize("name, command", [
-    ("stability", "stability"), ("convergence", "converge"), ("fidelity", "fidelity"),
-])
-def test_experiment_scripts_write_the_cli_table(tmp_path, monkeypatch, capsys, name,
-                                                command):
-    path = os.path.join(os.path.dirname(__file__), "..", "scripts", f"{name}_experiment.py")
-    monkeypatch.setattr(sys, "path", list(sys.path))  # the script prepends src/
-    spec = importlib.util.spec_from_file_location(f"{name}_experiment", path)
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    out = tmp_path / f"{name}.csv"
-    monkeypatch.setattr(sys, "argv", [path, "--out", str(out)])
-    module.main()
-    assert capsys.readouterr().out.startswith(f"wrote {out}\n")
-    proc = cli(command, "--config", asset(f"{name}.json"))
-    assert proc.returncode == 0, proc.stderr
-    assert out.read_bytes() == proc.stdout.encode()
 
 
 def load_tracing():

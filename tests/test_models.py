@@ -8,6 +8,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from conftest import asset
+from localex import models
 from localex.harness import json_dumps
 from localex.errors import (
     ConfigError,
@@ -255,11 +256,14 @@ def test_remote_http_error_raises_unavailable(server):
         evaluate(Remote(server), np.ones((2, 2)))
 
 
-def test_remote_retries_then_raises(server):
+def test_remote_retries_then_raises(server, monkeypatch):
+    pauses = []
+    monkeypatch.setattr(models.time, "sleep", pauses.append)
     _Handler.mode = "error"
     with pytest.raises(RemoteUnavailable):
         evaluate(Remote(server, retries=2), np.ones((1, 2)))
     assert len(_Handler.calls) == 3
+    assert pauses == [0.05, 0.1]  # before each retry, none before the first attempt
 
 
 def test_remote_length_mismatch_is_malformed(server):
