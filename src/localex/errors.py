@@ -67,7 +67,12 @@ class RemoteMalformed(EngineError):
 
 
 class NonFiniteOutput(EngineError):
-    """A model returned NaN or an infinite value."""
+    """A model returned NaN or an infinite value. bad counts the model's non-finite
+    responses when they were counted; 0 when a fit or an estimate overflowed."""
+
+    def __init__(self, message: str, bad: int = 0) -> None:
+        super().__init__(message)
+        self.bad = bad
 
 
 class UnsupportedModel(EngineError):
@@ -90,8 +95,9 @@ class NotPositiveDefinite(EngineError):
     """Covariance parameters violate positive-definiteness of Sigma + lambda*I."""
 
 
-class DimensionTooLarge(EngineError):
-    """Exact coalition enumeration requested above the supported dimension."""
+class DimensionTooLarge(ConfigError):
+    """Exact coalition enumeration requested above the supported dimension, which
+    the request alone rules out, so it is a configuration error."""
 
 
 class IoFailure(EngineError):

@@ -20,7 +20,7 @@ import numpy as np
 from .errors import (MALFORMED, ConfigError, NonFiniteOutput, check_rows, check_scale, field,
                      read_fields)
 from .feature_space import Reference, Segmentation, reconstruct_binary, reconstruct_continuous
-from .models import ModelSpec, evaluate
+from .models import ModelSpec, evaluate, evaluate_blocks
 from .sampling import (
     Binomial,
     Coalitions,
@@ -48,6 +48,7 @@ class _Method:
     gives the (law, kernel) of its samples, then these class attributes."""
 
     binary: bool = False  # lift samples against a reference, not as offsets
+    seeded: bool = True  # False: the seed draws nothing, so one explanation serves all
     fixed_lam: float | None = None  # ridge strength the method fixes; None: the request's
     known_moments: bool = False  # fit from the law's known covariance, not by ridge
 
@@ -125,6 +126,7 @@ class KernelShap(_Method):
     exact: bool = True
     binary = True
     fixed_lam = 0.0
+    seeded = property(lambda self: not self.exact)
 
     def sampler(self, d: int) -> tuple[DistributionSpec, WeightSpec]:
         return Coalitions(d, self.exact), ShapKernel()
@@ -293,17 +295,21 @@ def _known_moment_estimate(design: np.ndarray, y: np.ndarray, sigma: float) -> n
 def explain(req: ExplainRequest) -> Explanation:
     """Draw the method's samples, weight them by its kernel, lift, evaluate and fit:
     by ridge with the method's fixed lambda, if it has one, else the request's,
-    or from known moments. n records the samples used (exact KernelShap: all)."""
+    or from known moments. n records the samples used (exact KernelShap: all).
+    The samples are lifted and evaluated one block at a time, so memory holds
+    the n x d samples and one block of raw points, never all n of them."""
     method, seg = req.method, req.segmentation
     lam = req.lam if method.fixed_lam is None else method.fixed_lam
     law, kernel = method.sampler(seg.d)
     design = draw(law, req.n, req.seed)
     pi = batch_weights(kernel, design)
-    if method.binary:
-        points = reconstruct_binary(req.x, req.reference, seg, design)
-    else:
-        points = reconstruct_continuous(req.x, seg, design)
-    y = evaluate(req.model, points)
+
+    def lift(block: slice) -> np.ndarray:  # raw points of one block of samples
+        if method.binary:
+            return reconstruct_binary(req.x, req.reference, seg, design[block])
+        return reconstruct_continuous(req.x, seg, design[block])
+
+    y = evaluate_blocks(req.model, len(design), lift, evaluate)
     if method.known_moments:
         w = _known_moment_estimate(design, y, method.sigma)
         # local linearization around x: intercept f(x), no surrogate, no R^2

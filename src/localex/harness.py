@@ -300,6 +300,15 @@ def _explain_cell(
         n=n, seed=seed, lam=lam, reference=ctx.reference)))
 
 
+def _explain_seeds(ctx: RunContext, method: MethodSpec, n: int, lam: float,
+                   seeds: tuple[int, ...]) -> list[Explanation | str]:
+    """_explain_cell for each seed; a method whose seed draws nothing (exact
+    KernelShap) is explained once, and that result serves every seed."""
+    if method.seeded:
+        return [_explain_cell(ctx, method, n, lam, s) for s in seeds]
+    return [_explain_cell(ctx, method, n, lam, seeds[0])] * len(seeds)
+
+
 def _cell_row(keys: dict, metrics: tuple[str, ...], parts: list,
               score: Callable[..., dict]) -> dict:
     """One table row: the cell's keys, then the first error text among parts,
@@ -332,7 +341,7 @@ def run_stability(config: ExperimentConfig) -> list[dict]:
         config.method_entries, config.sigmas, config.lambdas, config.sample_sizes
     ):
         method = method_from_json({**entry, "sigma": sigma})
-        exps = [_explain_cell(ctx, method, n, lam, s) for s in config.seeds]
+        exps = _explain_seeds(ctx, method, n, lam, config.seeds)
         keys = {"method": method.label, "sigma": sigma, "lambda": lam, "n": n}
         rows.append(_cell_row(keys, ("mean_jaccard", "std"), exps, score))
     return rows
@@ -385,8 +394,8 @@ def run_fidelity(config: ExperimentConfig) -> list[dict]:
     cells = [(method_from_json({**entry, "sigma": sigma}), sigma)
              for entry, sigma in itertools.product(config.method_entries, config.sigmas)]
     balls = list(itertools.product(config.epsilons, config.norms))
-    exps = {(i, s): _explain_cell(ctx, method, n, lam, s)
-            for (i, (method, _)), s in itertools.product(enumerate(cells), config.seeds)}
+    exps = {(i, s): e for i, (method, _) in enumerate(cells)
+            for s, e in zip(config.seeds, _explain_seeds(ctx, method, n, lam, config.seeds))}
     fids: dict[tuple[int, int, int], float | str] = {}
     for s in config.seeds:
         scored = [i for i in range(len(cells)) if isinstance(exps[i, s], Explanation)]

@@ -13,7 +13,7 @@ import numpy as np
 from .errors import DimensionMismatch, check_scale
 from .explain import Explanation
 from .feature_space import Segmentation, feature_offsets
-from .models import ModelSpec, evaluate
+from .models import ModelSpec, evaluate, evaluate_blocks
 
 DEFAULT_TOP_K = 20
 NORMS = ("l1", "l2", "linf")  # the balls sample_ball can draw
@@ -98,12 +98,16 @@ def sample_ball(
         g = rng.normal(size=(m, dim))
         g /= np.linalg.norm(g, axis=1, keepdims=True)
         radius = epsilon * rng.random(m) ** (1.0 / dim)
-        return x + radius[:, None] * g
+        g *= radius[:, None]
+        g += x
+        return g
     if norm == "l1":
         g = rng.laplace(size=(m, dim))
         g /= np.abs(g).sum(axis=1, keepdims=True)
         radius = epsilon * rng.random(m) ** (1.0 / dim)
-        return x + radius[:, None] * g
+        g *= radius[:, None]
+        g += x
+        return g
     raise ValueError(f"norm must be one of {', '.join(NORMS)}; got {norm!r}")
 
 
@@ -125,7 +129,7 @@ def local_fidelity(
     fidelity compares how each learned linear function tracks the model near x
     regardless of how it was fit. The ball is drawn, projected and evaluated
     once and scored against every explanation; one report per explanation, in
-    order.
+    order. It is projected and evaluated one block of points at a time.
     """
     for e in explanations:
         if e.d != segmentation.d:
@@ -134,8 +138,13 @@ def local_fidelity(
             )
     x = np.asarray(x, dtype=np.float64)
     points = sample_ball(x, epsilon, norm, m, seed)
-    offsets = feature_offsets(points - x, segmentation)
-    f = evaluate(model, points)
+    offsets = np.empty((m, segmentation.d))
+
+    def block_points(block: slice) -> np.ndarray:  # also fills the block's offsets
+        offsets[block] = feature_offsets(points[block] - x, segmentation)
+        return points[block]
+
+    f = evaluate_blocks(model, m, block_points, evaluate)
     reports = []
     for e in explanations:
         surrogate = e.intercept + offsets @ e.w

@@ -31,6 +31,11 @@ from .errors import (
 )
 
 MLP_GRADIENT_STEP = 1e-5
+# points a builtin model is given per forward call, so an explain lifts at most
+# this many rows at once. BLAS kernels can treat a row by the row count of its
+# call, so responses may differ from one whole call's in the last bits; the
+# tests pin where blocks of this size match a whole call bit for bit.
+BLOCK_ROWS = 512
 REMOTE_MAX_TIMEOUT_MS = 3_600_000  # one hour per request
 REMOTE_MAX_RETRIES = 10  # the pauses between attempts add up to 6.55 s at most
 
@@ -43,6 +48,7 @@ class _Model:
 
     kind: str  # the model file's "kind" tag
     width: int | None  # declared input width; None: the server defines it
+    block_rows: int = BLOCK_ROWS  # the most points one forward call is given
 
     def fields_to_json(self) -> dict:
         values = {f.name: getattr(self, f.name) for f in dataclasses.fields(self)}
@@ -170,6 +176,7 @@ class Remote(_Model):
     retries: int = 0
     kind = "remote"
     width = None
+    block_rows = property(lambda self: self.batch_size)  # one POST per block
 
     def __post_init__(self) -> None:
         if not self.endpoint.startswith(("http://", "https://")):
@@ -183,11 +190,7 @@ class Remote(_Model):
             raise ValueError(f"retries must be in [0, {REMOTE_MAX_RETRIES}], got {self.retries}")
 
     def forward(self, pts: np.ndarray) -> np.ndarray:
-        out = np.empty(len(pts))
-        for start in range(0, len(pts), self.batch_size):
-            chunk = pts[start : start + self.batch_size]
-            out[start : start + len(chunk)] = self._post(chunk)
-        return out
+        return self._post(pts)
 
     def gradient(self, x: np.ndarray) -> np.ndarray:
         raise UnsupportedModel("gradient is not available for remote models")
@@ -248,18 +251,49 @@ def _as_batch(model: ModelSpec, points: np.ndarray) -> np.ndarray:
     return pts
 
 
+def _non_finite(bad: int, n: int) -> NonFiniteOutput:
+    return NonFiniteOutput(f"model returned {bad} non-finite value(s) for {n} points", bad)
+
+
+def evaluate_blocks(
+    model: ModelSpec, n: int, rows: typing.Callable[[slice], np.ndarray],
+    evaluate: typing.Callable[[ModelSpec, np.ndarray], np.ndarray],
+) -> np.ndarray:
+    """The model's responses to n points made model.block_rows at a time:
+    evaluate(model, rows(block)) for each block, a slice of range(n), so only
+    one block of points need exist at once. Callers pass the evaluate they look
+    up themselves. Raises NonFiniteOutput counting over all n points.
+    """
+    y = np.empty(n)
+    bad = 0
+    for start in range(0, n, model.block_rows):
+        block = slice(start, start + model.block_rows)
+        try:
+            y[block] = evaluate(model, rows(block))
+        except NonFiniteOutput as exc:
+            if not exc.bad:  # not a count of this block's responses
+                raise
+            bad += exc.bad
+    if bad:
+        raise _non_finite(bad, n)
+    return y
+
+
 def evaluate(model: ModelSpec, points: np.ndarray) -> np.ndarray:
     """Apply the model row-wise to an n x D matrix; returns a length-n vector.
 
+    No points, or more than model.block_rows, go through evaluate_blocks.
     Raises NonFiniteOutput when any response is NaN or infinite, so no
     non-finite value reaches the solver or the metrics.
     """
     pts = _as_batch(model, points)
+    if not 0 < len(pts) <= model.block_rows:
+        return evaluate_blocks(model, len(pts), pts.__getitem__, evaluate)
     with np.errstate(over="ignore", invalid="ignore"):  # reported below instead
         out = model.forward(pts)
     bad = np.count_nonzero(~np.isfinite(out))
     if bad:
-        raise NonFiniteOutput(f"model returned {bad} non-finite value(s) for {len(out)} points")
+        raise _non_finite(bad, len(out))
     return out
 
 

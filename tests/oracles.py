@@ -14,12 +14,16 @@ from typing import Callable
 
 import numpy as np
 
-from localex.explain import ExplainRequest, GlimeBinomial, Lime, explain, method_from_json
+from localex.explain import (ExplainRequest, Explanation, GlimeBinomial, Lime, explain,
+                             method_from_json)
+from localex.feature_space import (Segmentation, feature_offsets, reconstruct_binary,
+                                   reconstruct_continuous)
 from localex.harness import _BALL_STREAM, ExperimentConfig, RunContext, build_context
-from localex.metrics import explanation_distance, local_fidelity, top_k_jaccard
+from localex.metrics import explanation_distance, local_fidelity, sample_ball, top_k_jaccard
 from localex.models import ModelSpec, evaluate
-from localex.sampling import splitmix64, substream_seed
-from localex.solver import RidgeProblem, RidgeSolution, sherman_morrison_inverse
+from localex.sampling import batch_weights, draw, splitmix64, substream_seed
+from localex.solver import (RidgeProblem, RidgeSolution, sherman_morrison_inverse,
+                            solve_weighted_ridge)
 
 
 def ridge_bordered(
@@ -102,6 +106,33 @@ def smoothgrad_direct(model: ModelSpec, x: np.ndarray, sigma: float, n: int,
     z = np.random.default_rng(seed).normal(0.0, sigma, size=(n, x.size))
     f = evaluate(model, x + z)
     return np.array([math.fsum(z[:, j] * f) for j in range(x.size)]) / (n * sigma**2)
+
+
+def explain_whole(req: ExplainRequest) -> tuple[np.ndarray, float, float | None]:
+    """A ridge method's (w, intercept, R^2) with every sample lifted at once and
+    the whole lift given to one forward call, not lifted and evaluated in blocks."""
+    method, seg = req.method, req.segmentation
+    law, kernel = method.sampler(seg.d)
+    design = draw(law, req.n, req.seed)
+    if method.binary:
+        points = reconstruct_binary(req.x, req.reference, seg, design)
+    else:
+        points = reconstruct_continuous(req.x, seg, design)
+    lam = req.lam if method.fixed_lam is None else method.fixed_lam
+    sol = solve_weighted_ridge(RidgeProblem(design, req.model.forward(points),
+                                            batch_weights(kernel, design), lam))
+    return sol.w, sol.intercept, sol.r2
+
+
+def local_fidelity_whole(model: ModelSpec, x: np.ndarray, exp: Explanation,
+                         seg: Segmentation, epsilon: float, norm: str, m: int,
+                         seed: int) -> float:
+    """local_fidelity's score of one explanation, the whole ball projected and
+    given to one forward call."""
+    points = sample_ball(x, epsilon, norm, m, seed)
+    offsets = feature_offsets(points - x, seg)
+    surrogate = exp.intercept + offsets @ exp.w
+    return 1.0 / (1.0 + float(np.mean((model.forward(points) - surrogate) ** 2)))
 
 
 def count_pmf_direct(d: int, p: float, k: int) -> float:

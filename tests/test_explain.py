@@ -1,10 +1,14 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import ALL_METHODS, smoothgrad
-from localex.errors import MAX_VALUES, ConfigError, DimensionTooLarge, ShapDegenerate
+from conftest import (ALL_METHODS, IMAGE_MODELS, assert_same, blocks_match_bits, image_case,
+                      smoothgrad)
+from localex.errors import (MAX_VALUES, ConfigError, DimensionTooLarge, NonFiniteOutput,
+                            ShapDegenerate)
 from localex.explain import (
     ExplainRequest,
     GlimeBinomial,
@@ -30,9 +34,9 @@ from localex.feature_space import (
     mean_reference,
     singleton_segments,
 )
-from localex.models import Linear, Quadratic, evaluate, gradient
-from localex.sampling import EXACT_SHAP_MAX_D
-from oracles import shapley_bruteforce, smoothgrad_direct
+from localex.models import BLOCK_ROWS, Linear, Quadratic, Remote, evaluate, gradient
+from localex.sampling import EXACT_SHAP_MAX_D, Gaussian, draw
+from oracles import explain_whole, shapley_bruteforce, smoothgrad_direct
 
 RNG = np.random.default_rng(2718)
 C8 = RNG.normal(size=8) * 0.4
@@ -344,3 +348,66 @@ def test_explanation_dimensions_follow_the_segmentation(seed):
     assert exp.w.shape == (4,)
     assert exp.d == 4
     assert np.all(np.isfinite(exp.w))
+
+
+# ---------------------------------------------------------------------------
+# lifting and evaluating in blocks
+
+# one method per lift: Lime's masks against a reference, GlimeGauss's offsets
+LIFTS = (Lime(0.5), GlimeGauss(0.3))
+
+
+@pytest.mark.parametrize("kind, side", IMAGE_MODELS)
+@pytest.mark.parametrize("method", LIFTS, ids=repr)
+@pytest.mark.parametrize("n", [1, BLOCK_ROWS - 1, BLOCK_ROWS, BLOCK_ROWS + 1, 1300])
+def test_blocked_explain_equals_one_whole_evaluation(kind, side, method, n):
+    model, x, seg = image_case(kind, side)
+    req = ExplainRequest(model=model, x=x, segmentation=seg, method=method, n=n, seed=5,
+                         reference=mean_reference(x, seg))
+    exp = explain(req)
+    assert_same(np.r_[exp.w, exp.intercept, exp.r2], np.r_[explain_whole(req)],
+                blocks_match_bits(kind, side, n))
+
+
+@pytest.mark.parametrize("method", LIFTS, ids=repr)
+def test_explain_memory_does_not_grow_with_the_lifted_rows(method):
+    model, x, seg = image_case("linear", 32)  # D = 3072, d = 64
+    peaks = []
+    for n in (2048, 8192):
+        req = ExplainRequest(model=model, x=x, segmentation=seg, method=method, n=n,
+                             seed=0, reference=mean_reference(x, seg))
+        tracemalloc.start()
+        try:
+            explain(req)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    # a whole lift would add 6144 rows x D x 8 bytes = 144 MiB; only the n x d
+    # samples and their weights, responses and fit may grow
+    extra_samples = (8192 - 2048) * seg.d * 8
+    assert peaks[1] - peaks[0] <= 4 * extra_samples, peaks
+
+
+def test_blocks_leave_remote_posts_unchanged(monkeypatch):
+    posts = []
+
+    def post(self, batch):
+        posts.append(len(batch))
+        return batch.sum(axis=1)
+
+    monkeypatch.setattr(Remote, "_post", post)
+    # 100 does not divide BLOCK_ROWS: a block is one POST, not 512 points
+    model = Remote("http://127.0.0.1:9/f", batch_size=100)
+    explain(request(GlimeGauss(0.3), n=1000, model=model))
+    assert posts == [100] * 10
+
+
+def test_non_finite_responses_are_counted_over_every_block():
+    # f = 1e308 z_0 overflows where |z_0| > 1.79, in each of the three blocks
+    model = Linear(np.r_[1e308, np.zeros(7)])
+    z0 = draw(Gaussian(8, 1.0), 1300, 4)[:, 0]
+    overflow = np.abs(z0) > np.finfo(float).max / 1e308
+    assert all(overflow[start:start + BLOCK_ROWS].any() for start in range(0, 1300, BLOCK_ROWS))
+    with pytest.raises(NonFiniteOutput, match=rf"^model returned {overflow.sum()} "
+                       r"non-finite value\(s\) for 1300 points$"):
+        explain(request(GlimeGauss(1.0), n=1300, seed=4, model=model, x=np.zeros(8)))

@@ -31,6 +31,7 @@ from localex.harness import (
     run_fidelity,
     run_stability,
 )
+from localex.models import BLOCK_ROWS
 from localex.sampling import bernoulli_p, binomial_pmf, substream_seed
 
 
@@ -243,6 +244,20 @@ def test_run_fidelity_explains_each_method_sigma_and_seed_once(tmp_path, monkeyp
     assert len(rows) == 8  # 2 methods x 2 sigmas x 2 epsilons x 1 norm
     assert all(row["error"] == "" for row in rows)
     assert seeds == [0, 1, 2] * 4  # each (method, sigma) explains each seed once
+
+
+@pytest.mark.parametrize("run", [run_stability, run_fidelity])
+def test_a_method_whose_seed_draws_nothing_is_explained_once_per_cell(tmp_path, monkeypatch,
+                                                                      run):
+    seeds = {True: [], False: []}
+    monkeypatch.setattr(harness, "explain", lambda req, real=harness.explain:
+                        seeds[req.method.exact].append(req.seed) or real(req))
+    path = write_workspace(tmp_path, methods=[{"method": "KernelShap", "exact": True},
+                                              {"method": "KernelShap", "exact": False}],
+                           sigmas=[1.0], metrics={"m": 64})
+    rows = run(load_config(path))
+    assert len(rows) == 2 and all(row["error"] == "" for row in rows)
+    assert seeds == {True: [0], False: [0, 1, 2]}
 
 
 def test_run_fidelity_draws_each_ball_once(tmp_path, monkeypatch):
@@ -738,6 +753,9 @@ def remote_explain_config(tmp_path, **fields):
                   explain_config(tmp, [0.3, -0.2, 0.5], 1.0, model="a\nb")], 1),
     (lambda tmp: ["stability", "--config", write_workspace(tmp, output={"path": "a\x00b"})],
      2),
+    # exact KernelShap past its width cap, which the request alone rules out
+    (lambda tmp: ["explain", "--config", with_method(explain_config(
+        tmp, [0.1] * 25, 1.0, method="KernelShap", x=[0.5] * 25), exact=True)], 1),
 ], ids=["nonfinite-output", "zero-weights", "ridge-overflow", "smoothgrad-overflow",
         "nan-input", "sigma-zero", "sigma-negative",
         "sigma-nan", "distributions-seed", "jobs-zero", "jobs-negative", "lambda-string",
@@ -764,7 +782,7 @@ def remote_explain_config(tmp_path, **fields):
         "remote-batch-size-fraction", "remote-retries-true", "binomial-sigma-tiny",
         "distributions-sigma-huge", "distributions-ks-empty", "input-not-utf8",
         "input-nested-too-deep", "model-path-nul", "model-path-line-break",
-        "output-path-nul"])
+        "output-path-nul", "exact-shap-too-wide"])
 @pytest.mark.filterwarnings("error::RuntimeWarning")  # a warning is a second line
 def test_cli_reports_bad_values_in_one_error_line(tmp_path, capsys, make_args, code):
     assert main(make_args(tmp_path)) == code
@@ -809,8 +827,12 @@ def test_explain_runs_each_pipeline_layer_once(tmp_path, method):
     assert tracer.patches.missing == []
     calls = {k[:-len(".calls")]: v for k, v in tracer.pass_summary().items()
              if k.endswith(".calls")}
-    for layer in ("sampling.draw", "sampling.batch_weights", "feature_space.lift"):
+    for layer in ("sampling.draw", "sampling.batch_weights"):
         assert calls[layer] == 1, layer
+    # the samples are lifted and evaluated in blocks: exact KernelShap's 1,022
+    # coalitions of d = 10 make two, every other method's 64 samples one
+    blocks = math.ceil(json.loads(proc.stdout)["n"] / BLOCK_ROWS)
+    assert calls["feature_space.lift"] == blocks
     # SmoothGrad's known moments need no solve, and f(x) is its intercept
-    expected = (2, 0) if isinstance(method, SmoothGrad) else (1, 1)
+    expected = (blocks + 1, 0) if isinstance(method, SmoothGrad) else (blocks, 1)
     assert (calls["models.evaluate"], calls["solver.solve"]) == expected

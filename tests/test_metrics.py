@@ -7,10 +7,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import IMAGE_MODELS, assert_same, blocks_match_bits, image_case
 from localex.errors import DimensionMismatch
 from localex.explain import Explanation, Lime
 from localex.feature_space import Segmentation, singleton_segments
 from localex.metrics import (
+    NORMS,
     explanation_distance,
     local_fidelity,
     sample_ball,
@@ -18,7 +20,7 @@ from localex.metrics import (
     top_k_jaccard,
 )
 from localex.models import Linear, Quadratic
-from oracles import average_ranks_direct, jaccard_direct
+from oracles import average_ranks_direct, jaccard_direct, local_fidelity_whole
 
 
 def make_exp(w, seed=0):
@@ -169,6 +171,19 @@ def test_fidelity_aggregates_segments_by_mean_offset():
     rep = local_fidelity(model, x, [exp], seg, 0.5, "linf", 4000, 3)[0]
     # f(z) = z0 + z1 = 2 * mean(z) = surrogate exactly
     assert rep.fidelity == pytest.approx(1.0, abs=1e-12)
+
+
+@pytest.mark.parametrize("kind, side", IMAGE_MODELS)
+@pytest.mark.parametrize("norm", NORMS)
+def test_blocked_fidelity_equals_one_whole_evaluation(kind, side, norm):
+    model, x, seg = image_case(kind, side)
+    rng = np.random.default_rng(3)
+    exps = [Explanation(rng.normal(size=seg.d), float(rng.normal()), None, Lime(1.0), 10, 0,
+                        1.0, seg.d) for _ in range(2)]
+    reports = local_fidelity(model, x, exps, seg, 0.1, norm, 1300, 9)  # three blocks
+    assert_same([r.fidelity for r in reports],
+                [local_fidelity_whole(model, x, e, seg, 0.1, norm, 1300, 9) for e in exps],
+                blocks_match_bits(kind, side, 1300))
 
 
 # ---------------------------------------------------------------------------
