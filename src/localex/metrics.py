@@ -47,7 +47,6 @@ class ExplanationDistance:
     mae: float
     pearson: float
     spearman: float
-    degenerate_variance: bool = False
 
 
 def top_k_indices(w: np.ndarray, k: int) -> np.ndarray:
@@ -161,7 +160,8 @@ def _average_ranks(a: np.ndarray) -> np.ndarray:
 
 
 def explanation_distance(e1: Explanation, e2: Explanation) -> ExplanationDistance:
-    """MSE, MAE, Pearson, and Spearman between two attribution vectors."""
+    """MSE, MAE, Pearson, and Spearman between two attribution vectors. A
+    correlation is 0.0, not NaN, where either vector or its ranks are constant."""
     if e1.d != e2.d:
         raise DimensionMismatch(f"dimensions differ: {e1.d} vs {e2.d}")
     if e1.d < 2:
@@ -171,10 +171,10 @@ def explanation_distance(e1: Explanation, e2: Explanation) -> ExplanationDistanc
     mse = float(np.mean(diff**2))
     mae = float(np.mean(np.abs(diff)))
     if np.ptp(a) == 0.0 or np.ptp(b) == 0.0:
-        return ExplanationDistance(mse, mae, 0.0, 0.0, degenerate_variance=True)
+        return ExplanationDistance(mse, mae, 0.0, 0.0)
     pearson = float(np.corrcoef(a, b)[0, 1])
     ra, rb = _average_ranks(a), _average_ranks(b)
     if np.ptp(ra) == 0.0 or np.ptp(rb) == 0.0:
-        return ExplanationDistance(mse, mae, pearson, 0.0, degenerate_variance=True)
+        return ExplanationDistance(mse, mae, pearson, 0.0)
     spearman = float(np.corrcoef(ra, rb)[0, 1])
     return ExplanationDistance(mse, mae, pearson, spearman)

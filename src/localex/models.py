@@ -166,6 +166,20 @@ class Mlp(_Model):
         return cls([layer["weights"] for layer in layers], [layer["bias"] for layer in layers])
 
 
+def points_body(batch: np.ndarray) -> bytes:
+    """The request body json.dumps({"points": batch.tolist()}).encode() writes for a
+    float64 batch, byte for byte. json encodes each distinct value once and the
+    cells gather their tokens, so a binary lift's points (at most two values per
+    column) cost a few tokens. Values are told apart by their bits, so -0.0 never
+    takes 0.0's token."""
+    pts = np.ascontiguousarray(batch, dtype=np.float64)
+    values, inverse = np.unique(pts.view(np.uint64), return_inverse=True)
+    # a float's JSON token holds no ", ", so the list's tokens split apart exactly
+    tokens = np.array(json.dumps(values.view(np.float64).tolist())[1:-1].split(", "), dtype=object)
+    rows = ("[" + ", ".join(row) + "]" for row in tokens[inverse.reshape(pts.shape)].tolist())
+    return ('{"points": [' + ", ".join(rows) + "]}").encode("utf-8")
+
+
 @dataclass(frozen=True)
 class Remote(_Model):
     """HTTP adapter: POST {"points": [[...]]} -> {"values": [...]}."""
@@ -196,7 +210,7 @@ class Remote(_Model):
         raise UnsupportedModel("gradient is not available for remote models")
 
     def _post(self, batch: np.ndarray) -> np.ndarray:
-        body = json.dumps({"points": batch.tolist()}).encode("utf-8")
+        body = points_body(batch)
         request = urllib.request.Request(
             self.endpoint, data=body, headers={"Content-Type": "application/json"}
         )

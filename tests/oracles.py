@@ -108,17 +108,22 @@ def smoothgrad_direct(model: ModelSpec, x: np.ndarray, sigma: float, n: int,
     return np.array([math.fsum(z[:, j] * f) for j in range(x.size)]) / (n * sigma**2)
 
 
+def lift_whole(req: ExplainRequest) -> tuple[np.ndarray, np.ndarray]:
+    """An explain's samples and the raw points they lift to, all n at once."""
+    seg = req.segmentation
+    design = draw(req.method.sampler(seg.d)[0], req.n, req.seed)
+    if req.method.binary:
+        return design, reconstruct_binary(req.x, req.reference, seg, design)
+    return design, reconstruct_continuous(req.x, seg, design)
+
+
 def explain_whole(req: ExplainRequest) -> tuple[np.ndarray, float, float | None]:
     """A ridge method's (w, intercept, R^2) with every sample lifted at once and
     the whole lift given to one forward call, not lifted and evaluated in blocks."""
-    method, seg = req.method, req.segmentation
-    law, kernel = method.sampler(seg.d)
-    design = draw(law, req.n, req.seed)
-    if method.binary:
-        points = reconstruct_binary(req.x, req.reference, seg, design)
-    else:
-        points = reconstruct_continuous(req.x, seg, design)
+    method = req.method
+    design, points = lift_whole(req)
     lam = req.lam if method.fixed_lam is None else method.fixed_lam
+    kernel = method.sampler(req.segmentation.d)[1]
     sol = solve_weighted_ridge(RidgeProblem(design, req.model.forward(points),
                                             batch_weights(kernel, design), lam))
     return sol.w, sol.intercept, sol.r2

@@ -1,14 +1,18 @@
 import json
+import struct
 import threading
 from http.server import BaseHTTPRequestHandler, HTTPServer
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from conftest import asset
 from localex import models
+from localex.explain import ExplainRequest, GlimeBinomial, GlimeGauss, explain
+from localex.feature_space import (grid_segment, mean_reference, reconstruct_binary,
+                                   reconstruct_continuous)
 from localex.harness import json_dumps
 from localex.errors import (
     ConfigError,
@@ -31,8 +35,9 @@ from localex.models import (
     load_model,
     model_from_json,
     model_to_json,
+    points_body,
 )
-from oracles import central_difference_gradient
+from oracles import central_difference_gradient, lift_whole
 
 
 def small_mlp() -> Mlp:
@@ -194,15 +199,74 @@ def test_load_model_missing_file_is_a_config_error():
 
 
 # ---------------------------------------------------------------------------
+# the remote request body
+
+def _bits(v: float) -> bytes:
+    return struct.pack("<d", v)
+
+
+@st.composite
+def batches(draw):
+    """A batch in C, Fortran or strided layout: raw lifts of an explain's samples
+    on a grid, or n x D cells over a pool of k bitwise-distinct floats, with k
+    anywhere from 1 (every cell shares one token) to n D (no two cells do)."""
+    source = draw(st.sampled_from(["binary", "continuous", "pool"]))
+    if source == "pool":
+        n, dim = draw(st.integers(1, 8)), draw(st.integers(1, 8))
+        k = draw(st.integers(1, n * dim))
+        # st.floats draws -0.0, NaN, the infinities and subnormals among the rest
+        pool = np.array(draw(st.lists(st.floats(), min_size=k, max_size=k, unique_by=_bits)))
+        # each pool value once, then any of them, in any order
+        rest = draw(st.lists(st.integers(0, k - 1), min_size=n * dim - k, max_size=n * dim - k))
+        order = draw(st.permutations(range(n * dim)))
+        batch = pool[np.r_[np.arange(k), rest].astype(int)[order]].reshape(n, dim)
+    else:
+        rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+        side, cells = draw(st.integers(1, 8)), draw(st.integers(1, 4))
+        seg = grid_segment(side, side, draw(st.integers(1, 3)), min(cells, side), min(cells, side))
+        x, n = rng.normal(size=seg.size), draw(st.integers(1, 70))
+        if source == "binary":
+            z = rng.integers(0, 2, size=(n, seg.d))
+            batch = reconstruct_binary(x, mean_reference(x, seg), seg, z)
+        else:
+            batch = reconstruct_continuous(x, seg, rng.normal(size=(n, seg.d)))
+    layout = draw(st.sampled_from(["C", "F", "strided"]))
+    if layout == "F":
+        return np.asfortranarray(batch)
+    if layout == "strided":
+        wide = np.zeros((2 * batch.shape[0], 2 * batch.shape[1]))
+        wide[::2, 1::2] = batch
+        return wide[::2, 1::2]
+    return batch
+
+
+_NAN_PAYLOAD = np.array([0x7FF8000000000001, 0xFFF8000000000000], dtype=np.uint64).view(float)
+
+
+@given(batches())
+@example(np.array([[0.0, -0.0, 0.0, -0.0], [-0.0, -0.0, 0.0, 0.0]]))
+@example(np.array([[np.nan, np.inf, -np.inf, 5e-324, -2.2e-308, 1e-310, np.nan, np.inf]] * 4))
+@example(np.r_[_NAN_PAYLOAD, np.nan, 1.0].reshape(1, 4).repeat(3, axis=0))
+@example(np.array([[0.5]]))
+@example(np.full((1, 7), -0.0))
+@example(np.empty((0, 3)))
+def test_points_body_is_json_dumps_byte_for_byte(batch):
+    assert points_body(batch) == json.dumps({"points": batch.tolist()}).encode("utf-8")
+
+
+# ---------------------------------------------------------------------------
 # remote adapter against a real local HTTP server
 
 
 class _Handler(BaseHTTPRequestHandler):
     mode = "sum"
     calls: list[int] = []
+    bodies: list[bytes] = []  # each request body as received
 
     def do_POST(self):
-        body = json.loads(self.rfile.read(int(self.headers["Content-Length"])))
+        raw = self.rfile.read(int(self.headers["Content-Length"]))
+        type(self).bodies.append(raw)
+        body = json.loads(raw)
         type(self).calls.append(len(body["points"]))
         if type(self).mode == "error":
             self.send_response(500)
@@ -233,13 +297,17 @@ class _Handler(BaseHTTPRequestHandler):
 @pytest.fixture()
 def server():
     httpd = HTTPServer(("127.0.0.1", 0), _Handler)
-    thread = threading.Thread(target=httpd.serve_forever, daemon=True)
+    # a short poll lets shutdown() return at once instead of after up to 0.5 s
+    thread = threading.Thread(target=httpd.serve_forever, kwargs={"poll_interval": 0.01},
+                              daemon=True)
     thread.start()
     _Handler.mode = "sum"
     _Handler.calls = []
+    _Handler.bodies = []
     yield f"http://127.0.0.1:{httpd.server_port}/predict"
     httpd.shutdown()
     thread.join()
+    httpd.server_close()
 
 
 def test_remote_evaluates_and_batches(server):
@@ -287,3 +355,17 @@ def test_remote_non_json_body_is_malformed(server):
 def test_remote_connection_refused_is_unavailable():
     with pytest.raises(RemoteUnavailable):
         evaluate(Remote("http://127.0.0.1:1/f", timeout_ms=300), np.ones((1, 2)))
+
+
+@pytest.mark.parametrize("method", [GlimeBinomial(0.5), GlimeGauss(0.5)],
+                         ids=["binary_lift", "continuous_lift"])
+def test_remote_explain_posts_json_dumps_of_each_lifted_block(server, method):
+    rng = np.random.default_rng(11)
+    x = rng.normal(size=8 * 8)
+    seg = grid_segment(8, 8, 1, 4, 4)
+    req = ExplainRequest(model=Remote(server, batch_size=64), x=x, segmentation=seg,
+                         method=method, n=200, seed=3, reference=mean_reference(x, seg))
+    explain(req)
+    points = lift_whole(req)[1]
+    assert _Handler.bodies == [json.dumps({"points": points[s:s + 64].tolist()}).encode()
+                               for s in range(0, 200, 64)]
