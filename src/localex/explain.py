@@ -292,24 +292,52 @@ def _known_moment_estimate(design: np.ndarray, y: np.ndarray, sigma: float) -> n
     return grad
 
 
-def explain(req: ExplainRequest) -> Explanation:
-    """Draw the method's samples, weight them by its kernel, lift, evaluate and fit:
-    by ridge with the method's fixed lambda, if it has one, else the request's,
-    or from known moments. n records the samples used (exact KernelShap: all).
-    The samples are lifted and evaluated one block at a time, so memory holds
-    the n x d samples and one block of raw points, never all n of them."""
+class OneSlot:
+    """A cache of one value: the last one made, under its key. A sweep runner
+    owns one and orders its calls so that those with equal keys run one after
+    another. A new key drops the old value before its own is made, so memory
+    never holds two."""
+
+    def __init__(self) -> None:
+        self.key: typing.Hashable = None
+        self.value: typing.Any = None
+
+    def get(self, key: typing.Hashable, make: typing.Callable[[], typing.Any]) -> typing.Any:
+        if self.key != key:
+            self.key = self.value = None
+            self.value = make()
+            self.key = key
+        return self.value
+
+
+def explain(req: ExplainRequest, samples: OneSlot | None = None) -> Explanation:
+    """Draw the method's samples, lift and evaluate them, weight them by its kernel
+    and fit: by ridge with the method's fixed lambda, if it has one, else the
+    request's, or from known moments. n records the samples used (exact
+    KernelShap: all). The samples are lifted and evaluated one block at a time,
+    so memory holds the n x d samples and one block of raw points, never all n
+    of them. samples, when given, keeps the last sample set and its responses:
+    a request with the same law, lift, n and seed on the same model, input,
+    segmentation and reference reuses them and only weights and fits."""
     method, seg = req.method, req.segmentation
     lam = req.lam if method.fixed_lam is None else method.fixed_lam
     law, kernel = method.sampler(seg.d)
-    design = draw(law, req.n, req.seed)
+
+    def draw_lift_evaluate() -> tuple[ExplainRequest, np.ndarray, np.ndarray]:
+        design = draw(law, req.n, req.seed)
+
+        def lift(block: slice) -> np.ndarray:  # raw points of one block of samples
+            if method.binary:
+                return reconstruct_binary(req.x, req.reference, seg, design[block])
+            return reconstruct_continuous(req.x, seg, design[block])
+
+        # req rides along so that the objects whose ids are in the key stay alive
+        return req, design, evaluate_blocks(req.model, len(design), lift, evaluate)
+
+    key = (law, method.binary, req.n, req.seed,
+           *map(id, (req.model, req.x, seg, req.reference)))
+    _, design, y = (samples or OneSlot()).get(key, draw_lift_evaluate)
     pi = batch_weights(kernel, design)
-
-    def lift(block: slice) -> np.ndarray:  # raw points of one block of samples
-        if method.binary:
-            return reconstruct_binary(req.x, req.reference, seg, design[block])
-        return reconstruct_continuous(req.x, seg, design[block])
-
-    y = evaluate_blocks(req.model, len(design), lift, evaluate)
     if method.known_moments:
         w = _known_moment_estimate(design, y, method.sigma)
         # local linearization around x: intercept f(x), no surrogate, no R^2

@@ -27,6 +27,7 @@ from .explain import (
     GlimeBinomial,
     Lime,
     MethodSpec,
+    OneSlot,
     explain,
     method_from_json,
 )
@@ -291,22 +292,34 @@ def _attempt(compute: Callable[[], Any]) -> Any:
         return f"{type(exc).__name__}: {exc}"
 
 
-def _explain_cell(
-    ctx: RunContext, method: MethodSpec, n: int, lam: float, seed: int
-) -> Explanation | str:
+def _explain_cell(ctx: RunContext, method: MethodSpec, n: int, lam: float, seed: int,
+                  samples: OneSlot) -> Explanation | str:
     """One explanation, or the text of its failure or its request's rejection."""
     return _attempt(lambda: explain(ExplainRequest(
         model=ctx.model, x=ctx.x, segmentation=ctx.segmentation, method=method,
-        n=n, seed=seed, lam=lam, reference=ctx.reference)))
+        n=n, seed=seed, lam=lam, reference=ctx.reference), samples))
 
 
-def _explain_seeds(ctx: RunContext, method: MethodSpec, n: int, lam: float,
-                   seeds: tuple[int, ...]) -> list[Explanation | str]:
-    """_explain_cell for each seed; a method whose seed draws nothing (exact
-    KernelShap) is explained once, and that result serves every seed."""
-    if method.seeded:
-        return [_explain_cell(ctx, method, n, lam, s) for s in seeds]
-    return [_explain_cell(ctx, method, n, lam, seeds[0])] * len(seeds)
+def _explain_grid(ctx: RunContext, cells: list[tuple[MethodSpec, int, float]],
+                  seeds: tuple[int, ...]) -> list[list[Explanation | str]]:
+    """_explain_cell for each (method, n, lambda) cell and each seed, one list
+    per cell. The explains run grouped by the sample set they draw (law, lift,
+    n and seed: Lime's fair coins take no sigma, and no sample takes lambda),
+    so that each set is drawn, lifted and evaluated once and kept in one slot
+    while its group runs. A method whose seed draws nothing (exact KernelShap)
+    is explained once per cell, and that result serves every seed."""
+    groups: dict[tuple, dict[tuple, None]] = {}
+    for method, n, lam in cells:
+        # a law that cannot be made (exact KernelShap past its cap) keys by its
+        # error text; each explain of it then fails on its own
+        law = _attempt(lambda: method.sampler(ctx.segmentation.d)[0])
+        for s in seeds if method.seeded else seeds[:1]:
+            groups.setdefault((law, method.binary, n, s), {})[method, n, lam, s] = None
+    samples = OneSlot()
+    done = {task: _explain_cell(ctx, *task, samples)
+            for group in groups.values() for task in group}
+    return [[done[method, n, lam, s if method.seeded else seeds[0]] for s in seeds]
+            for method, n, lam in cells]
 
 
 def _cell_row(keys: dict, metrics: tuple[str, ...], parts: list,
@@ -336,12 +349,13 @@ def run_stability(config: ExperimentConfig) -> list[dict]:
         report = top_k_jaccard(list(exps), config.k)
         return {"mean_jaccard": report.mean_jaccard, "std": float(np.std(report.pairwise))}
 
+    grid = [(method_from_json({**entry, "sigma": sigma}), sigma, lam, n)
+            for entry, sigma, lam, n in itertools.product(
+                config.method_entries, config.sigmas, config.lambdas, config.sample_sizes)]
+    explained = _explain_grid(ctx, [(method, n, lam) for method, _, lam, n in grid],
+                              config.seeds)
     rows = []
-    for entry, sigma, lam, n in itertools.product(
-        config.method_entries, config.sigmas, config.lambdas, config.sample_sizes
-    ):
-        method = method_from_json({**entry, "sigma": sigma})
-        exps = _explain_seeds(ctx, method, n, lam, config.seeds)
+    for (method, sigma, lam, n), exps in zip(grid, explained):
         keys = {"method": method.label, "sigma": sigma, "lambda": lam, "n": n}
         rows.append(_cell_row(keys, ("mean_jaccard", "std"), exps, score))
     return rows
@@ -361,12 +375,15 @@ def run_convergence(config: ExperimentConfig) -> list[dict]:
         return {"mse": dist.mse, "mae": dist.mae, "pearson": dist.pearson,
                 "spearman": dist.spearman}
 
+    groups = list(itertools.product(config.sigmas, config.lambdas))
+    cells = [(method(sigma), n, lam) for sigma, lam in groups for n in config.sample_sizes
+             for method in (Lime, GlimeBinomial)]
+    explained = iter(_explain_grid(ctx, cells, (seed,)))
     rows = []
-    for sigma, lam in itertools.product(config.sigmas, config.lambdas):
+    for sigma, lam in groups:
         group = []
         for n in config.sample_sizes:
-            pair = [_explain_cell(ctx, method, n, lam, seed)
-                    for method in (Lime(sigma), GlimeBinomial(sigma))]
+            pair = [next(explained)[0] for _ in range(2)]
             keys = {"sigma": sigma, "lambda": lam, "n": n}
             group.append(_cell_row(
                 keys, ("mse", "mae", "pearson", "spearman", "mse_monotone"), pair, score))
@@ -384,40 +401,40 @@ def run_fidelity(config: ExperimentConfig) -> list[dict]:
     """Local fidelity per method and ball radius, mean/std over seeds.
 
     Explanations use the first sample-size and lambda of the grid; the ball
-    sample for each seed comes from a disjoint substream. Each (seed, epsilon,
-    norm) ball is drawn and evaluated once, after every explanation exists, and
+    sample for each seed comes from a disjoint substream. After every
+    explanation exists, each (seed, norm) unit ball is drawn once and scaled
+    to each epsilon; each (seed, epsilon, norm) ball is evaluated once and
     scored against all of that seed's explanations.
     """
     ctx = build_context(config)
-    n = config.sample_sizes[0]
-    lam = config.lambdas[0]
     cells = [(method_from_json({**entry, "sigma": sigma}), sigma)
              for entry, sigma in itertools.product(config.method_entries, config.sigmas)]
-    balls = list(itertools.product(config.epsilons, config.norms))
-    exps = {(i, s): e for i, (method, _) in enumerate(cells)
-            for s, e in zip(config.seeds, _explain_seeds(ctx, method, n, lam, config.seeds))}
-    fids: dict[tuple[int, int, int], float | str] = {}
-    for s in config.seeds:
-        scored = [i for i in range(len(cells)) if isinstance(exps[i, s], Explanation)]
+    exps = _explain_grid(ctx, [(method, config.sample_sizes[0], config.lambdas[0])
+                               for method, _ in cells], config.seeds)
+    fids: dict[tuple[int, int, float, str], float | str] = {}
+    balls = OneSlot()
+    for k, s in enumerate(config.seeds):
+        scored = [i for i in range(len(cells)) if isinstance(exps[i][k], Explanation)]
         if not scored:
             continue
-        for b, (eps, norm) in enumerate(balls):
+        for norm, eps in itertools.product(config.norms, config.epsilons):
             reports = _attempt(lambda: local_fidelity(
-                ctx.model, ctx.x, [exps[i, s] for i in scored], ctx.segmentation,
-                eps, norm, config.m, substream_seed(s, _BALL_STREAM),
+                ctx.model, ctx.x, [exps[i][k] for i in scored], ctx.segmentation,
+                eps, norm, config.m, substream_seed(s, _BALL_STREAM), balls,
             ))
             for j, i in enumerate(scored):  # a failed ball fails every cell it scores
-                fids[i, s, b] = reports if isinstance(reports, str) else reports[j].fidelity
+                fids[i, k, eps, norm] = (reports if isinstance(reports, str)
+                                         else reports[j].fidelity)
 
     def score(*vals: float) -> dict:
         return {"fidelity_mean": float(np.mean(vals)), "fidelity_std": float(np.std(vals))}
 
     rows = []
-    for (i, (method, sigma)), (b, (eps, norm)) in itertools.product(enumerate(cells),
-                                                                    enumerate(balls)):
+    for (i, (method, sigma)), eps, norm in itertools.product(
+            enumerate(cells), config.epsilons, config.norms):
         # per seed, a failed explanation comes before its ball
-        vals = [exps[i, s] if isinstance(exps[i, s], str) else fids[i, s, b]
-                for s in config.seeds]
+        vals = [e if isinstance(e, str) else fids[i, k, eps, norm]
+                for k, e in enumerate(exps[i])]
         keys = {"method": method.label, "sigma": sigma, "epsilon": eps, "norm": norm}
         rows.append(_cell_row(keys, ("fidelity_mean", "fidelity_std"), vals, score))
     return rows

@@ -11,12 +11,12 @@ from typing import Sequence
 import numpy as np
 
 from .errors import DimensionMismatch, check_scale
-from .explain import Explanation
+from .explain import Explanation, OneSlot
 from .feature_space import Segmentation, feature_offsets
 from .models import ModelSpec, evaluate, evaluate_blocks
 
 DEFAULT_TOP_K = 20
-NORMS = ("l1", "l2", "linf")  # the balls sample_ball can draw
+NORMS = ("l1", "l2", "linf")  # the balls unit_ball can draw
 
 
 @dataclass(frozen=True)
@@ -76,38 +76,56 @@ def top_k_jaccard(explanations: list[Explanation], k: int | None = None) -> Stab
     return StabilityReport(k, float(np.mean(pairs)), tuple(pairs), len(explanations))
 
 
-def sample_ball(
-    x: np.ndarray, epsilon: float, norm: str, m: int, seed: int
-) -> np.ndarray:
-    """m points uniform in the norm ball of radius epsilon around x.
+@dataclass(frozen=True)
+class UnitBall:
+    """The draws behind m points of a norm ball, before its radius and centre
+    are chosen: unit-sphere directions and radius fractions u^{1/D} (l1, l2),
+    or per-coordinate uniforms in [0, 1) (linf, where radii is None)."""
 
-    l2: sphere direction times radius u^{1/D}. l1: Laplace draws normalized to
-    the l1 sphere (signed simplex), same radius law. linf: per-coordinate
-    uniform. Deterministic per (x, epsilon, norm, m, seed).
+    directions: np.ndarray  # m x D
+    radii: np.ndarray | None
+
+    def points(self, x: np.ndarray, epsilon: float, rows: slice = slice(None)) -> np.ndarray:
+        """Rows of the ball of radius epsilon around x, as sample_ball gives them."""
+        if self.radii is None:
+            # numpy's uniform(-epsilon, epsilon) is exactly this arithmetic
+            return x + (-epsilon + (epsilon - -epsilon) * self.directions[rows])
+        g = self.directions[rows] * (epsilon * self.radii[rows])[:, None]
+        g += x
+        return g
+
+
+def unit_ball(norm: str, m: int, dim: int, seed: int) -> UnitBall:
+    """m draws for a ball in R^dim; deterministic per (norm, m, dim, seed).
+
+    l2: normal draws normalized to the sphere. l1: Laplace draws normalized to
+    the l1 sphere (signed simplex). Both take radius fractions u^{1/D}, which
+    make the points uniform in the ball. linf: per-coordinate uniforms.
     """
-    x = np.asarray(x, dtype=np.float64)
-    check_scale("epsilon", epsilon)
     if m < 1:
         raise ValueError(f"m must be >= 1, got {m}")
-    dim = x.shape[0]
+    if norm not in NORMS:
+        raise ValueError(f"norm must be one of {', '.join(NORMS)}; got {norm!r}")
     rng = np.random.default_rng(seed)
     if norm == "linf":
-        return x + rng.uniform(-epsilon, epsilon, size=(m, dim))
+        return UnitBall(rng.random((m, dim)), None)
     if norm == "l2":
         g = rng.normal(size=(m, dim))
         g /= np.linalg.norm(g, axis=1, keepdims=True)
-        radius = epsilon * rng.random(m) ** (1.0 / dim)
-        g *= radius[:, None]
-        g += x
-        return g
-    if norm == "l1":
+    else:
         g = rng.laplace(size=(m, dim))
         g /= np.abs(g).sum(axis=1, keepdims=True)
-        radius = epsilon * rng.random(m) ** (1.0 / dim)
-        g *= radius[:, None]
-        g += x
-        return g
-    raise ValueError(f"norm must be one of {', '.join(NORMS)}; got {norm!r}")
+    return UnitBall(g, rng.random(m) ** (1.0 / dim))
+
+
+def sample_ball(
+    x: np.ndarray, epsilon: float, norm: str, m: int, seed: int
+) -> np.ndarray:
+    """m points uniform in the norm ball of radius epsilon around x: unit_ball's
+    draws scaled and centred. Deterministic per (x, epsilon, norm, m, seed)."""
+    x = np.asarray(x, dtype=np.float64)
+    check_scale("epsilon", epsilon)
+    return unit_ball(norm, m, x.shape[0], seed).points(x, epsilon)
 
 
 def local_fidelity(
@@ -119,6 +137,7 @@ def local_fidelity(
     norm: str,
     m: int,
     seed: int,
+    balls: OneSlot | None = None,
 ) -> list[FidelityReport]:
     """1/(1 + mean squared surrogate error) over an epsilon-ball around x.
 
@@ -126,9 +145,11 @@ def local_fidelity(
     fed to each linear surrogate (intercept + w . offset). Explanations fit on
     binary masks are evaluated under the same additive-offset convention, so
     fidelity compares how each learned linear function tracks the model near x
-    regardless of how it was fit. The ball is drawn, projected and evaluated
-    once and scored against every explanation; one report per explanation, in
-    order. It is projected and evaluated one block of points at a time.
+    regardless of how it was fit. The points are sample_ball's. They are made,
+    projected and evaluated one block at a time and scored against every
+    explanation; one report per explanation, in order. balls, when given, keeps
+    the last unit ball, so that a call for another epsilon with the same
+    (norm, m, seed) scales those draws instead of drawing again.
     """
     for e in explanations:
         if e.d != segmentation.d:
@@ -136,12 +157,15 @@ def local_fidelity(
                 f"explanation has d={e.d}, segmentation d={segmentation.d}"
             )
     x = np.asarray(x, dtype=np.float64)
-    points = sample_ball(x, epsilon, norm, m, seed)
+    check_scale("epsilon", epsilon)
+    key = (norm, m, x.shape[0], seed)
+    ball = (balls or OneSlot()).get(key, lambda: unit_ball(*key))
     offsets = np.empty((m, segmentation.d))
 
     def block_points(block: slice) -> np.ndarray:  # also fills the block's offsets
-        offsets[block] = feature_offsets(points[block] - x, segmentation)
-        return points[block]
+        points = ball.points(x, epsilon, block)
+        offsets[block] = feature_offsets(points - x, segmentation)
+        return points
 
     f = evaluate_blocks(model, m, block_points, evaluate)
     reports = []

@@ -223,7 +223,10 @@ class Remote(_Model):
                     raw = resp.read()
                 break
             except (urllib.error.URLError, TimeoutError, OSError) as exc:
-                # HTTPError is a URLError subclass, so status >= 400 lands here too
+                # HTTPError is a URLError subclass, so status >= 400 lands here too;
+                # it holds the response and its socket until closed
+                if isinstance(exc, urllib.error.HTTPError):
+                    exc.close()
                 last_error = exc
         else:
             raise RemoteUnavailable(f"remote model at {self.endpoint} failed: {last_error}")

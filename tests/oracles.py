@@ -129,6 +129,19 @@ def explain_whole(req: ExplainRequest) -> tuple[np.ndarray, float, float | None]
     return sol.w, sol.intercept, sol.r2
 
 
+def sample_ball_direct(x: np.ndarray, epsilon: float, norm: str, m: int,
+                       seed: int) -> np.ndarray:
+    """A ball of m points drawn whole from numpy's samplers: uniform(-epsilon,
+    epsilon) per coordinate (linf), or normal (l2) and Laplace (l1) draws
+    normalized to the unit sphere and scaled by epsilon * u^(1/D)."""
+    rng = np.random.default_rng(seed)
+    if norm == "linf":
+        return x + rng.uniform(-epsilon, epsilon, size=(m, x.size))
+    g = rng.normal(size=(m, x.size)) if norm == "l2" else rng.laplace(size=(m, x.size))
+    g /= np.linalg.norm(g, ord=2 if norm == "l2" else 1, axis=1, keepdims=True)
+    return x + g * (epsilon * rng.random(m) ** (1.0 / x.size))[:, None]
+
+
 def local_fidelity_whole(model: ModelSpec, x: np.ndarray, exp: Explanation,
                          seg: Segmentation, epsilon: float, norm: str, m: int,
                          seed: int) -> float:

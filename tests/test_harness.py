@@ -6,6 +6,7 @@ import math
 import os.path
 import subprocess
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -33,6 +34,8 @@ from localex.harness import (
 )
 from localex.models import BLOCK_ROWS
 from localex.sampling import bernoulli_p, binomial_pmf, substream_seed
+
+explain_module = importlib.import_module("localex.explain")  # the package exports the function
 
 
 def write_workspace(tmp_path, d=8, rows_cols=(2, 2), methods=None, **overrides):
@@ -236,22 +239,26 @@ def test_run_fidelity_reports_mean_and_std_over_seeds(tmp_path):
 
 
 def test_run_fidelity_explains_each_method_sigma_and_seed_once(tmp_path, monkeypatch):
-    seeds = []
-    monkeypatch.setattr(harness, "explain",
-                        lambda req, real=harness.explain: seeds.append(req.seed) or real(req))
+    order = []
+    monkeypatch.setattr(harness, "explain", lambda req, samples, real=harness.explain:
+                        order.append((req.method.label, req.method.sigma, req.seed))
+                        or real(req, samples))
     path = write_workspace(tmp_path, metrics={"epsilons": [0.25, 0.5], "m": 64})
     rows = run_fidelity(load_config(path))
     assert len(rows) == 8  # 2 methods x 2 sigmas x 2 epsilons x 1 norm
     assert all(row["error"] == "" for row in rows)
-    assert seeds == [0, 1, 2] * 4  # each (method, sigma) explains each seed once
+    # each (method, sigma) explains each seed once; Lime's two sigmas draw the
+    # same fair coins per seed, so they run one after the other
+    assert order == [("Lime", sigma, s) for s in (0, 1, 2) for sigma in (0.5, 1.0)] + [
+        ("GlimeBinomial", sigma, s) for sigma in (0.5, 1.0) for s in (0, 1, 2)]
 
 
 @pytest.mark.parametrize("run", [run_stability, run_fidelity])
 def test_a_method_whose_seed_draws_nothing_is_explained_once_per_cell(tmp_path, monkeypatch,
                                                                       run):
     seeds = {True: [], False: []}
-    monkeypatch.setattr(harness, "explain", lambda req, real=harness.explain:
-                        seeds[req.method.exact].append(req.seed) or real(req))
+    monkeypatch.setattr(harness, "explain", lambda req, samples, real=harness.explain:
+                        seeds[req.method.exact].append(req.seed) or real(req, samples))
     path = write_workspace(tmp_path, methods=[{"method": "KernelShap", "exact": True},
                                               {"method": "KernelShap", "exact": False}],
                            sigmas=[1.0], metrics={"m": 64})
@@ -263,24 +270,25 @@ def test_a_method_whose_seed_draws_nothing_is_explained_once_per_cell(tmp_path, 
 def test_run_fidelity_draws_each_ball_once(tmp_path, monkeypatch):
     draws = []
 
-    def recording(x, epsilon, norm, m, seed, real=metrics.sample_ball):
-        draws.append((seed, epsilon, norm))
-        return real(x, epsilon, norm, m, seed)
+    def recording(norm, m, dim, seed, real=metrics.unit_ball):
+        draws.append((seed, norm))
+        return real(norm, m, dim, seed)
 
-    monkeypatch.setattr(metrics, "sample_ball", recording)
-    path = write_workspace(tmp_path, metrics={"epsilons": [0.25, 0.5], "m": 64})
+    monkeypatch.setattr(metrics, "unit_ball", recording)
+    path = write_workspace(tmp_path, metrics={"epsilons": [0.25, 0.5], "norms": ["l2", "linf"],
+                                              "m": 64})
     rows = run_fidelity(load_config(path))
-    assert len(rows) == 8 and all(row["error"] == "" for row in rows)
-    # 3 seeds x 2 epsilons x 1 norm, shared by 2 methods x 2 sigmas
+    assert len(rows) == 16 and all(row["error"] == "" for row in rows)
+    # 3 seeds x 2 norms, each scaled to 2 epsilons and shared by 2 methods x 2 sigmas
     assert len(draws) == len(set(draws)) == 6
 
 
 def test_run_fidelity_draws_no_ball_for_a_seed_without_explanations(tmp_path,
                                                                    monkeypatch):
     seeds = []
-    monkeypatch.setattr(metrics, "sample_ball",
-                        lambda x, eps, norm, m, seed, real=metrics.sample_ball:
-                        seeds.append(seed) or real(x, eps, norm, m, seed))
+    monkeypatch.setattr(metrics, "unit_ball",
+                        lambda norm, m, dim, seed, real=metrics.unit_ball:
+                        seeds.append(seed) or real(norm, m, dim, seed))
     # at n = 8 and lambda = 0, Lime's normal equations are singular for seed 2 only
     path = write_workspace(tmp_path, methods=[{"method": "Lime"}], sample_sizes=[8],
                            lambdas=[0.0], seeds=[1, 2, 4])
@@ -363,6 +371,48 @@ def test_run_convergence_matches_the_direct_nested_loop(tmp_path, name):
     rows = run_convergence(config)
     assert json_dumps(rows) == json_dumps(convergence_rows_direct(config))  # every bit
     assert {row["error"].split(":")[0] for row in rows} == {"SingularSystem", ""}
+
+
+def test_stability_draws_lifts_and_evaluates_each_sample_set_once(tmp_path, monkeypatch):
+    draws, lifts = [], []
+    monkeypatch.setattr(explain_module, "draw", lambda law, n, seed, real=explain_module.draw:
+                        draws.append((law, n, seed)) or real(law, n, seed))
+    monkeypatch.setattr(explain_module, "reconstruct_binary",
+                        lambda x, r, seg, z, real=explain_module.reconstruct_binary:
+                        lifts.append((len(draws), len(z))) or real(x, r, seg, z))
+    config = load_config(write_workspace(
+        tmp_path, methods=[{"method": "Lime"}, {"method": "Lime", "unit_weights": True},
+                           {"method": "GlimeBinomial"}],
+        sigmas=[0.25, 0.5, 1.0, 2.0], sample_sizes=[600]))
+    rows = run_stability(config)
+    assert len(rows) == 12 and all(row["error"] == "" for row in rows)
+    # per seed, one fair-coin set serves Lime and LimeUnweighted at every sigma,
+    # and GlimeBinomial draws one set per sigma; 600 samples lift in two blocks,
+    # each lifted once after its set's draw
+    assert len(draws) == len(set(draws)) == 3 * (1 + 4)
+    assert len(lifts) == len(set(lifts)) == 3 * (1 + 4) * 2
+    monkeypatch.undo()
+    assert json_dumps(rows) == json_dumps(stability_rows_direct(config))  # every bit
+
+
+def test_a_stability_sweep_keeps_one_sample_set_whatever_its_seed_count(tmp_path):
+    n = 4096
+
+    def peak(seeds: int) -> int:
+        config = load_config(write_workspace(
+            tmp_path, methods=[{"method": "Lime"}, {"method": "GlimeBinomial"}],
+            sample_sizes=[n], seeds=list(range(seeds))))
+        tracemalloc.reset_peak()
+        run_stability(config)
+        return tracemalloc.get_traced_memory()[1]
+
+    tracemalloc.start()
+    try:
+        growth = peak(8) - peak(2)
+    finally:
+        tracemalloc.stop()
+    d = 4  # the workspace's 2 x 2 grid
+    assert growth <= n * (d + 1) * 8  # one n x d design and its n responses
 
 
 def test_sweeps_are_deterministic_end_to_end(tmp_path):

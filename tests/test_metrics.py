@@ -1,3 +1,4 @@
+import hashlib
 import os
 import subprocess
 import sys
@@ -8,9 +9,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import IMAGE_MODELS, assert_same, blocks_match_bits, image_case
+from localex import metrics
 from localex.errors import DimensionMismatch
-from localex.explain import Explanation, Lime
-from localex.feature_space import Segmentation, singleton_segments
+from localex.explain import Explanation, Lime, OneSlot
+from localex.feature_space import Segmentation, grid_segment, singleton_segments
 from localex.metrics import (
     NORMS,
     explanation_distance,
@@ -20,7 +22,7 @@ from localex.metrics import (
     top_k_jaccard,
 )
 from localex.models import Linear, Quadratic
-from oracles import average_ranks_direct, jaccard_direct, local_fidelity_whole
+from oracles import average_ranks_direct, jaccard_direct, local_fidelity_whole, sample_ball_direct
 
 
 def make_exp(w, seed=0):
@@ -119,6 +121,30 @@ def test_ball_sampling_is_deterministic_per_seed():
                           sample_ball(x, 1.0, "l2", 50, 7))
     assert not np.array_equal(sample_ball(x, 1.0, "l2", 50, 7),
                               sample_ball(x, 1.0, "l2", 50, 8))
+
+
+@pytest.mark.parametrize("norm", NORMS)
+def test_every_epsilon_of_a_shared_unit_ball_is_sample_balls_ball_bit_for_bit(monkeypatch,
+                                                                             norm):
+    m, seed = 1300, 9  # three blocks of points
+    x = np.random.default_rng(4).normal(size=3072)
+    seg = grid_segment(32, 32, 3, 8, 8)
+    exp = Explanation(np.zeros(seg.d), 0.0, None, Lime(1.0), 10, 0, 1.0, seg.d)
+    draws, blocks = [], []
+    monkeypatch.setattr(metrics, "unit_ball", lambda *args, real=metrics.unit_ball:
+                        draws.append(args) or real(*args))
+    monkeypatch.setattr(metrics, "evaluate", lambda model, pts, real=metrics.evaluate:
+                        blocks.append(hashlib.sha256(pts).digest()) or real(model, pts))
+    balls, evaluated = OneSlot(), {}
+    for eps in (0.25, 0.3, 0.5, 1.0):  # 0.3: scaling by a power of two hides rounding
+        local_fidelity(Linear(x), x, [exp], seg, eps, norm, m, seed, balls)
+        evaluated[eps], blocks[:] = blocks[:], []
+    assert draws == [(norm, m, 3072, seed)]  # one draw serves every epsilon
+    for eps, hashes in evaluated.items():
+        for ball in (sample_ball, sample_ball_direct):
+            whole = ball(x, eps, norm, m, seed)
+            assert hashes == [hashlib.sha256(whole[s:s + 512]).digest()
+                              for s in range(0, m, 512)]
 
 
 def test_ball_sampling_validates_its_arguments():

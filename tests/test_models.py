@@ -1,6 +1,8 @@
+import gc
 import json
 import struct
 import threading
+import warnings
 from http.server import BaseHTTPRequestHandler, HTTPServer
 
 import numpy as np
@@ -332,6 +334,17 @@ def test_remote_retries_then_raises(server, monkeypatch):
         evaluate(Remote(server, retries=2), np.ones((1, 2)))
     assert len(_Handler.calls) == 3
     assert pauses == [0.05, 0.1]  # before each retry, none before the first attempt
+
+
+def test_remote_closes_each_failed_response(server, monkeypatch):
+    monkeypatch.setattr(models.time, "sleep", lambda seconds: None)
+    _Handler.mode = "error"
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        with pytest.raises(RemoteUnavailable):
+            evaluate(Remote(server, retries=2), np.ones((1, 2)))
+        gc.collect()  # an unclosed response's socket warns when collected
+    assert [w for w in caught if issubclass(w.category, ResourceWarning)] == []
 
 
 def test_remote_length_mismatch_is_malformed(server):
