@@ -73,7 +73,6 @@ from .sampling import (
     draw,
     expected_weight_uniform,
     substream_seed,
-    weight,
 )
 from .solver import (
     RidgeProblem,

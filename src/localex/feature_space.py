@@ -3,6 +3,13 @@
 Raw inputs live in R^D (flattened images or plain vectors); explanations live
 on d segments. Binary masks swap whole segments against a reference; continuous
 offsets are broadcast additively, one offset per segment.
+
+A lift of an n x d batch returns its n x D block in column-major (Fortran)
+order: it is built as the D x n gather of the design's columns and handed back
+transposed. That is the layout numpy's last-axis fancy indexing has always
+given these blocks, and it is part of the output: a model's matrix product
+reads a column-major block through another BLAS kernel than a row-major one,
+and the two can differ in the last bits of the responses.
 """
 from __future__ import annotations
 
@@ -113,8 +120,11 @@ def reconstruct_binary(
         raise LengthMismatch(f"mask width {z.shape[-1]} != d={seg.d}")
     if not np.all((z == 0.0) | (z == 1.0)):
         raise ValueError("binary reconstruction requires a 0/1 mask")
-    # gather the boolean mask (1 byte per entry), not the float one
-    return np.where(z.astype(bool)[..., seg.assignment], x, r.values)
+    if z.ndim != 2:
+        return np.where(z.astype(bool)[..., seg.assignment], x, r.values)
+    # gather the boolean mask (1 byte per entry), not the float one, as D x n
+    keep = np.take(z.T.astype(bool), seg.assignment, axis=0)
+    return np.where(keep, x[:, None], r.values[:, None]).T
 
 
 def reconstruct_continuous(
@@ -127,7 +137,11 @@ def reconstruct_continuous(
         raise LengthMismatch(f"x has length {x.size}, segmentation expects {seg.size}")
     if z.shape[-1] != seg.d:
         raise LengthMismatch(f"offset width {z.shape[-1]} != d={seg.d}")
-    return x + z[..., seg.assignment]
+    if z.ndim != 2:
+        return x + z[..., seg.assignment]
+    lifted = np.take(z.T, seg.assignment, axis=0)  # D x n
+    lifted += x[:, None]  # x_i + z_j, one addition per element as before
+    return lifted.T
 
 
 def feature_offsets(delta: np.ndarray, seg: Segmentation) -> np.ndarray:

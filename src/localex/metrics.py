@@ -17,6 +17,7 @@ from .models import ModelSpec, evaluate, evaluate_blocks
 
 DEFAULT_TOP_K = 20
 NORMS = ("l1", "l2", "linf")  # the balls unit_ball can draw
+BALL_CHUNK = 512  # rows unit_ball normalises at once
 
 
 @dataclass(frozen=True)
@@ -85,14 +86,22 @@ class UnitBall:
     directions: np.ndarray  # m x D
     radii: np.ndarray | None
 
-    def points(self, x: np.ndarray, epsilon: float, rows: slice = slice(None)) -> np.ndarray:
-        """Rows of the ball of radius epsilon around x, as sample_ball gives them."""
+    def points(
+        self, x: np.ndarray, epsilon: float, rows: slice = slice(None),
+        out: np.ndarray | None = None,
+    ) -> np.ndarray:
+        """Rows of the ball of radius epsilon around x, as sample_ball gives them,
+        written into out when given (which may be the directions themselves)."""
         if self.radii is None:
-            # numpy's uniform(-epsilon, epsilon) is exactly this arithmetic
-            return x + (-epsilon + (epsilon - -epsilon) * self.directions[rows])
-        g = self.directions[rows] * (epsilon * self.radii[rows])[:, None]
-        g += x
-        return g
+            # numpy's uniform(-epsilon, epsilon) is exactly this arithmetic:
+            # x + (-epsilon + (epsilon - -epsilon) * U), added in another order
+            out = np.multiply(self.directions[rows], epsilon - -epsilon, out=out)
+            out += -epsilon
+        else:
+            out = np.multiply(self.directions[rows], (epsilon * self.radii[rows])[:, None],
+                              out=out)
+        out += x
+        return out
 
 
 def unit_ball(norm: str, m: int, dim: int, seed: int) -> UnitBall:
@@ -109,12 +118,15 @@ def unit_ball(norm: str, m: int, dim: int, seed: int) -> UnitBall:
     rng = np.random.default_rng(seed)
     if norm == "linf":
         return UnitBall(rng.random((m, dim)), None)
-    if norm == "l2":
-        g = rng.normal(size=(m, dim))
-        g /= np.linalg.norm(g, axis=1, keepdims=True)
-    else:
-        g = rng.laplace(size=(m, dim))
-        g /= np.abs(g).sum(axis=1, keepdims=True)
+    g = rng.normal(size=(m, dim)) if norm == "l2" else rng.laplace(size=(m, dim))
+    # normalised BALL_CHUNK rows at a time, so the norms' temporaries are one
+    # chunk, not a second m x D array; each row's norm is np.linalg.norm's sum
+    for start in range(0, m, BALL_CHUNK):
+        c = g[start:start + BALL_CHUNK]
+        if norm == "l2":
+            c /= np.sqrt(np.add.reduce(c * c, axis=1, keepdims=True))
+        else:
+            c /= np.abs(c).sum(axis=1, keepdims=True)
     return UnitBall(g, rng.random(m) ** (1.0 / dim))
 
 
@@ -125,7 +137,8 @@ def sample_ball(
     draws scaled and centred. Deterministic per (x, epsilon, norm, m, seed)."""
     x = np.asarray(x, dtype=np.float64)
     check_scale("epsilon", epsilon)
-    return unit_ball(norm, m, x.shape[0], seed).points(x, epsilon)
+    ball = unit_ball(norm, m, x.shape[0], seed)
+    return ball.points(x, epsilon, out=ball.directions)  # the draw is this call's own
 
 
 def local_fidelity(
@@ -145,11 +158,13 @@ def local_fidelity(
     fed to each linear surrogate (intercept + w . offset). Explanations fit on
     binary masks are evaluated under the same additive-offset convention, so
     fidelity compares how each learned linear function tracks the model near x
-    regardless of how it was fit. The points are sample_ball's. They are made,
-    projected and evaluated one block at a time and scored against every
-    explanation; one report per explanation, in order. balls, when given, keeps
-    the last unit ball, so that a call for another epsilon with the same
-    (norm, m, seed) scales those draws instead of drawing again.
+    regardless of how it was fit. The points are sample_ball's. They are made
+    and evaluated one block at a time, and each evaluated block is turned into
+    its offsets in place, so memory holds the ball, the m x d offsets and one
+    block. The offsets are scored against every explanation; one report per
+    explanation, in order. balls, when given, keeps the last unit ball, so
+    that a call for another epsilon with the same (norm, m, seed) scales those
+    draws instead of drawing again.
     """
     for e in explanations:
         if e.d != segmentation.d:
@@ -160,14 +175,17 @@ def local_fidelity(
     check_scale("epsilon", epsilon)
     key = (norm, m, x.shape[0], seed)
     ball = (balls or OneSlot()).get(key, lambda: unit_ball(*key))
-    offsets = np.empty((m, segmentation.d))
+    blocks = []  # each evaluated block's offsets, in order
 
-    def block_points(block: slice) -> np.ndarray:  # also fills the block's offsets
-        points = ball.points(x, epsilon, block)
-        offsets[block] = feature_offsets(points - x, segmentation)
-        return points
+    def evaluate_then_offsets(model: ModelSpec, points: np.ndarray) -> np.ndarray:
+        y = evaluate(model, points)
+        points -= x  # evaluated, so the block's points become its offsets in place
+        blocks.append(feature_offsets(points, segmentation))
+        return y
 
-    f = evaluate_blocks(model, m, block_points, evaluate)
+    f = evaluate_blocks(model, m, lambda rows: ball.points(x, epsilon, rows),
+                        evaluate_then_offsets)
+    offsets = np.concatenate(blocks)
     reports = []
     for e in explanations:
         surrogate = e.intercept + offsets @ e.w

@@ -198,14 +198,6 @@ def _coalitions(law: Coalitions, n: int, seed: int) -> np.ndarray:
             return np.vstack(kept)[:n]
 
 
-def weight(wspec: WeightSpec, zprime: np.ndarray) -> float:
-    """Kernel weight of a single binary mask."""
-    z = np.asarray(zprime, dtype=np.float64)
-    if z.ndim != 1:
-        raise ValueError("weight takes a single mask; use batch_weights for matrices")
-    return float(batch_weights(wspec, z[None, :])[0])
-
-
 def batch_weights(wspec: WeightSpec, zmatrix: np.ndarray) -> np.ndarray:
     """Kernel weights for each row of an n x d sample matrix.
 

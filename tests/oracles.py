@@ -117,6 +117,23 @@ def lift_whole(req: ExplainRequest) -> tuple[np.ndarray, np.ndarray]:
     return design, reconstruct_continuous(req.x, seg, design)
 
 
+def lift_direct(x: np.ndarray, seg: Segmentation, design: np.ndarray,
+                reference: np.ndarray | None = None) -> np.ndarray:
+    """The n x D lift of an n x d design, one raw column at a time: entry (j, i)
+    is x_i + z_j,s(i) for offsets, or x_i where mask bit z_j,s(i) is 1 and r_i
+    where it is 0 (reference given), s(i) being raw index i's segment. The
+    result is row-major."""
+    n = design.shape[0]
+    out = np.empty((n, x.size))
+    for i, s in enumerate(seg.assignment):
+        col = design[:, s]
+        if reference is None:
+            out[:, i] = x[i] + col
+        else:
+            out[:, i] = np.where(col == 1.0, x[i], reference[i])
+    return out
+
+
 def explain_whole(req: ExplainRequest) -> tuple[np.ndarray, float, float | None]:
     """A ridge method's (w, intercept, R^2) with every sample lifted at once and
     the whole lift given to one forward call, not lifted and evaluated in blocks."""
@@ -140,6 +157,22 @@ def sample_ball_direct(x: np.ndarray, epsilon: float, norm: str, m: int,
     g = rng.normal(size=(m, x.size)) if norm == "l2" else rng.laplace(size=(m, x.size))
     g /= np.linalg.norm(g, ord=2 if norm == "l2" else 1, axis=1, keepdims=True)
     return x + g * (epsilon * rng.random(m) ** (1.0 / x.size))[:, None]
+
+
+def unit_ball_direct(norm: str, m: int, dim: int,
+                     seed: int) -> tuple[np.ndarray, np.ndarray | None]:
+    """unit_ball's (directions, radii) with every row normalised at once by
+    np.linalg.norm (l2) or np.abs(...).sum (l1); linf keeps its uniforms."""
+    rng = np.random.default_rng(seed)
+    if norm == "linf":
+        return rng.random((m, dim)), None
+    if norm == "l2":
+        g = rng.normal(size=(m, dim))
+        g /= np.linalg.norm(g, axis=1, keepdims=True)
+    else:
+        g = rng.laplace(size=(m, dim))
+        g /= np.abs(g).sum(axis=1, keepdims=True)
+    return g, rng.random(m) ** (1.0 / dim)
 
 
 def local_fidelity_whole(model: ModelSpec, x: np.ndarray, exp: Explanation,

@@ -41,7 +41,6 @@ from localex.sampling import (
     binomial_pmf,
     draw,
     expected_weight_uniform,
-    weight,
 )
 from localex.solver import RidgeProblem, solve_weighted_ridge
 
@@ -100,11 +99,11 @@ def test_criterion_03_small_sigma_weights_and_their_mean():
         d, sigma = 20, 0.25
         near = np.ones(d)
         near[0] = 0.0  # one dropped feature
-        assert weight(ExpKernel(sigma), near) == pytest.approx(
+        assert batch_weights(ExpKernel(sigma), near[None, :])[0] == pytest.approx(
             np.exp(-16.0), rel=1e-12)
         half = np.zeros(d)
         half[: d // 2] = 1.0
-        assert weight(ExpKernel(sigma), half) == pytest.approx(
+        assert batch_weights(ExpKernel(sigma), half[None, :])[0] == pytest.approx(
             np.exp(-8.0 * d), rel=1e-12)
 
         n = 1_000_000

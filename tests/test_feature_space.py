@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from conftest import asset, image_case
 from localex.errors import InvalidGrid, LengthMismatch
 from localex.feature_space import (
     Reference,
@@ -14,6 +15,9 @@ from localex.feature_space import (
     reconstruct_continuous,
     singleton_segments,
 )
+from localex.harness import load_input
+from localex.models import evaluate, load_model
+from oracles import lift_direct
 
 
 def test_segmentation_validates_its_assignment():
@@ -124,6 +128,36 @@ def test_reconstruct_continuous_broadcasts_offsets():
     x = np.array([1.0, 2.0, 3.0, 4.0])
     out = reconstruct_continuous(x, seg, np.array([0.5, -1.0]))
     assert out.tolist() == [1.5, 2.5, 2.0, 3.0]
+
+
+def _lift_cases():
+    """(models, x, segmentation): a linear and an MLP model on a 32x32x3 image
+    with an 8x8 grid, and the bundled linear_8x8 model and input on a 4x4 grid."""
+    (linear, x, seg), (mlp, _, _) = image_case("linear", 32), image_case("mlp", 32)
+    yield (linear, mlp), x, seg
+    x8, _ = load_input(asset("input_8x8.json"))
+    yield (load_model(asset("linear_8x8.json")),), x8, grid_segment(8, 8, 1, 4, 4)
+
+
+@pytest.mark.parametrize("binary", [True, False], ids=["binary", "continuous"])
+def test_batch_lifts_are_column_major_and_equal_the_direct_lift(binary):
+    # the layout is part of the output: a model's product reads a column-major
+    # block through another BLAS kernel than a row-major one
+    for models, x, seg in _lift_cases():
+        rng = np.random.default_rng(seg.size)
+        for n in (1, 300, 512):
+            if binary:
+                z = rng.integers(0, 2, size=(n, seg.d)).astype(np.float64)
+                ref = mean_reference(x, seg)
+                out, direct = reconstruct_binary(x, ref, seg, z), lift_direct(x, seg, z, ref.values)
+            else:
+                z = rng.normal(size=(n, seg.d))
+                out, direct = reconstruct_continuous(x, seg, z), lift_direct(x, seg, z)
+            assert out.shape == (n, seg.size) and out.flags.f_contiguous
+            assert np.ascontiguousarray(out).tobytes() == direct.tobytes()
+            for model in models:
+                assert (evaluate(model, out).tobytes()
+                        == evaluate(model, np.asfortranarray(direct)).tobytes())
 
 
 @given(st.integers(min_value=0, max_value=2**32 - 1))

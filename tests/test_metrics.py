@@ -2,6 +2,7 @@ import hashlib
 import os
 import subprocess
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -14,15 +15,18 @@ from localex.errors import DimensionMismatch
 from localex.explain import Explanation, Lime, OneSlot
 from localex.feature_space import Segmentation, grid_segment, singleton_segments
 from localex.metrics import (
+    BALL_CHUNK,
     NORMS,
     explanation_distance,
     local_fidelity,
     sample_ball,
     top_k_indices,
     top_k_jaccard,
+    unit_ball,
 )
 from localex.models import Linear, Quadratic
-from oracles import average_ranks_direct, jaccard_direct, local_fidelity_whole, sample_ball_direct
+from oracles import (average_ranks_direct, jaccard_direct, local_fidelity_whole,
+                     sample_ball_direct, unit_ball_direct)
 
 
 def make_exp(w, seed=0):
@@ -145,6 +149,69 @@ def test_every_epsilon_of_a_shared_unit_ball_is_sample_balls_ball_bit_for_bit(mo
             whole = ball(x, eps, norm, m, seed)
             assert hashes == [hashlib.sha256(whole[s:s + 512]).digest()
                               for s in range(0, m, 512)]
+
+
+def traced_peak(compute):
+    """compute()'s result and the peak of traced memory during it, above what
+    was traced when it started."""
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        result = compute()
+        return result, tracemalloc.get_traced_memory()[1] - start
+    finally:
+        tracemalloc.stop()
+
+
+@pytest.mark.parametrize("norm", NORMS)
+@pytest.mark.parametrize("m", [1, 511, 512, 513, 1300])
+def test_unit_ball_is_the_whole_norm_oracle_bit_for_bit(norm, m):
+    for dim, seed in ((3, 7), (64, 1), (3072, 4)):
+        ball = unit_ball(norm, m, dim, seed)
+        directions, radii = unit_ball_direct(norm, m, dim, seed)
+        assert ball.directions.tobytes() == directions.tobytes()
+        assert (ball.radii is None) == (radii is None)
+        if radii is not None:
+            assert ball.radii.tobytes() == radii.tobytes()
+
+
+@pytest.mark.parametrize("norm", NORMS)
+def test_a_ball_holds_one_m_by_d_array(norm):
+    # the draw, one chunk's temporaries and small change: neither a whole-ball
+    # norm nor sample_ball's scaling makes a second m x D array
+    m, dim = 2048, 3072
+    bound = m * dim * 8 + BALL_CHUNK * dim * 8 + 2**20
+    ball, peak = traced_peak(lambda: unit_ball(norm, m, dim, 0))
+    assert ball.directions.shape == (m, dim) and peak <= bound
+    del ball
+    points, peak = traced_peak(lambda: sample_ball(np.zeros(dim), 0.5, norm, m, 0))
+    assert points.shape == (m, dim) and peak <= bound
+
+
+@pytest.mark.parametrize("norm", NORMS)
+def test_sample_ball_is_unit_ball_points_bit_for_bit(norm):
+    x = np.random.default_rng(2).normal(size=64)
+    for m in (1, 513, 1300):
+        for eps in (0.3, 1.0):
+            expected = unit_ball(norm, m, x.size, 5).points(x, eps)
+            assert sample_ball(x, eps, norm, m, 5).tobytes() == expected.tobytes()
+            rows = unit_ball(norm, m, x.size, 5).points(x, eps, slice(1, 3))
+            assert rows.tobytes() == expected[1:3].tobytes()
+
+
+def test_local_fidelity_holds_one_block_beside_the_ball_and_the_offsets():
+    m, seed = 2048, 3
+    model, x, seg = image_case("linear", 32)
+    exp = Explanation(np.zeros(seg.d), 0.0, None, Lime(1.0), 10, 0, 1.0, seg.d)
+    balls = OneSlot()
+    balls.get(("l2", m, x.size, seed), lambda: unit_ball("l2", m, x.size, seed))
+    _, peak = traced_peak(lambda: local_fidelity(model, x, [exp], seg, 0.5, "l2", m, seed,
+                                                 balls))
+    block = model.block_rows * x.size * 8
+    offsets = m * seg.d * 8
+    basis = x.size * seg.d * 8  # feature_offsets' D x d projection
+    assert peak <= block + offsets + basis + 2**20
 
 
 def test_ball_sampling_validates_its_arguments():

@@ -24,7 +24,6 @@ from localex.sampling import (
     expected_weight_uniform,
     splitmix64,
     substream_seed,
-    weight,
 )
 from oracles import coalitions_direct, count_pmf_direct, lime_weight_direct, shap_weight_direct
 
@@ -155,12 +154,17 @@ def test_coalitions_reject_degenerate_and_oversized_sets_when_built():
 # weighting kernels
 
 
+def one_weight(wspec, mask):
+    """batch_weights of one mask, as a one-row matrix."""
+    return batch_weights(wspec, mask[None, :])[0]
+
+
 @pytest.mark.parametrize("sigma", [0.25, 0.5, 1.0, 2.0])
 def test_exp_kernel_matches_direct_formula(sigma):
     d = 12
     for k in range(d + 1):
         mask = np.r_[np.ones(k), np.zeros(d - k)]
-        assert weight(ExpKernel(sigma), mask) == pytest.approx(
+        assert one_weight(ExpKernel(sigma), mask) == pytest.approx(
             lime_weight_direct(d, sigma, k), rel=1e-12
         )
 
@@ -169,47 +173,47 @@ def test_exp_kernel_anchor_values():
     # k = d-1 at sigma = 0.25 gives e^{-16}; k = d/2 gives e^{-8d}
     d = 20
     near_full = np.r_[np.ones(d - 1), 0.0]
-    assert weight(ExpKernel(0.25), near_full) == pytest.approx(math.exp(-16.0), rel=1e-12)
+    assert one_weight(ExpKernel(0.25), near_full) == pytest.approx(math.exp(-16.0), rel=1e-12)
     half = np.r_[np.ones(d // 2), np.zeros(d // 2)]
-    assert weight(ExpKernel(0.25), half) == pytest.approx(math.exp(-8.0 * d), rel=1e-12)
+    assert one_weight(ExpKernel(0.25), half) == pytest.approx(math.exp(-8.0 * d), rel=1e-12)
 
 
 def test_shap_kernel_matches_direct_formula():
     for d in (2, 4, 7, 10):
         for k in range(1, d):
             mask = np.r_[np.ones(k), np.zeros(d - k)]
-            assert weight(ShapKernel(), mask) == pytest.approx(
+            assert one_weight(ShapKernel(), mask) == pytest.approx(
                 shap_weight_direct(d, k), rel=1e-14
             )
 
 
 def test_shap_kernel_frozen_value():
-    assert weight(ShapKernel(), np.array([1.0, 1.0, 0.0, 0.0])) == 0.125
+    assert one_weight(ShapKernel(), np.array([1.0, 1.0, 0.0, 0.0])) == 0.125
 
 
 def test_shap_kernel_rejects_degenerate_coalitions():
     with pytest.raises(ShapDegenerate):
-        weight(ShapKernel(), np.zeros(5))
+        one_weight(ShapKernel(), np.zeros(5))
     with pytest.raises(ShapDegenerate):
-        weight(ShapKernel(), np.ones(5))
+        one_weight(ShapKernel(), np.ones(5))
     with pytest.raises(ShapDegenerate):
         batch_weights(ShapKernel(), np.vstack([np.ones(5), np.r_[1.0, np.zeros(4)]]))
 
 
 def test_unit_kernel_is_constant_one():
-    assert weight(Unit(), np.array([1.0, 0.0])) == 1.0
+    assert one_weight(Unit(), np.array([1.0, 0.0])) == 1.0
     assert np.all(batch_weights(Unit(), draw(UniformBinary(4), 10, 0)) == 1.0)
 
 
-def test_weight_rejects_non_binary_masks():
+def test_batch_weights_rejects_non_binary_masks():
     with pytest.raises(ValueError):
-        weight(ExpKernel(1.0), np.array([0.5, 1.0]))
+        batch_weights(ExpKernel(1.0), np.array([[0.5, 1.0]]))
 
 
-def test_batch_weights_agree_with_scalar_weight():
+def test_batch_weights_agree_with_one_row_calls():
     masks = draw(UniformBinary(9), 64, 5)
     batch = batch_weights(ExpKernel(0.7), masks)
-    singles = [weight(ExpKernel(0.7), row) for row in masks]
+    singles = [one_weight(ExpKernel(0.7), row) for row in masks]
     assert batch == pytest.approx(singles, rel=1e-14)
 
 
