@@ -7,6 +7,7 @@ Exit codes: 0 success, 1 configuration or usage error, 2 runtime failure.
 from __future__ import annotations
 
 import argparse
+import functools
 import os.path
 import sys
 
@@ -41,6 +42,7 @@ class _Parser(argparse.ArgumentParser):
         raise ConfigError(message)
 
 
+@functools.cache  # parse_args leaves the parser as it was, so one serves every call
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="localex",
                      description="local explanation engine and experiment harness")

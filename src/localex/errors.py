@@ -6,6 +6,7 @@ code 2, so keep configuration problems on the ConfigError branch.
 """
 from __future__ import annotations
 
+import functools
 import json
 import os
 import sys
@@ -149,10 +150,13 @@ def _as_kind(value: Any, kind: Any, name: str) -> Any:
     raise ConfigError(f"{name} must be {expected}, got {json.dumps(value)}")
 
 
+_type_hints = functools.cache(get_type_hints)  # a class's annotations, resolved once
+
+
 def read_fields(cls: type, obj: dict) -> dict:
     """Keyword arguments for dataclass cls from a JSON object, each field read by its
     annotation and an absent one taking its default."""
-    hints = get_type_hints(cls)
+    hints = _type_hints(cls)
     return {f.name: field(obj, f.name, hints[f.name], f.default) for f in fields(cls)}
 
 

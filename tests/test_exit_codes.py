@@ -6,13 +6,19 @@ Each example writes a model file, an input file and a config whose fields start 
 well-formed, then replaces a few of them, or a whole file, with arbitrary JSON.
 Every count drawn is at most 64 and every list holds a few items, so n, m and the
 sample sizes stay <= 64 and d <= 8, and no model kind is remote. No generated config
-can therefore allocate much or open a connection.
+can therefore allocate much or open a connection. The remote model's transport
+failures are checked apart, against raw-socket servers that break HTTP.
 """
 import contextlib
 import io
 import json
 import os.path
+import re
+import socket
 import tempfile
+import threading
+
+import pytest
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -151,3 +157,56 @@ def test_every_generated_input_meets_the_exit_code_contract(run):
         assert err == ""
     else:
         assert err.startswith("error:") and err.count("\n") == 1, err
+
+
+@contextlib.contextmanager
+def raw_server(reply: bytes):
+    """The URL of a server that reads each request whole, writes reply and closes the
+    connection, and the list of request heads it has read."""
+    listener = socket.create_server(("127.0.0.1", 0))
+    listener.settimeout(0.05)  # so the loop sees stop soon after it is set
+    stop, heads = threading.Event(), []
+
+    def serve():
+        while not stop.is_set():
+            try:
+                conn, _ = listener.accept()
+            except TimeoutError:
+                continue
+            with conn, conn.makefile("rb") as rfile:
+                head = b""
+                while (line := rfile.readline()) not in (b"\r\n", b""):
+                    head += line
+                rfile.read(int(re.search(rb"Content-Length: (\d+)", head)[1]))
+                heads.append(head)
+                conn.sendall(reply)
+
+    thread = threading.Thread(target=serve, daemon=True)
+    thread.start()
+    try:
+        yield f"http://127.0.0.1:{listener.getsockname()[1]}/predict", heads
+    finally:
+        stop.set()
+        thread.join(timeout=30)
+        listener.close()
+    assert not thread.is_alive()
+
+
+@pytest.mark.parametrize("reply", [
+    b"garbage\r\n\r\n",  # no status line: http.client's BadStatusLine
+    # 12 of the 100 bytes promised, then the close: http.client's IncompleteRead
+    b"HTTP/1.0 200 OK\r\nContent-Length: 100\r\n\r\n{\"values\": [",
+], ids=["bad_status_line", "incomplete_read"])
+def test_broken_http_is_retried_then_exits_2_with_one_error_line(reply, tmp_path, capsys):
+    with raw_server(reply) as (url, heads):
+        files = {"model.json": {"kind": "remote", "endpoint": url, "retries": 1},
+                 "input.json": {"values": [0.5, -1.0, 2.0, 0.0]},
+                 "config.json": {"model": "model.json", "input": "input.json",
+                                 "method": {"method": "Lime", "sigma": 1}, "n": 8}}
+        for name, obj in files.items():
+            (tmp_path / name).write_text(json.dumps(obj), encoding="utf-8")
+        code = main(["explain", "--config", str(tmp_path / "config.json")])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith(f"error: remote model at {url} failed: ") and err.count("\n") == 1, err
+    assert len(heads) == 2  # the first attempt and its one retry

@@ -1,5 +1,9 @@
+import contextlib
 import gc
 import json
+import os
+import socket
+import ssl
 import struct
 import threading
 import warnings
@@ -264,13 +268,14 @@ class _Handler(BaseHTTPRequestHandler):
     mode = "sum"
     calls: list[int] = []
     bodies: list[bytes] = []  # each request body as received
+    failing: set[int] = set()  # the calls, counted from 1, that get a 500 in any mode
 
     def do_POST(self):
         raw = self.rfile.read(int(self.headers["Content-Length"]))
         type(self).bodies.append(raw)
         body = json.loads(raw)
         type(self).calls.append(len(body["points"]))
-        if type(self).mode == "error":
+        if type(self).mode == "error" or len(type(self).calls) in type(self).failing:
             self.send_response(500)
             self.end_headers()
             return
@@ -296,20 +301,39 @@ class _Handler(BaseHTTPRequestHandler):
         pass
 
 
-@pytest.fixture()
-def server():
-    httpd = HTTPServer(("127.0.0.1", 0), _Handler)
+# a self-signed certificate for 127.0.0.1 and its key, valid from 2000 to 2999
+LOOPBACK_TLS = os.path.join(os.path.dirname(__file__), "loopback_tls.pem")
+
+
+@contextlib.contextmanager
+def serving(handler, tls=False):
+    """The URL of a single-threaded HTTPServer answering with handler, in a thread;
+    with tls, an https server with the certificate in LOOPBACK_TLS."""
+    httpd = HTTPServer(("127.0.0.1", 0), handler)
+    if tls:
+        context = ssl.SSLContext(ssl.PROTOCOL_TLS_SERVER)
+        context.load_cert_chain(LOOPBACK_TLS)
+        httpd.socket = context.wrap_socket(httpd.socket, server_side=True)
     # a short poll lets shutdown() return at once instead of after up to 0.5 s
     thread = threading.Thread(target=httpd.serve_forever, kwargs={"poll_interval": 0.01},
                               daemon=True)
     thread.start()
+    try:
+        yield f"{'https' if tls else 'http'}://127.0.0.1:{httpd.server_port}"
+    finally:
+        httpd.shutdown()
+        thread.join()
+        httpd.server_close()
+
+
+@pytest.fixture()
+def server():
     _Handler.mode = "sum"
     _Handler.calls = []
     _Handler.bodies = []
-    yield f"http://127.0.0.1:{httpd.server_port}/predict"
-    httpd.shutdown()
-    thread.join()
-    httpd.server_close()
+    _Handler.failing = set()
+    with serving(_Handler) as url:
+        yield f"{url}/predict"
 
 
 def test_remote_evaluates_and_batches(server):
@@ -363,6 +387,133 @@ def test_remote_non_json_body_is_malformed(server):
     _Handler.mode = "garbage"
     with pytest.raises(RemoteMalformed):
         evaluate(Remote(server), np.ones((1, 2)))
+
+
+class _SmallSendBuffer(_Handler):
+    def setup(self):
+        # a reply of more than a few hundred kB waits for the client to read it
+        self.request.setsockopt(socket.SOL_SOCKET, socket.SO_SNDBUF, 8192)
+        super().setup()
+
+
+def test_a_single_threaded_server_takes_batches_beyond_the_socket_buffers(server):
+    # block 1's request goes out before block 0's reply is read. Each body and reply
+    # holds 5.2 MB, more than a socket takes before it is read, so a write of the
+    # whole request would wait for the server, which waits to write block 0's
+    # reply, until timeout_ms
+    pts = -np.random.default_rng(0).random((400_000, 1)) * 1e-10
+    out = evaluate(Remote(server, timeout_ms=5000, batch_size=200_000), pts)
+    assert np.array_equal(out, pts[:, 0])
+    assert _Handler.calls == [200_000, 200_000]
+
+
+def test_https_leaves_the_handshake_of_the_request_ahead_to_its_first_write(monkeypatch):
+    # a single-threaded server shakes hands on block 1's connection only after it
+    # has written block 0's reply, which waits for the client to read it
+    monkeypatch.setattr(ssl, "_create_default_https_context",
+                        lambda: ssl.create_default_context(cafile=LOOPBACK_TLS))
+    _Handler.mode, _Handler.calls, _Handler.bodies = "sum", [], []
+    pts = -np.random.default_rng(1).random((100_000, 1)) * 1e-10
+    with serving(_SmallSendBuffer, tls=True) as url:
+        out = evaluate(Remote(url, timeout_ms=5000, batch_size=50_000), pts)
+    assert np.array_equal(out, pts[:, 0])
+    assert _Handler.calls == [50_000, 50_000]
+
+
+class _Sockets:
+    """The sockets socket.create_connection opens, as http.client opens them, and
+    how many of them were open as each was opened."""
+
+    def __init__(self):
+        self.made, self.open_before = [], []
+
+    def open(self) -> int:
+        return sum(s.fileno() != -1 for s in self.made)
+
+    def connect(self, *args, real=socket.create_connection, **kwargs):
+        self.open_before.append(self.open())
+        self.made.append(real(*args, **kwargs))
+        return self.made[-1]
+
+
+@pytest.fixture()
+def sockets(monkeypatch):
+    tracked = _Sockets()
+    monkeypatch.setattr(socket, "create_connection", tracked.connect)
+    return tracked
+
+
+def test_one_request_is_sent_ahead_on_two_connections_at_most(server, sockets):
+    pts = np.arange(20.0).reshape(10, 2)
+    assert np.array_equal(evaluate(Remote(server, batch_size=4), pts), pts.sum(axis=1))
+    # block 1 connects while block 0's connection is open, block 2 once its reply is read
+    assert sockets.open_before == [0, 1, 1]
+    assert sockets.open() == 0
+    assert _Handler.bodies == [points_body(pts[s:s + 4]) for s in (0, 4, 8)]
+
+
+def test_a_failed_block_closes_the_request_sent_after_it(server):
+    _Handler.failing = {2}  # block 1 fails; block 2 was sent before its reply was read
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        with pytest.raises(RemoteUnavailable, match="HTTP Error 500: Internal Server Error"):
+            evaluate(Remote(server, batch_size=4), np.ones((10, 2)))
+        gc.collect()  # an unclosed connection's socket warns when collected
+    assert [w for w in caught if issubclass(w.category, ResourceWarning)] == []
+
+
+def test_a_retry_goes_out_once_the_request_sent_ahead_is_closed(server, sockets,
+                                                                 monkeypatch):
+    open_at_pause = []
+    monkeypatch.setattr(models.time, "sleep", lambda seconds: open_at_pause.append(sockets.open()))
+    _Handler.failing = {2}  # block 1's first attempt
+    pts = np.arange(20.0).reshape(10, 2)
+    out = evaluate(Remote(server, batch_size=4, retries=1), pts)
+    assert np.array_equal(out, pts.sum(axis=1))
+    assert open_at_pause == [0]  # block 2's request too is closed before the retry
+
+
+def test_remote_non_finite_responses_are_counted_over_every_block(server):
+    pts = np.zeros((10, 2))
+    pts[[1, 5, 9]] = 1e308  # the server's sum of each of these rows is inf, one per block
+    with pytest.raises(NonFiniteOutput, match=r"^model returned 3 non-finite value\(s\) "
+                                              r"for 10 points$"):
+        evaluate(Remote(server, batch_size=4), pts)
+
+
+class _Proxy(BaseHTTPRequestHandler):
+    """A forward proxy that answers every POST itself, with -1 for each point."""
+
+    seen: list[tuple[str, str]] = []  # each request's target and Host header
+
+    def do_POST(self):
+        type(self).seen.append((self.path, self.headers["Host"]))
+        points = json.loads(self.rfile.read(int(self.headers["Content-Length"])))["points"]
+        self.send_response(200)
+        self.end_headers()
+        self.wfile.write(json.dumps({"values": [-1.0] * len(points)}).encode())
+
+    def log_message(self, *args):
+        pass
+
+
+@pytest.mark.parametrize("no_proxy", [None, "127.0.0.1"])
+def test_http_proxy_routes_each_post_unless_no_proxy_lists_the_host(server, monkeypatch,
+                                                                     no_proxy):
+    for var in ("no_proxy", "NO_PROXY", "HTTP_PROXY"):
+        monkeypatch.delenv(var, raising=False)
+    if no_proxy:
+        monkeypatch.setenv("no_proxy", no_proxy)
+    _Proxy.seen = []
+    with serving(_Proxy) as proxy:
+        monkeypatch.setenv("http_proxy", proxy)
+        out = evaluate(Remote(server, batch_size=4), np.ones((6, 2)))
+    if no_proxy:
+        assert _Proxy.seen == [] and np.array_equal(out, np.full(6, 2.0))
+    else:  # the whole URL as the target, and the endpoint's host
+        host = server.split("/")[2]
+        assert _Proxy.seen == [(server, host)] * 2 and np.array_equal(out, np.full(6, -1.0))
+        assert _Handler.calls == []
 
 
 def test_remote_connection_refused_is_unavailable():
