@@ -310,29 +310,52 @@ class OneSlot:
         return self.value
 
 
+def _distinct_masks(design: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The distinct rows of an n x d 0/1 design, in the order they first occur,
+    and for each of the n rows the index of its distinct row. Each row is keyed
+    by its packed bits, ceil(d/8) bytes, so the n keys take one np.unique."""
+    packed = np.packbits(design.astype(bool), axis=1)
+    keys = packed.view(f"V{packed.shape[1]}").ravel()
+    _, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
+    order = np.argsort(first)
+    rank = np.empty_like(order)
+    rank[order] = np.arange(order.size)
+    return design[first[order]], rank[inverse]
+
+
 def explain(req: ExplainRequest, samples: OneSlot | None = None) -> Explanation:
     """Draw the method's samples, lift and evaluate them, weight them by its kernel
     and fit: by ridge with the method's fixed lambda, if it has one, else the
     request's, or from known moments. n records the samples used (exact
     KernelShap: all). The samples are lifted and evaluated one block at a time,
     so memory holds the n x d samples and one block of raw points, never all n
-    of them. samples, when given, keeps the last sample set and its responses:
-    a request with the same law, lift, n and seed on the same model, input,
-    segmentation and reference reuses them and only weights and fits."""
+    of them. A model that waits on a server (model.send) is asked once per
+    distinct binary mask, in the order the masks first occur, its endpoint being
+    taken to be a function of each point; the responses are then copied to every
+    sample, so weights and fit see all n, and a non-finite response is counted
+    over the points sent. A builtin model evaluates every sample, since its last
+    bits can depend on the row count of its call. samples, when given, keeps the
+    last sample set and its responses: a request with the same law, lift, n and
+    seed on the same model, input, segmentation and reference reuses them and
+    only weights and fits."""
     method, seg = req.method, req.segmentation
     lam = req.lam if method.fixed_lam is None else method.fixed_lam
     law, kernel = method.sampler(seg.d)
 
     def draw_lift_evaluate() -> tuple[ExplainRequest, np.ndarray, np.ndarray]:
         design = draw(law, req.n, req.seed)
+        sent, back = design, slice(None)  # the samples evaluated, and y's map back
+        if method.binary and req.model.send is not None:
+            sent, back = _distinct_masks(design)
 
         def lift(block: slice) -> np.ndarray:  # raw points of one block of samples
             if method.binary:
-                return reconstruct_binary(req.x, req.reference, seg, design[block])
-            return reconstruct_continuous(req.x, seg, design[block])
+                return reconstruct_binary(req.x, req.reference, seg, sent[block])
+            return reconstruct_continuous(req.x, seg, sent[block])
 
+        y = evaluate_blocks(req.model, len(sent), lift, evaluate)
         # req rides along so that the objects whose ids are in the key stay alive
-        return req, design, evaluate_blocks(req.model, len(design), lift, evaluate)
+        return req, design, y[back]
 
     key = (law, method.binary, req.n, req.seed,
            *map(id, (req.model, req.x, seg, req.reference)))

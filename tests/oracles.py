@@ -134,16 +134,38 @@ def lift_direct(x: np.ndarray, seg: Segmentation, design: np.ndarray,
     return out
 
 
-def explain_whole(req: ExplainRequest) -> tuple[np.ndarray, float, float | None]:
+def _fit_whole_lift(req: ExplainRequest, respond: Callable[[np.ndarray], np.ndarray]
+                    ) -> tuple[np.ndarray, float, float | None]:
     """A ridge method's (w, intercept, R^2) with every sample lifted at once and
-    the whole lift given to one forward call, not lifted and evaluated in blocks."""
+    respond(points) giving the responses to all n lifted points."""
     method = req.method
     design, points = lift_whole(req)
     lam = req.lam if method.fixed_lam is None else method.fixed_lam
     kernel = method.sampler(req.segmentation.d)[1]
-    sol = solve_weighted_ridge(RidgeProblem(design, req.model.forward(points),
+    sol = solve_weighted_ridge(RidgeProblem(design, respond(points),
                                             batch_weights(kernel, design), lam))
     return sol.w, sol.intercept, sol.r2
+
+
+def explain_whole(req: ExplainRequest) -> tuple[np.ndarray, float, float | None]:
+    """The fit with the whole lift given to one forward call, not lifted and
+    evaluated in blocks."""
+    return _fit_whole_lift(req, req.model.forward)
+
+
+def explain_every_row(req: ExplainRequest) -> tuple[np.ndarray, float, float | None]:
+    """The fit with every lifted sample evaluated through evaluate, repeated
+    masks included, not once per distinct mask."""
+    return _fit_whole_lift(req, lambda points: evaluate(req.model, points))
+
+
+def distinct_rows_direct(rows: np.ndarray) -> np.ndarray:
+    """The distinct rows of a matrix in the order they first occur, found by
+    comparing each row's values with those of the rows kept so far."""
+    kept: dict[tuple, None] = {}
+    for row in rows.tolist():
+        kept.setdefault(tuple(row))
+    return np.array(list(kept), dtype=rows.dtype).reshape(-1, rows.shape[1])
 
 
 def sample_ball_direct(x: np.ndarray, epsilon: float, norm: str, m: int,

@@ -5,8 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import (ALL_METHODS, IMAGE_MODELS, assert_same, blocks_match_bits, image_case,
-                      smoothgrad)
+from conftest import (ALL_METHODS, IMAGE_MODELS, asset, assert_same, blocks_match_bits,
+                      image_case, smoothgrad)
 from localex.errors import (MAX_VALUES, ConfigError, DimensionTooLarge, NonFiniteOutput,
                             ShapDegenerate)
 from localex.explain import (
@@ -34,7 +34,9 @@ from localex.feature_space import (
     mean_reference,
     singleton_segments,
 )
-from localex.models import BLOCK_ROWS, Linear, Quadratic, Remote, evaluate, gradient
+from localex.harness import load_input
+from localex.models import (BLOCK_ROWS, Linear, Quadratic, Remote, evaluate, gradient,
+                            load_model)
 from localex.sampling import EXACT_SHAP_MAX_D, Gaussian, draw
 from oracles import explain_whole, shapley_bruteforce, smoothgrad_direct
 
@@ -367,6 +369,19 @@ def test_blocked_explain_equals_one_whole_evaluation(kind, side, method, n):
     exp = explain(req)
     assert_same(np.r_[exp.w, exp.intercept, exp.r2], np.r_[explain_whole(req)],
                 blocks_match_bits(kind, side, n))
+
+
+def test_a_builtin_model_evaluates_every_repeated_mask():
+    # 1024 small-sigma masks hold about 45 distinct ones. Evaluating only those
+    # would give other bits here: a builtin's responses depend on the row count
+    # of its call, so only a model that waits on a server is asked once per mask
+    x = load_input(asset("input_8x8.json"))[0]
+    seg = grid_segment(8, 8, 1, 4, 4)
+    req = ExplainRequest(model=load_model(asset("linear_8x8.json")), x=x, segmentation=seg,
+                         method=GlimeBinomial(0.5), n=1024, seed=0,
+                         reference=mean_reference(x, seg))
+    exp = explain(req)
+    assert_same(np.r_[exp.w, exp.intercept, exp.r2], np.r_[explain_whole(req)], True)
 
 
 @pytest.mark.parametrize("method", LIFTS, ids=repr)

@@ -16,8 +16,8 @@ from hypothesis import strategies as st
 
 from conftest import asset
 from localex import models
-from localex.explain import ExplainRequest, GlimeBinomial, GlimeGauss, explain
-from localex.feature_space import (grid_segment, mean_reference, reconstruct_binary,
+from localex.explain import ExplainRequest, GlimeBinomial, GlimeGauss, Lime, explain
+from localex.feature_space import (Reference, grid_segment, mean_reference, reconstruct_binary,
                                    reconstruct_continuous)
 from localex.harness import json_dumps
 from localex.errors import (
@@ -43,7 +43,8 @@ from localex.models import (
     model_to_json,
     points_body,
 )
-from oracles import central_difference_gradient, lift_whole
+from oracles import (central_difference_gradient, distinct_rows_direct, explain_every_row,
+                     lift_direct, lift_whole)
 
 
 def small_mlp() -> Mlp:
@@ -521,15 +522,71 @@ def test_remote_connection_refused_is_unavailable():
         evaluate(Remote("http://127.0.0.1:1/f", timeout_ms=300), np.ones((1, 2)))
 
 
+def remote_request(server, method, n, seed, x=None, reference=None):
+    """An explain of the sum of a 64-value input's points, served by _Handler,
+    on a 4 x 4 grid: 16 segments."""
+    x = np.random.default_rng(11).normal(size=8 * 8) if x is None else x
+    seg = grid_segment(8, 8, 1, 4, 4)
+    return ExplainRequest(model=Remote(server, batch_size=64), x=x, segmentation=seg,
+                          method=method, n=n, seed=seed,
+                          reference=mean_reference(x, seg) if reference is None else reference)
+
+
 @pytest.mark.parametrize("method", [GlimeBinomial(0.5), GlimeGauss(0.5)],
                          ids=["binary_lift", "continuous_lift"])
 def test_remote_explain_posts_json_dumps_of_each_lifted_block(server, method):
-    rng = np.random.default_rng(11)
-    x = rng.normal(size=8 * 8)
-    seg = grid_segment(8, 8, 1, 4, 4)
-    req = ExplainRequest(model=Remote(server, batch_size=64), x=x, segmentation=seg,
-                         method=method, n=200, seed=3, reference=mean_reference(x, seg))
+    req = remote_request(server, method, n=200, seed=3)
     explain(req)
-    points = lift_whole(req)[1]
+    design, points = lift_whole(req)
+    if method.binary:  # each distinct mask once, in the order the masks first occur
+        points = lift_direct(req.x, req.segmentation, distinct_rows_direct(design),
+                             req.reference.values)
+    assert _Handler.bodies == [json.dumps({"points": points[s:s + 64].tolist()}).encode()
+                               for s in range(0, len(points), 64)]
+
+
+def test_a_small_sigma_binomial_explain_posts_its_distinct_masks_in_one_request(server):
+    req = remote_request(server, GlimeBinomial(0.5), n=1024, seed=0)
+    exp = explain(req)
+    masks = distinct_rows_direct(lift_whole(req)[0])
+    assert len(masks) < 64  # most of the 1024 masks keep every segment
+    points = lift_direct(req.x, req.segmentation, masks, req.reference.values)
+    assert _Handler.bodies == [json.dumps({"points": points.tolist()}).encode()]
+    assert exp.n == 1024
+    every_row = np.r_[explain_every_row(req)]
+    assert _Handler.calls[1:] == [64] * 16  # the oracle's POSTs
+    assert np.r_[exp.w, exp.intercept, exp.r2].tobytes() == every_row.tobytes()
+
+
+def test_an_explain_whose_masks_are_all_distinct_posts_every_lifted_block(server):
+    req = remote_request(server, Lime(0.5), n=200, seed=4)
+    design, points = lift_whole(req)
+    assert len(distinct_rows_direct(design)) == 200  # seed 3's 200 masks hold a repeat
+    explain(req)
     assert _Handler.bodies == [json.dumps({"points": points[s:s + 64].tolist()}).encode()
                                for s in range(0, 200, 64)]
+
+
+def test_remote_explain_counts_non_finite_responses_over_the_points_sent(server):
+    x = np.zeros(64)
+    x[[0, 1]] = 1e308  # both in segment 0: a point that keeps it sums to inf
+    req = remote_request(server, GlimeBinomial(0.5), n=1024, seed=0, x=x,
+                         reference=Reference(np.zeros(64)))
+    masks = distinct_rows_direct(lift_whole(req)[0])
+    bad = int(masks[:, 0].sum())
+    assert 0 < bad < len(masks) < 1024
+    with pytest.raises(NonFiniteOutput, match=rf"^model returned {bad} non-finite value\(s\) "
+                                              rf"for {len(masks)} points$"):
+        explain(req)
+
+
+def test_a_failed_explain_closes_the_request_sent_after_the_failing_one(server):
+    _Handler.failing = {2}  # block 1 fails; block 2 was sent before its reply was read
+    req = remote_request(server, Lime(0.5), n=200, seed=3)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        with pytest.raises(RemoteUnavailable, match="HTTP Error 500: Internal Server Error"):
+            explain(req)
+        gc.collect()  # an unclosed connection's socket warns when collected
+    assert [w for w in caught if issubclass(w.category, ResourceWarning)] == []
+    assert _Handler.calls[:2] == [64, 64]
