@@ -7,14 +7,13 @@ response and leaves the assumption to the caller.
 """
 from __future__ import annotations
 
-import base64
+import concurrent.futures
 import dataclasses
 import http.client
 import json
-import ssl
 import time
 import typing
-import urllib.parse
+import urllib.error
 import urllib.request
 from dataclasses import dataclass
 
@@ -53,7 +52,8 @@ class _Model:
     width: int | None  # declared input width; None: the server defines it
     block_rows: int = BLOCK_ROWS  # the most points one forward call is given
     # send(points) -> points, for a model whose forward call waits on a server:
-    # starts the request for points ahead of that call (see evaluate_blocks)
+    # starts the request for points on another thread, ahead of the forward call
+    # that reads its reply (see evaluate_blocks)
     send: typing.Callable[[np.ndarray], np.ndarray] | None = None
 
     def fields_to_json(self) -> dict:
@@ -186,123 +186,33 @@ def points_body(batch: np.ndarray) -> bytes:
     return ('{"points": [' + ", ".join(rows) + "]}").encode("utf-8")
 
 
-# what one POST attempt can fail with: the socket's errors, timeouts among them,
-# and http.client's (a broken status line, a body cut short, a status >= 400)
+# what one POST attempt can fail with: urllib's errors (a status >= 400, a
+# connection that fails), the socket's, timeouts among them, and http.client's
+# (a broken status line, a body cut short)
 _TRANSPORT_ERRORS = (OSError, http.client.HTTPException)
-# what a non-blocking socket raises when it takes no more bytes for now
-_WOULD_BLOCK = (BlockingIOError, ssl.SSLWantReadError, ssl.SSLWantWriteError)
+# the request sent ahead and the one whose reply is read: two POSTs in flight
+_POOL = concurrent.futures.ThreadPoolExecutor(max_workers=2)
 
 
-class _Queued:
-    """An http.client connection whose request() puts the request's bytes in
-    queued instead of writing them, so that _Post can write them itself."""
-
-    queued: list[bytes] | None = None
-
-    def send(self, data: bytes) -> None:
-        if self.queued is None:  # a proxy tunnel's CONNECT, written while connecting
-            super().send(data)
-        else:
-            self.queued.append(data)
-
-
-class _HTTPConnection(_Queued, http.client.HTTPConnection):
-    pass
-
-
-class _HTTPSConnection(_Queued, http.client.HTTPSConnection):
-    def connect(self) -> None:
-        # a single-threaded server shakes hands on a connection only once it has
-        # served the requests before it, so the handshake is left to the first write
-        http.client.HTTPConnection.connect(self)
-        self.sock = self._context.wrap_socket(
-            self.sock, server_hostname=self._tunnel_host or self.host,
-            do_handshake_on_connect=False)
-
-
-_CONNECTIONS = {"http": _HTTPConnection, "https": _HTTPSConnection}
-
-
-def _route(endpoint: str, timeout: float) -> tuple[http.client.HTTPConnection, str, dict]:
-    """An unopened connection for a POST to endpoint, the request's target and its
-    headers, routed as urllib routes a request: through the proxy that http_proxy
-    or https_proxy names unless no_proxy lists the host. An http request goes to
-    the proxy with the whole URL as its target, an https one through a tunnel."""
-    url = urllib.parse.urlsplit(endpoint)
-    target = urllib.parse.urlunsplit(("", "", url.path, url.query, ""))
-    headers = {"Content-Type": "application/json", "Connection": "close"}
-    proxy = urllib.request.getproxies().get(url.scheme)
-    if not proxy or urllib.request.proxy_bypass(url.netloc):
-        return _CONNECTIONS[url.scheme](url.netloc, timeout=timeout), target, headers
-    via = urllib.parse.urlsplit(proxy if "://" in proxy else "//" + proxy)
-    auth = {}
-    if via.username and via.password:
-        user = f"{urllib.parse.unquote(via.username)}:{urllib.parse.unquote(via.password)}"
-        auth["Proxy-Authorization"] = "Basic " + base64.b64encode(user.encode()).decode("ascii")
-    host = urllib.parse.unquote(via.netloc.rpartition("@")[2])
-    if url.scheme == "https":
-        conn = _HTTPSConnection(host, timeout=timeout)
-        conn.set_tunnel(url.netloc, headers=auth)
-        return conn, target, headers
-    scheme = via.scheme or url.scheme
-    if scheme not in _CONNECTIONS:
-        raise http.client.InvalidURL(f"unsupported proxy {proxy!r}")
-    return (_CONNECTIONS[scheme](host, timeout=timeout),
-            urllib.parse.urlunsplit(url._replace(fragment="")), {**headers, **auth})
-
-
-class _Post:
-    """One POST of a batch, on a connection of its own. start() connects and
-    writes what the socket takes without blocking; finish() writes the rest and
-    reads the reply. After close(), finish() starts the POST again."""
-
-    def __init__(self, remote: Remote, batch: np.ndarray) -> None:
-        self.batch, self.endpoint, self.timeout = batch, remote.endpoint, remote.timeout_ms / 1e3
-        self.body = points_body(batch)
-        self.conn: http.client.HTTPConnection | None = None
-        self.unsent = memoryview(b"")
-        self.failure: Exception | None = None  # what a start() before finish() raised
-
-    def start(self) -> None:
-        self.conn, target, headers = _route(self.endpoint, self.timeout)
-        self.conn.connect()
-        self.conn.queued = []
-        self.conn.request("POST", target, self.body, headers)
-        self.unsent = memoryview(b"".join(self.conn.queued))
-        sock = self.conn.sock
-        sock.settimeout(0)
-        try:
-            while self.unsent:
-                self.unsent = self.unsent[sock.send(self.unsent):]
-        except _WOULD_BLOCK:  # finish() writes the rest; an https socket wants the
-            pass  # bytes it refused offered again, so unsent still holds them
-        finally:
-            sock.settimeout(self.timeout)
-
-    def finish(self) -> bytes:
-        """The reply's body. Raises what the transport raises, and
-        http.client.HTTPException on a status >= 400."""
-        if self.failure is not None:
-            failure, self.failure = self.failure, None
-            raise failure
-        if self.conn is None:
-            self.start()
-        self.conn.sock.sendall(self.unsent)
-        with self.conn.getresponse() as resp:
-            if resp.status >= 400:
-                raise http.client.HTTPException(f"HTTP Error {resp.status}: {resp.reason}")
-            return resp.read()
-
-    def close(self) -> None:
-        if self.conn is not None:
-            self.conn.close()
-            self.conn = None
+def _attempt(endpoint: str, body: bytes, timeout: float) -> bytes:
+    """One POST of body to endpoint, with urlopen's default opener: the reply's
+    body. Raises what urlopen raises; an HTTPError is closed first."""
+    request = urllib.request.Request(endpoint, body, {"Content-Type": "application/json"},
+                                     method="POST")
+    try:
+        with urllib.request.urlopen(request, timeout=timeout) as reply:
+            return reply.read()
+    except urllib.error.HTTPError as exc:
+        exc.close()  # it holds the response and its socket
+        raise
 
 
 @dataclass(frozen=True)
 class Remote(_Model):
-    """HTTP adapter: POST {"points": [[...]]} -> {"values": [...]}, one connection
-    per POST, with Connection: close."""
+    """HTTP adapter: POST {"points": [[...]]} -> {"values": [...]}, through
+    urllib, one connection per POST. send() posts a batch on a worker thread of
+    a pool of two, so one request can be in flight while the calling thread
+    posts or reads another."""
 
     endpoint: str
     timeout_ms: int = 10000
@@ -322,7 +232,7 @@ class Remote(_Model):
                              f"got {self.timeout_ms}")
         if not 0 <= self.retries <= REMOTE_MAX_RETRIES:
             raise ValueError(f"retries must be in [0, {REMOTE_MAX_RETRIES}], got {self.retries}")
-        object.__setattr__(self, "_sent", {})  # id(batch) -> the _Post send() started
+        object.__setattr__(self, "_sent", {})  # id(batch) -> its body and first attempt
 
     def forward(self, pts: np.ndarray) -> np.ndarray:
         return self._post(pts)
@@ -331,44 +241,36 @@ class Remote(_Model):
         raise UnsupportedModel("gradient is not available for remote models")
 
     def send(self, batch: np.ndarray) -> np.ndarray:
-        """Start batch's POST before the forward call that reads its reply:
-        connect and write what the socket takes without blocking. What this
-        raises is the POST's first attempt's failure. Returns batch."""
-        post = self._sent[id(batch)] = _Post(self, batch)
-        try:
-            post.start()
-        except _TRANSPORT_ERRORS as exc:
-            post.close()
-            post.failure = exc
+        """Encode batch and start its POST's first attempt on the pool, before
+        the forward call that reads its reply. Returns batch."""
+        body = points_body(batch)
+        self._sent[id(batch)] = body, _POOL.submit(
+            _attempt, self.endpoint, body, self.timeout_ms / 1e3)
         return batch
 
     def drop_sent(self) -> None:
-        """Close the POSTs send() started whose replies were not read."""
-        for post in self._sent.values():
-            post.close()
+        """Drop the POSTs send() started whose replies were not read: one still
+        queued on the pool never starts, one under way is waited for up to
+        timeout_ms. A POST slower than that keeps its socket and its worker
+        after the return, until it ends on its own."""
+        for _, attempt in self._sent.values():
+            if not attempt.cancel():
+                concurrent.futures.wait([attempt], self.timeout_ms / 1e3)
         self._sent.clear()
 
     def _post(self, batch: np.ndarray) -> np.ndarray:
-        post = self._sent.pop(id(batch), None) or _Post(self, batch)
-        last_error: Exception | None = None
-        try:
-            for attempt in range(self.retries + 1):
-                if attempt:  # back off: 0.05 s before the first retry, doubling up to 1 s
-                    time.sleep(min(0.05 * 2 ** (attempt - 1), 1.0))
-                try:
-                    raw = post.finish()
-                    break
-                except _TRANSPORT_ERRORS as exc:
-                    # a retry would queue behind the POSTs sent ahead, which a
-                    # single-threaded server reads first: those are closed, and
-                    # their own forward calls post them again
-                    post.close()
-                    self.drop_sent()
-                    last_error = exc
-            else:
-                raise RemoteUnavailable(f"remote model at {self.endpoint} failed: {last_error}")
-        finally:
-            post.close()
+        body, sent = self._sent.pop(id(batch), None) or (points_body(batch), None)
+        timeout, last_error = self.timeout_ms / 1e3, None
+        for attempt in range(self.retries + 1):
+            if attempt:  # back off: 0.05 s before the first retry, doubling up to 1 s
+                time.sleep(min(0.05 * 2 ** (attempt - 1), 1.0))
+            try:  # a retry runs here; the request sent ahead reads its own reply
+                raw = sent.result() if sent else _attempt(self.endpoint, body, timeout)
+                break
+            except _TRANSPORT_ERRORS as exc:
+                sent, last_error = None, exc
+        else:
+            raise RemoteUnavailable(f"remote model at {self.endpoint} failed: {last_error}")
         try:
             payload = json.loads(raw.decode("utf-8"))
         except (UnicodeDecodeError, json.JSONDecodeError) as exc:
@@ -421,8 +323,11 @@ def evaluate_blocks(
     is made inside its call, so only one block of points exists at once. A
     model that sends keeps one request ahead: block k + 1 is made and sent
     (model.send) before evaluate reads block k's reply, so that the server works
-    while the client makes the next block; two blocks and two requests at most.
-    Raises NonFiniteOutput counting over all n points.
+    while the client makes the next block; two blocks and two requests at most,
+    which may reach the server in either order. Block 0 is posted by evaluate
+    itself, so a single block sends nothing ahead. When a block fails, the
+    request sent after it is dropped (model.drop_sent), not read. Raises
+    NonFiniteOutput counting over all n points.
     """
     y = np.empty(n)
     bad = 0
@@ -431,7 +336,7 @@ def evaluate_blocks(
         for start in range(0, n, step):
             block = slice(start, start + step)
             if send is not None:  # each block after the first was sent with the one before
-                points = ahead if start else send(rows(block))
+                points = ahead if start else rows(block)
                 after = slice(start + step, start + 2 * step)
                 ahead = send(rows(after)) if after.start < n else None
             try:
