@@ -1,7 +1,4 @@
 import hashlib
-import os
-import subprocess
-import sys
 import tracemalloc
 
 import numpy as np
@@ -332,12 +329,3 @@ def test_spearman_uses_average_ranks_on_ties(seed):
     direct = np.corrcoef(ra, rb)[0, 1]
     assert d.spearman == direct
 
-
-def test_import_leaves_scipy_stats_unloaded():
-    import localex
-
-    src = os.path.dirname(os.path.dirname(localex.__file__))
-    code = "import sys, localex; print('scipy.stats' in sys.modules)"
-    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
-                          env={**os.environ, "PYTHONPATH": src}, check=True)
-    assert proc.stdout.strip() == "False"

@@ -1,12 +1,17 @@
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
+import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from localex.errors import NotPositiveDefinite, SingularSystem, UnsupportedCombination
-from localex.sampling import Binomial, ExpKernel, Gaussian, Laplace, UniformBinary, Unit, draw
+from localex.sampling import (Binomial, ExpKernel, Gaussian, Laplace, UniformBinary, Unit,
+                              batch_weights, draw)
 from localex.solver import (
     RidgeProblem,
     RidgeSolution,
@@ -78,6 +83,78 @@ def test_singular_system_at_lambda_zero_with_duplicate_rows():
     z = np.array([[1.0, 2.0, 3.0], [1.0, 2.0, 3.0]])
     with pytest.raises(SingularSystem):
         solve_weighted_ridge(RidgeProblem(z, np.array([1.0, 1.0]), np.ones(2), 0.0))
+
+
+def _cho_solve_w(p: RidgeProblem) -> np.ndarray:
+    """w from scipy.linalg's cho_factor/cho_solve on the solver's normal
+    equations, built with the solver's own operations."""
+    z, y, pi = p.design, p.responses, p.sample_weights
+    sw = pi / pi.sum()
+    zbar = sw @ z
+    zc = z - zbar
+    yc = y - float(sw @ y)
+    gram = (zc * pi[:, None]).T @ zc
+    rhs = zc.T @ (pi * yc)
+    system = gram if p.lam == 0.0 else gram + p.lam * np.eye(z.shape[1])
+    return scipy.linalg.cho_solve(scipy.linalg.cho_factor(system, lower=True), rhs)
+
+
+@pytest.mark.parametrize("d", [1, 2, 8, 16, 64, 100])
+@pytest.mark.parametrize("lam", [0.0, 0.5, 1.0])
+@pytest.mark.parametrize("design", ["binary", "gaussian"])
+@pytest.mark.parametrize("weights", ["unit", "kernel"])
+def test_w_has_the_bits_of_scipy_cho_solve(d, lam, design, weights):
+    n = 4 * d + 16
+    rng = np.random.default_rng(d)
+    if design == "binary":
+        z = draw(UniformBinary(d), n, d)
+        pi = batch_weights(ExpKernel(2.0) if weights == "kernel" else Unit(), z)
+    else:
+        z = draw(Gaussian(d, 1.0), n, d)
+        pi = np.exp(-np.sum(z * z, axis=1) / d) if weights == "kernel" else np.ones(n)
+    p = RidgeProblem(z, rng.normal(size=n), pi, lam)
+    w = solve_weighted_ridge(p).w
+    assert w.view(np.uint64).tolist() == _cho_solve_w(p).view(np.uint64).tolist()
+
+
+@pytest.mark.parametrize("lam", [0.0, 1.0])
+def test_a_design_without_columns_fits_only_the_intercept(lam):
+    sol = solve_weighted_ridge(RidgeProblem(np.zeros((3, 0)), np.array([1.0, 2.0, 6.0]),
+                                            np.ones(3), lam))
+    assert sol.w.shape == (0,)
+    assert sol.intercept == 3.0
+
+
+def test_a_numerically_indefinite_full_rank_system_fails_the_factorization():
+    # z2 = fl(3 z1): the exact Gram matrix is singular, but rounding in its
+    # 10^5-term sums leaves an eigenvalue too large in magnitude for the rank
+    # test and, for some draws, negative, so the Cholesky pivot fails instead
+    n = 100_000
+    for seed in range(20):
+        rng = np.random.default_rng(seed)
+        z1 = rng.normal(size=n)
+        p = RidgeProblem(np.column_stack([z1, 3.0 * z1]), rng.normal(size=n), np.ones(n), 0.0)
+        try:
+            solve_weighted_ridge(p)
+        except SingularSystem as exc:
+            if str(exc).startswith("SPD"):
+                assert str(exc) == ("SPD factorization failed (lambda=0.0): 2-th leading "
+                                    "minor of the array is not positive definite")
+                with pytest.raises(scipy.linalg.LinAlgError):
+                    _cho_solve_w(p)
+                return
+    pytest.fail("no draw reached the factorization failure")
+
+
+def test_cli_import_leaves_scipy_linalg_and_stats_and_numpy_f2py_and_testing_unloaded():
+    import localex
+
+    src = os.path.dirname(os.path.dirname(localex.__file__))
+    code = ("import sys, localex.cli; print([m for m in ('scipy.linalg', 'scipy.stats', "
+            "'numpy.f2py', 'numpy.testing') if m in sys.modules])")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": src}, check=True)
+    assert proc.stdout.strip() == "[]"
 
 
 def test_zero_sample_weights_are_rejected_with_a_hint():
