@@ -9,7 +9,6 @@ from .errors import (
     EngineError,
     InvalidGrid,
     IoFailure,
-    LengthMismatch,
     NonFiniteOutput,
     NotPositiveDefinite,
     RemoteMalformed,

@@ -48,11 +48,8 @@ class ConfigError(EngineError):
 
 
 class DimensionMismatch(EngineError):
-    """Input width does not match the declared dimension."""
-
-
-class LengthMismatch(EngineError):
-    """Vector lengths disagree (raw space vs feature space)."""
+    """Widths disagree: an input's and the model's, or raw space's and feature
+    space's."""
 
 
 class InvalidGrid(ConfigError):

@@ -329,15 +329,14 @@ def explain(req: ExplainRequest, samples: OneSlot | None = None) -> Explanation:
     request's, or from known moments. n records the samples used (exact
     KernelShap: all). The samples are lifted and evaluated one block at a time,
     so memory holds the n x d samples and one block of raw points, never all n
-    of them. A model that waits on a server (model.send) is asked once per
-    distinct binary mask, in the order the masks first occur, its endpoint being
-    taken to be a function of each point; the responses are then copied to every
-    sample, so weights and fit see all n, and a non-finite response is counted
-    over the points sent. A builtin model evaluates every sample, since its last
-    bits can depend on the row count of its call. samples, when given, keeps the
-    last sample set and its responses: a request with the same law, lift, n and
-    seed on the same model, input, segmentation and reference reuses them and
-    only weights and fits."""
+    of them. A remote model is asked once per distinct binary mask, in the order
+    the masks first occur, its endpoint being taken to be a function of each
+    point; the responses are then copied to every sample, so weights and fit see
+    all n, and a non-finite response is counted over the points sent. A builtin
+    model evaluates every sample, since its last bits can depend on the row
+    count of its call. samples, when given, keeps the last sample set and its
+    responses: a request with the same law, lift, n and seed on the same model,
+    input, segmentation and reference reuses them and only weights and fits."""
     method, seg = req.method, req.segmentation
     lam = req.lam if method.fixed_lam is None else method.fixed_lam
     law, kernel = method.sampler(seg.d)
@@ -345,7 +344,7 @@ def explain(req: ExplainRequest, samples: OneSlot | None = None) -> Explanation:
     def draw_lift_evaluate() -> tuple[ExplainRequest, np.ndarray, np.ndarray]:
         design = draw(law, req.n, req.seed)
         sent, back = design, slice(None)  # the samples evaluated, and y's map back
-        if method.binary and req.model.send is not None:
+        if method.binary and req.model.kind == "remote":
             sent, back = _distinct_masks(design)
 
         def lift(block: slice) -> np.ndarray:  # raw points of one block of samples

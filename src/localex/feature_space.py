@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidGrid, LengthMismatch
+from .errors import DimensionMismatch, InvalidGrid
 
 
 @dataclass(frozen=True)
@@ -36,7 +36,7 @@ class Segmentation:
         if self.d < 1:
             raise ValueError(f"d must be >= 1, got {self.d}")
         if a.size != int(np.prod(self.shape)):
-            raise LengthMismatch(
+            raise DimensionMismatch(
                 f"assignment length {a.size} does not match shape {self.shape}"
             )
         present = np.unique(a)
@@ -98,7 +98,7 @@ def mean_reference(x: np.ndarray, seg: Segmentation) -> Reference:
     """Reference that replaces each segment by its mean over all its raw indices."""
     x = np.asarray(x, dtype=np.float64)
     if x.shape != (seg.size,):
-        raise LengthMismatch(f"x has length {x.size}, segmentation expects {seg.size}")
+        raise DimensionMismatch(f"x has length {x.size}, segmentation expects {seg.size}")
     sums = np.bincount(seg.assignment, weights=x, minlength=seg.d)
     means = sums / seg.counts()
     return Reference(means[seg.assignment])
@@ -115,9 +115,9 @@ def reconstruct_binary(
     x = np.asarray(x, dtype=np.float64)
     z = np.asarray(zprime, dtype=np.float64)
     if x.shape != (seg.size,) or r.values.shape != (seg.size,):
-        raise LengthMismatch("x and reference must have the segmentation's raw length")
+        raise DimensionMismatch("x and reference must have the segmentation's raw length")
     if z.shape[-1] != seg.d:
-        raise LengthMismatch(f"mask width {z.shape[-1]} != d={seg.d}")
+        raise DimensionMismatch(f"mask width {z.shape[-1]} != d={seg.d}")
     if not np.all((z == 0.0) | (z == 1.0)):
         raise ValueError("binary reconstruction requires a 0/1 mask")
     if z.ndim != 2:
@@ -134,9 +134,9 @@ def reconstruct_continuous(
     x = np.asarray(x, dtype=np.float64)
     z = np.asarray(zprime, dtype=np.float64)
     if x.shape != (seg.size,):
-        raise LengthMismatch(f"x has length {x.size}, segmentation expects {seg.size}")
+        raise DimensionMismatch(f"x has length {x.size}, segmentation expects {seg.size}")
     if z.shape[-1] != seg.d:
-        raise LengthMismatch(f"offset width {z.shape[-1]} != d={seg.d}")
+        raise DimensionMismatch(f"offset width {z.shape[-1]} != d={seg.d}")
     if z.ndim != 2:
         return x + z[..., seg.assignment]
     lifted = np.take(z.T, seg.assignment, axis=0)  # D x n
@@ -152,7 +152,7 @@ def feature_offsets(delta: np.ndarray, seg: Segmentation) -> np.ndarray:
     """
     delta = np.asarray(delta, dtype=np.float64)
     if delta.shape[-1] != seg.size:
-        raise LengthMismatch(f"delta width {delta.shape[-1]} != D={seg.size}")
+        raise DimensionMismatch(f"delta width {delta.shape[-1]} != D={seg.size}")
     counts = seg.counts().astype(np.float64)
     basis = np.zeros((seg.size, seg.d))
     basis[np.arange(seg.size), seg.assignment] = 1.0 / counts[seg.assignment]

@@ -7,14 +7,11 @@ response and leaves the assumption to the caller.
 """
 from __future__ import annotations
 
-import concurrent.futures
 import dataclasses
-import http.client
+import functools
 import json
 import time
 import typing
-import urllib.error
-import urllib.request
 from dataclasses import dataclass
 
 import numpy as np
@@ -31,6 +28,9 @@ from .errors import (
     read_fields,
     read_json,
 )
+
+if typing.TYPE_CHECKING:  # the transport's modules load on the first POST
+    import concurrent.futures
 
 MLP_GRADIENT_STEP = 1e-5
 # points a builtin model is given per forward call, so an explain lifts at most
@@ -51,10 +51,6 @@ class _Model:
     kind: str  # the model file's "kind" tag
     width: int | None  # declared input width; None: the server defines it
     block_rows: int = BLOCK_ROWS  # the most points one forward call is given
-    # send(points) -> points, for a model whose forward call waits on a server:
-    # starts the request for points on another thread, ahead of the forward call
-    # that reads its reply (see evaluate_blocks)
-    send: typing.Callable[[np.ndarray], np.ndarray] | None = None
 
     def fields_to_json(self) -> dict:
         values = {f.name: getattr(self, f.name) for f in dataclasses.fields(self)}
@@ -186,17 +182,20 @@ def points_body(batch: np.ndarray) -> bytes:
     return ('{"points": [' + ", ".join(rows) + "]}").encode("utf-8")
 
 
-# what one POST attempt can fail with: urllib's errors (a status >= 400, a
-# connection that fails), the socket's, timeouts among them, and http.client's
-# (a broken status line, a body cut short)
-_TRANSPORT_ERRORS = (OSError, http.client.HTTPException)
-# the request sent ahead and the one whose reply is read: two POSTs in flight
-_POOL = concurrent.futures.ThreadPoolExecutor(max_workers=2)
+@functools.cache
+def _pool() -> concurrent.futures.ThreadPoolExecutor:
+    """The two workers that forward posts requests ahead on, made on first use.
+    Two threads' first calls at once may each make one; the one not kept lets
+    its workers go when their requests are done."""
+    import concurrent.futures
+    return concurrent.futures.ThreadPoolExecutor(max_workers=2)
 
 
 def _attempt(endpoint: str, body: bytes, timeout: float) -> bytes:
     """One POST of body to endpoint, with urlopen's default opener: the reply's
     body. Raises what urlopen raises; an HTTPError is closed first."""
+    import urllib.error
+    import urllib.request
     request = urllib.request.Request(endpoint, body, {"Content-Type": "application/json"},
                                      method="POST")
     try:
@@ -210,9 +209,9 @@ def _attempt(endpoint: str, body: bytes, timeout: float) -> bytes:
 @dataclass(frozen=True)
 class Remote(_Model):
     """HTTP adapter: POST {"points": [[...]]} -> {"values": [...]}, through
-    urllib, one connection per POST. send() posts a batch on a worker thread of
-    a pool of two, so one request can be in flight while the calling thread
-    posts or reads another."""
+    urllib, one connection per POST. A forward call posts batch_size points at
+    a time and keeps one request ahead on a pool of two worker threads, so the
+    server works while the calling thread encodes or reads another batch."""
 
     endpoint: str
     timeout_ms: int = 10000
@@ -220,7 +219,9 @@ class Remote(_Model):
     retries: int = 0
     kind = "remote"
     width = None
-    block_rows = property(lambda self: self.batch_size)  # one POST per block
+    # whole batches: as many as fit in 2 * BLOCK_ROWS points, and two at least,
+    # so that the request ahead drains once per forward call
+    block_rows = property(lambda self: max(2, 2 * BLOCK_ROWS // self.batch_size) * self.batch_size)
 
     def __post_init__(self) -> None:
         if not self.endpoint.startswith(("http://", "https://")):
@@ -232,42 +233,50 @@ class Remote(_Model):
                              f"got {self.timeout_ms}")
         if not 0 <= self.retries <= REMOTE_MAX_RETRIES:
             raise ValueError(f"retries must be in [0, {REMOTE_MAX_RETRIES}], got {self.retries}")
-        object.__setattr__(self, "_sent", {})  # id(batch) -> its body and first attempt
 
     def forward(self, pts: np.ndarray) -> np.ndarray:
-        return self._post(pts)
+        """POST pts batch_size points at a time, one request ahead: batch k + 1 is
+        encoded and its first attempt started on the pool before batch k's reply
+        is read, and batch 0 is posted on the calling thread; two requests at
+        most, which may reach the server in either order. When a batch fails, the
+        request ahead is dropped: one still queued on the pool never starts, one
+        under way is waited for up to timeout_ms. A POST slower than that keeps
+        its socket and its worker after the raise, until it ends on its own."""
+        step, timeout = self.batch_size, self.timeout_ms / 1e3
+        out = np.empty(len(pts))
+        ahead = None  # the next batch's body and its first attempt
+        try:
+            for start in range(0, len(pts), step):
+                body, sent = ahead or (points_body(pts[start:start + step]), None)
+                ahead = None
+                if start + step < len(pts):
+                    after = points_body(pts[start + step:start + 2 * step])
+                    ahead = after, _pool().submit(_attempt, self.endpoint, after, timeout)
+                out[start:start + step] = self._post(body, sent, min(step, len(pts) - start))
+        finally:
+            if ahead is not None and not ahead[1].cancel():
+                import concurrent.futures
+                concurrent.futures.wait([ahead[1]], timeout)
+        return out
 
     def gradient(self, x: np.ndarray) -> np.ndarray:
         raise UnsupportedModel("gradient is not available for remote models")
 
-    def send(self, batch: np.ndarray) -> np.ndarray:
-        """Encode batch and start its POST's first attempt on the pool, before
-        the forward call that reads its reply. Returns batch."""
-        body = points_body(batch)
-        self._sent[id(batch)] = body, _POOL.submit(
-            _attempt, self.endpoint, body, self.timeout_ms / 1e3)
-        return batch
-
-    def drop_sent(self) -> None:
-        """Drop the POSTs send() started whose replies were not read: one still
-        queued on the pool never starts, one under way is waited for up to
-        timeout_ms. A POST slower than that keeps its socket and its worker
-        after the return, until it ends on its own."""
-        for _, attempt in self._sent.values():
-            if not attempt.cancel():
-                concurrent.futures.wait([attempt], self.timeout_ms / 1e3)
-        self._sent.clear()
-
-    def _post(self, batch: np.ndarray) -> np.ndarray:
-        body, sent = self._sent.pop(id(batch), None) or (points_body(batch), None)
+    def _post(self, body: bytes, sent: concurrent.futures.Future | None, n: int) -> np.ndarray:
+        """The n values the server returns for body: sent's reply, when its first
+        attempt was started ahead, else this thread's POST; retries run here."""
+        # an attempt fails with an OSError, as urllib's errors (a status >= 400, a
+        # connection that fails) and the socket's (a timeout among them) are, or
+        # with http.client's own (a broken status line, a body cut short)
+        import http.client
         timeout, last_error = self.timeout_ms / 1e3, None
         for attempt in range(self.retries + 1):
             if attempt:  # back off: 0.05 s before the first retry, doubling up to 1 s
                 time.sleep(min(0.05 * 2 ** (attempt - 1), 1.0))
-            try:  # a retry runs here; the request sent ahead reads its own reply
+            try:
                 raw = sent.result() if sent else _attempt(self.endpoint, body, timeout)
                 break
-            except _TRANSPORT_ERRORS as exc:
+            except (OSError, http.client.HTTPException) as exc:
                 sent, last_error = None, exc
         else:
             raise RemoteUnavailable(f"remote model at {self.endpoint} failed: {last_error}")
@@ -276,10 +285,10 @@ class Remote(_Model):
         except (UnicodeDecodeError, json.JSONDecodeError) as exc:
             raise RemoteMalformed(f"remote returned invalid JSON: {exc}") from exc
         values = payload.get("values") if isinstance(payload, dict) else None
-        if not isinstance(values, list) or len(values) != len(batch):
+        if not isinstance(values, list) or len(values) != n:
             raise RemoteMalformed(
                 f"remote returned {0 if not isinstance(values, list) else len(values)} "
-                f"values for {len(batch)} points"
+                f"values for {n} points"
             )
         try:
             return np.asarray(values, dtype=np.float64)
@@ -319,35 +328,20 @@ def evaluate_blocks(
 ) -> np.ndarray:
     """The model's responses to n points made model.block_rows at a time:
     evaluate(model, rows(block)) for each block, a slice of range(n), in order.
-    Callers pass the evaluate they look up themselves. A builtin model's block
-    is made inside its call, so only one block of points exists at once. A
-    model that sends keeps one request ahead: block k + 1 is made and sent
-    (model.send) before evaluate reads block k's reply, so that the server works
-    while the client makes the next block; two blocks and two requests at most,
-    which may reach the server in either order. Block 0 is posted by evaluate
-    itself, so a single block sends nothing ahead. When a block fails, the
-    request sent after it is dropped (model.drop_sent), not read. Raises
+    Callers pass the evaluate they look up themselves. Each block is made inside
+    its call, so only one block of points exists at once. Raises
     NonFiniteOutput counting over all n points.
     """
     y = np.empty(n)
     bad = 0
-    step, send = model.block_rows, model.send
-    try:
-        for start in range(0, n, step):
-            block = slice(start, start + step)
-            if send is not None:  # each block after the first was sent with the one before
-                points = ahead if start else rows(block)
-                after = slice(start + step, start + 2 * step)
-                ahead = send(rows(after)) if after.start < n else None
-            try:
-                y[block] = evaluate(model, rows(block) if send is None else points)
-            except NonFiniteOutput as exc:
-                if not exc.bad:  # not a count of this block's responses
-                    raise
-                bad += exc.bad
-    finally:
-        if send is not None:
-            model.drop_sent()  # the next block's request, when this block failed
+    for start in range(0, n, model.block_rows):
+        block = slice(start, start + model.block_rows)
+        try:
+            y[block] = evaluate(model, rows(block))
+        except NonFiniteOutput as exc:
+            if not exc.bad:  # not a count of this block's responses
+                raise
+            bad += exc.bad
     if bad:
         raise _non_finite(bad, n)
     return y

@@ -4,7 +4,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from conftest import asset, image_case
-from localex.errors import InvalidGrid, LengthMismatch
+from localex.errors import DimensionMismatch, InvalidGrid
 from localex.feature_space import (
     Reference,
     Segmentation,
@@ -26,7 +26,7 @@ def test_segmentation_validates_its_assignment():
         Segmentation(np.array([0, 2, 0, 2]), 3, (4,))  # segment 1 empty
     with pytest.raises(ValueError):
         Segmentation(np.array([0, -1]), 1, (2,))
-    with pytest.raises(LengthMismatch):
+    with pytest.raises(DimensionMismatch):
         Segmentation(np.array([0, 1]), 2, (3,))
 
 

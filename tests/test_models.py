@@ -6,6 +6,7 @@ import os
 import socket
 import ssl
 import struct
+import sys
 import threading
 import urllib.request
 import warnings
@@ -468,18 +469,49 @@ def test_a_failed_block_closes_the_request_sent_after_it(server, sockets):
 
 
 def test_a_dropped_request_still_queued_never_starts(server):
+    _Handler.failing = {1}  # batch 0, posted on the calling thread
     release = threading.Event()
-    busy = [models._POOL.submit(release.wait) for _ in range(2)]  # both workers
-    m = Remote(server)
-    try:
-        m.send(np.ones((3, 2)))
-        (_, attempt), = m._sent.values()
-        m.drop_sent()
-        assert attempt.cancelled()
+    busy = [models._pool().submit(release.wait) for _ in range(2)]  # both workers
+    try:  # batch 1's request waits on the pool behind them
+        with pytest.raises(RemoteUnavailable, match="HTTP Error 500"):
+            evaluate(Remote(server, timeout_ms=2000, batch_size=3), np.ones((6, 2)))
     finally:
         release.set()
         concurrent.futures.wait(busy)
-    assert _Handler.calls == []
+    models._pool().submit(lambda: None).result()  # the pool's queue is drained
+    assert _Handler.calls == [3]
+
+
+def test_one_remote_serves_two_threads_at_once(server):
+    m = Remote(server, batch_size=4)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)  # switch threads often, so that the calls interleave
+    try:
+        for trial in range(20):
+            _Handler.bodies = []
+            pts = [np.arange(40.0).reshape(20, 2) + 100 * (2 * trial + i) for i in range(2)]
+            outs, errors = [None, None], []
+
+            def run(i):
+                try:
+                    outs[i] = evaluate(m, pts[i])
+                except Exception as exc:  # reported by the assert below
+                    errors.append(exc)
+
+            threads = [threading.Thread(target=run, args=(i,)) for i in range(2)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(10)
+                assert not t.is_alive()
+            assert errors == []
+            for out, p in zip(outs, pts):
+                assert np.array_equal(out, p.sum(axis=1))
+            # each body reaches the server exactly once
+            assert sorted(_Handler.bodies) == sorted(points_body(p[s:s + 4])
+                                                     for p in pts for s in range(0, 20, 4))
+    finally:
+        sys.setswitchinterval(interval)
 
 
 def test_a_retry_leaves_the_request_sent_ahead_in_flight(server, monkeypatch):

@@ -146,12 +146,14 @@ def test_a_numerically_indefinite_full_rank_system_fails_the_factorization():
     pytest.fail("no draw reached the factorization failure")
 
 
-def test_cli_import_leaves_scipy_linalg_and_stats_and_numpy_f2py_and_testing_unloaded():
+def test_cli_import_leaves_scipy_linalg_stats_numpy_f2py_testing_and_http_transport_unloaded():
     import localex
 
     src = os.path.dirname(os.path.dirname(localex.__file__))
+    # the transport's modules load on a remote model's first POST
     code = ("import sys, localex.cli; print([m for m in ('scipy.linalg', 'scipy.stats', "
-            "'numpy.f2py', 'numpy.testing') if m in sys.modules])")
+            "'numpy.f2py', 'numpy.testing', 'http.client', 'urllib.request', "
+            "'concurrent.futures') if m in sys.modules])")
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                           env={**os.environ, "PYTHONPATH": src}, check=True)
     assert proc.stdout.strip() == "[]"
