@@ -12,6 +12,7 @@ import functools
 import json
 import time
 import typing
+import urllib.parse
 from dataclasses import dataclass
 
 import numpy as np
@@ -28,9 +29,6 @@ from .errors import (
     read_fields,
     read_json,
 )
-
-if typing.TYPE_CHECKING:  # the transport's modules load on the first POST
-    import concurrent.futures
 
 MLP_GRADIENT_STEP = 1e-5
 # points a builtin model is given per forward call, so an explain lifts at most
@@ -183,35 +181,21 @@ def points_body(batch: np.ndarray) -> bytes:
 
 
 @functools.cache
-def _pool() -> concurrent.futures.ThreadPoolExecutor:
-    """The two workers that forward posts requests ahead on, made on first use.
-    Two threads' first calls at once may each make one; the one not kept lets
-    its workers go when their requests are done."""
+def _pool():
+    """The two worker threads that post the batches of every remote forward call of
+    more than one batch, made on first use and shared by all calls. Two threads'
+    first calls at once may each make one; the one not kept lets its workers go
+    when their requests are done."""
     import concurrent.futures
     return concurrent.futures.ThreadPoolExecutor(max_workers=2)
-
-
-def _attempt(endpoint: str, body: bytes, timeout: float) -> bytes:
-    """One POST of body to endpoint, with urlopen's default opener: the reply's
-    body. Raises what urlopen raises; an HTTPError is closed first."""
-    import urllib.error
-    import urllib.request
-    request = urllib.request.Request(endpoint, body, {"Content-Type": "application/json"},
-                                     method="POST")
-    try:
-        with urllib.request.urlopen(request, timeout=timeout) as reply:
-            return reply.read()
-    except urllib.error.HTTPError as exc:
-        exc.close()  # it holds the response and its socket
-        raise
 
 
 @dataclass(frozen=True)
 class Remote(_Model):
     """HTTP adapter: POST {"points": [[...]]} -> {"values": [...]}, through
     urllib, one connection per POST. A forward call posts batch_size points at
-    a time and keeps one request ahead on a pool of two worker threads, so the
-    server works while the calling thread encodes or reads another batch."""
+    a time, two batches at once on a pool of two worker threads, so the server
+    works on one while the client encodes or reads another."""
 
     endpoint: str
     timeout_ms: int = 10000
@@ -220,12 +204,16 @@ class Remote(_Model):
     kind = "remote"
     width = None
     # whole batches: as many as fit in 2 * BLOCK_ROWS points, and two at least,
-    # so that the request ahead drains once per forward call
+    # so that a forward call gives both workers a batch
     block_rows = property(lambda self: max(2, 2 * BLOCK_ROWS // self.batch_size) * self.batch_size)
 
     def __post_init__(self) -> None:
         if not self.endpoint.startswith(("http://", "https://")):
             raise ValueError(f"endpoint must be an http:// or https:// URL, got {self.endpoint!r}")
+        try:
+            urllib.parse.urlsplit(self.endpoint).port  # raises where urlopen could not parse it
+        except ValueError as exc:
+            raise ValueError(f"endpoint {self.endpoint!r} is not a valid URL: {exc}") from None
         if self.batch_size < 1:
             raise ValueError("batch_size must be positive")
         if not 1 <= self.timeout_ms <= REMOTE_MAX_TIMEOUT_MS:
@@ -235,65 +223,75 @@ class Remote(_Model):
             raise ValueError(f"retries must be in [0, {REMOTE_MAX_RETRIES}], got {self.retries}")
 
     def forward(self, pts: np.ndarray) -> np.ndarray:
-        """POST pts batch_size points at a time, one request ahead: batch k + 1 is
-        encoded and its first attempt started on the pool before batch k's reply
-        is read, and batch 0 is posted on the calling thread; two requests at
-        most, which may reach the server in either order. When a batch fails, the
-        request ahead is dropped: one still queued on the pool never starts, one
-        under way is waited for up to timeout_ms. A POST slower than that keeps
-        its socket and its worker after the raise, until it ends on its own."""
-        step, timeout = self.batch_size, self.timeout_ms / 1e3
-        out = np.empty(len(pts))
-        ahead = None  # the next batch's body and its first attempt
+        """POST pts batch_size points at a time. A single batch is posted on the
+        calling thread; more are all handed to the pool at once, so two requests
+        at most are in flight, and they may reach the server in either order. As
+        soon as one fails, the batches still queued are cancelled, and the first
+        failure in batch order is raised once none of this call's requests is in
+        flight."""
+        step = self.batch_size
+        if len(pts) <= step:
+            return self._post(pts)
+        import concurrent.futures
+        posts = [_pool().submit(self._post, pts[start:start + step])
+                 for start in range(0, len(pts), step)]
         try:
-            for start in range(0, len(pts), step):
-                body, sent = ahead or (points_body(pts[start:start + step]), None)
-                ahead = None
-                if start + step < len(pts):
-                    after = points_body(pts[start + step:start + 2 * step])
-                    ahead = after, _pool().submit(_attempt, self.endpoint, after, timeout)
-                out[start:start + step] = self._post(body, sent, min(step, len(pts) - start))
+            concurrent.futures.wait(posts, return_when=concurrent.futures.FIRST_EXCEPTION)
         finally:
-            if ahead is not None and not ahead[1].cancel():
-                import concurrent.futures
-                concurrent.futures.wait([ahead[1]], timeout)
-        return out
+            for post in posts:
+                post.cancel()
+            concurrent.futures.wait(posts)
+        # the pool starts batches in order, so every batch cancelled comes after the
+        # one that failed
+        return np.concatenate([post.result() for post in posts])
 
     def gradient(self, x: np.ndarray) -> np.ndarray:
         raise UnsupportedModel("gradient is not available for remote models")
 
-    def _post(self, body: bytes, sent: concurrent.futures.Future | None, n: int) -> np.ndarray:
-        """The n values the server returns for body: sent's reply, when its first
-        attempt was started ahead, else this thread's POST; retries run here."""
+    def _post(self, batch: np.ndarray) -> np.ndarray:
+        """The server's values for batch's points: one POST and its retries, on the
+        thread that calls this, through urlopen's default opener."""
         # an attempt fails with an OSError, as urllib's errors (a status >= 400, a
         # connection that fails) and the socket's (a timeout among them) are, or
         # with http.client's own (a broken status line, a body cut short)
         import http.client
-        timeout, last_error = self.timeout_ms / 1e3, None
+        import urllib.error
+        import urllib.request
+        body, last_error = points_body(batch), None
         for attempt in range(self.retries + 1):
             if attempt:  # back off: 0.05 s before the first retry, doubling up to 1 s
                 time.sleep(min(0.05 * 2 ** (attempt - 1), 1.0))
+            request = urllib.request.Request(self.endpoint, body,
+                                             {"Content-Type": "application/json"})
             try:
-                raw = sent.result() if sent else _attempt(self.endpoint, body, timeout)
+                with urllib.request.urlopen(request, timeout=self.timeout_ms / 1e3) as reply:
+                    raw = reply.read()
                 break
+            except urllib.error.HTTPError as exc:
+                exc.close()  # it holds the response and its socket
+                last_error = exc
             except (OSError, http.client.HTTPException) as exc:
-                sent, last_error = None, exc
+                last_error = exc
         else:
             raise RemoteUnavailable(f"remote model at {self.endpoint} failed: {last_error}")
         try:
             payload = json.loads(raw.decode("utf-8"))
-        except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+        # ValueError: not UTF-8, not JSON, or an integer of more than 4,300 digits;
+        # RecursionError: arrays or objects nested too deep to parse
+        except (ValueError, RecursionError) as exc:
             raise RemoteMalformed(f"remote returned invalid JSON: {exc}") from exc
         values = payload.get("values") if isinstance(payload, dict) else None
-        if not isinstance(values, list) or len(values) != n:
-            raise RemoteMalformed(
-                f"remote returned {0 if not isinstance(values, list) else len(values)} "
-                f"values for {n} points"
-            )
+        if not isinstance(values, list) or len(values) != len(batch):
+            count = len(values) if isinstance(values, list) else 0
+            raise RemoteMalformed(f"remote returned {count} values for {len(batch)} points")
+        # JSON numbers, as errors.field reads them: true and false are not numbers,
+        # and an integer must fit a double
+        if not all(type(v) in (int, float) for v in values):
+            raise RemoteMalformed("remote values must all be numbers")
         try:
             return np.asarray(values, dtype=np.float64)
-        except (TypeError, ValueError) as exc:
-            raise RemoteMalformed(f"remote values are not numeric: {exc}") from exc
+        except OverflowError as exc:
+            raise RemoteMalformed(f"remote values must fit a double: {exc}") from exc
 
 
 ModelSpec = Linear | Quadratic | Mlp | Remote

@@ -192,6 +192,19 @@ def raw_server(reply: bytes):
     assert not thread.is_alive()
 
 
+def run_remote_explain(model, tmp_path, capsys):
+    """main's exit code and stderr for an explain of 8 GlimeGauss samples, one POST
+    of 8 points, of the remote model whose file holds model."""
+    files = {"model.json": {"kind": "remote", **model},
+             "input.json": {"values": [0.5, -1.0, 2.0, 0.0]},
+             "config.json": {"model": "model.json", "input": "input.json",
+                             "method": {"method": "GlimeGauss", "sigma": 1}, "n": 8}}
+    for name, obj in files.items():
+        (tmp_path / name).write_text(json.dumps(obj), encoding="utf-8")
+    code = main(["explain", "--config", str(tmp_path / "config.json")])
+    return code, capsys.readouterr().err
+
+
 @pytest.mark.parametrize("reply", [
     b"garbage\r\n\r\n",  # no status line: http.client's BadStatusLine
     # 12 of the 100 bytes promised, then the close: http.client's IncompleteRead
@@ -199,14 +212,33 @@ def raw_server(reply: bytes):
 ], ids=["bad_status_line", "incomplete_read"])
 def test_broken_http_is_retried_then_exits_2_with_one_error_line(reply, tmp_path, capsys):
     with raw_server(reply) as (url, heads):
-        files = {"model.json": {"kind": "remote", "endpoint": url, "retries": 1},
-                 "input.json": {"values": [0.5, -1.0, 2.0, 0.0]},
-                 "config.json": {"model": "model.json", "input": "input.json",
-                                 "method": {"method": "Lime", "sigma": 1}, "n": 8}}
-        for name, obj in files.items():
-            (tmp_path / name).write_text(json.dumps(obj), encoding="utf-8")
-        code = main(["explain", "--config", str(tmp_path / "config.json")])
-    err = capsys.readouterr().err
+        code, err = run_remote_explain({"endpoint": url, "retries": 1}, tmp_path, capsys)
     assert code == 2
     assert err.startswith(f"error: remote model at {url} failed: ") and err.count("\n") == 1, err
     assert len(heads) == 2  # the first attempt and its one retry
+
+
+@pytest.mark.parametrize("value, error", [
+    (b"[1.0]", "values must all be numbers"),
+    (b"1" * 401, "values must fit a double"),
+    (b'"1.5"', "values must all be numbers"),
+    (b"true", "values must all be numbers"),
+    (b"1" * 5000, "returned invalid JSON"),  # more digits than Python reads as an int
+    (b"[" * 100_000 + b"]" * 100_000, "returned invalid JSON"),  # nested too deep
+], ids=["list", "401_digit_integer", "string", "boolean", "5000_digit_integer",
+        "deep_nesting"])
+def test_a_reply_value_that_is_not_a_number_exits_2_with_one_error_line(value, error,
+                                                                           tmp_path, capsys):
+    body = b'{"values": [' + value + b", 0.0" * 7 + b"]}"
+    reply = b"HTTP/1.0 200 OK\r\nContent-Length: %d\r\n\r\n%s" % (len(body), body)
+    with raw_server(reply) as (url, heads):
+        code, err = run_remote_explain({"endpoint": url}, tmp_path, capsys)
+    assert code == 2
+    assert err.startswith(f"error: remote {error}") and err.count("\n") == 1, err
+    assert len(heads) == 1
+
+
+def test_an_endpoint_urllib_cannot_parse_exits_1_with_one_error_line(tmp_path, capsys):
+    code, err = run_remote_explain({"endpoint": "http://[::1/p"}, tmp_path, capsys)
+    assert code == 1
+    assert err.startswith("error: ") and "Invalid IPv6 URL" in err and err.count("\n") == 1, err

@@ -1,4 +1,3 @@
-import json
 import tracemalloc
 
 import numpy as np
@@ -8,7 +7,6 @@ from hypothesis import strategies as st
 
 from conftest import (ALL_METHODS, IMAGE_MODELS, asset, assert_same, blocks_match_bits,
                       image_case, smoothgrad)
-from localex import models
 from localex.errors import (MAX_VALUES, ConfigError, DimensionTooLarge, NonFiniteOutput,
                             ShapDegenerate)
 from localex.explain import (
@@ -408,12 +406,11 @@ def test_explain_memory_does_not_grow_with_the_lifted_rows(method):
 def test_blocks_leave_remote_posts_unchanged(monkeypatch):
     posts = []
 
-    def attempt(endpoint, body, timeout):
-        points = json.loads(body)["points"]
-        posts.append(len(points))
-        return json.dumps({"values": [sum(p) for p in points]}).encode()
+    def post(self, batch):
+        posts.append(len(batch))
+        return batch.sum(axis=1)
 
-    monkeypatch.setattr(models, "_attempt", attempt)
+    monkeypatch.setattr(Remote, "_post", post)
     # 100 does not divide BLOCK_ROWS: each POST is still 100 points
     model = Remote("http://127.0.0.1:9/f", batch_size=100)
     explain(request(GlimeGauss(0.3), n=1000, model=model))

@@ -1,6 +1,6 @@
-import concurrent.futures
 import contextlib
 import gc
+import itertools
 import json
 import os
 import socket
@@ -8,9 +8,10 @@ import ssl
 import struct
 import sys
 import threading
+import time
 import urllib.request
 import warnings
-from http.server import BaseHTTPRequestHandler, HTTPServer
+from http.server import BaseHTTPRequestHandler, HTTPServer, ThreadingHTTPServer
 
 import numpy as np
 import pytest
@@ -116,7 +117,8 @@ def test_check_input_compares_the_input_length_with_the_model_width():
 
 
 def test_remote_rejects_what_it_cannot_use():
-    for endpoint in ("x", "", "ftp://localhost/f", "localhost:1/f"):
+    for endpoint in ("x", "", "ftp://localhost/f", "localhost:1/f", "http://[::1/p",
+                     "http://localhost:port/f", "http://localhost:65536/f"):
         with pytest.raises(ValueError, match="endpoint"):
             Remote(endpoint)
     for timeout_ms in (0, REMOTE_MAX_TIMEOUT_MS + 1, 10**308):
@@ -310,10 +312,11 @@ LOOPBACK_TLS = os.path.join(os.path.dirname(__file__), "loopback_tls.pem")
 
 
 @contextlib.contextmanager
-def serving(handler, tls=False):
+def serving(handler, tls=False, threads=False):
     """The URL of a single-threaded HTTPServer answering with handler, in a thread;
-    with tls, an https server with the certificate in LOOPBACK_TLS."""
-    httpd = HTTPServer(("127.0.0.1", 0), handler)
+    with tls, an https server with the certificate in LOOPBACK_TLS; with threads, a
+    server that answers each request in a thread of its own."""
+    httpd = (ThreadingHTTPServer if threads else HTTPServer)(("127.0.0.1", 0), handler)
     if tls:
         context = ssl.SSLContext(ssl.PROTOCOL_TLS_SERVER)
         context.load_cert_chain(LOOPBACK_TLS)
@@ -448,10 +451,10 @@ def sockets(monkeypatch):
     return tracked
 
 
-def test_one_request_is_sent_ahead_on_two_connections_at_most(server, sockets):
+def test_two_requests_in_flight_on_two_connections_at_most(server, sockets):
     pts = np.arange(20.0).reshape(10, 2)
     assert np.array_equal(evaluate(Remote(server, batch_size=4), pts), pts.sum(axis=1))
-    # blocks 0 and 1 go out together, block 2 once block 0's reply is read
+    # batches 0 and 1 go out together, batch 2 once either one has its reply
     assert len(sockets.open_before) == 3 and max(sockets.open_before) <= 1
     assert sockets.open() == 0
     assert sorted(_Handler.bodies) == sorted(points_body(pts[s:s + 4]) for s in (0, 4, 8))
@@ -468,18 +471,61 @@ def test_a_failed_block_closes_the_request_sent_after_it(server, sockets):
     assert [w for w in caught if issubclass(w.category, ResourceWarning)] == []
 
 
-def test_a_dropped_request_still_queued_never_starts(server):
-    _Handler.failing = {1}  # batch 0, posted on the calling thread
-    release = threading.Event()
-    busy = [models._pool().submit(release.wait) for _ in range(2)]  # both workers
-    try:  # batch 1's request waits on the pool behind them
+class _Threaded(BaseHTTPRequestHandler):
+    """Answers each POST with the status and values reply(points) gives, for a
+    server with threads, so that a POST held in reply holds up no other."""
+
+    def do_POST(self):
+        points = json.loads(self.rfile.read(int(self.headers["Content-Length"])))["points"]
+        status, values = self.reply(points)
+        self.send_response(status)
+        self.end_headers()
+        self.wfile.write(json.dumps({"values": values}).encode())
+
+    def log_message(self, *args):
+        pass
+
+
+def test_while_one_request_is_held_the_other_worker_posts_every_other_batch():
+    arrivals, others_arrived, held = itertools.count(), threading.Event(), []
+
+    class Handler(_Threaded):
+        def reply(self, points):
+            order = next(arrivals)
+            if order == 0:  # the first POST waits until the four others have arrived
+                held.append(others_arrived.wait(5))
+            elif order == 4:
+                others_arrived.set()
+            return 200, [sum(p) for p in points]
+
+    pts = np.arange(20.0).reshape(10, 2)
+    with serving(Handler, threads=True) as url:
+        out = evaluate(Remote(url, batch_size=2), pts)
+    assert held == [True]
+    assert np.array_equal(out, pts.sum(axis=1))
+
+
+@pytest.mark.parametrize("failing", [0, 1])
+def test_once_a_batch_fails_the_queued_batches_never_reach_the_server(failing):
+    seen, answered = [], []
+
+    class Handler(_Threaded):
+        def reply(self, points):
+            batch = int(points[0][0])  # batch i's points are all i
+            seen.append(batch)
+            if batch != failing:  # long enough for the call to cancel the queued batches
+                time.sleep(0.3)
+            answered.append(batch)
+            return 500 if batch == failing else 200, [sum(p) for p in points]
+
+    pts = np.repeat(np.arange(6.0), 2)[:, None]  # six batches of two points
+    with serving(Handler, threads=True) as url:
         with pytest.raises(RemoteUnavailable, match="HTTP Error 500"):
-            evaluate(Remote(server, timeout_ms=2000, batch_size=3), np.ones((6, 2)))
-    finally:
-        release.set()
-        concurrent.futures.wait(busy)
-    models._pool().submit(lambda: None).result()  # the pool's queue is drained
-    assert _Handler.calls == [3]
+            evaluate(Remote(url, batch_size=2), pts)
+        assert sorted(answered) == sorted(seen)  # no request was in flight at the raise
+    # batches 0 and 1 go out together. The worker that the failure frees may take
+    # batch 2 before the call sees that failure; 3 to 5 never start
+    assert sorted(seen) in ([0, 1], [0, 1, 2])
 
 
 def test_one_remote_serves_two_threads_at_once(server):
@@ -514,13 +560,13 @@ def test_one_remote_serves_two_threads_at_once(server):
         sys.setswitchinterval(interval)
 
 
-def test_a_retry_leaves_the_request_sent_ahead_in_flight(server, monkeypatch):
+def test_a_retry_leaves_the_other_request_in_flight(server, monkeypatch):
     monkeypatch.setattr(models.time, "sleep", lambda seconds: None)
     _Handler.failing = {2}  # the second POST's first attempt
     pts = np.arange(20.0).reshape(10, 2)
     out = evaluate(Remote(server, batch_size=4, retries=1), pts)
     assert np.array_equal(out, pts.sum(axis=1))
-    # the failed POST goes out twice; the request sent ahead of its retry, once
+    # the failed POST goes out twice; the other request in flight, once
     blocks = [points_body(pts[s:s + 4]) for s in (0, 4, 8)]
     assert _Handler.bodies[1] in blocks
     assert sorted(_Handler.bodies) == sorted([*blocks, _Handler.bodies[1]])
