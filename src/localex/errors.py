@@ -13,6 +13,8 @@ import sys
 from dataclasses import MISSING, fields
 from typing import Any, get_type_hints
 
+import numpy as np
+
 
 # what a constructor that converts JSON arrays or range-checks its fields can
 # raise: a missing key, a wrong type, a bad value, or an overflow
@@ -115,8 +117,7 @@ def read_json(path: str, what: str) -> Any:
 
 
 # each field kind: the JSON types it takes (true and false are never numbers) and its
-# name in errors. Any other kind, such as an array annotation, takes a list for the
-# constructor to convert.
+# name in errors. An np.ndarray field takes an array of numbers, read by read_numbers.
 _FIELD_KINDS = {int: ((int,), "an integer"), float: ((int, float), "a number"),
                 bool: ((bool,), "true or false"), str: ((str,), "a string"),
                 dict: ((dict,), "an object"), list: ((list,), "a list")}
@@ -124,9 +125,9 @@ _FIELD_KINDS = {int: ((int,), "an integer"), float: ((int, float), "a number"),
 
 def field(obj: dict, key: str, kind: Any, default: Any = MISSING) -> Any:
     """obj[key] read as kind: int, float (any number, returned as a float), bool, str,
-    dict, or [kind], a list of kind returned as a tuple. An absent key, or null where
-    the default is None, reads as the default; without one it is a ConfigError, as is
-    a value that kind does not take."""
+    dict, np.ndarray (read_numbers), or [kind], a list of kind returned as a tuple. An
+    absent key, or null where the default is None, reads as the default; without one
+    it is a ConfigError, as is a value that kind does not take."""
     if key not in obj or obj[key] is None and default is None:
         if default is MISSING:
             raise ConfigError(f"missing field {key!r}")
@@ -135,8 +136,10 @@ def field(obj: dict, key: str, kind: Any, default: Any = MISSING) -> Any:
 
 
 def _as_kind(value: Any, kind: Any, name: str) -> Any:
+    if kind is np.ndarray:
+        return read_numbers(value, name)
     listed = isinstance(kind, list)
-    types, expected = _FIELD_KINDS.get(list if listed else kind, ((list,), "an array"))
+    types, expected = _FIELD_KINDS[list if listed else kind]
     if isinstance(value, types) and (bool in types or not isinstance(value, bool)):
         if listed:
             return tuple(_as_kind(item, kind[0], f"{name}[{i}]") for i, item in enumerate(value))
@@ -145,6 +148,27 @@ def _as_kind(value: Any, kind: Any, name: str) -> Any:
         except OverflowError:  # an integer literal beyond the double range
             expected = "a number in the double range"
     raise ConfigError(f"{name} must be {expected}, got {json.dumps(value)}")
+
+
+def read_numbers(value: Any, name: str) -> np.ndarray:
+    """A JSON array of numbers as a float64 array of its shape. Each entry is a number
+    as field reads one: an int or a float, never true, false, a string or null, and
+    an integer only inside the double range. Nested arrays must be rectangular.
+    Anything else is a ConfigError naming name."""
+    if not isinstance(value, list):
+        raise ConfigError(f"{name} must be an array of numbers, got {json.dumps(value)}")
+    # rows of unequal length, or nested deeper than numpy's 64 dimensions, leave
+    # lists among the cells
+    cells = np.array(value, dtype=object)
+    flat = cells.reshape(-1)
+    if not set(map(type, flat)) <= {int, float}:
+        bad = next(cell for cell in flat if type(cell) not in (int, float))
+        raise ConfigError(f"{name} must all be numbers, in rows of equal length; "
+                          f"got {json.dumps(bad)}")
+    try:
+        return cells.astype(np.float64)
+    except OverflowError as exc:
+        raise ConfigError(f"{name} must fit a double: {exc}") from None
 
 
 _type_hints = functools.cache(get_type_hints)  # a class's annotations, resolved once

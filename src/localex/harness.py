@@ -19,7 +19,7 @@ from typing import Any, Callable
 
 import numpy as np
 
-from .errors import (MALFORMED, ConfigError, check_rows, check_scale, field, read_json,
+from .errors import (ConfigError, check_rows, check_scale, field, read_json, read_numbers,
                      write_text)
 from .explain import (
     ExplainRequest,
@@ -219,8 +219,9 @@ def load_input(path: str) -> tuple[np.ndarray, tuple[int, ...] | None]:
     """Input file: either a flat JSON array or {"values": [...], "shape": [...]}."""
     obj = read_json(path, "input")
     try:
-        values = np.asarray(obj if isinstance(obj, list) else obj["values"], dtype=np.float64)
-    except MALFORMED as exc:
+        values = read_numbers(obj if isinstance(obj, list) else obj["values"], "values")
+    # KeyError, TypeError: neither an array nor an object that holds values
+    except (KeyError, TypeError, ConfigError) as exc:
         raise ConfigError(f"malformed input file {path}: {exc}") from exc
     shape = None if isinstance(obj, list) else field(obj, "shape", [int], None)
     if values.ndim != 1 or values.size == 0:

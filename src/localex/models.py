@@ -8,7 +8,6 @@ response and leaves the assumption to the caller.
 from __future__ import annotations
 
 import dataclasses
-import functools
 import json
 import time
 import typing
@@ -28,6 +27,7 @@ from .errors import (
     field,
     read_fields,
     read_json,
+    read_numbers,
 )
 
 MLP_GRADIENT_STEP = 1e-5
@@ -38,6 +38,13 @@ MLP_GRADIENT_STEP = 1e-5
 BLOCK_ROWS = 512
 REMOTE_MAX_TIMEOUT_MS = 3_600_000  # one hour per request
 REMOTE_MAX_RETRIES = 10  # the pauses between attempts add up to 6.55 s at most
+
+
+def _check_finite(*params: np.ndarray | float) -> None:
+    """Raise ValueError unless every parameter value is finite: a model that holds
+    NaN or an infinity is rejected at load, not at its first evaluation."""
+    if not all(np.isfinite(p).all() for p in params):
+        raise ValueError("parameters must be finite numbers")
 
 
 class _Model:
@@ -71,6 +78,7 @@ class Linear(_Model):
         c = np.asarray(self.coefficients, dtype=np.float64)
         if c.ndim != 1:
             raise ValueError("coefficients must be a flat vector")
+        _check_finite(c, self.bias)
         object.__setattr__(self, "coefficients", c)
         object.__setattr__(self, "bias", float(self.bias))
 
@@ -99,6 +107,7 @@ class Quadratic(_Model):
             raise ValueError("matrix must be square")
         if c.shape != (a.shape[0],):
             raise ValueError("coefficients must match the matrix dimension")
+        _check_finite(a, c, self.bias)
         object.__setattr__(self, "matrix", (a + a.T) / 2.0)
         object.__setattr__(self, "coefficients", c)
         object.__setattr__(self, "bias", float(self.bias))
@@ -138,6 +147,7 @@ class Mlp(_Model):
         for w_prev, w_next in zip(ws, ws[1:]):
             if w_prev.shape[1] != w_next.shape[0]:
                 raise ValueError("consecutive layer widths do not chain")
+        _check_finite(*ws, *bs)
         object.__setattr__(self, "weights", ws)
         object.__setattr__(self, "biases", bs)
 
@@ -163,7 +173,8 @@ class Mlp(_Model):
     @classmethod
     def from_fields(cls, obj: dict) -> Mlp:
         layers = field(obj, "layers", [dict])
-        return cls([layer["weights"] for layer in layers], [layer["bias"] for layer in layers])
+        return cls([field(layer, "weights", np.ndarray) for layer in layers],
+                   [field(layer, "bias", np.ndarray) for layer in layers])
 
 
 def points_body(batch: np.ndarray) -> bytes:
@@ -180,21 +191,11 @@ def points_body(batch: np.ndarray) -> bytes:
     return ('{"points": [' + ", ".join(rows) + "]}").encode("utf-8")
 
 
-@functools.cache
-def _pool():
-    """The two worker threads that post the batches of every remote forward call of
-    more than one batch, made on first use and shared by all calls. Two threads'
-    first calls at once may each make one; the one not kept lets its workers go
-    when their requests are done."""
-    import concurrent.futures
-    return concurrent.futures.ThreadPoolExecutor(max_workers=2)
-
-
 @dataclass(frozen=True)
 class Remote(_Model):
     """HTTP adapter: POST {"points": [[...]]} -> {"values": [...]}, through
     urllib, one connection per POST. A forward call posts batch_size points at
-    a time, two batches at once on a pool of two worker threads, so the server
+    a time, two batches at once on two worker threads of its own, so the server
     works on one while the client encodes or reads another."""
 
     endpoint: str
@@ -223,24 +224,20 @@ class Remote(_Model):
             raise ValueError(f"retries must be in [0, {REMOTE_MAX_RETRIES}], got {self.retries}")
 
     def forward(self, pts: np.ndarray) -> np.ndarray:
-        """POST pts batch_size points at a time. A single batch is posted on the
-        calling thread; more are all handed to the pool at once, so two requests
-        at most are in flight, and they may reach the server in either order. As
-        soon as one fails, the batches still queued are cancelled, and the first
-        failure in batch order is raised once none of this call's requests is in
-        flight."""
-        step = self.batch_size
-        if len(pts) <= step:
-            return self._post(pts)
+        """POST pts batch_size points at a time. Every batch is handed at once to a
+        pool of two worker threads that this call makes, so two requests at most are
+        in flight, and they may reach the server in either order. As soon as one
+        fails, the batches still queued are cancelled, and the first failure in
+        batch order is raised once both workers have stopped."""
         import concurrent.futures
-        posts = [_pool().submit(self._post, pts[start:start + step])
-                 for start in range(0, len(pts), step)]
+        step = self.batch_size
+        pool = concurrent.futures.ThreadPoolExecutor(max_workers=2)
         try:
+            posts = [pool.submit(self._post, pts[start:start + step])
+                     for start in range(0, len(pts), step)]
             concurrent.futures.wait(posts, return_when=concurrent.futures.FIRST_EXCEPTION)
         finally:
-            for post in posts:
-                post.cancel()
-            concurrent.futures.wait(posts)
+            pool.shutdown(cancel_futures=True)
         # the pool starts batches in order, so every batch cancelled comes after the
         # one that failed
         return np.concatenate([post.result() for post in posts])
@@ -280,18 +277,15 @@ class Remote(_Model):
         # RecursionError: arrays or objects nested too deep to parse
         except (ValueError, RecursionError) as exc:
             raise RemoteMalformed(f"remote returned invalid JSON: {exc}") from exc
-        values = payload.get("values") if isinstance(payload, dict) else None
-        if not isinstance(values, list) or len(values) != len(batch):
-            count = len(values) if isinstance(values, list) else 0
-            raise RemoteMalformed(f"remote returned {count} values for {len(batch)} points")
-        # JSON numbers, as errors.field reads them: true and false are not numbers,
-        # and an integer must fit a double
-        if not all(type(v) in (int, float) for v in values):
-            raise RemoteMalformed("remote values must all be numbers")
         try:
-            return np.asarray(values, dtype=np.float64)
-        except OverflowError as exc:
-            raise RemoteMalformed(f"remote values must fit a double: {exc}") from exc
+            values = read_numbers(payload.get("values") if isinstance(payload, dict) else None,
+                                  "values")
+        except ConfigError as exc:
+            raise RemoteMalformed(f"remote {exc}") from None
+        if values.shape != (len(batch),):
+            raise RemoteMalformed(f"remote returned values of shape {values.shape} "
+                                  f"for {len(batch)} points")
+        return values
 
 
 ModelSpec = Linear | Quadratic | Mlp | Remote

@@ -238,6 +238,16 @@ def test_a_reply_value_that_is_not_a_number_exits_2_with_one_error_line(value, e
     assert len(heads) == 1
 
 
+def test_a_nan_reply_exits_2_as_a_non_finite_output(tmp_path, capsys):
+    body = b'{"values": [NaN' + b", 0.0" * 7 + b"]}"
+    reply = b"HTTP/1.0 200 OK\r\nContent-Length: %d\r\n\r\n%s" % (len(body), body)
+    with raw_server(reply) as (url, heads):
+        code, err = run_remote_explain({"endpoint": url}, tmp_path, capsys)
+    assert code == 2
+    assert err == "error: model returned 1 non-finite value(s) for 8 points\n", err
+    assert len(heads) == 1
+
+
 def test_an_endpoint_urllib_cannot_parse_exits_1_with_one_error_line(tmp_path, capsys):
     code, err = run_remote_explain({"endpoint": "http://[::1/p"}, tmp_path, capsys)
     assert code == 1

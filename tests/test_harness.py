@@ -632,6 +632,17 @@ def with_method(path, **fields):
     return path
 
 
+def with_model(path, **fields):
+    """path, after these fields are set in the model file beside it, model.json."""
+    model = os.path.join(os.path.dirname(path), "model.json")
+    with open(model, encoding="utf-8") as fh:
+        obj = json.load(fh)
+    obj.update(fields)
+    with open(model, "w", encoding="utf-8") as fh:
+        json.dump(obj, fh)
+    return path
+
+
 def model_explain_config(tmp_path, model):
     """An explain config on a 3-vector whose model file holds model."""
     path = explain_config(tmp_path, [0.3, -0.2, 0.5], 1.0)
@@ -646,13 +657,18 @@ def input_bytes(tmp_path, data):
     return path
 
 
+def overflowing_model_config(tmp_path, model):
+    """model_explain_config, after the model file's infinities are rewritten as 1e400."""
+    path = model_explain_config(tmp_path, model)
+    overflow(str(tmp_path / "model.json"))
+    return path
+
+
 def remote_explain_config(tmp_path, **fields):
     """An explain config whose remote model has these fields. Each bad field is
     rejected at load, so no connection is opened."""
-    path = model_explain_config(
+    return overflowing_model_config(
         tmp_path, {"kind": "remote", "endpoint": "http://127.0.0.1:9/f", **fields})
-    overflow(str(tmp_path / "model.json"))
-    return path
 
 
 @pytest.mark.parametrize("make_args, code", [
@@ -806,6 +822,27 @@ def remote_explain_config(tmp_path, **fields):
     # exact KernelShap past its width cap, which the request alone rules out
     (lambda tmp: ["explain", "--config", with_method(explain_config(
         tmp, [0.1] * 25, 1.0, method="KernelShap", x=[0.5] * 25), exact=True)], 1),
+    # model and input arrays holding strings or booleans, which are not numbers
+    (lambda tmp: ["explain", "--config", explain_config(tmp, ["1.5", True, 2], 1.0)], 1),
+    (lambda tmp: ["explain", "--config",
+                  explain_config(tmp, [0.3, -0.2, 0.5], 1.0, x=["0.5", False, 1])], 1),
+    (lambda tmp: ["explain", "--config", model_explain_config(
+        tmp, {"kind": "quadratic", "matrix": [[1, 0, 0], [0, True, 0], [0, 0, 1]],
+              "coefficients": [0, 0, 0]})], 1),
+    (lambda tmp: ["explain", "--config", model_explain_config(
+        tmp, {"kind": "mlp", "layers": [{"weights": [["2"], [1], [1]], "bias": [0]}]})], 1),
+    # model parameters that are not finite: NaN, Infinity, and 1e400, which reads as inf
+    (lambda tmp: ["explain", "--config", explain_config(tmp, [0.3, math.nan, 0.5], 1.0)], 1),
+    (lambda tmp: ["explain", "--config",
+                  with_model(explain_config(tmp, [0.3, -0.2, 0.5], 1.0), bias=math.inf)], 1),
+    (lambda tmp: ["explain", "--config", model_explain_config(
+        tmp, {"kind": "mlp", "layers": [{"weights": [[1], [1], [1]], "bias": [math.inf]}]})],
+     1),
+    (lambda tmp: ["explain", "--config", overflowing_model_config(
+        tmp, {"kind": "mlp", "layers": [{"weights": [[1], [math.inf], [1]], "bias": [0]}]})],
+     1),
+    (lambda tmp: ["stability", "--config",
+                  with_model(write_workspace(tmp), coefficients=[math.nan] + [0.1] * 7)], 1),
 ], ids=["nonfinite-output", "zero-weights", "ridge-overflow", "smoothgrad-overflow",
         "nan-input", "sigma-zero", "sigma-negative",
         "sigma-nan", "distributions-seed", "jobs-zero", "jobs-negative", "lambda-string",
@@ -832,7 +869,10 @@ def remote_explain_config(tmp_path, **fields):
         "remote-batch-size-fraction", "remote-retries-true", "binomial-sigma-tiny",
         "distributions-sigma-huge", "distributions-ks-empty", "input-not-utf8",
         "input-nested-too-deep", "model-path-nul", "model-path-line-break",
-        "output-path-nul", "exact-shap-too-wide"])
+        "output-path-nul", "exact-shap-too-wide", "model-coefficients-not-numbers",
+        "input-values-not-numbers", "quadratic-matrix-true", "mlp-weight-string",
+        "model-coefficient-nan", "model-bias-infinity", "mlp-bias-infinity",
+        "mlp-weight-overflow", "sweep-model-nan"])
 @pytest.mark.filterwarnings("error::RuntimeWarning")  # a warning is a second line
 def test_cli_reports_bad_values_in_one_error_line(tmp_path, capsys, make_args, code):
     assert main(make_args(tmp_path)) == code

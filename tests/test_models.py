@@ -471,6 +471,21 @@ def test_a_failed_block_closes_the_request_sent_after_it(server, sockets):
     assert [w for w in caught if issubclass(w.category, ResourceWarning)] == []
 
 
+def _pool_workers() -> list[threading.Thread]:
+    return [t for t in threading.enumerate() if t.name.startswith("ThreadPoolExecutor")]
+
+
+def test_no_worker_outlives_a_forward_call(server):
+    pts = np.arange(20.0).reshape(10, 2)
+    _Handler.failing = {2}
+    with pytest.raises(RemoteUnavailable, match="HTTP Error 500"):
+        evaluate(Remote(server, batch_size=4), pts)
+    assert _pool_workers() == []
+    _Handler.failing = set()
+    assert np.array_equal(evaluate(Remote(server, batch_size=4), pts), pts.sum(axis=1))
+    assert _pool_workers() == []
+
+
 class _Threaded(BaseHTTPRequestHandler):
     """Answers each POST with the status and values reply(points) gives, for a
     server with threads, so that a POST held in reply holds up no other."""
