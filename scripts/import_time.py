@@ -4,8 +4,11 @@ interpreters.
     python3 scripts/import_time.py [-n N]
 
 Prints the minimum wall time of the import over N fresh interpreters
-(default 7), then the ten largest cumulative entries of one further run
-under `python -X importtime`, in milliseconds.
+(default 7); then the memory the import adds once numpy is loaded, the peak
+resident set (ru_maxrss) after `import localex.cli` minus that after
+`import numpy`, as the least and most over N more interpreters; then the ten
+largest cumulative entries of one further run under `python -X importtime`,
+in milliseconds.
 """
 from __future__ import annotations
 
@@ -17,6 +20,8 @@ import sys
 SRC = os.path.join(os.path.dirname(os.path.abspath(__file__)), "..", "src")
 TIMED = ("import time; t = time.perf_counter(); import localex.cli; "
          "print(time.perf_counter() - t)")
+RSS = ("import resource, numpy; kib = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss; "
+       "import localex.cli; print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss - kib)")
 
 
 def _python(args: list[str]) -> subprocess.CompletedProcess:
@@ -44,6 +49,9 @@ def main() -> int:
         parser.error("-n must be at least 1")
     best = min(float(_python(["-c", TIMED]).stdout) for _ in range(n))
     print(f"import localex.cli: {best:.3f} s (min of {n} interpreters)")
+    added = sorted(int(_python(["-c", RSS]).stdout) / 1024 for _ in range(n))
+    print(f"ru_maxrss of import localex.cli over import numpy: {added[0]:.2f}-{added[-1]:.2f} "
+          f"MiB ({n} interpreters)")
     rows = cumulative_us(_python(["-X", "importtime", "-c", "import localex.cli"]).stderr)
     print("largest cumulative -X importtime entries (one run):")
     for us, module in sorted(rows, reverse=True)[:10]:

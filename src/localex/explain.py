@@ -311,10 +311,10 @@ class OneSlot:
 
 
 def _distinct_masks(design: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The distinct rows of an n x d 0/1 design, in the order they first occur,
+    """The distinct rows of an n x d bool design, in the order they first occur,
     and for each of the n rows the index of its distinct row. Each row is keyed
     by its packed bits, ceil(d/8) bytes, so the n keys take one np.unique."""
-    packed = np.packbits(design.astype(bool), axis=1)
+    packed = np.packbits(design, axis=1)
     keys = packed.view(f"V{packed.shape[1]}").ravel()
     _, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
     order = np.argsort(first)

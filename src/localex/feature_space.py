@@ -18,6 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimensionMismatch, InvalidGrid
+from .sampling import as_masks
 
 
 @dataclass(frozen=True)
@@ -113,17 +114,15 @@ def reconstruct_binary(
     leading shape over length-D rows.
     """
     x = np.asarray(x, dtype=np.float64)
-    z = np.asarray(zprime, dtype=np.float64)
+    z = np.asarray(zprime)
     if x.shape != (seg.size,) or r.values.shape != (seg.size,):
         raise DimensionMismatch("x and reference must have the segmentation's raw length")
     if z.shape[-1] != seg.d:
         raise DimensionMismatch(f"mask width {z.shape[-1]} != d={seg.d}")
-    if not np.all((z == 0.0) | (z == 1.0)):
-        raise ValueError("binary reconstruction requires a 0/1 mask")
+    z = as_masks(z, "binary reconstruction requires a 0/1 mask")
     if z.ndim != 2:
-        return np.where(z.astype(bool)[..., seg.assignment], x, r.values)
-    # gather the boolean mask (1 byte per entry), not the float one, as D x n
-    keep = np.take(z.T.astype(bool), seg.assignment, axis=0)
+        return np.where(z[..., seg.assignment], x, r.values)
+    keep = np.take(z.T, seg.assignment, axis=0)  # D x n
     return np.where(keep, x[:, None], r.values[:, None]).T
 
 

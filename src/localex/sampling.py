@@ -163,7 +163,9 @@ WeightSpec = ExpKernel | ShapKernel | Unit
 def draw(dist: DistributionSpec, n: int, seed: int) -> np.ndarray:
     """Draw an n x d sample matrix; a pure function of (dist, n, seed).
 
-    Exact Coalitions is the one law that sets its own row count, 2^d - 2.
+    The binary laws (UniformBinary, Binomial, Coalitions) return bool masks,
+    one byte per entry; the continuous laws return float64 offsets. Exact
+    Coalitions is the one law that sets its own row count, 2^d - 2.
     """
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
@@ -171,9 +173,9 @@ def draw(dist: DistributionSpec, n: int, seed: int) -> np.ndarray:
         return _coalitions(dist, n, seed)
     rng = np.random.default_rng(seed)
     if isinstance(dist, UniformBinary):
-        return rng.integers(0, 2, size=(n, dist.d)).astype(np.float64)
+        return rng.integers(0, 2, size=(n, dist.d)).astype(bool)
     if isinstance(dist, Binomial):
-        return (rng.random(size=(n, dist.d)) < dist.p).astype(np.float64)
+        return rng.random(size=(n, dist.d)) < dist.p
     if isinstance(dist, Gaussian):
         return rng.normal(0.0, dist.sigma, size=(n, dist.d))
     if isinstance(dist, Laplace):
@@ -188,7 +190,7 @@ def _coalitions(law: Coalitions, n: int, seed: int) -> np.ndarray:
     d = law.d
     if law.exact:
         codes = np.arange(1, 2**d - 1, dtype=np.uint32)
-        return ((codes[:, None] >> np.arange(d, dtype=np.uint32)) & 1).astype(np.float64)
+        return ((codes[:, None] >> np.arange(d, dtype=np.uint32)) & 1).astype(bool)
     kept: list[np.ndarray] = []
     for round_idx in itertools.count():  # fair coins, rejecting k in {0, d}
         masks = draw(UniformBinary(d), max(n, 256), splitmix64(seed ^ round_idx))
@@ -198,20 +200,32 @@ def _coalitions(law: Coalitions, n: int, seed: int) -> np.ndarray:
             return np.vstack(kept)[:n]
 
 
+def as_masks(z: np.ndarray, error: str) -> np.ndarray:
+    """z as bool masks: a bool array as it is, an array of 0s and 1s converted.
+    Raises ValueError(error) for any other value."""
+    z = np.asarray(z)
+    if z.dtype == np.bool_:
+        return z
+    z = np.asarray(z, dtype=np.float64)
+    masks = z == 1.0
+    if not np.all(masks | (z == 0.0)):
+        raise ValueError(error)
+    return masks
+
+
 def batch_weights(wspec: WeightSpec, zmatrix: np.ndarray) -> np.ndarray:
     """Kernel weights for each row of an n x d sample matrix.
 
-    Unit takes any samples; the other kernels are defined on binary masks.
+    Unit takes any samples; the other kernels are defined on binary masks,
+    bool or float 0s and 1s.
     """
-    z = np.asarray(zmatrix, dtype=np.float64)
+    z = np.asarray(zmatrix)
     if z.ndim != 2:
         raise ValueError("batch_weights takes an n x d matrix")
     n, d = z.shape
     if isinstance(wspec, Unit):
         return np.ones(n)
-    if not np.all((z == 0.0) | (z == 1.0)):
-        raise ValueError("weight kernels are defined on binary masks only")
-    k = z.sum(axis=1)
+    k = as_masks(z, "weight kernels are defined on binary masks only").sum(axis=1)
     if isinstance(wspec, ExpKernel):
         return np.exp((k - d) / (wspec.sigma * wspec.sigma))
     if isinstance(wspec, ShapKernel):

@@ -9,7 +9,8 @@ The SPD solve calls LAPACK dpotrf/dpotrs from scipy's compiled module
 scipy.linalg._flapack, with the flags scipy.linalg.cho_factor/cho_solve pass,
 so the bits are theirs. The module is loaded from its file: importing
 scipy.linalg would first run the package's __init__, which pulls in
-numpy.f2py and numpy.testing and costs about 0.2 s of every cold start.
+numpy.f2py and numpy.testing and costs about 0.2 s of every cold start, and
+even scipy's own __init__ costs about 1 MiB.
 """
 from __future__ import annotations
 
@@ -20,7 +21,6 @@ import os
 from dataclasses import dataclass
 
 import numpy as np
-import scipy
 
 from .errors import NonFiniteOutput, NotPositiveDefinite, SingularSystem, UnsupportedCombination
 from .sampling import Binomial, ExpKernel, Gaussian, Unit, UniformBinary
@@ -28,10 +28,14 @@ from .sampling import Binomial, ExpKernel, Gaussian, Unit, UniformBinary
 
 def _load_flapack():
     """scipy.linalg._flapack, executed from its file without importing the
-    scipy.linalg package. The interpreter records the extension under its full
-    name in sys.modules, so a later import of scipy.linalg reuses it."""
+    scipy package or scipy.linalg: only scipy's directory is looked up. The
+    interpreter records the extension under its full name in sys.modules, so
+    a later import of scipy.linalg reuses it."""
+    scipy = importlib.util.find_spec("scipy")
+    if scipy is None:
+        raise ModuleNotFoundError("No module named 'scipy'", name="scipy")
     finder = importlib.machinery.FileFinder(
-        os.path.join(scipy.__path__[0], "linalg"),
+        os.path.join(scipy.submodule_search_locations[0], "linalg"),
         (importlib.machinery.ExtensionFileLoader, importlib.machinery.EXTENSION_SUFFIXES))
     spec = finder.find_spec("scipy.linalg._flapack")
     if spec is None:
@@ -55,7 +59,9 @@ class RidgeProblem:
     lam: float
 
     def __post_init__(self) -> None:
-        z = np.asarray(self.design, dtype=np.float64)
+        z = np.asarray(self.design)
+        if z.dtype != np.bool_:  # bool masks stay one byte per entry until the fit
+            z = np.asarray(z, dtype=np.float64)
         y = np.asarray(self.responses, dtype=np.float64)
         pi = np.asarray(self.sample_weights, dtype=np.float64)
         if z.ndim != 2 or z.shape[0] < 1:
@@ -116,12 +122,19 @@ def solve_weighted_ridge(problem: RidgeProblem) -> RidgeSolution:
     z, y, pi = problem.design, problem.responses, problem.sample_weights
     d = z.shape[1]
     sw = pi / pi.sum()
-    zbar = sw @ z
     ybar = float(sw @ y)
-    zc = z - zbar
     yc = y - ybar
+    # A bool design's float64 copy lives only while zbar and zc are made, and
+    # zc is gone before yhat's copy is made, so the fit holds at most two n x d
+    # float arrays, and each del frees a block that the next one reuses. BLAS
+    # sees the values and layout it sees for a float design.
+    zf = z.astype(np.float64, copy=False)
+    zbar = sw @ zf
+    zc = zf - zbar
+    del zf
     gram = (zc * pi[:, None]).T @ zc
     rhs = zc.T @ (pi * yc)
+    del zc
     if problem.lam == 0.0:
         # exact rank deficiency is expected here (duplicate rows, n < d);
         # detect it explicitly instead of trusting Cholesky pivot roundoff
@@ -142,7 +155,7 @@ def solve_weighted_ridge(problem: RidgeProblem) -> RidgeSolution:
         )
     w = _flapack.dpotrs(chol, rhs, lower=1)[0] if d else rhs  # LAPACK rejects d = 0
     intercept = ybar - float(w @ zbar)
-    yhat = z @ w + intercept
+    yhat = z.astype(np.float64, copy=False) @ w + intercept
     r2 = _weighted_r2(y, yhat, pi)
     if not (np.all(np.isfinite(w)) and math.isfinite(intercept) and math.isfinite(r2)):
         raise NonFiniteOutput("ridge fit overflowed: model responses are too large")

@@ -1,3 +1,6 @@
+import os
+import subprocess
+import sys
 import tracemalloc
 
 import numpy as np
@@ -401,6 +404,53 @@ def test_explain_memory_does_not_grow_with_the_lifted_rows(method):
     # samples and their weights, responses and fit may grow
     extra_samples = (8192 - 2048) * seg.d * 8
     assert peaks[1] - peaks[0] <= 4 * extra_samples, peaks
+
+
+_PEAK_OVER_WARM = """
+import sys
+import numpy as np
+from localex.explain import ExplainRequest, GlimeBinomial, GlimeGauss, Lime, explain
+from localex.feature_space import Reference, singleton_segments
+from localex.models import Linear
+
+def peak_kib():  # this process's own peak resident set, VmHWM
+    with open("/proc/self/status") as fh:
+        return next(int(line.split()[1]) for line in fh if line.startswith("VmHWM:"))
+
+method = {"Lime": Lime, "GlimeBinomial": GlimeBinomial, "GlimeGauss": GlimeGauss}[sys.argv[1]]
+n, d = int(sys.argv[2]), 64
+rng = np.random.default_rng(0)
+model, x, seg = Linear(rng.normal(size=d), 0.5), rng.normal(size=d), singleton_segments(d)
+ref = Reference(np.zeros(d))
+explain(ExplainRequest(model, x, seg, method(1.0), 256, 1, reference=ref))  # warm up
+base = peak_kib()
+explain(ExplainRequest(model, x, seg, method(1.0), n, 2, reference=ref))
+print(peak_kib() - base)
+"""
+
+
+@pytest.mark.skipif(not os.path.exists("/proc/self/status"), reason="reads Linux's VmHWM")
+def test_explain_peak_memory_over_a_warm_baseline_stays_near_the_design():
+    # The peak resident set of a child process over one explain, in multiples
+    # of the n x d design's float64 bytes: bool masks and two float arrays for
+    # the binary laws, the float offsets and two more for the continuous ones.
+    # The child reads VmHWM, not ru_maxrss: Linux carries ru_maxrss across fork
+    # and exec, so a child's would start at the RSS of this test process.
+    import localex
+
+    n, d = 2**15, 64
+    bounds = {"Lime": 2.4, "GlimeBinomial": 2.4, "GlimeGauss": 3.3}
+    env = {**os.environ, "OPENBLAS_NUM_THREADS": "1",
+           "PYTHONPATH": os.path.dirname(os.path.dirname(localex.__file__))}
+    children = {name: subprocess.Popen([sys.executable, "-c", _PEAK_OVER_WARM, name, str(n)],
+                                       stdout=subprocess.PIPE, text=True, env=env)
+                for name in bounds}
+    ratios = {}
+    for name, child in children.items():
+        out, _ = child.communicate(timeout=60)
+        assert child.returncode == 0, name
+        ratios[name] = int(out) * 1024 / (n * d * 8)
+    assert all(ratios[name] <= bound for name, bound in bounds.items()), ratios
 
 
 def test_blocks_leave_remote_posts_unchanged(monkeypatch):

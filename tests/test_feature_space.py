@@ -117,10 +117,25 @@ def test_reconstruct_binary_matches_the_direct_float_formula(mask_shape):
     assert out.shape == direct.shape and out.tobytes() == direct.tobytes()
 
 
-def test_reconstruct_binary_rejects_fractional_masks():
-    seg = singleton_segments(2)
-    with pytest.raises(ValueError):
-        reconstruct_binary(np.ones(2), Reference(np.zeros(2)), seg, np.array([0.5, 1.0]))
+@pytest.mark.parametrize("mask_shape", [(16,), (1, 16), (300, 16)])
+def test_reconstruct_binary_gives_bool_masks_and_their_float_copy_the_same_lift(mask_shape):
+    rng = np.random.default_rng(6)
+    seg = grid_segment(16, 16, 3, 4, 4)
+    x, r = rng.normal(size=seg.size), Reference(rng.normal(size=seg.size))
+    masks = rng.random(size=mask_shape) < 0.5
+    out = reconstruct_binary(x, r, seg, masks)
+    copy = reconstruct_binary(x, r, seg, masks.astype(np.float64))
+    assert out.shape == copy.shape and out.strides == copy.strides
+    assert out.tobytes("A") == copy.tobytes("A")
+
+
+@pytest.mark.parametrize("bad", [0.5, 2.0, -1.0, np.nan])
+@pytest.mark.parametrize("mask_shape", [(2,), (3, 2)], ids=["one-mask", "batch"])
+def test_reconstruct_binary_rejects_fractional_masks(bad, mask_shape):
+    z = np.ones(mask_shape)
+    z.flat[-1] = bad
+    with pytest.raises(ValueError, match="0/1 mask"):
+        reconstruct_binary(np.ones(2), Reference(np.zeros(2)), singleton_segments(2), z)
 
 
 def test_reconstruct_continuous_broadcasts_offsets():

@@ -134,6 +134,31 @@ def test_coalitions_match_the_direct_draw_in_both_modes(d, n, seed):
                               coalitions_direct(d, n, seed, exact=True))
 
 
+def _float_masks(law, n: int, seed: int) -> np.ndarray:
+    """A binary law's masks as float64 0s and 1s, from the generator calls that
+    draw makes for them."""
+    if isinstance(law, Coalitions):
+        return coalitions_direct(law.d, n, seed, law.exact)
+    rng = np.random.default_rng(seed)
+    if isinstance(law, UniformBinary):
+        return rng.integers(0, 2, size=(n, law.d)).astype(np.float64)
+    return (rng.random(size=(n, law.d)) < law.p).astype(np.float64)
+
+
+@pytest.mark.parametrize("law", [UniformBinary(7), Binomial(7, 0.6), Binomial(7, 3.0),
+                                 Coalitions(7), Coalitions(7, exact=False)], ids=repr)
+@pytest.mark.parametrize("seed", [0, 5, 2**64 - 1])
+def test_binary_laws_draw_bool_masks_holding_the_float_masks_values(law, seed):
+    masks = draw(law, 300, seed)
+    assert masks.dtype == np.bool_ and masks.flags.c_contiguous
+    assert masks.astype(np.float64).tobytes() == _float_masks(law, 300, seed).tobytes()
+
+
+def test_continuous_laws_draw_float64_offsets():
+    for law in (Gaussian(3, 1.0), Laplace(3, 1.0), UniformBox(3, 1.0)):
+        assert draw(law, 4, 0).dtype == np.float64
+
+
 def test_exact_coalitions_ignore_n_and_seed():
     every = draw(Coalitions(5), 1, 0)
     assert every.shape == (30, 5)
@@ -205,9 +230,20 @@ def test_unit_kernel_is_constant_one():
     assert np.all(batch_weights(Unit(), draw(UniformBinary(4), 10, 0)) == 1.0)
 
 
-def test_batch_weights_rejects_non_binary_masks():
-    with pytest.raises(ValueError):
-        batch_weights(ExpKernel(1.0), np.array([[0.5, 1.0]]))
+@pytest.mark.parametrize("bad", [0.5, 2.0, -1.0, np.nan])
+@pytest.mark.parametrize("wspec", [ExpKernel(1.0), ShapKernel()], ids=repr)
+def test_batch_weights_rejects_non_binary_masks(wspec, bad):
+    with pytest.raises(ValueError, match="binary masks only"):
+        batch_weights(wspec, np.array([[bad, 1.0, 0.0]]))
+
+
+@pytest.mark.parametrize("wspec", [ExpKernel(0.3), ExpKernel(2.0), ShapKernel(), Unit()],
+                         ids=repr)
+def test_batch_weights_give_bool_masks_and_their_float_copy_the_same_bits(wspec):
+    masks = draw(Coalitions(9, exact=False), 500, 4)
+    assert masks.dtype == np.bool_
+    assert (batch_weights(wspec, masks).tobytes()
+            == batch_weights(wspec, masks.astype(np.float64)).tobytes())
 
 
 def test_batch_weights_agree_with_one_row_calls():

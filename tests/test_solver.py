@@ -88,7 +88,7 @@ def test_singular_system_at_lambda_zero_with_duplicate_rows():
 def _cho_solve_w(p: RidgeProblem) -> np.ndarray:
     """w from scipy.linalg's cho_factor/cho_solve on the solver's normal
     equations, built with the solver's own operations."""
-    z, y, pi = p.design, p.responses, p.sample_weights
+    z, y, pi = p.design.astype(np.float64), p.responses, p.sample_weights
     sw = pi / pi.sum()
     zbar = sw @ z
     zc = z - zbar
@@ -101,20 +101,33 @@ def _cho_solve_w(p: RidgeProblem) -> np.ndarray:
 
 @pytest.mark.parametrize("d", [1, 2, 8, 16, 64, 100])
 @pytest.mark.parametrize("lam", [0.0, 0.5, 1.0])
-@pytest.mark.parametrize("design", ["binary", "gaussian"])
+@pytest.mark.parametrize("design", ["binary", "binary-float64", "gaussian"])
 @pytest.mark.parametrize("weights", ["unit", "kernel"])
 def test_w_has_the_bits_of_scipy_cho_solve(d, lam, design, weights):
+    # binary: bool masks as drawn; binary-float64: their float64 copy
     n = 4 * d + 16
     rng = np.random.default_rng(d)
-    if design == "binary":
-        z = draw(UniformBinary(d), n, d)
-        pi = batch_weights(ExpKernel(2.0) if weights == "kernel" else Unit(), z)
-    else:
+    if design == "gaussian":
         z = draw(Gaussian(d, 1.0), n, d)
         pi = np.exp(-np.sum(z * z, axis=1) / d) if weights == "kernel" else np.ones(n)
+    else:
+        z = draw(UniformBinary(d), n, d)
+        pi = batch_weights(ExpKernel(2.0) if weights == "kernel" else Unit(), z)
+        z = z.astype(np.float64) if design == "binary-float64" else z
     p = RidgeProblem(z, rng.normal(size=n), pi, lam)
+    assert p.design.dtype == z.dtype
     w = solve_weighted_ridge(p).w
     assert w.view(np.uint64).tolist() == _cho_solve_w(p).view(np.uint64).tolist()
+
+
+@pytest.mark.parametrize("lam", [0.0, 1.0])
+def test_a_bool_design_and_its_float_copy_fit_the_same_bits(lam):
+    masks = draw(Binomial(12, 0.8), 300, 3)
+    y = np.random.default_rng(3).normal(size=300)
+    pi = batch_weights(ExpKernel(0.8), masks)
+    a, b = (solve_weighted_ridge(RidgeProblem(z, y, pi, lam))
+            for z in (masks, masks.astype(np.float64)))
+    assert (a.w.tobytes(), a.intercept, a.r2) == (b.w.tobytes(), b.intercept, b.r2)
 
 
 @pytest.mark.parametrize("lam", [0.0, 1.0])
@@ -151,9 +164,9 @@ def test_cli_import_leaves_scipy_linalg_stats_numpy_f2py_testing_and_http_transp
 
     src = os.path.dirname(os.path.dirname(localex.__file__))
     # the transport's modules load on a remote model's first POST
-    code = ("import sys, localex.cli; print([m for m in ('scipy.linalg', 'scipy.stats', "
-            "'numpy.f2py', 'numpy.testing', 'http.client', 'urllib.request', "
-            "'concurrent.futures') if m in sys.modules])")
+    code = ("import sys, localex.cli; print([m for m in ('scipy', 'scipy.linalg', "
+            "'scipy.stats', 'numpy.f2py', 'numpy.testing', 'http.client', "
+            "'urllib.request', 'concurrent.futures') if m in sys.modules])")
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                           env={**os.environ, "PYTHONPATH": src}, check=True)
     assert proc.stdout.strip() == "[]"
