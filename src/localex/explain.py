@@ -344,7 +344,8 @@ def explain(req: ExplainRequest, samples: OneSlot | None = None) -> Explanation:
     def draw_lift_evaluate() -> tuple[ExplainRequest, np.ndarray, np.ndarray]:
         design = draw(law, req.n, req.seed)
         sent, back = design, slice(None)  # the samples evaluated, and y's map back
-        if method.binary and req.model.kind == "remote":
+        # a law that enumerates its masks (the unseeded row) draws each one once
+        if method.binary and method.seeded and req.model.kind == "remote":
             sent, back = _distinct_masks(design)
 
         def lift(block: slice) -> np.ndarray:  # raw points of one block of samples

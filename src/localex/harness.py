@@ -254,11 +254,11 @@ def build_space(
             raise ConfigError("grid segmentation needs both rows and cols")
         h, w = shape[0], shape[1]
         c = shape[2] if len(shape) == 3 else 1
+        if x.shape[0] != h * w * c:  # before the grid allocates h * w * c ids
+            raise ConfigError(f"input length {x.shape[0]} does not match shape {shape}")
         seg = grid_segment(h, w, c, grid_rows, grid_cols)
     else:
         seg = singleton_segments(x.shape[0])
-    if x.shape[0] != seg.size:
-        raise ConfigError(f"input length {x.shape[0]} does not match shape {shape}")
     if reference_kind == "mean":
         reference = mean_reference(x, seg)
     elif reference_kind == "zero":

@@ -203,7 +203,8 @@ def _average_ranks(a: np.ndarray) -> np.ndarray:
 
 def explanation_distance(e1: Explanation, e2: Explanation) -> ExplanationDistance:
     """MSE, MAE, Pearson, and Spearman between two attribution vectors. A
-    correlation is 0.0, not NaN, where either vector or its ranks are constant."""
+    correlation is 0.0, not NaN, where either vector is constant; the ranks of a
+    vector that is not constant are not constant either."""
     if e1.d != e2.d:
         raise DimensionMismatch(f"dimensions differ: {e1.d} vs {e2.d}")
     if e1.d < 2:
@@ -216,7 +217,5 @@ def explanation_distance(e1: Explanation, e2: Explanation) -> ExplanationDistanc
         return ExplanationDistance(mse, mae, 0.0, 0.0)
     pearson = float(np.corrcoef(a, b)[0, 1])
     ra, rb = _average_ranks(a), _average_ranks(b)
-    if np.ptp(ra) == 0.0 or np.ptp(rb) == 0.0:
-        return ExplanationDistance(mse, mae, pearson, 0.0)
     spearman = float(np.corrcoef(ra, rb)[0, 1])
     return ExplanationDistance(mse, mae, pearson, spearman)

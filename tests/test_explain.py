@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 from conftest import (ALL_METHODS, IMAGE_MODELS, asset, assert_same, blocks_match_bits,
                       image_case, smoothgrad)
+import localex.explain as explain_module
 from localex.errors import (MAX_VALUES, ConfigError, DimensionTooLarge, NonFiniteOutput,
                             ShapDegenerate)
 from localex.explain import (
@@ -40,8 +41,8 @@ from localex.feature_space import (
 from localex.harness import load_input
 from localex.models import (BLOCK_ROWS, Linear, Quadratic, Remote, evaluate, gradient,
                             load_model)
-from localex.sampling import EXACT_SHAP_MAX_D, Gaussian, draw
-from oracles import explain_whole, shapley_bruteforce, smoothgrad_direct
+from localex.sampling import EXACT_SHAP_MAX_D, Coalitions, Gaussian, draw
+from oracles import explain_whole, lift_direct, shapley_bruteforce, smoothgrad_direct
 
 RNG = np.random.default_rng(2718)
 C8 = RNG.normal(size=8) * 0.4
@@ -465,6 +466,27 @@ def test_blocks_leave_remote_posts_unchanged(monkeypatch):
     model = Remote("http://127.0.0.1:9/f", batch_size=100)
     explain(request(GlimeGauss(0.3), n=1000, model=model))
     assert posts == [100] * 10
+
+
+def test_remote_exact_shap_posts_every_coalition_once_in_draw_order(monkeypatch):
+    posts = []
+
+    def post(self, batch):
+        posts.append(batch.copy())
+        return batch.sum(axis=1)
+
+    def dedupe(design):
+        raise AssertionError("exact coalitions are distinct by construction")
+
+    monkeypatch.setattr(Remote, "_post", post)
+    monkeypatch.setattr(explain_module, "_distinct_masks", dedupe)
+    x, seg, ref = X8[:6], singleton_segments(6), Reference(np.zeros(6))
+    model = Remote("http://127.0.0.1:9/f", batch_size=100)
+    exp = explain(request(KernelShap(exact=True), model=model, x=x, seg=seg, reference=ref))
+    masks = draw(Coalitions(6, True), exp.n, 0)
+    assert len(masks) == 62
+    assert len(posts) == 1
+    assert posts[0].tobytes() == lift_direct(x, seg, masks, ref.values).tobytes()
 
 
 def test_non_finite_responses_are_counted_over_every_block():

@@ -4,6 +4,7 @@ import io
 import json
 import math
 import os.path
+import pkgutil
 import subprocess
 import sys
 import tracemalloc
@@ -13,6 +14,7 @@ import pytest
 
 from conftest import ALL_METHODS, asset
 from oracles import convergence_rows_direct, fidelity_rows_direct, stability_rows_direct
+import localex.explain as explain_module
 from localex import harness, metrics
 from localex.cli import main
 from localex.errors import MAX_VALUES, ConfigError, IoFailure, NonFiniteOutput, write_text
@@ -34,8 +36,6 @@ from localex.harness import (
 )
 from localex.models import BLOCK_ROWS
 from localex.sampling import bernoulli_p, binomial_pmf, substream_seed
-
-explain_module = importlib.import_module("localex.explain")  # the package exports the function
 
 
 def write_workspace(tmp_path, d=8, rows_cols=(2, 2), methods=None, **overrides):
@@ -578,6 +578,17 @@ def test_cli_master_seed_changes_sweep_outputs(tmp_path):
     assert b.stdout == c.stdout
 
 
+def test_each_name_imports_from_its_module_only():
+    import localex
+    import localex.cli  # noqa: F401  (loads every module the package has)
+
+    assert localex.explain is importlib.import_module("localex.explain")
+    modules = {info.name for info in pkgutil.iter_modules(localex.__path__)}
+    public = {name for name in vars(localex) if not name.startswith("_")}
+    assert public <= modules, sorted(public - modules)
+    assert localex.__version__
+
+
 def test_cli_runs_the_bundled_sample_configs():
     proc = cli("distributions", "--config", asset("distributions.json"))
     assert proc.returncode == 0, proc.stderr
@@ -843,6 +854,26 @@ def remote_explain_config(tmp_path, **fields):
      1),
     (lambda tmp: ["stability", "--config",
                   with_model(write_workspace(tmp), coefficients=[math.nan] + [0.1] * 7)], 1),
+    # settings read from outside: a table format for explain, a sigma list that
+    # does not parse, a grid without cols, a shape that does not hold the input,
+    # an unknown reference, a sample size of 0 and an unknown output format
+    (lambda tmp: ["explain", "--config", explain_config(tmp, [0.3, -0.2, 0.5], 1.0),
+                  "--format", "csv"], 1),
+    (lambda tmp: ["distributions", "--dim", "4", "--sigmas", "0.5,abc"], 1),
+    (lambda tmp: ["stability", "--config", write_workspace(tmp, segmentation={"rows": 2})], 1),
+    (lambda tmp: ["explain", "--config", explain_config(
+        tmp, [0.1] * 64, 1.0, x={"values": [0.5] * 64, "shape": [4, 5]},
+        segmentation={"rows": 2, "cols": 2})], 1),
+    (lambda tmp: ["explain", "--config",
+                  explain_config(tmp, [0.3, -0.2, 0.5], 1.0, reference="median")], 1),
+    (lambda tmp: ["stability", "--config", write_workspace(tmp, sample_sizes=[0])], 1),
+    (lambda tmp: ["stability", "--config", write_workspace(tmp, output={"format": "xml"})], 1),
+    # a shape of 2**62 pixels, checked against the input before a grid is built
+    (lambda tmp: ["stability", "--config", write_workspace(tmp, rows_cols=(4, 1), input=json_file(
+        tmp, {"values": [0.5] * 8, "shape": [2**62, 1, 1]}, name="shaped.json"))], 1),
+    (lambda tmp: ["explain", "--config", explain_config(
+        tmp, [0.3, -0.2, 0.5], 1.0, x={"values": [1.0, 2.0, 3.0], "shape": [2**62, 1, 1]},
+        segmentation={"rows": 4, "cols": 1})], 1),
 ], ids=["nonfinite-output", "zero-weights", "ridge-overflow", "smoothgrad-overflow",
         "nan-input", "sigma-zero", "sigma-negative",
         "sigma-nan", "distributions-seed", "jobs-zero", "jobs-negative", "lambda-string",
@@ -872,7 +903,10 @@ def remote_explain_config(tmp_path, **fields):
         "output-path-nul", "exact-shap-too-wide", "model-coefficients-not-numbers",
         "input-values-not-numbers", "quadratic-matrix-true", "mlp-weight-string",
         "model-coefficient-nan", "model-bias-infinity", "mlp-bias-infinity",
-        "mlp-weight-overflow", "sweep-model-nan"])
+        "mlp-weight-overflow", "sweep-model-nan", "explain-format-csv",
+        "distributions-sigmas-not-numbers", "sweep-grid-rows-only", "input-shape-mismatch",
+        "explain-reference-median", "sweep-sample-sizes-zero", "output-format-xml",
+        "sweep-shape-huge", "explain-shape-huge"])
 @pytest.mark.filterwarnings("error::RuntimeWarning")  # a warning is a second line
 def test_cli_reports_bad_values_in_one_error_line(tmp_path, capsys, make_args, code):
     assert main(make_args(tmp_path)) == code
