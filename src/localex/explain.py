@@ -231,15 +231,10 @@ class Explanation:
     n: int
     seed: int
     lam: float
-    d: int
 
-    def __post_init__(self) -> None:
-        w = np.asarray(self.w, dtype=np.float64)
-        if w.shape != (self.d,):
-            raise ValueError(f"w has shape {w.shape}, expected ({self.d},)")
-        if not np.all(np.isfinite(w)):
-            raise ValueError("attributions must be finite")
-        object.__setattr__(self, "w", w)
+    @property
+    def d(self) -> int:
+        return len(self.w)
 
     @property
     def sigma(self) -> float | None:
@@ -262,19 +257,6 @@ def explanation_to_json(exp: Explanation) -> dict:
         "r2": exp.r2,
         **extras,  # method-specific flags: unit_weights, exact
     }
-
-
-def explanation_from_json(obj: dict) -> Explanation:
-    return Explanation(
-        field(obj, "w", [float]),
-        field(obj, "intercept", float),
-        field(obj, "r2", float, None),
-        method_from_json(obj),
-        field(obj, "n", int),
-        field(obj, "seed", int),
-        field(obj, "lambda", float),
-        field(obj, "d", int),
-    )
 
 
 # ---------------------------------------------------------------------------
@@ -368,7 +350,7 @@ def explain(req: ExplainRequest, samples: OneSlot | None = None) -> Explanation:
     else:
         sol = solve_weighted_ridge(RidgeProblem(design, y, pi, lam))
         fit = sol.w, sol.intercept, sol.r2
-    return Explanation(*fit, method, len(design), req.seed, lam, seg.d)
+    return Explanation(*fit, method, len(design), req.seed, lam)
 
 
 # ---------------------------------------------------------------------------

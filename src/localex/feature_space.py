@@ -27,7 +27,6 @@ class Segmentation:
 
     assignment: np.ndarray
     d: int
-    shape: tuple[int, ...]
 
     def __post_init__(self) -> None:
         a = np.asarray(self.assignment, dtype=np.int64)
@@ -36,10 +35,6 @@ class Segmentation:
             raise ValueError("assignment must be a flat vector of segment ids")
         if self.d < 1:
             raise ValueError(f"d must be >= 1, got {self.d}")
-        if a.size != int(np.prod(self.shape)):
-            raise DimensionMismatch(
-                f"assignment length {a.size} does not match shape {self.shape}"
-            )
         present = np.unique(a)
         if present[0] < 0 or present[-1] >= self.d or present.size != self.d:
             raise ValueError("every segment id in 0..d-1 must appear at least once")
@@ -87,12 +82,12 @@ def grid_segment(height: int, width: int, channels: int, rows: int, cols: int) -
     col_cell = np.minimum(np.arange(width) // cell_w, cols - 1)
     per_pixel = row_cell[:, None] * cols + col_cell[None, :]
     assignment = np.repeat(per_pixel.reshape(-1), channels)
-    return Segmentation(assignment, rows * cols, (height, width, channels))
+    return Segmentation(assignment, rows * cols)
 
 
 def singleton_segments(dim: int) -> Segmentation:
     """One segment per raw feature (plain-vector default)."""
-    return Segmentation(np.arange(dim), dim, (dim,))
+    return Segmentation(np.arange(dim), dim)
 
 
 def mean_reference(x: np.ndarray, seg: Segmentation) -> Reference:

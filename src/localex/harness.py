@@ -293,22 +293,15 @@ def _attempt(compute: Callable[[], Any]) -> Any:
         return f"{type(exc).__name__}: {exc}"
 
 
-def _explain_cell(ctx: RunContext, method: MethodSpec, n: int, lam: float, seed: int,
-                  samples: OneSlot) -> Explanation | str:
-    """One explanation, or the text of its failure or its request's rejection."""
-    return _attempt(lambda: explain(ExplainRequest(
-        model=ctx.model, x=ctx.x, segmentation=ctx.segmentation, method=method,
-        n=n, seed=seed, lam=lam, reference=ctx.reference), samples))
-
-
 def _explain_grid(ctx: RunContext, cells: list[tuple[MethodSpec, int, float]],
                   seeds: tuple[int, ...]) -> list[list[Explanation | str]]:
-    """_explain_cell for each (method, n, lambda) cell and each seed, one list
-    per cell. The explains run grouped by the sample set they draw (law, lift,
-    n and seed: Lime's fair coins take no sigma, and no sample takes lambda),
-    so that each set is drawn, lifted and evaluated once and kept in one slot
-    while its group runs. A method whose seed draws nothing (exact KernelShap)
-    is explained once per cell, and that result serves every seed."""
+    """An explanation, or the text of its failure or its request's rejection,
+    for each (method, n, lambda) cell and each seed, one list per cell. The
+    explains run grouped by the sample set they draw (law, lift, n and seed:
+    Lime's fair coins take no sigma, and no sample takes lambda), so that each
+    set is drawn, lifted and evaluated once and kept in one slot while its
+    group runs. A method whose seed draws nothing (exact KernelShap) is
+    explained once per cell, and that result serves every seed."""
     groups: dict[tuple, dict[tuple, None]] = {}
     for method, n, lam in cells:
         # a law that cannot be made (exact KernelShap past its cap) keys by its
@@ -317,8 +310,9 @@ def _explain_grid(ctx: RunContext, cells: list[tuple[MethodSpec, int, float]],
         for s in seeds if method.seeded else seeds[:1]:
             groups.setdefault((law, method.binary, n, s), {})[method, n, lam, s] = None
     samples = OneSlot()
-    done = {task: _explain_cell(ctx, *task, samples)
-            for group in groups.values() for task in group}
+    done = {(method, n, lam, s): _attempt(lambda: explain(ExplainRequest(
+                ctx.model, ctx.x, ctx.segmentation, method, n, s, lam, ctx.reference), samples))
+            for group in groups.values() for method, n, lam, s in group}
     return [[done[method, n, lam, s if method.seeded else seeds[0]] for s in seeds]
             for method, n, lam in cells]
 

@@ -27,17 +27,13 @@ class StabilityReport:
     k: int
     mean_jaccard: float
     pairwise: tuple[float, ...]
-    n_seeds: int
 
 
 @dataclass(frozen=True)
 class FidelityReport:
     """Local fidelity 1/(1 + MSE) of a surrogate over an epsilon-ball sample."""
 
-    epsilon: float
-    norm: str
     fidelity: float
-    m: int
 
 
 @dataclass(frozen=True)
@@ -74,7 +70,7 @@ def top_k_jaccard(explanations: list[Explanation], k: int | None = None) -> Stab
             inter = len(tops[i] & tops[j])
             union = len(tops[i] | tops[j])
             pairs.append(inter / union)
-    return StabilityReport(k, float(np.mean(pairs)), tuple(pairs), len(explanations))
+    return StabilityReport(k, float(np.mean(pairs)), tuple(pairs))
 
 
 @dataclass(frozen=True)
@@ -190,7 +186,7 @@ def local_fidelity(
     for e in explanations:
         surrogate = e.intercept + offsets @ e.w
         mse = float(np.mean((f - surrogate) ** 2))
-        reports.append(FidelityReport(epsilon, norm, 1.0 / (1.0 + mse), m))
+        reports.append(FidelityReport(1.0 / (1.0 + mse)))
     return reports
 
 

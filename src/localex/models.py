@@ -137,7 +137,9 @@ class Mlp(_Model):
     def __post_init__(self) -> None:
         ws = tuple(np.asarray(w, dtype=np.float64) for w in self.weights)
         bs = tuple(np.asarray(b, dtype=np.float64) for b in self.biases)
-        if len(ws) != len(bs) or not ws:
+        if not ws:
+            raise ValueError("a network needs at least one layer")
+        if len(ws) != len(bs):
             raise ValueError("need one bias vector per weight matrix")
         for w, b in zip(ws, bs):
             if w.ndim != 2 or b.shape != (w.shape[1],):

@@ -90,25 +90,14 @@ class RidgeSolution:
     intercept: float
     r2: float
 
-    def __post_init__(self) -> None:
-        w = np.asarray(self.w, dtype=np.float64)
-        if not np.all(np.isfinite(w)) or not math.isfinite(self.intercept):
-            raise ValueError("solution entries must be finite")
-        object.__setattr__(self, "w", w)
-        object.__setattr__(self, "intercept", float(self.intercept))
-        object.__setattr__(self, "r2", float(self.r2))
 
-
-def _weighted_r2(y: np.ndarray, yhat: np.ndarray, pi: np.ndarray) -> float:
-    """Weighted coefficient of determination; 0 for constant responses, which
-    the intercept fits exactly."""
-    sw = pi / pi.sum()
-    ybar = sw @ y
-    ss_res = pi @ (y - yhat) ** 2
-    ss_tot = pi @ (y - ybar) ** 2
+def _weighted_r2(y: np.ndarray, yhat: np.ndarray, yc: np.ndarray, pi: np.ndarray) -> float:
+    """Weighted coefficient of determination, where yc is y less its weighted
+    mean; 0 for constant responses, which the intercept fits exactly."""
+    ss_tot = pi @ yc**2
     if ss_tot == 0.0:
         return 0.0
-    return 1.0 - ss_res / ss_tot
+    return float(1.0 - pi @ (y - yhat) ** 2 / ss_tot)
 
 
 @np.errstate(over="ignore", invalid="ignore")  # overflow is reported as NonFiniteOutput
@@ -156,7 +145,7 @@ def solve_weighted_ridge(problem: RidgeProblem) -> RidgeSolution:
     w = _flapack.dpotrs(chol, rhs, lower=1)[0] if d else rhs  # LAPACK rejects d = 0
     intercept = ybar - float(w @ zbar)
     yhat = z.astype(np.float64, copy=False) @ w + intercept
-    r2 = _weighted_r2(y, yhat, pi)
+    r2 = _weighted_r2(y, yhat, yc, pi)
     if not (np.all(np.isfinite(w)) and math.isfinite(intercept) and math.isfinite(r2)):
         raise NonFiniteOutput("ridge fit overflowed: model responses are too large")
     return RidgeSolution(w, intercept, r2)

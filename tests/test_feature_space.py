@@ -4,7 +4,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from conftest import asset, image_case
-from localex.errors import DimensionMismatch, InvalidGrid
+from localex.errors import InvalidGrid
 from localex.feature_space import (
     Reference,
     Segmentation,
@@ -21,17 +21,15 @@ from oracles import lift_direct
 
 
 def test_segmentation_validates_its_assignment():
-    Segmentation(np.array([0, 1, 0, 1]), 2, (4,))
+    Segmentation(np.array([0, 1, 0, 1]), 2)
     with pytest.raises(ValueError):
-        Segmentation(np.array([0, 2, 0, 2]), 3, (4,))  # segment 1 empty
+        Segmentation(np.array([0, 2, 0, 2]), 3)  # segment 1 empty
     with pytest.raises(ValueError):
-        Segmentation(np.array([0, -1]), 1, (2,))
-    with pytest.raises(DimensionMismatch):
-        Segmentation(np.array([0, 1]), 2, (3,))
+        Segmentation(np.array([0, -1]), 1)
 
 
 def test_segment_counts():
-    seg = Segmentation(np.array([0, 1, 0, 1, 1]), 2, (5,))
+    seg = Segmentation(np.array([0, 1, 0, 1, 1]), 2)
     assert seg.counts().tolist() == [2, 3]
     assert seg.size == 5
 
@@ -84,7 +82,7 @@ def test_reference_must_be_finite():
 
 
 def test_mean_reference_averages_within_segments():
-    seg = Segmentation(np.array([0, 0, 1, 1]), 2, (4,))
+    seg = Segmentation(np.array([0, 0, 1, 1]), 2)
     ref = mean_reference(np.array([1.0, 3.0, 10.0, 20.0]), seg)
     assert ref.values.tolist() == [2.0, 2.0, 15.0, 15.0]
 
@@ -96,7 +94,7 @@ def test_mean_reference_on_singletons_is_the_input_itself():
 
 
 def test_reconstruct_binary_swaps_whole_segments():
-    seg = Segmentation(np.array([0, 0, 1, 1]), 2, (4,))
+    seg = Segmentation(np.array([0, 0, 1, 1]), 2)
     x = np.array([1.0, 2.0, 3.0, 4.0])
     r = Reference(np.zeros(4))
     assert reconstruct_binary(x, r, seg, np.array([1.0, 0.0])).tolist() == [1, 2, 0, 0]
@@ -139,7 +137,7 @@ def test_reconstruct_binary_rejects_fractional_masks(bad, mask_shape):
 
 
 def test_reconstruct_continuous_broadcasts_offsets():
-    seg = Segmentation(np.array([0, 0, 1, 1]), 2, (4,))
+    seg = Segmentation(np.array([0, 0, 1, 1]), 2)
     x = np.array([1.0, 2.0, 3.0, 4.0])
     out = reconstruct_continuous(x, seg, np.array([0.5, -1.0]))
     assert out.tolist() == [1.5, 2.5, 2.0, 3.0]

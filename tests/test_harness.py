@@ -874,6 +874,21 @@ def remote_explain_config(tmp_path, **fields):
     (lambda tmp: ["explain", "--config", explain_config(
         tmp, [0.3, -0.2, 0.5], 1.0, x={"values": [1.0, 2.0, 3.0], "shape": [2**62, 1, 1]},
         segmentation={"rows": 4, "cols": 1})], 1),
+    # model files of a malformed shape: a coefficient matrix, a matrix that is not
+    # square or does not match the coefficients, a network with no layers or
+    # with a bias of the wrong length, and a remote batch of no points
+    (lambda tmp: ["explain", "--config", model_explain_config(
+        tmp, {"kind": "linear", "coefficients": [[1, 2]]})], 1),
+    (lambda tmp: ["explain", "--config", model_explain_config(
+        tmp, {"kind": "quadratic", "matrix": [1, 2], "coefficients": [0, 0, 0]})], 1),
+    (lambda tmp: ["explain", "--config", model_explain_config(
+        tmp, {"kind": "quadratic", "matrix": [[1, 0], [0, 1]], "coefficients": [0, 0, 0]})],
+     1),
+    (lambda tmp: ["explain", "--config", model_explain_config(
+        tmp, {"kind": "mlp", "layers": []})], 1),
+    (lambda tmp: ["explain", "--config", model_explain_config(
+        tmp, {"kind": "mlp", "layers": [{"weights": [[1], [1], [1]], "bias": [0, 0]}]})], 1),
+    (lambda tmp: ["explain", "--config", remote_explain_config(tmp, batch_size=0)], 1),
 ], ids=["nonfinite-output", "zero-weights", "ridge-overflow", "smoothgrad-overflow",
         "nan-input", "sigma-zero", "sigma-negative",
         "sigma-nan", "distributions-seed", "jobs-zero", "jobs-negative", "lambda-string",
@@ -906,12 +921,21 @@ def remote_explain_config(tmp_path, **fields):
         "mlp-weight-overflow", "sweep-model-nan", "explain-format-csv",
         "distributions-sigmas-not-numbers", "sweep-grid-rows-only", "input-shape-mismatch",
         "explain-reference-median", "sweep-sample-sizes-zero", "output-format-xml",
-        "sweep-shape-huge", "explain-shape-huge"])
+        "sweep-shape-huge", "explain-shape-huge", "linear-coefficients-matrix",
+        "quadratic-matrix-flat", "quadratic-matrix-too-small", "mlp-no-layers",
+        "mlp-bias-length", "remote-batch-size-zero"])
 @pytest.mark.filterwarnings("error::RuntimeWarning")  # a warning is a second line
 def test_cli_reports_bad_values_in_one_error_line(tmp_path, capsys, make_args, code):
     assert main(make_args(tmp_path)) == code
     err = capsys.readouterr().err
     assert err.startswith("error:") and err.count("\n") == 1, err
+
+
+def test_an_mlp_without_layers_is_reported_as_such(tmp_path, capsys):
+    path = model_explain_config(tmp_path, {"kind": "mlp", "layers": []})
+    assert main(["explain", "--config", path]) == 1
+    assert capsys.readouterr().err == (
+        "error: malformed 'mlp' model: a network needs at least one layer\n")
 
 
 def load_tracing():

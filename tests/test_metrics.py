@@ -28,7 +28,7 @@ from oracles import (average_ranks_direct, jaccard_direct, local_fidelity_whole,
 
 def make_exp(w, seed=0):
     w = np.asarray(w, dtype=np.float64)
-    return Explanation(w, 0.0, None, Lime(1.0), 10, seed, 1.0, w.shape[0])
+    return Explanation(w, 0.0, None, Lime(1.0), 10, seed, 1.0)
 
 
 # ---------------------------------------------------------------------------
@@ -47,7 +47,6 @@ def test_jaccard_of_identical_explanations_is_one():
     exps = [make_exp([3.0, 2.0, 1.0, 0.0], seed=s) for s in range(4)]
     report = top_k_jaccard(exps, 2)
     assert report.mean_jaccard == 1.0
-    assert report.n_seeds == 4
     assert len(report.pairwise) == 6
 
 
@@ -130,7 +129,7 @@ def test_every_epsilon_of_a_shared_unit_ball_is_sample_balls_ball_bit_for_bit(mo
     m, seed = 1300, 9  # three blocks of points
     x = np.random.default_rng(4).normal(size=3072)
     seg = grid_segment(32, 32, 3, 8, 8)
-    exp = Explanation(np.zeros(seg.d), 0.0, None, Lime(1.0), 10, 0, 1.0, seg.d)
+    exp = Explanation(np.zeros(seg.d), 0.0, None, Lime(1.0), 10, 0, 1.0)
     draws, blocks = [], []
     monkeypatch.setattr(metrics, "unit_ball", lambda *args, real=metrics.unit_ball:
                         draws.append(args) or real(*args))
@@ -200,7 +199,7 @@ def test_sample_ball_is_unit_ball_points_bit_for_bit(norm):
 def test_local_fidelity_holds_one_block_beside_the_ball_and_the_offsets():
     m, seed = 2048, 3
     model, x, seg = image_case("linear", 32)
-    exp = Explanation(np.zeros(seg.d), 0.0, None, Lime(1.0), 10, 0, 1.0, seg.d)
+    exp = Explanation(np.zeros(seg.d), 0.0, None, Lime(1.0), 10, 0, 1.0)
     balls = OneSlot()
     balls.get(("l2", m, x.size, seed), lambda: unit_ball("l2", m, x.size, seed))
     _, peak = traced_peak(lambda: local_fidelity(model, x, [exp], seg, 0.5, "l2", m, seed,
@@ -228,7 +227,7 @@ def test_fidelity_is_one_for_an_exact_surrogate():
     c = np.array([1.0, -2.0, 0.5])
     model = Linear(c, 0.3)
     x = np.array([0.2, 0.1, -0.4])
-    exp = Explanation(c, float(c @ x + 0.3), None, Lime(1.0), 10, 0, 0.0, 3)
+    exp = Explanation(c, float(c @ x + 0.3), None, Lime(1.0), 10, 0, 0.0)
     rep = local_fidelity(model, x, [exp], singleton_segments(3), 0.5, "l2", 2000, 1)[0]
     assert rep.fidelity == pytest.approx(1.0, abs=1e-12)
 
@@ -236,7 +235,7 @@ def test_fidelity_is_one_for_an_exact_surrogate():
 def test_fidelity_drops_below_one_for_a_zero_surrogate_on_varying_f():
     model = Linear(np.array([2.0, 2.0]), 0.0)
     x = np.zeros(2)
-    exp = Explanation(np.zeros(2), 0.0, None, Lime(1.0), 10, 0, 0.0, 2)
+    exp = Explanation(np.zeros(2), 0.0, None, Lime(1.0), 10, 0, 0.0)
     rep = local_fidelity(model, x, [exp], singleton_segments(2), 1.0, "l2", 2000, 1)[0]
     assert 0.0 < rep.fidelity < 1.0
 
@@ -246,7 +245,7 @@ def test_fidelity_matches_the_closed_form_for_a_pure_quadratic():
     # MSE = E r^4 = eps^4 * D/(D+4) with D = 2 -> eps^4/3
     eps = 1.3
     model = Quadratic(np.eye(2), np.zeros(2), 0.0)
-    exp = Explanation(np.zeros(2), 0.0, None, Lime(1.0), 10, 0, 0.0, 2)
+    exp = Explanation(np.zeros(2), 0.0, None, Lime(1.0), 10, 0, 0.0)
     rep = local_fidelity(model, np.zeros(2), [exp], singleton_segments(2),
                          eps, "l2", 200000, 2)[0]
     assert rep.fidelity == pytest.approx(1.0 / (1.0 + eps**4 / 3.0), rel=0.02)
@@ -254,10 +253,10 @@ def test_fidelity_matches_the_closed_form_for_a_pure_quadratic():
 
 def test_fidelity_aggregates_segments_by_mean_offset():
     # two raw pixels per segment: the surrogate sees the mean of their offsets
-    seg = Segmentation(np.array([0, 0]), 1, (2,))
+    seg = Segmentation(np.array([0, 0]), 1)
     model = Linear(np.array([1.0, 1.0]), 0.0)
     x = np.zeros(2)
-    exp = Explanation(np.array([2.0]), 0.0, None, Lime(1.0), 10, 0, 0.0, 1)
+    exp = Explanation(np.array([2.0]), 0.0, None, Lime(1.0), 10, 0, 0.0)
     rep = local_fidelity(model, x, [exp], seg, 0.5, "linf", 4000, 3)[0]
     # f(z) = z0 + z1 = 2 * mean(z) = surrogate exactly
     assert rep.fidelity == pytest.approx(1.0, abs=1e-12)
@@ -269,7 +268,7 @@ def test_blocked_fidelity_equals_one_whole_evaluation(kind, side, norm):
     model, x, seg = image_case(kind, side)
     rng = np.random.default_rng(3)
     exps = [Explanation(rng.normal(size=seg.d), float(rng.normal()), None, Lime(1.0), 10, 0,
-                        1.0, seg.d) for _ in range(2)]
+                        1.0) for _ in range(2)]
     reports = local_fidelity(model, x, exps, seg, 0.1, norm, 1300, 9)  # three blocks
     assert_same([r.fidelity for r in reports],
                 [local_fidelity_whole(model, x, e, seg, 0.1, norm, 1300, 9) for e in exps],
