@@ -4,7 +4,9 @@ interpreters.
     python3 scripts/import_time.py [-n N]
 
 Prints the minimum wall time of the import over N fresh interpreters
-(default 7); then the memory the import adds once numpy is loaded, the peak
+(default 7); then the same minimum over N more with numpy imported before
+the clock starts, so that a change to the package alone shows past numpy's
+own spread; then the memory the import adds once numpy is loaded, the peak
 resident set (ru_maxrss) after `import localex.cli` minus that after
 `import numpy`, as the least and most over N more interpreters; then the ten
 largest cumulative entries of one further run under `python -X importtime`,
@@ -20,6 +22,8 @@ import sys
 SRC = os.path.join(os.path.dirname(os.path.abspath(__file__)), "..", "src")
 TIMED = ("import time; t = time.perf_counter(); import localex.cli; "
          "print(time.perf_counter() - t)")
+AFTER_NUMPY = ("import time, numpy; t = time.perf_counter(); import localex.cli; "
+               "print(time.perf_counter() - t)")
 RSS = ("import resource, numpy; kib = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss; "
        "import localex.cli; print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss - kib)")
 
@@ -49,6 +53,9 @@ def main() -> int:
         parser.error("-n must be at least 1")
     best = min(float(_python(["-c", TIMED]).stdout) for _ in range(n))
     print(f"import localex.cli: {best:.3f} s (min of {n} interpreters)")
+    best = min(float(_python(["-c", AFTER_NUMPY]).stdout) for _ in range(n))
+    print(f"import localex.cli after import numpy: {best * 1000:.1f} ms "
+          f"(min of {n} interpreters)")
     added = sorted(int(_python(["-c", RSS]).stdout) / 1024 for _ in range(n))
     print(f"ru_maxrss of import localex.cli over import numpy: {added[0]:.2f}-{added[-1]:.2f} "
           f"MiB ({n} interpreters)")

@@ -60,7 +60,9 @@ class _Method:
 @dataclass(frozen=True)
 class _SigmaMethod(_Method):
     """Method with a kernel or sampling width sigma > 0; by default its samples
-    come unweighted from the class's law(d, sigma)."""
+    come unweighted from the class's law(d, sigma). A subclass that adds no
+    field is not decorated again: it inherits these generated methods, whose
+    equality also compares the class."""
 
     sigma: float
 
@@ -90,7 +92,6 @@ class Lime(_SigmaMethod):
         return "LimeUnweighted" if self.unit_weights else "Lime"
 
 
-@dataclass(frozen=True)
 class GlimeBinomial(_SigmaMethod):
     """Weight-free equivalent of Lime: Bernoulli(1/(1+e^{-1/sigma^2})) masks."""
 
@@ -98,21 +99,18 @@ class GlimeBinomial(_SigmaMethod):
     binary = True
 
 
-@dataclass(frozen=True)
 class GlimeGauss(_SigmaMethod):
     """Additive Gaussian offsets in feature space; reference-independent."""
 
     law = Gaussian
 
 
-@dataclass(frozen=True)
 class GlimeLaplace(_SigmaMethod):
     """Additive Laplace offsets, variance-matched to sigma^2 per coordinate."""
 
     law = Laplace
 
 
-@dataclass(frozen=True)
 class GlimeUniform(_SigmaMethod):
     """Additive uniform-box offsets, variance-matched to sigma^2 per coordinate."""
 
@@ -132,7 +130,6 @@ class KernelShap(_Method):
         return Coalitions(d, self.exact), ShapKernel()
 
 
-@dataclass(frozen=True)
 class SmoothGrad(_SigmaMethod):
     """Gaussian-smoothed gradient on raw features: GlimeGauss's samples, fit
     by the Gaussian law's known covariance sigma^2 I instead of by ridge."""
@@ -348,8 +345,7 @@ def explain(req: ExplainRequest, samples: OneSlot | None = None) -> Explanation:
         # local linearization around x: intercept f(x), no surrogate, no R^2
         fit = w, float(evaluate(req.model, req.x[None, :])[0]), None
     else:
-        sol = solve_weighted_ridge(RidgeProblem(design, y, pi, lam))
-        fit = sol.w, sol.intercept, sol.r2
+        fit = solve_weighted_ridge(RidgeProblem(design, y, pi, lam))
     return Explanation(*fit, method, len(design), req.seed, lam)
 
 

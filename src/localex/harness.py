@@ -357,19 +357,18 @@ def run_stability(config: ExperimentConfig) -> list[dict]:
 
 
 def run_convergence(config: ExperimentConfig) -> list[dict]:
-    """Distance between Lime and GlimeBinomial explanations as n grows.
+    """Distance between Lime and GlimeBinomial explanations as n grows. The
+    config's methods must be one plain Lime entry, the method the table names.
 
     Each (sigma, lambda) group carries an mse_monotone flag: whether the MSE
     strictly decreases across the sample-size grid.
     """
+    methods = [method_from_json({**entry, "sigma": 1.0}) for entry in config.method_entries]
+    if methods != [Lime(1.0)]:
+        raise ConfigError('converge compares Lime with GlimeBinomial: methods must be '
+                          '[{"method": "Lime"}]')
     ctx = build_context(config)
     seed = config.seeds[0]
-
-    def score(lime: Explanation, binom: Explanation) -> dict:
-        dist = explanation_distance(lime, binom)
-        return {"mse": dist.mse, "mae": dist.mae, "pearson": dist.pearson,
-                "spearman": dist.spearman}
-
     groups = list(itertools.product(config.sigmas, config.lambdas))
     cells = [(method(sigma), n, lam) for sigma, lam in groups for n in config.sample_sizes
              for method in (Lime, GlimeBinomial)]
@@ -381,7 +380,8 @@ def run_convergence(config: ExperimentConfig) -> list[dict]:
             pair = [next(explained)[0] for _ in range(2)]
             keys = {"sigma": sigma, "lambda": lam, "n": n}
             group.append(_cell_row(
-                keys, ("mse", "mae", "pearson", "spearman", "mse_monotone"), pair, score))
+                keys, ("mse", "mae", "pearson", "spearman", "mse_monotone"), pair,
+                explanation_distance))
         mses = [r["mse"] for r in group if r["error"] == ""]
         monotone = len(mses) == len(group) and all(
             later < earlier for earlier, later in zip(mses, mses[1:])
@@ -418,8 +418,7 @@ def run_fidelity(config: ExperimentConfig) -> list[dict]:
                 eps, norm, config.m, substream_seed(s, _BALL_STREAM), balls,
             ))
             for j, i in enumerate(scored):  # a failed ball fails every cell it scores
-                fids[i, k, eps, norm] = (reports if isinstance(reports, str)
-                                         else reports[j].fidelity)
+                fids[i, k, eps, norm] = reports if isinstance(reports, str) else reports[j]
 
     def score(*vals: float) -> dict:
         return {"fidelity_mean": float(np.mean(vals)), "fidelity_std": float(np.std(vals))}

@@ -29,23 +29,6 @@ class StabilityReport:
     pairwise: tuple[float, ...]
 
 
-@dataclass(frozen=True)
-class FidelityReport:
-    """Local fidelity 1/(1 + MSE) of a surrogate over an epsilon-ball sample."""
-
-    fidelity: float
-
-
-@dataclass(frozen=True)
-class ExplanationDistance:
-    """Coordinate-wise distances and correlations between two attribution vectors."""
-
-    mse: float
-    mae: float
-    pearson: float
-    spearman: float
-
-
 def top_k_indices(w: np.ndarray, k: int) -> np.ndarray:
     """Indices of the k largest entries; ties resolved toward lower indices."""
     # stable sort on the negated values keeps lower indices first among ties
@@ -147,8 +130,9 @@ def local_fidelity(
     m: int,
     seed: int,
     balls: OneSlot | None = None,
-) -> list[FidelityReport]:
-    """1/(1 + mean squared surrogate error) over an epsilon-ball around x.
+) -> list[float]:
+    """Local fidelity 1/(1 + mean squared surrogate error) over an epsilon-ball
+    around x, one value per explanation, in order.
 
     Ball points are projected to feature space as per-segment mean offsets and
     fed to each linear surrogate (intercept + w . offset). Explanations fit on
@@ -157,10 +141,9 @@ def local_fidelity(
     regardless of how it was fit. The points are sample_ball's. They are made
     and evaluated one block at a time, and each evaluated block is turned into
     its offsets in place, so memory holds the ball, the m x d offsets and one
-    block. The offsets are scored against every explanation; one report per
-    explanation, in order. balls, when given, keeps the last unit ball, so
-    that a call for another epsilon with the same (norm, m, seed) scales those
-    draws instead of drawing again.
+    block. The offsets are scored against every explanation. balls, when given,
+    keeps the last unit ball, so that a call for another epsilon with the same
+    (norm, m, seed) scales those draws instead of drawing again.
     """
     for e in explanations:
         if e.d != segmentation.d:
@@ -182,12 +165,12 @@ def local_fidelity(
     f = evaluate_blocks(model, m, lambda rows: ball.points(x, epsilon, rows),
                         evaluate_then_offsets)
     offsets = np.concatenate(blocks)
-    reports = []
+    fidelities = []
     for e in explanations:
         surrogate = e.intercept + offsets @ e.w
         mse = float(np.mean((f - surrogate) ** 2))
-        reports.append(FidelityReport(1.0 / (1.0 + mse)))
-    return reports
+        fidelities.append(1.0 / (1.0 + mse))
+    return fidelities
 
 
 def _average_ranks(a: np.ndarray) -> np.ndarray:
@@ -197,8 +180,8 @@ def _average_ranks(a: np.ndarray) -> np.ndarray:
     return (np.searchsorted(s, a, "left") + np.searchsorted(s, a, "right") + 1) / 2
 
 
-def explanation_distance(e1: Explanation, e2: Explanation) -> ExplanationDistance:
-    """MSE, MAE, Pearson, and Spearman between two attribution vectors. A
+def explanation_distance(e1: Explanation, e2: Explanation) -> dict[str, float]:
+    """{"mse", "mae", "pearson", "spearman"} between two attribution vectors. A
     correlation is 0.0, not NaN, where either vector is constant; the ranks of a
     vector that is not constant are not constant either."""
     if e1.d != e2.d:
@@ -210,8 +193,8 @@ def explanation_distance(e1: Explanation, e2: Explanation) -> ExplanationDistanc
     mse = float(np.mean(diff**2))
     mae = float(np.mean(np.abs(diff)))
     if np.ptp(a) == 0.0 or np.ptp(b) == 0.0:
-        return ExplanationDistance(mse, mae, 0.0, 0.0)
+        return {"mse": mse, "mae": mae, "pearson": 0.0, "spearman": 0.0}
     pearson = float(np.corrcoef(a, b)[0, 1])
     ra, rb = _average_ranks(a), _average_ranks(b)
     spearman = float(np.corrcoef(ra, rb)[0, 1])
-    return ExplanationDistance(mse, mae, pearson, spearman)
+    return {"mse": mse, "mae": mae, "pearson": pearson, "spearman": spearman}

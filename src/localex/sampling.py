@@ -48,7 +48,9 @@ def bernoulli_p(sigma: float) -> float:
 
 @dataclass(frozen=True)
 class _Law:
-    """Sampling law over d coordinates."""
+    """Sampling law over d coordinates. A subclass that adds no field is not
+    decorated again: it inherits the generated methods, whose equality also
+    compares the class."""
 
     d: int
 
@@ -68,12 +70,10 @@ class _ScaledLaw(_Law):
         check_scale("sigma", self.sigma)
 
 
-@dataclass(frozen=True)
 class UniformBinary(_Law):
     """Fair-coin masks on {0,1}^d."""
 
 
-@dataclass(frozen=True)
 class Binomial(_ScaledLaw):
     """i.i.d. Bernoulli(p) masks with p = 1/(1+e^{-1/sigma^2})."""
 
@@ -82,12 +82,10 @@ class Binomial(_ScaledLaw):
         return bernoulli_p(self.sigma)
 
 
-@dataclass(frozen=True)
 class Gaussian(_ScaledLaw):
     """i.i.d. N(0, sigma^2) offsets per coordinate."""
 
 
-@dataclass(frozen=True)
 class Laplace(_ScaledLaw):
     """i.i.d. Laplace offsets, scale sigma/sqrt(2) so the variance is sigma^2."""
 
@@ -96,7 +94,6 @@ class Laplace(_ScaledLaw):
         return self.sigma / math.sqrt(2.0)
 
 
-@dataclass(frozen=True)
 class UniformBox(_ScaledLaw):
     """i.i.d. uniform offsets on [-sqrt(3)*sigma, sqrt(3)*sigma], variance sigma^2."""
 

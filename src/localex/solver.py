@@ -82,15 +82,6 @@ class RidgeProblem:
         object.__setattr__(self, "lam", float(self.lam))
 
 
-@dataclass(frozen=True)
-class RidgeSolution:
-    """Fitted surrogate: attributions, unpenalized intercept, weighted R^2."""
-
-    w: np.ndarray
-    intercept: float
-    r2: float
-
-
 def _weighted_r2(y: np.ndarray, yhat: np.ndarray, yc: np.ndarray, pi: np.ndarray) -> float:
     """Weighted coefficient of determination, where yc is y less its weighted
     mean; 0 for constant responses, which the intercept fits exactly."""
@@ -101,8 +92,10 @@ def _weighted_r2(y: np.ndarray, yhat: np.ndarray, yc: np.ndarray, pi: np.ndarray
 
 
 @np.errstate(over="ignore", invalid="ignore")  # overflow is reported as NonFiniteOutput
-def solve_weighted_ridge(problem: RidgeProblem) -> RidgeSolution:
-    """Closed-form solve via an SPD factorization of the d x d Gram matrix.
+def solve_weighted_ridge(problem: RidgeProblem) -> tuple[np.ndarray, float, float]:
+    """The fitted surrogate (w, intercept, r2): attributions, unpenalized
+    intercept and weighted R^2, by a closed-form solve via an SPD factorization
+    of the d x d Gram matrix.
 
     Raises SingularSystem when lambda = 0 and the (centered) Gram matrix is
     rank-deficient; there is deliberately no pseudo-inverse fallback, since a
@@ -148,7 +141,7 @@ def solve_weighted_ridge(problem: RidgeProblem) -> RidgeSolution:
     r2 = _weighted_r2(y, yhat, yc, pi)
     if not (np.all(np.isfinite(w)) and math.isfinite(intercept) and math.isfinite(r2)):
         raise NonFiniteOutput("ridge fit overflowed: model responses are too large")
-    return RidgeSolution(w, intercept, r2)
+    return w, intercept, r2
 
 
 # ---------------------------------------------------------------------------

@@ -22,8 +22,7 @@ from localex.harness import _BALL_STREAM, ExperimentConfig, RunContext, build_co
 from localex.metrics import explanation_distance, local_fidelity, sample_ball, top_k_jaccard
 from localex.models import ModelSpec, evaluate
 from localex.sampling import batch_weights, draw, splitmix64, substream_seed
-from localex.solver import (RidgeProblem, RidgeSolution, sherman_morrison_inverse,
-                            solve_weighted_ridge)
+from localex.solver import RidgeProblem, sherman_morrison_inverse, solve_weighted_ridge
 
 
 def ridge_bordered(
@@ -142,9 +141,8 @@ def _fit_whole_lift(req: ExplainRequest, respond: Callable[[np.ndarray], np.ndar
     design, points = lift_whole(req)
     lam = req.lam if method.fixed_lam is None else method.fixed_lam
     kernel = method.sampler(req.segmentation.d)[1]
-    sol = solve_weighted_ridge(RidgeProblem(design, respond(points),
-                                            batch_weights(kernel, design), lam))
-    return sol.w, sol.intercept, sol.r2
+    return solve_weighted_ridge(RidgeProblem(design, respond(points),
+                                             batch_weights(kernel, design), lam))
 
 
 def explain_whole(req: ExplainRequest) -> tuple[np.ndarray, float, float | None]:
@@ -220,10 +218,11 @@ def shap_weight_direct(d: int, k: int) -> float:
     return (d - 1) / (math.comb(d, k) * k * (d - k))
 
 
-def r_squared(problem: RidgeProblem, solution: RidgeSolution) -> float:
-    """Weighted R^2 of a solution on its problem's samples, by the direct formula."""
+def r_squared(problem: RidgeProblem, w: np.ndarray, intercept: float) -> float:
+    """Weighted R^2 of a fit (w, intercept) on its problem's samples, by the direct
+    formula."""
     y, pi = problem.responses, problem.sample_weights
-    yhat = problem.design @ solution.w + solution.intercept
+    yhat = problem.design @ w + intercept
     ybar = pi @ y / pi.sum()
     return float(1.0 - (pi @ (y - yhat) ** 2) / (pi @ (y - ybar) ** 2))
 
@@ -316,11 +315,9 @@ def convergence_rows_direct(config: ExperimentConfig) -> list[dict]:
             row = {"sigma": sigma, "lambda": lam, "n": n, "mse": None, "mae": None,
                    "pearson": None, "spearman": None, "mse_monotone": None, "error": ""}
             try:
-                dist = explanation_distance(
+                row.update(explanation_distance(
                     _explain_direct(ctx, Lime(sigma), n, lam, seed),
-                    _explain_direct(ctx, GlimeBinomial(sigma), n, lam, seed))
-                row.update(mse=dist.mse, mae=dist.mae, pearson=dist.pearson,
-                           spearman=dist.spearman)
+                    _explain_direct(ctx, GlimeBinomial(sigma), n, lam, seed)))
             except Exception as exc:
                 row["error"] = _failure_text(exc)
             group.append(row)
@@ -347,10 +344,8 @@ def fidelity_rows_direct(config: ExperimentConfig) -> list[dict]:
             vals = []
             for s in config.seeds:
                 exp = _explain_direct(ctx, method, config.sample_sizes[0], config.lambdas[0], s)
-                (report,) = local_fidelity(ctx.model, ctx.x, [exp], ctx.segmentation,
-                                           eps, norm, config.m,
-                                           substream_seed(s, _BALL_STREAM))
-                vals.append(report.fidelity)
+                vals += local_fidelity(ctx.model, ctx.x, [exp], ctx.segmentation,
+                                       eps, norm, config.m, substream_seed(s, _BALL_STREAM))
             row["fidelity_mean"] = float(np.mean(vals))
             row["fidelity_std"] = float(np.std(vals))
         except Exception as exc:

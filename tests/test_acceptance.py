@@ -273,7 +273,7 @@ def test_criterion_10_matched_continuous_sampling_improves_fidelity():
         fid = {
             e.method.__class__.__name__: local_fidelity(
                 model, x, [e], seg, epsilon=0.5, norm="l2", m=20_000, seed=12345
-            )[0].fidelity
+            )[0]
             for e in (gauss, lime)
         }
         assert fid["GlimeGauss"] >= fid["Lime"]
@@ -298,14 +298,14 @@ def test_criterion_11_solver_invariances_and_failure_modes():
         y = rng.normal(size=40)
         pi = rng.uniform(0.2, 2.0, size=40)
 
-        base = solve_weighted_ridge(RidgeProblem(Z, y, pi, 0.7))
-        scaled = solve_weighted_ridge(RidgeProblem(Z, y, pi * 3.5, 0.7 * 3.5))
-        assert np.max(np.abs(base.w - scaled.w)) <= 1e-10
-        assert abs(base.intercept - scaled.intercept) <= 1e-10
+        base_w, base_b, _ = solve_weighted_ridge(RidgeProblem(Z, y, pi, 0.7))
+        scaled_w, scaled_b, _ = solve_weighted_ridge(RidgeProblem(Z, y, pi * 3.5, 0.7 * 3.5))
+        assert np.max(np.abs(base_w - scaled_w)) <= 1e-10
+        assert abs(base_b - scaled_b) <= 1e-10
 
         norms = [
             float(np.linalg.norm(solve_weighted_ridge(
-                RidgeProblem(Z, y, pi, lam)).w))
+                RidgeProblem(Z, y, pi, lam))[0]))
             for lam in (0.0, 1.0, 10.0, 100.0)
         ]
         assert norms[0] >= norms[1] >= norms[2] >= norms[3]

@@ -1,7 +1,10 @@
+import dataclasses
+import inspect
 import os
 import subprocess
 import sys
 import tracemalloc
+import typing
 
 import numpy as np
 import pytest
@@ -21,6 +24,7 @@ from localex.explain import (
     GlimeUniform,
     KernelShap,
     Lime,
+    MethodSpec,
     SmoothGrad,
     default_lambda,
     explain,
@@ -40,7 +44,8 @@ from localex.feature_space import (
 from localex.harness import load_input
 from localex.models import (BLOCK_ROWS, Linear, Quadratic, Remote, evaluate, gradient,
                             load_model)
-from localex.sampling import EXACT_SHAP_MAX_D, Coalitions, Gaussian, draw
+from localex.sampling import (EXACT_SHAP_MAX_D, Binomial, Coalitions, DistributionSpec,
+                              Gaussian, Laplace, UniformBinary, UniformBox, draw)
 from oracles import explain_whole, lift_direct, shapley_bruteforce, smoothgrad_direct
 
 RNG = np.random.default_rng(2718)
@@ -64,6 +69,47 @@ def request(method, n=20000, seed=0, lam=1e-8, model=LINEAR8, x=X8, seg=SEG8,
 def test_method_json_round_trips():
     for m in ALL_METHODS:
         assert method_from_json(method_to_json(m)) == m
+
+
+# each method and law class: the arguments of one instance, and its field names
+VALUE_CLASSES = {
+    Lime: ((0.5, True), ("sigma", "unit_weights")),
+    GlimeBinomial: ((0.5,), ("sigma",)),
+    GlimeGauss: ((0.5,), ("sigma",)),
+    GlimeLaplace: ((0.5,), ("sigma",)),
+    GlimeUniform: ((0.5,), ("sigma",)),
+    KernelShap: ((False,), ("exact",)),
+    SmoothGrad: ((0.5,), ("sigma",)),
+    UniformBinary: ((3,), ("d",)),
+    Binomial: ((3, 0.5), ("d", "sigma")),
+    Gaussian: ((3, 0.5), ("d", "sigma")),
+    Laplace: ((3, 0.5), ("d", "sigma")),
+    UniformBox: ((3, 0.5), ("d", "sigma")),
+    Coalitions: ((3, False), ("d", "exact")),
+}
+
+
+@pytest.mark.parametrize("cls", typing.get_args(MethodSpec) + typing.get_args(DistributionSpec),
+                         ids=lambda cls: cls.__name__)
+def test_method_and_law_classes_are_frozen_values(cls):
+    args, names = VALUE_CLASSES[cls]
+    value = cls(*args)
+    assert tuple(f.name for f in dataclasses.fields(cls)) == names
+    # every annotation a class declares is a field: in a subclass that inherits
+    # its parent's dataclass instead of being decorated, it would not be one
+    assert set(inspect.get_annotations(cls)) <= set(names)
+    assert value == cls(*args) and hash(value) == hash(cls(*args))
+    # equality compares the class too: a sibling or a subclass with the same
+    # fields is another value
+    others = [other for other, (_, other_names) in VALUE_CLASSES.items()
+              if other is not cls and other_names == names]
+    for other in [*others, type(cls.__name__, (cls,), {})]:
+        assert value != other(*args)
+    assert repr(value).startswith(f"{cls.__name__}(")
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        setattr(value, names[0], args[0])
+    if cls in typing.get_args(MethodSpec):
+        assert method_from_json(method_to_json(value)) == value
 
 
 def test_unknown_method_tag_is_a_config_error():

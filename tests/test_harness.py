@@ -220,12 +220,22 @@ def test_run_stability_needs_two_seeds(tmp_path):
 
 
 def test_run_convergence_attaches_a_monotone_flag_per_group(tmp_path):
-    path = write_workspace(tmp_path, sigmas=[1.0], sample_sizes=[64, 512, 4096])
+    path = write_workspace(tmp_path, methods=[{"method": "Lime"}], sigmas=[1.0],
+                           sample_sizes=[64, 512, 4096])
     rows = run_convergence(load_config(path))
     assert len(rows) == 3
     assert len({r["mse_monotone"] for r in rows}) == 1  # one shared flag
     assert all(r["error"] == "" for r in rows)
     assert all(isinstance(r["mse"], float) for r in rows)
+
+
+def test_converge_takes_only_one_plain_lime_entry(tmp_path, capsys):
+    path = write_workspace(tmp_path, methods=[{"method": "KernelShap"}])
+    assert main(["converge", "--config", path]) == 1
+    assert capsys.readouterr().err == ('error: converge compares Lime with GlimeBinomial: '
+                                       'methods must be [{"method": "Lime"}]\n')
+    path = write_workspace(tmp_path, methods=[{"method": "Lime", "unit_weights": False}])
+    assert len(run_convergence(load_config(path))) == 2  # one row per sigma
 
 
 def test_run_fidelity_reports_mean_and_std_over_seeds(tmp_path):
@@ -367,7 +377,8 @@ def test_run_stability_matches_the_direct_nested_loop(tmp_path, name, errors):
 @pytest.mark.parametrize("name", ["zero-weights", "lambda-zero-n-below-d",
                                   "some-seeds-fail"])
 def test_run_convergence_matches_the_direct_nested_loop(tmp_path, name):
-    config = load_config(write_workspace(tmp_path, **FAILING_SWEEPS[name]))
+    config = load_config(write_workspace(
+        tmp_path, **{**FAILING_SWEEPS[name], "methods": [{"method": "Lime"}]}))
     rows = run_convergence(config)
     assert json_dumps(rows) == json_dumps(convergence_rows_direct(config))  # every bit
     assert {row["error"].split(":")[0] for row in rows} == {"SingularSystem", ""}
@@ -508,7 +519,7 @@ def test_cli_stability_writes_identical_bytes_across_runs(tmp_path):
 
 
 def test_cli_format_flag_switches_to_json(tmp_path):
-    path = write_workspace(tmp_path)
+    path = write_workspace(tmp_path, methods=[{"method": "Lime"}])
     proc = cli("converge", "--config", path, "--format", "json")
     assert proc.returncode == 0, proc.stderr
     rows = json.loads(proc.stdout)
@@ -889,6 +900,12 @@ def remote_explain_config(tmp_path, **fields):
     (lambda tmp: ["explain", "--config", model_explain_config(
         tmp, {"kind": "mlp", "layers": [{"weights": [[1], [1], [1]], "bias": [0, 0]}]})], 1),
     (lambda tmp: ["explain", "--config", remote_explain_config(tmp, batch_size=0)], 1),
+    # converge reads one plain Lime entry and names no other method
+    (lambda tmp: ["converge", "--config",
+                  write_workspace(tmp, methods=[{"method": "KernelShap"}])], 1),
+    (lambda tmp: ["converge", "--config", write_workspace(tmp)], 1),
+    (lambda tmp: ["converge", "--config",
+                  write_workspace(tmp, methods=[{"method": "Lime", "unit_weights": True}])], 1),
 ], ids=["nonfinite-output", "zero-weights", "ridge-overflow", "smoothgrad-overflow",
         "nan-input", "sigma-zero", "sigma-negative",
         "sigma-nan", "distributions-seed", "jobs-zero", "jobs-negative", "lambda-string",
@@ -923,7 +940,8 @@ def remote_explain_config(tmp_path, **fields):
         "explain-reference-median", "sweep-sample-sizes-zero", "output-format-xml",
         "sweep-shape-huge", "explain-shape-huge", "linear-coefficients-matrix",
         "quadratic-matrix-flat", "quadratic-matrix-too-small", "mlp-no-layers",
-        "mlp-bias-length", "remote-batch-size-zero"])
+        "mlp-bias-length", "remote-batch-size-zero", "converge-kernelshap",
+        "converge-two-methods", "converge-lime-unweighted"])
 @pytest.mark.filterwarnings("error::RuntimeWarning")  # a warning is a second line
 def test_cli_reports_bad_values_in_one_error_line(tmp_path, capsys, make_args, code):
     assert main(make_args(tmp_path)) == code

@@ -14,7 +14,6 @@ from localex.sampling import (Binomial, ExpKernel, Gaussian, Laplace, UniformBin
                               batch_weights, draw)
 from localex.solver import (
     RidgeProblem,
-    RidgeSolution,
     analytic_moments,
     sherman_morrison_inverse,
     solve_weighted_ridge,
@@ -39,11 +38,11 @@ def random_problem(seed: int, n: int = 40, d: int = 5, lam: float = 0.3) -> Ridg
 def test_constant_responses_put_everything_in_the_intercept():
     p = RidgeProblem(np.random.default_rng(0).normal(size=(20, 3)),
                      np.full(20, 0.5), np.ones(20), 1.0)
-    sol = solve_weighted_ridge(p)
-    assert np.allclose(sol.w, 0.0)
-    assert sol.intercept == pytest.approx(0.5)
+    w, intercept, r2 = solve_weighted_ridge(p)
+    assert np.allclose(w, 0.0)
+    assert intercept == pytest.approx(0.5)
     # constant responses: zero residual with zero variance reports R^2 = 0
-    assert sol.r2 == 0.0
+    assert r2 == 0.0
 
 
 def test_huge_lambda_shrinks_w_to_zero_and_keeps_the_weighted_mean():
@@ -51,29 +50,29 @@ def test_huge_lambda_shrinks_w_to_zero_and_keeps_the_weighted_mean():
     pi = rng.uniform(0.5, 1.5, size=30)
     y = rng.normal(size=30)
     p = RidgeProblem(rng.normal(size=(30, 4)), y, pi, 1e9)
-    sol = solve_weighted_ridge(p)
-    assert np.max(np.abs(sol.w)) <= 1e-6
-    assert sol.intercept == pytest.approx(float(pi @ y / pi.sum()), abs=1e-6)
+    w, intercept, _ = solve_weighted_ridge(p)
+    assert np.max(np.abs(w)) <= 1e-6
+    assert intercept == pytest.approx(float(pi @ y / pi.sum()), abs=1e-6)
 
 
 @given(SEEDS)
 @settings(max_examples=40)
 def test_solution_matches_bordered_normal_equations(seed):
     p = random_problem(seed)
-    sol = solve_weighted_ridge(p)
-    w, b = ridge_bordered(p.design, p.responses, p.sample_weights, p.lam)
-    assert np.allclose(sol.w, w, atol=1e-9)
-    assert sol.intercept == pytest.approx(b, abs=1e-9)
+    w, intercept, _ = solve_weighted_ridge(p)
+    w_bordered, b = ridge_bordered(p.design, p.responses, p.sample_weights, p.lam)
+    assert np.allclose(w, w_bordered, atol=1e-9)
+    assert intercept == pytest.approx(b, abs=1e-9)
 
 
 @given(SEEDS)
 @settings(max_examples=40)
 def test_stationarity_of_the_weighted_objective(seed):
     p = random_problem(seed)
-    sol = solve_weighted_ridge(p)
+    w, intercept, _ = solve_weighted_ridge(p)
     z, y, pi = p.design, p.responses, p.sample_weights
-    resid = y - sol.intercept - z @ sol.w
-    grad_w = -2.0 * z.T @ (pi * resid) + 2.0 * p.lam * sol.w
+    resid = y - intercept - z @ w
+    grad_w = -2.0 * z.T @ (pi * resid) + 2.0 * p.lam * w
     grad_b = -2.0 * float(pi @ resid)
     scale = 1.0 + np.max(np.abs(z.T @ (pi * y)))
     assert max(np.max(np.abs(grad_w)), abs(grad_b)) <= 1e-8 * scale
@@ -116,7 +115,7 @@ def test_w_has_the_bits_of_scipy_cho_solve(d, lam, design, weights):
         z = z.astype(np.float64) if design == "binary-float64" else z
     p = RidgeProblem(z, rng.normal(size=n), pi, lam)
     assert p.design.dtype == z.dtype
-    w = solve_weighted_ridge(p).w
+    w = solve_weighted_ridge(p)[0]
     assert w.view(np.uint64).tolist() == _cho_solve_w(p).view(np.uint64).tolist()
 
 
@@ -125,17 +124,17 @@ def test_a_bool_design_and_its_float_copy_fit_the_same_bits(lam):
     masks = draw(Binomial(12, 0.8), 300, 3)
     y = np.random.default_rng(3).normal(size=300)
     pi = batch_weights(ExpKernel(0.8), masks)
-    a, b = (solve_weighted_ridge(RidgeProblem(z, y, pi, lam))
-            for z in (masks, masks.astype(np.float64)))
-    assert (a.w.tobytes(), a.intercept, a.r2) == (b.w.tobytes(), b.intercept, b.r2)
+    (wa, *fit_a), (wb, *fit_b) = (solve_weighted_ridge(RidgeProblem(z, y, pi, lam))
+                                  for z in (masks, masks.astype(np.float64)))
+    assert (wa.tobytes(), *fit_a) == (wb.tobytes(), *fit_b)
 
 
 @pytest.mark.parametrize("lam", [0.0, 1.0])
 def test_a_design_without_columns_fits_only_the_intercept(lam):
-    sol = solve_weighted_ridge(RidgeProblem(np.zeros((3, 0)), np.array([1.0, 2.0, 6.0]),
-                                            np.ones(3), lam))
-    assert sol.w.shape == (0,)
-    assert sol.intercept == 3.0
+    w, intercept, _ = solve_weighted_ridge(RidgeProblem(
+        np.zeros((3, 0)), np.array([1.0, 2.0, 6.0]), np.ones(3), lam))
+    assert w.shape == (0,)
+    assert intercept == 3.0
 
 
 def test_a_numerically_indefinite_full_rank_system_fails_the_factorization():
@@ -184,8 +183,8 @@ def test_monotone_shrinkage_in_lambda(seed, lam_a, lam_b):
     lo, hi = sorted((lam_a, lam_b))
     base = random_problem(seed, lam=lo)
     bigger = RidgeProblem(base.design, base.responses, base.sample_weights, hi)
-    norm_lo = float(np.linalg.norm(solve_weighted_ridge(base).w))
-    norm_hi = float(np.linalg.norm(solve_weighted_ridge(bigger).w))
+    norm_lo = float(np.linalg.norm(solve_weighted_ridge(base)[0]))
+    norm_hi = float(np.linalg.norm(solve_weighted_ridge(bigger)[0]))
     assert norm_hi <= norm_lo + 1e-12
 
 
@@ -195,8 +194,8 @@ def test_permuting_columns_permutes_w(seed):
     p = random_problem(seed)
     perm = np.random.default_rng(seed + 1).permutation(5)
     permuted = RidgeProblem(p.design[:, perm], p.responses, p.sample_weights, p.lam)
-    assert np.allclose(solve_weighted_ridge(permuted).w,
-                       solve_weighted_ridge(p).w[perm], atol=1e-10)
+    assert np.allclose(solve_weighted_ridge(permuted)[0],
+                       solve_weighted_ridge(p)[0][perm], atol=1e-10)
 
 
 @given(SEEDS, st.floats(min_value=1e-3, max_value=1e3))
@@ -204,10 +203,10 @@ def test_permuting_columns_permutes_w(seed):
 def test_joint_weight_and_lambda_rescaling_is_invariant(seed, c):
     p = random_problem(seed)
     scaled = RidgeProblem(p.design, p.responses, c * p.sample_weights, c * p.lam)
-    a = solve_weighted_ridge(p)
-    b = solve_weighted_ridge(scaled)
-    assert np.allclose(a.w, b.w, atol=1e-10)
-    assert a.intercept == pytest.approx(b.intercept, abs=1e-10)
+    wa, ba, _ = solve_weighted_ridge(p)
+    wb, bb, _ = solve_weighted_ridge(scaled)
+    assert np.allclose(wa, wb, atol=1e-10)
+    assert ba == pytest.approx(bb, abs=1e-10)
 
 
 # ---------------------------------------------------------------------------
@@ -219,9 +218,9 @@ def test_r_squared_is_one_for_perfect_linear_data():
     z = rng.normal(size=(25, 3))
     y = z @ np.array([1.0, -1.0, 2.0]) + 0.7
     p = RidgeProblem(z, y, np.ones(25), 0.0)
-    sol = solve_weighted_ridge(p)
-    assert sol.r2 == pytest.approx(1.0, abs=1e-12)
-    assert r_squared(p, sol) == pytest.approx(1.0, abs=1e-12)
+    w, intercept, r2 = solve_weighted_ridge(p)
+    assert r2 == pytest.approx(1.0, abs=1e-12)
+    assert r_squared(p, w, intercept) == pytest.approx(1.0, abs=1e-12)
 
 
 def test_r_squared_is_zero_when_prediction_is_the_weighted_mean():
@@ -230,8 +229,7 @@ def test_r_squared_is_zero_when_prediction_is_the_weighted_mean():
     pi = rng.uniform(0.5, 2.0, size=10)
     p = RidgeProblem(rng.normal(size=(10, 2)), y, pi, 1.0)
     mean = float(pi @ y / pi.sum())
-    sol = RidgeSolution(np.zeros(2), mean, 0.0)
-    assert r_squared(p, sol) == pytest.approx(0.0, abs=1e-12)
+    assert r_squared(p, np.zeros(2), mean) == pytest.approx(0.0, abs=1e-12)
 
 
 def test_weighted_r_squared_matches_the_direct_formula():
@@ -239,11 +237,11 @@ def test_weighted_r_squared_matches_the_direct_formula():
     y = np.array([0.0, 1.0, 1.5])
     pi = np.array([1.0, 2.0, 0.5])
     p = RidgeProblem(z, y, pi, 0.1)
-    sol = solve_weighted_ridge(p)
-    yhat = z[:, 0] * sol.w[0] + sol.intercept
+    w, intercept, r2 = solve_weighted_ridge(p)
+    yhat = z[:, 0] * w[0] + intercept
     ybar = pi @ y / pi.sum()
     direct = 1.0 - (pi @ (y - yhat) ** 2) / (pi @ (y - ybar) ** 2)
-    assert sol.r2 == pytest.approx(direct, abs=1e-10)
+    assert r2 == pytest.approx(direct, abs=1e-10)
 
 
 # ---------------------------------------------------------------------------
