@@ -14,7 +14,6 @@ import sys
 from .errors import ConfigError, EngineError, field, read_json, write_text
 from .explain import (
     ExplainRequest,
-    default_lambda,
     explain,
     explanation_to_json,
     method_from_json,
@@ -82,7 +81,7 @@ def _cmd_explain(args: argparse.Namespace) -> int:
     seg = field(obj, "segmentation", dict, None) or {}
     rows, cols = field(seg, "rows", int, None), field(seg, "cols", int, None)
     reference_kind = field(obj, "reference", str, "mean")
-    lam = field(obj, "lambda", float, default_lambda(method))
+    lam = field(obj, "lambda", float, 1.0)  # explain puts a method's fixed lambda in its place
     if args.seed is not None:
         seed = args.seed
     model = load_model(model_path)

@@ -150,11 +150,6 @@ def method_name(method: MethodSpec) -> str:
     return type(method).__name__
 
 
-def default_lambda(method: MethodSpec) -> float:
-    """Ridge strength default: 1 unless the method fixes its own (KernelShap: 0)."""
-    return 1.0 if method.fixed_lam is None else method.fixed_lam
-
-
 def method_to_json(method: MethodSpec) -> dict:
     """The method tag, then its fields, leaving out flags that are off by default."""
     obj: dict = {"method": method_name(method)}
@@ -233,18 +228,12 @@ class Explanation:
     def d(self) -> int:
         return len(self.w)
 
-    @property
-    def sigma(self) -> float | None:
-        return getattr(self.method, "sigma", None)
-
 
 def explanation_to_json(exp: Explanation) -> dict:
     extras = method_to_json(exp.method)
-    extras.pop("method")
-    extras.pop("sigma", None)
     return {
-        "method": method_name(exp.method),
-        "sigma": exp.sigma,
+        "method": extras.pop("method"),
+        "sigma": extras.pop("sigma", None),
         "lambda": exp.lam,
         "n": exp.n,
         "seed": exp.seed,

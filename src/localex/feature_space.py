@@ -103,20 +103,15 @@ def mean_reference(x: np.ndarray, seg: Segmentation) -> Reference:
 def reconstruct_binary(
     x: np.ndarray, r: Reference, seg: Segmentation, zprime: np.ndarray
 ) -> np.ndarray:
-    """Lift binary masks: keep x where the segment is on, reference where off.
-
-    Accepts one mask (length d) or a batch (n x d); the output has matching
-    leading shape over length-D rows.
-    """
+    """Lift an n x d batch of binary masks to n x D points: x where the
+    segment is on, the reference where it is off."""
     x = np.asarray(x, dtype=np.float64)
     z = np.asarray(zprime)
     if x.shape != (seg.size,) or r.values.shape != (seg.size,):
         raise DimensionMismatch("x and reference must have the segmentation's raw length")
-    if z.shape[-1] != seg.d:
-        raise DimensionMismatch(f"mask width {z.shape[-1]} != d={seg.d}")
+    if z.ndim != 2 or z.shape[1] != seg.d:
+        raise DimensionMismatch(f"masks must be n x {seg.d}, got shape {z.shape}")
     z = as_masks(z, "binary reconstruction requires a 0/1 mask")
-    if z.ndim != 2:
-        return np.where(z[..., seg.assignment], x, r.values)
     keep = np.take(z.T, seg.assignment, axis=0)  # D x n
     return np.where(keep, x[:, None], r.values[:, None]).T
 
@@ -124,15 +119,14 @@ def reconstruct_binary(
 def reconstruct_continuous(
     x: np.ndarray, seg: Segmentation, zprime: np.ndarray
 ) -> np.ndarray:
-    """Lift continuous offsets: add each segment's offset to all its raw indices."""
+    """Lift an n x d batch of continuous offsets to n x D points: each
+    segment's offset added to all its raw indices."""
     x = np.asarray(x, dtype=np.float64)
     z = np.asarray(zprime, dtype=np.float64)
     if x.shape != (seg.size,):
         raise DimensionMismatch(f"x has length {x.size}, segmentation expects {seg.size}")
-    if z.shape[-1] != seg.d:
-        raise DimensionMismatch(f"offset width {z.shape[-1]} != d={seg.d}")
-    if z.ndim != 2:
-        return x + z[..., seg.assignment]
+    if z.ndim != 2 or z.shape[1] != seg.d:
+        raise DimensionMismatch(f"offsets must be n x {seg.d}, got shape {z.shape}")
     lifted = np.take(z.T, seg.assignment, axis=0)  # D x n
     lifted += x[:, None]  # x_i + z_j, one addition per element as before
     return lifted.T

@@ -41,6 +41,8 @@ from .feature_space import (
 from .metrics import NORMS, explanation_distance, local_fidelity, top_k_jaccard
 from .models import ModelSpec, check_input, load_model
 from .sampling import (
+    ExpKernel,
+    batch_weights,
     bernoulli_p,
     binomial_pmf,
     expected_weight_uniform,
@@ -340,19 +342,16 @@ def run_stability(config: ExperimentConfig) -> list[dict]:
     if config.k is not None and not 1 <= config.k <= d:
         raise ConfigError(f"k must be in [1, {d}], got {config.k}")
 
-    def score(*exps: Explanation) -> dict:
-        report = top_k_jaccard(list(exps), config.k)
-        return {"mean_jaccard": report.mean_jaccard, "std": float(np.std(report.pairwise))}
-
     grid = [(method_from_json({**entry, "sigma": sigma}), sigma, lam, n)
             for entry, sigma, lam, n in itertools.product(
                 config.method_entries, config.sigmas, config.lambdas, config.sample_sizes)]
     explained = _explain_grid(ctx, [(method, n, lam) for method, _, lam, n in grid],
                               config.seeds)
     rows = []
-    for (method, sigma, lam, n), exps in zip(grid, explained):
+    for (method, sigma, lam, n), cell in zip(grid, explained):
         keys = {"method": method.label, "sigma": sigma, "lambda": lam, "n": n}
-        rows.append(_cell_row(keys, ("mean_jaccard", "std"), exps, score))
+        rows.append(_cell_row(keys, ("mean_jaccard", "std"), cell,
+                              lambda *exps: top_k_jaccard(exps, config.k)))
     return rows
 
 
@@ -395,12 +394,15 @@ def run_convergence(config: ExperimentConfig) -> list[dict]:
 def run_fidelity(config: ExperimentConfig) -> list[dict]:
     """Local fidelity per method and ball radius, mean/std over seeds.
 
-    Explanations use the first sample-size and lambda of the grid; the ball
+    Explanations use the config's one sample size and one lambda; the ball
     sample for each seed comes from a disjoint substream. After every
     explanation exists, each (seed, norm) unit ball is drawn once and scaled
     to each epsilon; each (seed, epsilon, norm) ball is evaluated once and
     scored against all of that seed's explanations.
     """
+    if len(config.sample_sizes) != 1 or len(config.lambdas) != 1:
+        raise ConfigError("fidelity explains at one sample size and one lambda: "
+                          "sample_sizes and lambdas must each hold one value")
     ctx = build_context(config)
     cells = [(method_from_json({**entry, "sigma": sigma}), sigma)
              for entry, sigma in itertools.product(config.method_entries, config.sigmas)]
@@ -447,18 +449,20 @@ def distributions_table(d: int, sigmas: tuple[float, ...],
     if not ks or any(k < 0 or k > d for k in ks):
         raise ConfigError(f"ks must be non-empty and lie in [0, {d}]")
     shap = shap_weights_by_size(d)
+    kept = np.arange(d) < np.asarray(ks)[:, None]  # one mask per k, its first k kept
     rows = []
     for sigma in sigmas:
         p = bernoulli_p(sigma)
         mean_w = expected_weight_uniform(d, sigma)
-        for k in ks:
+        exp_w = batch_weights(ExpKernel(sigma), kept)
+        for k, w in zip(ks, exp_w):
             rows.append(
                 {
                     "sigma": sigma,
                     "k": k,
                     "bernoulli_p": p,
                     "count_pmf": binomial_pmf(d, sigma, k),
-                    "exp_kernel_weight": float(np.exp((k - d) / sigma**2)),
+                    "exp_kernel_weight": float(w),
                     "shap_kernel_weight": float(shap[k]) if 0 < k < d else None,
                     "expected_weight_uniform": mean_w,
                 }

@@ -5,6 +5,7 @@ toward lower indices.
 """
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -20,23 +21,16 @@ NORMS = ("l1", "l2", "linf")  # the balls unit_ball can draw
 BALL_CHUNK = 512  # rows unit_ball normalises at once
 
 
-@dataclass(frozen=True)
-class StabilityReport:
-    """Average top-K Jaccard index over all unordered pairs of explanations."""
-
-    k: int
-    mean_jaccard: float
-    pairwise: tuple[float, ...]
-
-
 def top_k_indices(w: np.ndarray, k: int) -> np.ndarray:
     """Indices of the k largest entries; ties resolved toward lower indices."""
     # stable sort on the negated values keeps lower indices first among ties
     return np.argsort(-np.asarray(w), kind="stable")[:k]
 
 
-def top_k_jaccard(explanations: list[Explanation], k: int | None = None) -> StabilityReport:
-    """Pairwise top-K Jaccard stability across explanations of one instance."""
+def top_k_jaccard(explanations: Sequence[Explanation], k: int | None = None) -> dict[str, float]:
+    """Pairwise top-K Jaccard stability across explanations of one instance:
+    {"mean_jaccard", "std"} over all unordered pairs. k defaults to
+    min(DEFAULT_TOP_K, d)."""
     if len(explanations) < 2:
         raise ValueError("need at least two explanations to measure stability")
     d = explanations[0].d
@@ -47,13 +41,8 @@ def top_k_jaccard(explanations: list[Explanation], k: int | None = None) -> Stab
     if not 1 <= k <= d:
         raise ValueError(f"k must be in [1, {d}], got {k}")
     tops = [frozenset(top_k_indices(e.w, k).tolist()) for e in explanations]
-    pairs = []
-    for i in range(len(tops)):
-        for j in range(i + 1, len(tops)):
-            inter = len(tops[i] & tops[j])
-            union = len(tops[i] | tops[j])
-            pairs.append(inter / union)
-    return StabilityReport(k, float(np.mean(pairs)), tuple(pairs))
+    pairs = [len(a & b) / len(a | b) for a, b in itertools.combinations(tops, 2)]
+    return {"mean_jaccard": float(np.mean(pairs)), "std": float(np.std(pairs))}
 
 
 @dataclass(frozen=True)

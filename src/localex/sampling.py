@@ -127,7 +127,13 @@ DistributionSpec = UniformBinary | Binomial | Gaussian | Laplace | UniformBox | 
 
 
 @dataclass(frozen=True)
-class ExpKernel:
+class _Kernel:
+    """Weighting kernel. A subclass that adds no field is not decorated again:
+    it inherits the generated methods, whose equality also compares the class."""
+
+
+@dataclass(frozen=True)
+class ExpKernel(_Kernel):
     """pi(z') = exp((k - d)/sigma^2) with k the number of kept features.
 
     For binary vectors the squared l2 distance to the all-ones mask equals
@@ -140,13 +146,11 @@ class ExpKernel:
         check_scale("sigma", self.sigma)
 
 
-@dataclass(frozen=True)
-class ShapKernel:
+class ShapKernel(_Kernel):
     """pi(z') = (d-1) / (C(d,k) * k * (d-k)); infinite at k in {0, d}."""
 
 
-@dataclass(frozen=True)
-class Unit:
+class Unit(_Kernel):
     """pi(z) = 1 for any sample, binary or continuous."""
 
 

@@ -294,9 +294,7 @@ def stability_rows_direct(config: ExperimentConfig) -> list[dict]:
                "mean_jaccard": None, "std": None, "error": ""}
         try:
             exps = [_explain_direct(ctx, method, n, lam, s) for s in config.seeds]
-            report = top_k_jaccard(exps, config.k)
-            row["mean_jaccard"] = report.mean_jaccard
-            row["std"] = float(np.std(report.pairwise))
+            row.update(top_k_jaccard(exps, config.k))
         except Exception as exc:
             row["error"] = _failure_text(exc)
         rows.append(row)

@@ -1,5 +1,6 @@
 import dataclasses
 import inspect
+import json
 import os
 import subprocess
 import sys
@@ -14,6 +15,7 @@ from hypothesis import strategies as st
 from conftest import (ALL_METHODS, IMAGE_MODELS, asset, assert_same, blocks_match_bits,
                       image_case, smoothgrad)
 import localex.explain as explain_module
+from localex.cli import main
 from localex.errors import (MAX_VALUES, ConfigError, DimensionTooLarge, NonFiniteOutput,
                             ShapDegenerate)
 from localex.explain import (
@@ -26,7 +28,6 @@ from localex.explain import (
     Lime,
     MethodSpec,
     SmoothGrad,
-    default_lambda,
     explain,
     explanation_to_json,
     infinite_limit_linear_binomial,
@@ -121,11 +122,18 @@ def test_unknown_method_tag_is_a_config_error():
         method_from_json({"method": "Lime"})  # sigma required
 
 
-def test_default_lambda_is_one_for_ridge_methods_and_zero_otherwise():
-    assert default_lambda(Lime(0.5)) == 1.0
-    assert default_lambda(GlimeGauss(0.5)) == 1.0
-    assert default_lambda(KernelShap()) == 0.0
-    assert default_lambda(SmoothGrad(0.5)) == 0.0
+def test_default_lambda_is_one_for_ridge_methods_and_zero_otherwise(tmp_path, capsys):
+    # an explain config without "lambda" fits at 1, unless the method fixes its own
+    (tmp_path / "model.json").write_text(json.dumps({"kind": "linear",
+                                                     "coefficients": C8.tolist()}))
+    (tmp_path / "input.json").write_text(json.dumps(X8.tolist()))
+    cfg = tmp_path / "explain.json"
+    for method, lam in ((Lime(0.5), 1.0), (GlimeGauss(0.5), 1.0), (KernelShap(), 0.0),
+                        (SmoothGrad(0.5), 0.0)):
+        cfg.write_text(json.dumps({"model": "model.json", "input": "input.json",
+                                   "method": method_to_json(method), "n": 64}))
+        assert main(["explain", "--config", str(cfg)]) == 0
+        assert json.loads(capsys.readouterr().out)["lambda"] == lam
 
 
 @pytest.mark.parametrize("cls", [Lime, GlimeBinomial, GlimeGauss, GlimeLaplace,
@@ -365,7 +373,7 @@ def test_smoothgrad_approaches_the_gradient_as_sigma_shrinks():
 
 def test_explanation_json_round_trips_with_method_flags():
     for method in ALL_METHODS:
-        exp = explain(request(method, n=200, lam=default_lambda(method)))
+        exp = explain(request(method, n=200, lam=1.0))
         obj = explanation_to_json(exp)
         # the key order is part of the output bytes
         keys = ["method", "sigma", "lambda", "n", "seed", "d", "w", "intercept", "r2"]
@@ -381,7 +389,6 @@ def test_explanation_json_round_trips_with_method_flags():
 
 def test_kernelshap_explanation_has_no_sigma():
     exp = explain(request(KernelShap(), n=1, lam=0.0))
-    assert exp.sigma is None
     assert explanation_to_json(exp)["sigma"] is None
 
 

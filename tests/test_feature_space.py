@@ -97,12 +97,11 @@ def test_reconstruct_binary_swaps_whole_segments():
     seg = Segmentation(np.array([0, 0, 1, 1]), 2)
     x = np.array([1.0, 2.0, 3.0, 4.0])
     r = Reference(np.zeros(4))
-    assert reconstruct_binary(x, r, seg, np.array([1.0, 0.0])).tolist() == [1, 2, 0, 0]
-    batch = reconstruct_binary(x, r, seg, np.array([[1.0, 1.0], [0.0, 1.0]]))
-    assert batch.tolist() == [[1, 2, 3, 4], [0, 0, 3, 4]]
+    batch = reconstruct_binary(x, r, seg, np.array([[1.0, 0.0], [1.0, 1.0], [0.0, 1.0]]))
+    assert batch.tolist() == [[1, 2, 0, 0], [1, 2, 3, 4], [0, 0, 3, 4]]
 
 
-@pytest.mark.parametrize("mask_shape", [(16,), (200, 16)], ids=["one-mask", "batch"])
+@pytest.mark.parametrize("mask_shape", [(1, 16), (200, 16)], ids=["one-mask", "batch"])
 def test_reconstruct_binary_matches_the_direct_float_formula(mask_shape):
     rng = np.random.default_rng(5)
     seg = grid_segment(16, 16, 3, 4, 4)
@@ -115,7 +114,7 @@ def test_reconstruct_binary_matches_the_direct_float_formula(mask_shape):
     assert out.shape == direct.shape and out.tobytes() == direct.tobytes()
 
 
-@pytest.mark.parametrize("mask_shape", [(16,), (1, 16), (300, 16)])
+@pytest.mark.parametrize("mask_shape", [(1, 16), (300, 16)])
 def test_reconstruct_binary_gives_bool_masks_and_their_float_copy_the_same_lift(mask_shape):
     rng = np.random.default_rng(6)
     seg = grid_segment(16, 16, 3, 4, 4)
@@ -128,7 +127,7 @@ def test_reconstruct_binary_gives_bool_masks_and_their_float_copy_the_same_lift(
 
 
 @pytest.mark.parametrize("bad", [0.5, 2.0, -1.0, np.nan])
-@pytest.mark.parametrize("mask_shape", [(2,), (3, 2)], ids=["one-mask", "batch"])
+@pytest.mark.parametrize("mask_shape", [(1, 2), (3, 2)], ids=["one-mask", "batch"])
 def test_reconstruct_binary_rejects_fractional_masks(bad, mask_shape):
     z = np.ones(mask_shape)
     z.flat[-1] = bad
@@ -139,8 +138,8 @@ def test_reconstruct_binary_rejects_fractional_masks(bad, mask_shape):
 def test_reconstruct_continuous_broadcasts_offsets():
     seg = Segmentation(np.array([0, 0, 1, 1]), 2)
     x = np.array([1.0, 2.0, 3.0, 4.0])
-    out = reconstruct_continuous(x, seg, np.array([0.5, -1.0]))
-    assert out.tolist() == [1.5, 2.5, 2.0, 3.0]
+    out = reconstruct_continuous(x, seg, np.array([[0.5, -1.0]]))
+    assert out.tolist() == [[1.5, 2.5, 2.0, 3.0]]
 
 
 def _lift_cases():

@@ -35,7 +35,7 @@ from localex.harness import (
     run_stability,
 )
 from localex.models import BLOCK_ROWS
-from localex.sampling import bernoulli_p, binomial_pmf, substream_seed
+from localex.sampling import ExpKernel, batch_weights, bernoulli_p, binomial_pmf, substream_seed
 
 
 def write_workspace(tmp_path, d=8, rows_cols=(2, 2), methods=None, **overrides):
@@ -449,6 +449,21 @@ def test_distributions_table_matches_the_closed_forms():
     assert k2["shap_kernel_weight"] == pytest.approx(3 / (6 * 2 * 2))
     assert rows[0]["shap_kernel_weight"] is None
     assert rows[4]["shap_kernel_weight"] is None
+
+
+def test_distributions_exp_kernel_column_is_the_engines_weight():
+    # bit for bit batch_weights' ExpKernel weight, also at a sigma whose square
+    # rounds one way as sigma**2 and another as sigma * sigma (16 of these 17 cells)
+    rng = np.random.default_rng(25)
+    cases = [(0.19040855731192924, 16, tuple(range(17)))]
+    for _ in range(200):
+        d = int(rng.integers(1, 65))
+        cases.append((float(rng.uniform(0.05, 5.0)), d,
+                      tuple(rng.integers(0, d + 1, size=5).tolist())))
+    for sigma, d, ks in cases:
+        column = [row["exp_kernel_weight"] for row in distributions_table(d, (sigma,), ks)]
+        engine = [batch_weights(ExpKernel(sigma), np.arange(d)[None, :] < k)[0] for k in ks]
+        assert np.array(column).tobytes() == np.array(engine).tobytes(), (sigma, d, ks)
 
 
 def test_distributions_table_validates_arguments():
@@ -906,6 +921,9 @@ def remote_explain_config(tmp_path, **fields):
     (lambda tmp: ["converge", "--config", write_workspace(tmp)], 1),
     (lambda tmp: ["converge", "--config",
                   write_workspace(tmp, methods=[{"method": "Lime", "unit_weights": True}])], 1),
+    # fidelity explains at one sample size and one lambda
+    (lambda tmp: ["fidelity", "--config", write_workspace(tmp, sample_sizes=[64, 1024])], 1),
+    (lambda tmp: ["fidelity", "--config", write_workspace(tmp, lambdas=[1, 0.001])], 1),
 ], ids=["nonfinite-output", "zero-weights", "ridge-overflow", "smoothgrad-overflow",
         "nan-input", "sigma-zero", "sigma-negative",
         "sigma-nan", "distributions-seed", "jobs-zero", "jobs-negative", "lambda-string",
@@ -941,7 +959,8 @@ def remote_explain_config(tmp_path, **fields):
         "sweep-shape-huge", "explain-shape-huge", "linear-coefficients-matrix",
         "quadratic-matrix-flat", "quadratic-matrix-too-small", "mlp-no-layers",
         "mlp-bias-length", "remote-batch-size-zero", "converge-kernelshap",
-        "converge-two-methods", "converge-lime-unweighted"])
+        "converge-two-methods", "converge-lime-unweighted", "fidelity-two-sample-sizes",
+        "fidelity-two-lambdas"])
 @pytest.mark.filterwarnings("error::RuntimeWarning")  # a warning is a second line
 def test_cli_reports_bad_values_in_one_error_line(tmp_path, capsys, make_args, code):
     assert main(make_args(tmp_path)) == code

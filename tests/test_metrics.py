@@ -45,30 +45,35 @@ def test_top_k_ties_resolve_to_lower_indices():
 
 def test_jaccard_of_identical_explanations_is_one():
     exps = [make_exp([3.0, 2.0, 1.0, 0.0], seed=s) for s in range(4)]
-    report = top_k_jaccard(exps, 2)
-    assert report.mean_jaccard == 1.0
-    assert len(report.pairwise) == 6
+    assert top_k_jaccard(exps, 2) == {"mean_jaccard": 1.0, "std": 0.0}
 
 
 def test_jaccard_of_disjoint_top_sets_is_zero():
     a = make_exp([5.0, 4.0, 0.0, 0.0])
     b = make_exp([0.0, 0.0, 5.0, 4.0], seed=1)
-    assert top_k_jaccard([a, b], 2).mean_jaccard == 0.0
+    assert top_k_jaccard([a, b], 2)["mean_jaccard"] == 0.0
 
 
 def test_jaccard_matches_set_arithmetic():
     a = make_exp([5.0, 4.0, 3.0, 0.0, 0.0])
     b = make_exp([5.0, 0.0, 3.0, 4.0, 0.0], seed=1)
-    report = top_k_jaccard([a, b], 3)
     expected = jaccard_direct([0, 1, 2], [0, 2, 3])
-    assert report.mean_jaccard == pytest.approx(expected)
+    assert top_k_jaccard([a, b], 3)["mean_jaccard"] == pytest.approx(expected)
+    # three explanations: the mean and std over the pairs (a, b), (a, c), (b, c)
+    c = make_exp([0.0, 4.0, 3.0, 5.0, 0.0], seed=2)
+    pairs = [expected, jaccard_direct([0, 1, 2], [1, 2, 3]),
+             jaccard_direct([0, 2, 3], [1, 2, 3])]
+    report = top_k_jaccard([a, b, c], 3)
+    assert report == {"mean_jaccard": pytest.approx(np.mean(pairs)),
+                      "std": pytest.approx(np.std(pairs))}
 
 
 def test_jaccard_default_k_caps_at_twenty():
-    exps = [make_exp(np.arange(30.0), seed=s) for s in range(2)]
-    assert top_k_jaccard(exps).k == 20
-    small = [make_exp(np.arange(4.0), seed=s) for s in range(2)]
-    assert top_k_jaccard(small).k == 4
+    # the top 20 of 0..29 are 10..29: top 20 of the reverse shares 10..19 of them
+    exps = [make_exp(np.arange(30.0)), make_exp(np.arange(30.0)[::-1], seed=1)]
+    assert top_k_jaccard(exps) == top_k_jaccard(exps, 20) != top_k_jaccard(exps, 19)
+    small = [make_exp([4.0, 3.0, 2.0, 1.0]), make_exp([1.0, 2.0, 3.0, 4.0], seed=1)]
+    assert top_k_jaccard(small) == top_k_jaccard(small, 4) != top_k_jaccard(small, 3)
 
 
 def test_jaccard_needs_at_least_two_explanations():
@@ -88,8 +93,8 @@ def test_jaccard_lies_in_unit_interval(seed, k):
     rng = np.random.default_rng(seed)
     exps = [make_exp(rng.normal(size=8), seed=s) for s in range(3)]
     report = top_k_jaccard(exps, k)
-    assert 0.0 <= report.mean_jaccard <= 1.0
-    assert all(0.0 <= p <= 1.0 for p in report.pairwise)
+    assert 0.0 <= report["mean_jaccard"] <= 1.0
+    assert 0.0 <= report["std"] <= 0.5  # the spread of values in [0, 1]
 
 
 # ---------------------------------------------------------------------------

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -223,6 +224,19 @@ def test_shap_kernel_rejects_degenerate_coalitions():
         one_weight(ShapKernel(), np.ones(5))
     with pytest.raises(ShapDegenerate):
         batch_weights(ShapKernel(), np.vstack([np.ones(5), np.r_[1.0, np.zeros(4)]]))
+
+
+def test_kernels_are_frozen_values_whose_equality_compares_the_class():
+    # ShapKernel and Unit inherit the field-less _Kernel dataclass
+    assert ShapKernel() == ShapKernel() and hash(Unit()) == hash(Unit())
+    assert Unit() != ShapKernel() and ShapKernel() != Unit()
+    assert ExpKernel(0.5) == ExpKernel(0.5) != ExpKernel(1.0)
+    assert (repr(ExpKernel(0.5)), repr(ShapKernel()), repr(Unit())) == (
+        "ExpKernel(sigma=0.5)", "ShapKernel()", "Unit()")
+    assert [f.name for f in dataclasses.fields(ExpKernel)] == ["sigma"]
+    assert dataclasses.fields(ShapKernel) == dataclasses.fields(Unit) == ()
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        ExpKernel(0.5).sigma = 1.0
 
 
 def test_unit_kernel_is_constant_one():

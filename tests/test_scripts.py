@@ -1,6 +1,7 @@
 import importlib.util
 import os
 import pathlib
+import subprocess
 import sys
 
 from conftest import ASSETS
@@ -25,3 +26,13 @@ def test_make_assets_reproduces_the_checked_in_assets(tmp_path, monkeypatch):
     make_assets.main()
     assert read_dir(tmp_path) == expected
     assert read_dir(ASSETS) == expected
+
+
+def test_code_lines_prints_module_lines_their_total_and_the_dataclass_count():
+    proc = subprocess.run([sys.executable, os.path.join(SCRIPTS, "code_lines.py")],
+                          capture_output=True, text=True, check=True)
+    *modules, total, classes = [line.split() for line in proc.stdout.splitlines()]
+    assert modules and all(name.endswith(".py") for _, name in modules)
+    assert total[1] == "total" and int(total[0]) == sum(int(count) for count, _ in modules)
+    assert classes[1:] == ["classes", "built", "as", "dataclasses", "at", "import"]
+    assert int(classes[0]) >= 1
