@@ -117,6 +117,8 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
 
 def _cmd_distributions(args: argparse.Namespace) -> int:
     if args.config is not None:
+        if args.dim is not None or args.sigmas is not None:
+            raise ConfigError("distributions takes --config or --dim and --sigmas, not both")
         obj = config_block(read_json(args.config, "config"), "distributions config")
         d = field(obj, "d", int)
         sigmas = field(obj, "sigmas", [float])

@@ -75,24 +75,12 @@ class NonFiniteOutput(EngineError):
         self.bad = bad
 
 
-class UnsupportedModel(EngineError):
-    """Operation not defined for this model variant (e.g. gradient of Remote)."""
-
-
 class ShapDegenerate(EngineError):
     """Shapley kernel weight requested for an all-on or all-off coalition."""
 
 
 class SingularSystem(EngineError):
     """Unregularized normal equations are rank-deficient."""
-
-
-class UnsupportedCombination(EngineError):
-    """No closed-form moments for this distribution/weighting pair."""
-
-
-class NotPositiveDefinite(EngineError):
-    """Covariance parameters violate positive-definiteness of Sigma + lambda*I."""
 
 
 class DimensionTooLarge(ConfigError):

@@ -1,5 +1,5 @@
 """Explanation methods: LIME, the weight-free GLIME family, KernelSHAP and
-SmoothGrad, plus infinite-sample oracles for linear models.
+SmoothGrad.
 
 Every method is one (sampling law, weighting, fit) row run by one pipeline:
 draw n samples in feature space from the method's law, weight them by its
@@ -26,6 +26,7 @@ from .sampling import (
     Coalitions,
     DistributionSpec,
     ExpKernel,
+    Frozen,
     Gaussian,
     Laplace,
     ShapKernel,
@@ -43,7 +44,7 @@ from .solver import RidgeProblem, solve_weighted_ridge
 # method specs: one row of the (law, kernel, fit) table per class
 
 
-class _Method:
+class _Method(Frozen):
     """A method's row, read by the pipeline instead of its type: sampler(d)
     gives the (law, kernel) of its samples, then these class attributes."""
 
@@ -337,45 +338,3 @@ def explain(req: ExplainRequest, samples: OneSlot | None = None) -> Explanation:
         fit = solve_weighted_ridge(RidgeProblem(design, y, pi, lam))
     return Explanation(*fit, method, len(design), req.seed, lam)
 
-
-# ---------------------------------------------------------------------------
-# infinite-sample oracles for linear models
-
-
-def infinite_limit_linear_binomial(
-    c: np.ndarray,
-    bias: float,
-    x: np.ndarray,
-    reference: Reference,
-    seg: Segmentation,
-) -> tuple[np.ndarray, float]:
-    """Limit of Lime/GlimeBinomial on a linear model: w_j = sum_seg c_i (x_i - r_i).
-
-    The limit does not depend on sigma; the kernel width only changes the
-    finite-sample convergence rate.
-    """
-    c = np.asarray(c, dtype=np.float64)
-    x = np.asarray(x, dtype=np.float64)
-    r = reference.values
-    if c.shape != x.shape or c.shape != r.shape or c.shape != (seg.size,):
-        raise ConfigError("c, x, and reference must all have the raw length")
-    w = np.bincount(seg.assignment, weights=c * (x - r), minlength=seg.d)
-    intercept = float(bias + c @ r)
-    return w, intercept
-
-
-def infinite_limit_linear_gauss(
-    c: np.ndarray, bias: float, x: np.ndarray, seg: Segmentation
-) -> tuple[np.ndarray, float]:
-    """Limit of the additive continuous variants on a linear model.
-
-    The broadcast lift makes the response exactly linear in the offsets, so
-    the least-squares limit is w_j = sum_seg c_i with intercept f(x).
-    """
-    c = np.asarray(c, dtype=np.float64)
-    x = np.asarray(x, dtype=np.float64)
-    if c.shape != x.shape or c.shape != (seg.size,):
-        raise ConfigError("c and x must have the raw length")
-    w = np.bincount(seg.assignment, weights=c, minlength=seg.d)
-    intercept = float(bias + c @ x)
-    return w, intercept

@@ -23,14 +23,12 @@ from .errors import (
     NonFiniteOutput,
     RemoteMalformed,
     RemoteUnavailable,
-    UnsupportedModel,
     field,
     read_fields,
     read_json,
     read_numbers,
 )
 
-MLP_GRADIENT_STEP = 1e-5
 # points a builtin model is given per forward call, so an explain lifts at most
 # this many rows at once. BLAS kernels can treat a row by the row count of its
 # call, so responses may differ from one whole call's in the last bits; the
@@ -48,10 +46,10 @@ def _check_finite(*params: np.ndarray | float) -> None:
 
 
 class _Model:
-    """A model kind's row, read by evaluate, gradient and the file codec instead
-    of its type: these attributes, forward(points) and gradient(point). A model
-    file holds the kind tag, then fields_to_json(); from_fields reads them back,
-    an absent field taking its dataclass default."""
+    """A model kind's row, read by evaluate and the file codec instead of its
+    type: these attributes and forward(points). A model file holds the kind tag,
+    then fields_to_json(); from_fields reads them back, an absent field taking
+    its dataclass default."""
 
     kind: str  # the model file's "kind" tag
     width: int | None  # declared input width; None: the server defines it
@@ -87,9 +85,6 @@ class Linear(_Model):
     def forward(self, pts: np.ndarray) -> np.ndarray:
         return pts @ self.coefficients + self.bias
 
-    def gradient(self, x: np.ndarray) -> np.ndarray:
-        return self.coefficients.copy()
-
 
 @dataclass(frozen=True)
 class Quadratic(_Model):
@@ -117,9 +112,6 @@ class Quadratic(_Model):
     def forward(self, pts: np.ndarray) -> np.ndarray:
         quad = np.einsum("ni,ij,nj->n", pts, self.matrix, pts)
         return quad + pts @ self.coefficients + self.bias
-
-    def gradient(self, x: np.ndarray) -> np.ndarray:
-        return 2.0 * (self.matrix @ x) + self.coefficients
 
 
 @dataclass(frozen=True)
@@ -160,13 +152,6 @@ class Mlp(_Model):
         for w, b in zip(self.weights[:-1], self.biases[:-1]):
             h = np.tanh(h @ w + b)
         return (h @ self.weights[-1] + self.biases[-1])[:, 0]
-
-    def gradient(self, x: np.ndarray) -> np.ndarray:
-        """Central differences, one batched evaluation of 2D shifted points."""
-        h, dim = MLP_GRADIENT_STEP, self.width
-        shifts = np.vstack([x + h * np.eye(dim), x - h * np.eye(dim)])
-        vals = evaluate(self, shifts)
-        return (vals[:dim] - vals[dim:]) / (2.0 * h)
 
     def fields_to_json(self) -> dict:
         return {"layers": [{"weights": w.tolist(), "bias": b.tolist()}
@@ -243,9 +228,6 @@ class Remote(_Model):
         # the pool starts batches in order, so every batch cancelled comes after the
         # one that failed
         return np.concatenate([post.result() for post in posts])
-
-    def gradient(self, x: np.ndarray) -> np.ndarray:
-        raise UnsupportedModel("gradient is not available for remote models")
 
     def _post(self, batch: np.ndarray) -> np.ndarray:
         """The server's values for batch's points: one POST and its retries, on the
@@ -357,15 +339,6 @@ def evaluate(model: ModelSpec, points: np.ndarray) -> np.ndarray:
     if bad:
         raise _non_finite(bad, len(out))
     return out
-
-
-def gradient(model: ModelSpec, point: np.ndarray) -> np.ndarray:
-    """Gradient at one point; analytic for Linear/Quadratic, central differences for Mlp."""
-    x = np.asarray(point, dtype=np.float64)
-    dim = model.width
-    if dim is not None and x.shape != (dim,):
-        raise DimensionMismatch(f"point has shape {x.shape}, model expects ({dim},)")
-    return model.gradient(x)
 
 
 # ---------------------------------------------------------------------------

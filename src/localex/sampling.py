@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import FrozenInstanceError, dataclass
 
 import numpy as np
 
@@ -42,12 +42,24 @@ def bernoulli_p(sigma: float) -> float:
     return 1.0 / (1.0 + math.exp(-1.0 / (sigma * sigma)))
 
 
+class Frozen:
+    """Root of the frozen value classes: it refuses to set or delete any attribute.
+    A frozen dataclass's own methods refuse its fields and hand every other name
+    here, so a subclass that inherits the dataclass takes no attribute either."""
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise FrozenInstanceError(f"cannot assign to attribute {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise FrozenInstanceError(f"cannot delete attribute {name!r}")
+
+
 # ---------------------------------------------------------------------------
 # distribution specs
 
 
 @dataclass(frozen=True)
-class _Law:
+class _Law(Frozen):
     """Sampling law over d coordinates. A subclass that adds no field is not
     decorated again: it inherits the generated methods, whose equality also
     compares the class."""
@@ -127,7 +139,7 @@ DistributionSpec = UniformBinary | Binomial | Gaussian | Laplace | UniformBox | 
 
 
 @dataclass(frozen=True)
-class _Kernel:
+class _Kernel(Frozen):
     """Weighting kernel. A subclass that adds no field is not decorated again:
     it inherits the generated methods, whose equality also compares the class."""
 

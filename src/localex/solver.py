@@ -1,5 +1,4 @@
-"""Weighted ridge regression in closed form, plus the analytic second-moment
-structure of the mask designs and its rank-one (Sherman-Morrison) inverse.
+"""Weighted ridge regression in closed form.
 
 Conventions: the solver minimizes sum_i pi_i (y_i - b - w.z_i)^2 + lambda |w|^2
 with the raw lambda of the finite-sample objective; callers own any per-n
@@ -22,8 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NonFiniteOutput, NotPositiveDefinite, SingularSystem, UnsupportedCombination
-from .sampling import Binomial, ExpKernel, Gaussian, Unit, UniformBinary
+from .errors import NonFiniteOutput, SingularSystem
 
 
 def _load_flapack():
@@ -143,52 +141,3 @@ def solve_weighted_ridge(problem: RidgeProblem) -> tuple[np.ndarray, float, floa
         raise NonFiniteOutput("ridge fit overflowed: model responses are too large")
     return w, intercept, r2
 
-
-# ---------------------------------------------------------------------------
-# analytic second moments of the mask designs
-
-
-def analytic_moments(
-    dist: UniformBinary | Binomial | Gaussian, weighting: ExpKernel | Unit = Unit()
-) -> tuple[float, float]:
-    """Closed-form (alpha1, alpha2) = (E[pi z_i], E[pi z_i z_j]) for the design.
-
-    Supported: fair-coin masks under the exponential kernel, binomial masks
-    unweighted, Gaussian offsets unweighted.
-    """
-    if isinstance(dist, UniformBinary) and isinstance(weighting, ExpKernel):
-        d = dist.d
-        log_base = math.log1p(math.exp(-1.0 / weighting.sigma**2))
-        log2 = math.log(2.0)
-        alpha1 = math.exp((d - 1) * log_base - d * log2)
-        alpha2 = math.exp((d - 2) * log_base - d * log2)
-        return alpha1, alpha2
-    if isinstance(dist, Binomial) and isinstance(weighting, Unit):
-        p = dist.p
-        return p, p * p
-    if isinstance(dist, Gaussian) and isinstance(weighting, Unit):
-        return dist.sigma**2, 0.0
-    raise UnsupportedCombination(
-        f"no closed-form moments for {type(dist).__name__} with "
-        f"{type(weighting).__name__}"
-    )
-
-
-def sherman_morrison_inverse(
-    alpha1: float, alpha2: float, lam: float, d: int
-) -> tuple[float, float]:
-    """Inverse parameters of (a1 + lam - a2) I + a2 11^T as (beta1, beta2).
-
-    The inverse is (beta1 - beta2) I + beta2 11^T.
-    """
-    a = alpha1 + lam - alpha2
-    t = alpha1 + lam + (d - 1) * alpha2
-    if not (a > 0 and t > 0):
-        raise NotPositiveDefinite(
-            f"Sigma + lambda*I is not positive definite: "
-            f"alpha1+lam-alpha2={a}, alpha1+lam+(d-1)*alpha2={t}"
-        )
-    denom = a * t
-    beta1 = (alpha1 + lam + (d - 2) * alpha2) / denom
-    beta2 = -alpha2 / denom
-    return beta1, beta2

@@ -1,4 +1,6 @@
-"""Independent reference implementations used to cross-check the package.
+"""Independent reference implementations used to cross-check the package, and
+the closed forms no command needs: model gradients, the linear-model limits of
+the explainers, the design moments and their rank-one inverse.
 
 Everything here deliberately takes a different route than the library code:
 the ridge solve goes through the full bordered normal equations instead of
@@ -16,13 +18,14 @@ import numpy as np
 
 from localex.explain import (ExplainRequest, Explanation, GlimeBinomial, Lime, explain,
                              method_from_json)
-from localex.feature_space import (Segmentation, feature_offsets, reconstruct_binary,
-                                   reconstruct_continuous)
+from localex.feature_space import (Reference, Segmentation, feature_offsets,
+                                   reconstruct_binary, reconstruct_continuous)
 from localex.harness import _BALL_STREAM, ExperimentConfig, RunContext, build_context
 from localex.metrics import explanation_distance, local_fidelity, sample_ball, top_k_jaccard
-from localex.models import ModelSpec, evaluate
-from localex.sampling import batch_weights, draw, splitmix64, substream_seed
-from localex.solver import RidgeProblem, sherman_morrison_inverse, solve_weighted_ridge
+from localex.models import Linear, ModelSpec, Quadratic, evaluate
+from localex.sampling import (Binomial, ExpKernel, Gaussian, UniformBinary, Unit,
+                              batch_weights, draw, splitmix64, substream_seed)
+from localex.solver import RidgeProblem, solve_weighted_ridge
 
 
 def ridge_bordered(
@@ -63,6 +66,17 @@ def shapley_bruteforce(value: Callable[[np.ndarray], float], d: int) -> np.ndarr
                 mask[i] = 1.0
                 phi[i] += coeff * (value(mask) - without)
     return phi
+
+
+def gradient(model: ModelSpec, point: np.ndarray) -> np.ndarray:
+    """The model's gradient at one point: analytic for Linear and Quadratic, and for
+    an Mlp central differences of step 1e-5."""
+    x = np.asarray(point, dtype=np.float64)
+    if isinstance(model, Linear):
+        return model.coefficients.copy()
+    if isinstance(model, Quadratic):
+        return 2.0 * (model.matrix @ x) + model.coefficients
+    return central_difference_gradient(lambda p: evaluate(model, p[None])[0], x, h=1e-5)
 
 
 def central_difference_gradient(
@@ -225,6 +239,59 @@ def r_squared(problem: RidgeProblem, w: np.ndarray, intercept: float) -> float:
     yhat = problem.design @ w + intercept
     ybar = pi @ y / pi.sum()
     return float(1.0 - (pi @ (y - yhat) ** 2) / (pi @ (y - ybar) ** 2))
+
+
+def infinite_limit_linear_binomial(c: np.ndarray, bias: float, x: np.ndarray,
+                                   reference: Reference, seg: Segmentation
+                                   ) -> tuple[np.ndarray, float]:
+    """Limit of Lime/GlimeBinomial on a linear model: w_j = sum_seg c_i (x_i - r_i),
+    with intercept f(r). The limit does not depend on sigma; the kernel width only
+    changes the finite-sample convergence rate."""
+    c, x, r = np.asarray(c, dtype=np.float64), np.asarray(x, dtype=np.float64), reference.values
+    w = np.bincount(seg.assignment, weights=c * (x - r), minlength=seg.d)
+    return w, float(bias + c @ r)
+
+
+def infinite_limit_linear_gauss(c: np.ndarray, bias: float, x: np.ndarray, seg: Segmentation
+                                ) -> tuple[np.ndarray, float]:
+    """Limit of the additive continuous variants on a linear model. The broadcast
+    lift makes the response exactly linear in the offsets, so the least-squares
+    limit is w_j = sum_seg c_i with intercept f(x)."""
+    c, x = np.asarray(c, dtype=np.float64), np.asarray(x, dtype=np.float64)
+    return np.bincount(seg.assignment, weights=c, minlength=seg.d), float(bias + c @ x)
+
+
+def analytic_moments(dist: UniformBinary | Binomial | Gaussian,
+                     weighting: ExpKernel | Unit = Unit()) -> tuple[float, float]:
+    """Closed-form (alpha1, alpha2) = (E[pi z_i], E[pi z_i z_j]) of a design: fair-coin
+    masks under the exponential kernel, binomial masks unweighted, or Gaussian offsets
+    unweighted. Any other pair is a ValueError."""
+    if isinstance(dist, UniformBinary) and isinstance(weighting, ExpKernel):
+        d = dist.d
+        log_base = math.log1p(math.exp(-1.0 / weighting.sigma**2))
+        log2 = math.log(2.0)
+        return (math.exp((d - 1) * log_base - d * log2),
+                math.exp((d - 2) * log_base - d * log2))
+    if isinstance(dist, Binomial) and isinstance(weighting, Unit):
+        return dist.p, dist.p * dist.p
+    if isinstance(dist, Gaussian) and isinstance(weighting, Unit):
+        return dist.sigma**2, 0.0
+    raise ValueError(f"no closed-form moments for {type(dist).__name__} with "
+                     f"{type(weighting).__name__}")
+
+
+def sherman_morrison_inverse(alpha1: float, alpha2: float, lam: float, d: int
+                             ) -> tuple[float, float]:
+    """Inverse parameters of (a1 + lam - a2) I + a2 11^T as (beta1, beta2): the
+    inverse is (beta1 - beta2) I + beta2 11^T. A ValueError unless the matrix is
+    positive definite."""
+    a = alpha1 + lam - alpha2
+    t = alpha1 + lam + (d - 1) * alpha2
+    if not (a > 0 and t > 0):
+        raise ValueError(f"Sigma + lambda*I is not positive definite: "
+                         f"alpha1+lam-alpha2={a}, alpha1+lam+(d-1)*alpha2={t}")
+    denom = a * t
+    return (alpha1 + lam + (d - 2) * alpha2) / denom, -alpha2 / denom
 
 
 @dataclass(frozen=True)

@@ -20,18 +20,16 @@ from localex.explain import (
     KernelShap,
     Lime,
     explain,
-    infinite_limit_linear_binomial,
 )
 from localex.feature_space import (
     Reference,
-    Segmentation,
     grid_segment,
     mean_reference,
     singleton_segments,
 )
 from localex.harness import ExperimentConfig, emit, load_input, run_stability
 from localex.metrics import local_fidelity
-from localex.models import Linear, Quadratic, evaluate, gradient, load_model
+from localex.models import Linear, Quadratic, evaluate, load_model
 from localex.sampling import (
     Binomial,
     ExpKernel,
@@ -43,6 +41,7 @@ from localex.sampling import (
     expected_weight_uniform,
 )
 from localex.solver import RidgeProblem, solve_weighted_ridge
+from oracles import gradient, infinite_limit_linear_binomial
 
 
 class budget:
@@ -65,7 +64,7 @@ class budget:
 def test_criterion_01_rank_one_inverse_matches_dense_inversion():
     with budget(5):
         rng = np.random.default_rng(11)
-        from localex.solver import sherman_morrison_inverse
+        from oracles import sherman_morrison_inverse
 
         for d in range(2, 51):
             for _ in range(100):

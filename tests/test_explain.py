@@ -30,10 +30,7 @@ from localex.explain import (
     SmoothGrad,
     explain,
     explanation_to_json,
-    infinite_limit_linear_binomial,
-    infinite_limit_linear_gauss,
     method_from_json,
-    method_name,
     method_to_json,
 )
 from localex.feature_space import (
@@ -43,11 +40,12 @@ from localex.feature_space import (
     singleton_segments,
 )
 from localex.harness import load_input
-from localex.models import (BLOCK_ROWS, Linear, Quadratic, Remote, evaluate, gradient,
-                            load_model)
+from localex.models import BLOCK_ROWS, Linear, Quadratic, Remote, evaluate, load_model
 from localex.sampling import (EXACT_SHAP_MAX_D, Binomial, Coalitions, DistributionSpec,
                               Gaussian, Laplace, UniformBinary, UniformBox, draw)
-from oracles import explain_whole, lift_direct, shapley_bruteforce, smoothgrad_direct
+from oracles import (explain_whole, gradient, infinite_limit_linear_binomial,
+                     infinite_limit_linear_gauss, lift_direct, shapley_bruteforce,
+                     smoothgrad_direct)
 
 RNG = np.random.default_rng(2718)
 C8 = RNG.normal(size=8) * 0.4
@@ -107,8 +105,12 @@ def test_method_and_law_classes_are_frozen_values(cls):
     for other in [*others, type(cls.__name__, (cls,), {})]:
         assert value != other(*args)
     assert repr(value).startswith(f"{cls.__name__}(")
-    with pytest.raises(dataclasses.FrozenInstanceError):
-        setattr(value, names[0], args[0])
+    # neither a field nor any other name can be set or deleted
+    for name in (names[0], "extra"):
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(value, name, args[0])
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            delattr(value, name)
     if cls in typing.get_args(MethodSpec):
         assert method_from_json(method_to_json(value)) == value
 

@@ -5,15 +5,14 @@ import re
 import numpy as np
 import pytest
 
-from localex.errors import ConfigError, DimensionMismatch
-from localex.explain import (Explanation, Lime, infinite_limit_linear_binomial,
-                             infinite_limit_linear_gauss)
+from localex.errors import DimensionMismatch
+from localex.explain import Explanation, Lime
 from localex.feature_space import (Reference, Segmentation, feature_offsets, mean_reference,
                                    reconstruct_binary, reconstruct_continuous,
                                    singleton_segments)
 from localex.harness import json_dumps
 from localex.metrics import explanation_distance, local_fidelity, top_k_jaccard
-from localex.models import Linear, Mlp, gradient
+from localex.models import Linear, Mlp
 from localex.sampling import (UniformBinary, Unit, batch_weights, binomial_pmf, draw,
                               expected_weight_uniform)
 from localex.solver import RidgeProblem
@@ -76,14 +75,6 @@ GUARDS = {
                                ValueError, "d must be >= 1, got 0"),
     "mlp-bias-count": (lambda: Mlp((np.ones((2, 1)),), ()),
                        ValueError, "need one bias vector per weight matrix"),
-    "gradient-point-shape": (lambda: gradient(LINEAR2, np.zeros(3)),
-                             DimensionMismatch, "point has shape (3,), model expects (2,)"),
-    "binomial-limit-shapes": (lambda: infinite_limit_linear_binomial(
-                                  np.ones(3), 0.0, np.zeros(2), Reference(np.zeros(2)), SEG2),
-                              ConfigError, "c, x, and reference must all have the raw length"),
-    "gauss-limit-shapes": (lambda: infinite_limit_linear_gauss(np.ones(3), 0.0, np.zeros(2),
-                                                               SEG2),
-                           ConfigError, "c and x must have the raw length"),
     "json-dumps-object": (lambda: json_dumps(object()), TypeError, "cannot serialize object"),
 }
 

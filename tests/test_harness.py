@@ -621,6 +621,14 @@ def test_cli_runs_the_bundled_sample_configs():
     assert proc.stdout.startswith("sigma,k,")
 
 
+def test_cli_distributions_refuses_a_config_with_the_flags_it_would_override():
+    proc = cli("distributions", "--config", asset("distributions.json"),
+               "--dim", "3", "--sigmas", "9")
+    assert (proc.returncode, proc.stdout) == (1, "")  # no table from either source
+    assert proc.stderr == ("error: distributions takes --config or --dim and --sigmas, "
+                           "not both\n")
+
+
 def explain_config(tmp_path, coefficients, sigma, method="Lime", x=(1.0, 2.0, 3.0),
                    **extra):
     (tmp_path / "model.json").write_text(json.dumps(
@@ -724,6 +732,10 @@ def remote_explain_config(tmp_path, **fields):
     (lambda tmp: ["distributions", "--dim", "3", "--sigmas=-1"], 1),
     (lambda tmp: ["distributions", "--dim", "3", "--sigmas", "nan"], 1),
     (lambda tmp: ["distributions", "--dim", "3", "--sigmas", "1", "--seed", "5"], 1),
+    # a config and a flag it would override
+    (lambda tmp: ["distributions", "--config", asset("distributions.json"), "--dim", "3"], 1),
+    (lambda tmp: ["distributions", "--config", asset("distributions.json"), "--sigmas", "9"],
+     1),
     (lambda tmp: ["stability", "--config", write_workspace(tmp), "--jobs", "0"], 1),
     (lambda tmp: ["stability", "--config", write_workspace(tmp), "--jobs=-3"], 1),
     (lambda tmp: ["explain", "--config",
@@ -926,7 +938,8 @@ def remote_explain_config(tmp_path, **fields):
     (lambda tmp: ["fidelity", "--config", write_workspace(tmp, lambdas=[1, 0.001])], 1),
 ], ids=["nonfinite-output", "zero-weights", "ridge-overflow", "smoothgrad-overflow",
         "nan-input", "sigma-zero", "sigma-negative",
-        "sigma-nan", "distributions-seed", "jobs-zero", "jobs-negative", "lambda-string",
+        "sigma-nan", "distributions-seed", "distributions-config-and-dim",
+        "distributions-config-and-sigmas", "jobs-zero", "jobs-negative", "lambda-string",
         "lambda-null",
         "explain-segmentation-list", "sweep-segmentation-list", "metrics-list",
         "output-list", "config-array", "norm-l3", "epsilon-negative", "m-zero",

@@ -30,7 +30,6 @@ from localex.errors import (
     NonFiniteOutput,
     RemoteMalformed,
     RemoteUnavailable,
-    UnsupportedModel,
 )
 from localex.models import (
     REMOTE_MAX_RETRIES,
@@ -40,7 +39,6 @@ from localex.models import (
     Quadratic,
     Remote,
     evaluate,
-    gradient,
     check_input,
     load_model,
     model_from_json,
@@ -48,7 +46,7 @@ from localex.models import (
     points_body,
 )
 from oracles import (central_difference_gradient, distinct_rows_direct, explain_every_row,
-                     lift_direct, lift_whole)
+                     gradient, lift_direct, lift_whole)
 
 
 def small_mlp() -> Mlp:
@@ -149,15 +147,11 @@ def test_quadratic_gradient_matches_central_differences(seed):
 
 
 def test_mlp_gradient_matches_independent_central_differences():
+    # the gradient oracle differences an Mlp at step 1e-5; this one at 1e-6
     m = small_mlp()
     x = np.array([0.1, 0.2, -0.3])
     numeric = central_difference_gradient(lambda p: evaluate(m, p[None])[0], x, h=1e-6)
     assert np.allclose(gradient(m, x), numeric, atol=1e-8)
-
-
-def test_gradient_rejects_remote_models():
-    with pytest.raises(UnsupportedModel):
-        gradient(Remote("http://localhost:1/f"), np.zeros(2))
 
 
 # ---------------------------------------------------------------------------

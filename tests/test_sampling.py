@@ -237,6 +237,11 @@ def test_kernels_are_frozen_values_whose_equality_compares_the_class():
     assert dataclasses.fields(ShapKernel) == dataclasses.fields(Unit) == ()
     with pytest.raises(dataclasses.FrozenInstanceError):
         ExpKernel(0.5).sigma = 1.0
+    for kernel in (ExpKernel(0.5), ShapKernel(), Unit()):  # a name that is not a field
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            kernel.extra = 1
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            del kernel.extra
 
 
 def test_unit_kernel_is_constant_one():

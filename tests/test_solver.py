@@ -9,16 +9,12 @@ import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from localex.errors import NotPositiveDefinite, SingularSystem, UnsupportedCombination
+from localex.errors import SingularSystem
 from localex.sampling import (Binomial, ExpKernel, Gaussian, Laplace, UniformBinary, Unit,
                               batch_weights, draw)
-from localex.solver import (
-    RidgeProblem,
-    analytic_moments,
-    sherman_morrison_inverse,
-    solve_weighted_ridge,
-)
-from oracles import CovarianceModel, dense_sigma_inverse, r_squared, ridge_bordered
+from localex.solver import RidgeProblem, solve_weighted_ridge
+from oracles import (CovarianceModel, analytic_moments, dense_sigma_inverse, r_squared,
+                     ridge_bordered, sherman_morrison_inverse)
 
 SEEDS = st.integers(min_value=0, max_value=2**32 - 1)
 
@@ -171,6 +167,16 @@ def test_cli_import_leaves_scipy_linalg_stats_numpy_f2py_testing_and_http_transp
     assert proc.stdout.strip() == "[]"
 
 
+def test_solver_imports_no_sampling_law():
+    import localex
+
+    src = os.path.dirname(os.path.dirname(localex.__file__))
+    code = "import sys, localex.solver; print(sorted(m for m in sys.modules if 'localex' in m))"
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": src}, check=True)
+    assert proc.stdout.strip() == "['localex', 'localex.errors', 'localex.solver']"
+
+
 def test_zero_sample_weights_are_rejected_with_a_hint():
     with pytest.raises(SingularSystem, match="underflow"):
         RidgeProblem(np.ones((2, 1)), np.ones(2), np.array([1.0, 0.0]), 1.0)
@@ -289,11 +295,11 @@ def test_gaussian_moments_are_variance_and_zero():
 
 
 def test_unsupported_moment_combinations_raise():
-    with pytest.raises(UnsupportedCombination):
+    with pytest.raises(ValueError, match="no closed-form moments for Gaussian with ExpKernel"):
         analytic_moments(Gaussian(3, 1.0), ExpKernel(1.0))
-    with pytest.raises(UnsupportedCombination):
+    with pytest.raises(ValueError, match="no closed-form moments for Laplace with Unit"):
         analytic_moments(Laplace(3, 1.0))
-    with pytest.raises(UnsupportedCombination):
+    with pytest.raises(ValueError, match="no closed-form moments for UniformBinary with Unit"):
         analytic_moments(UniformBinary(3), Unit())
 
 
@@ -328,7 +334,7 @@ def test_sherman_morrison_matches_dense_inversion(seed, d):
 
 
 def test_sherman_morrison_rejects_indefinite_parameters():
-    with pytest.raises(NotPositiveDefinite):
+    with pytest.raises(ValueError, match=r"Sigma \+ lambda\*I is not positive definite"):
         sherman_morrison_inverse(1.0, 2.0, 0.0, 3)  # alpha1 + lam - alpha2 < 0
-    with pytest.raises(NotPositiveDefinite):
+    with pytest.raises(ValueError, match=r"Sigma \+ lambda\*I is not positive definite"):
         sherman_morrison_inverse(1.0, -1.0, 0.0, 3)  # trace direction negative
