@@ -54,23 +54,18 @@ def build_parser() -> argparse.ArgumentParser:
         ("distributions", "dump sampling pmfs and kernel weights"),
     ):
         sp = subs.add_parser(name, help=blurb)
-        sp.add_argument("--config", required=name != "distributions", help="JSON config file")
+        sp.add_argument("--config", required=True, help="JSON config file")
         sp.add_argument("--out", default=None, help="output path (default stdout)")
-        sp.add_argument("--format", choices=("csv", "json"), default=None,
-                        help="table format (default: config's, else csv)")
-        if name == "distributions":
-            sp.add_argument("--dim", type=int, default=None, help="number of segments d")
-            sp.add_argument("--sigmas", default=None,
-                            help="comma-separated kernel widths")
-        else:
+        if name != "explain":
+            sp.add_argument("--format", choices=("csv", "json"), default=None,
+                            help="table format (default: config's, else csv)")
+        if name != "distributions":
             sp.add_argument("--seed", type=int, default=None,
                             help="master seed; replaces the config's seed(s)")
     return parser
 
 
 def _cmd_explain(args: argparse.Namespace) -> int:
-    if args.format == "csv":
-        raise ConfigError("explain emits a single JSON explanation, not csv")
     obj = config_block(read_json(args.config, "config"), "explain config")
     base = os.path.dirname(os.path.abspath(args.config))
     model_path = resolve(field(obj, "model", str), base)
@@ -116,23 +111,9 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
 
 
 def _cmd_distributions(args: argparse.Namespace) -> int:
-    if args.config is not None:
-        if args.dim is not None or args.sigmas is not None:
-            raise ConfigError("distributions takes --config or --dim and --sigmas, not both")
-        obj = config_block(read_json(args.config, "config"), "distributions config")
-        d = field(obj, "d", int)
-        sigmas = field(obj, "sigmas", [float])
-        ks = field(obj, "ks", [int], None)
-    else:
-        if args.dim is None or args.sigmas is None:
-            raise ConfigError("distributions needs --config or both --dim and --sigmas")
-        d = args.dim
-        try:
-            sigmas = tuple(float(s) for s in args.sigmas.split(","))
-        except ValueError as exc:
-            raise ConfigError(f"bad --sigmas value: {args.sigmas!r}") from exc
-        ks = None
-    rows = distributions_table(d, sigmas, ks)
+    obj = config_block(read_json(args.config, "config"), "distributions config")
+    rows = distributions_table(field(obj, "d", int), field(obj, "sigmas", [float]),
+                               field(obj, "ks", [int], None))
     emit(rows, args.format or "csv", args.out)
     return 0
 

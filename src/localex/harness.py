@@ -24,9 +24,7 @@ from .errors import (ConfigError, check_rows, check_scale, field, read_json, rea
 from .explain import (
     ExplainRequest,
     Explanation,
-    GlimeBinomial,
     Lime,
-    MethodSpec,
     OneSlot,
     explain,
     method_from_json,
@@ -218,7 +216,8 @@ def load_config(path: str) -> ExperimentConfig:
 
 
 def load_input(path: str) -> tuple[np.ndarray, tuple[int, ...] | None]:
-    """Input file: either a flat JSON array or {"values": [...], "shape": [...]}."""
+    """Input file: either a flat JSON array or {"values": [...], "shape": [...]}, whose
+    shape holds exactly its values."""
     obj = read_json(path, "input")
     try:
         values = read_numbers(obj if isinstance(obj, list) else obj["values"], "values")
@@ -230,6 +229,8 @@ def load_input(path: str) -> tuple[np.ndarray, tuple[int, ...] | None]:
         raise ConfigError(f"input file {path} must hold a non-empty flat array of numbers")
     if not np.all(np.isfinite(values)):
         raise ConfigError(f"input file {path} holds NaN or infinite values")
+    if shape is not None and (any(n < 1 for n in shape) or math.prod(shape) != values.size):
+        raise ConfigError(f"input length {values.size} does not match shape {shape}")
     return values, shape
 
 
@@ -254,10 +255,7 @@ def build_space(
             raise ConfigError("grid segmentation needs an input with an image shape")
         if grid_rows is None or grid_cols is None:
             raise ConfigError("grid segmentation needs both rows and cols")
-        h, w = shape[0], shape[1]
-        c = shape[2] if len(shape) == 3 else 1
-        if x.shape[0] != h * w * c:  # before the grid allocates h * w * c ids
-            raise ConfigError(f"input length {x.shape[0]} does not match shape {shape}")
+        h, w, c = (*shape, 1)[:3]  # an h x w image has one channel
         seg = grid_segment(h, w, c, grid_rows, grid_cols)
     else:
         seg = singleton_segments(x.shape[0])
@@ -295,17 +293,23 @@ def _attempt(compute: Callable[[], Any]) -> Any:
         return f"{type(exc).__name__}: {exc}"
 
 
-def _explain_grid(ctx: RunContext, cells: list[tuple[MethodSpec, int, float]],
-                  seeds: tuple[int, ...]) -> list[list[Explanation | str]]:
-    """An explanation, or the text of its failure or its request's rejection,
-    for each (method, n, lambda) cell and each seed, one list per cell. The
-    explains run grouped by the sample set they draw (law, lift, n and seed:
-    Lime's fair coins take no sigma, and no sample takes lambda), so that each
-    set is drawn, lifted and evaluated once and kept in one slot while its
-    group runs. A method whose seed draws nothing (exact KernelShap) is
-    explained once per cell, and that result serves every seed."""
+def _explain_grid(ctx: RunContext, config: ExperimentConfig, entries: tuple[dict, ...],
+                  seeds: tuple[int, ...]) -> list[tuple[tuple, list[Explanation | str]]]:
+    """The grid's (method, sigma, lambda, n) cells, entries x sigmas x lambdas x
+    sample sizes in that order, each with an explanation, or the text of its
+    failure or its request's rejection, per seed. A repeated entry or sigma
+    keeps its own cell. The explains run grouped by the sample set they draw
+    (law, lift, n and seed: Lime's fair coins take no sigma, and no sample takes
+    lambda), so that each set is drawn, lifted and evaluated once and kept in
+    one slot while its group runs. A method whose seed draws nothing (exact
+    KernelShap) is explained once per cell, and that result serves every seed."""
+    cells = []
+    for entry, sigma in itertools.product(entries, config.sigmas):
+        method = method_from_json({**entry, "sigma": sigma})
+        cells += [(method, sigma, lam, n)
+                  for lam, n in itertools.product(config.lambdas, config.sample_sizes)]
     groups: dict[tuple, dict[tuple, None]] = {}
-    for method, n, lam in cells:
+    for method, _, lam, n in cells:
         # a law that cannot be made (exact KernelShap past its cap) keys by its
         # error text; each explain of it then fails on its own
         law = _attempt(lambda: method.sampler(ctx.segmentation.d)[0])
@@ -315,8 +319,9 @@ def _explain_grid(ctx: RunContext, cells: list[tuple[MethodSpec, int, float]],
     done = {(method, n, lam, s): _attempt(lambda: explain(ExplainRequest(
                 ctx.model, ctx.x, ctx.segmentation, method, n, s, lam, ctx.reference), samples))
             for group in groups.values() for method, n, lam, s in group}
-    return [[done[method, n, lam, s if method.seeded else seeds[0]] for s in seeds]
-            for method, n, lam in cells]
+    return [((method, sigma, lam, n),
+             [done[method, n, lam, s if method.seeded else seeds[0]] for s in seeds])
+            for method, sigma, lam, n in cells]
 
 
 def _cell_row(keys: dict, metrics: tuple[str, ...], parts: list,
@@ -342,17 +347,10 @@ def run_stability(config: ExperimentConfig) -> list[dict]:
     if config.k is not None and not 1 <= config.k <= d:
         raise ConfigError(f"k must be in [1, {d}], got {config.k}")
 
-    grid = [(method_from_json({**entry, "sigma": sigma}), sigma, lam, n)
-            for entry, sigma, lam, n in itertools.product(
-                config.method_entries, config.sigmas, config.lambdas, config.sample_sizes)]
-    explained = _explain_grid(ctx, [(method, n, lam) for method, _, lam, n in grid],
-                              config.seeds)
-    rows = []
-    for (method, sigma, lam, n), cell in zip(grid, explained):
-        keys = {"method": method.label, "sigma": sigma, "lambda": lam, "n": n}
-        rows.append(_cell_row(keys, ("mean_jaccard", "std"), cell,
-                              lambda *exps: top_k_jaccard(exps, config.k)))
-    return rows
+    return [_cell_row({"method": method.label, "sigma": sigma, "lambda": lam, "n": n},
+                      ("mean_jaccard", "std"), exps, lambda *e: top_k_jaccard(e, config.k))
+            for (method, sigma, lam, n), exps in _explain_grid(
+                ctx, config, config.method_entries, config.seeds)]
 
 
 def run_convergence(config: ExperimentConfig) -> list[dict]:
@@ -367,27 +365,19 @@ def run_convergence(config: ExperimentConfig) -> list[dict]:
         raise ConfigError('converge compares Lime with GlimeBinomial: methods must be '
                           '[{"method": "Lime"}]')
     ctx = build_context(config)
-    seed = config.seeds[0]
-    groups = list(itertools.product(config.sigmas, config.lambdas))
-    cells = [(method(sigma), n, lam) for sigma, lam in groups for n in config.sample_sizes
-             for method in (Lime, GlimeBinomial)]
-    explained = iter(_explain_grid(ctx, cells, (seed,)))
-    rows = []
-    for sigma, lam in groups:
-        group = []
-        for n in config.sample_sizes:
-            pair = [next(explained)[0] for _ in range(2)]
-            keys = {"sigma": sigma, "lambda": lam, "n": n}
-            group.append(_cell_row(
-                keys, ("mse", "mae", "pearson", "spearman", "mse_monotone"), pair,
-                explanation_distance))
-        mses = [r["mse"] for r in group if r["error"] == ""]
-        monotone = len(mses) == len(group) and all(
-            later < earlier for earlier, later in zip(mses, mses[1:])
-        )
-        for r in group:
-            r["mse_monotone"] = monotone
-        rows += group
+    grid = _explain_grid(ctx, config, ({"method": "Lime"}, {"method": "GlimeBinomial"}),
+                         config.seeds[:1])
+    half = len(grid) // 2  # every Lime cell, then the GlimeBinomial cells in the same order
+    rows = [_cell_row({"sigma": sigma, "lambda": lam, "n": n},
+                      ("mse", "mae", "pearson", "spearman", "mse_monotone"),
+                      [lime[0], glime[0]], explanation_distance)
+            for ((_, sigma, lam, n), lime), (_, glime) in zip(grid[:half], grid[half:])]
+    size = len(config.sample_sizes)
+    for start in range(0, len(rows), size):
+        mses = [row["mse"] for row in rows[start:start + size]]
+        monotone = None not in mses and all(b < a for a, b in zip(mses, mses[1:]))
+        for row in rows[start:start + size]:
+            row["mse_monotone"] = monotone
     return rows
 
 
@@ -404,36 +394,30 @@ def run_fidelity(config: ExperimentConfig) -> list[dict]:
         raise ConfigError("fidelity explains at one sample size and one lambda: "
                           "sample_sizes and lambdas must each hold one value")
     ctx = build_context(config)
-    cells = [(method_from_json({**entry, "sigma": sigma}), sigma)
-             for entry, sigma in itertools.product(config.method_entries, config.sigmas)]
-    exps = _explain_grid(ctx, [(method, config.sample_sizes[0], config.lambdas[0])
-                               for method, _ in cells], config.seeds)
-    fids: dict[tuple[int, int, float, str], float | str] = {}
+    grid = _explain_grid(ctx, config, config.method_entries, config.seeds)
+    pairs = list(itertools.product(config.epsilons, config.norms))
+    # per (cell, epsilon, norm), the cell's per-seed explanations; each one that
+    # is scored is then overwritten by its fidelity or its ball's failure
+    vals = {(i, *pair): list(exps) for i, (_, exps) in enumerate(grid) for pair in pairs}
     balls = OneSlot()
     for k, s in enumerate(config.seeds):
-        scored = [i for i in range(len(cells)) if isinstance(exps[i][k], Explanation)]
+        scored = [i for i, (_, exps) in enumerate(grid) if isinstance(exps[k], Explanation)]
         if not scored:
             continue
         for norm, eps in itertools.product(config.norms, config.epsilons):
             reports = _attempt(lambda: local_fidelity(
-                ctx.model, ctx.x, [exps[i][k] for i in scored], ctx.segmentation,
+                ctx.model, ctx.x, [grid[i][1][k] for i in scored], ctx.segmentation,
                 eps, norm, config.m, substream_seed(s, _BALL_STREAM), balls,
             ))
             for j, i in enumerate(scored):  # a failed ball fails every cell it scores
-                fids[i, k, eps, norm] = reports if isinstance(reports, str) else reports[j]
+                vals[i, eps, norm][k] = reports if isinstance(reports, str) else reports[j]
 
-    def score(*vals: float) -> dict:
-        return {"fidelity_mean": float(np.mean(vals)), "fidelity_std": float(np.std(vals))}
+    def score(*fids: float) -> dict:
+        return {"fidelity_mean": float(np.mean(fids)), "fidelity_std": float(np.std(fids))}
 
-    rows = []
-    for (i, (method, sigma)), eps, norm in itertools.product(
-            enumerate(cells), config.epsilons, config.norms):
-        # per seed, a failed explanation comes before its ball
-        vals = [e if isinstance(e, str) else fids[i, k, eps, norm]
-                for k, e in enumerate(exps[i])]
-        keys = {"method": method.label, "sigma": sigma, "epsilon": eps, "norm": norm}
-        rows.append(_cell_row(keys, ("fidelity_mean", "fidelity_std"), vals, score))
-    return rows
+    return [_cell_row({"method": method.label, "sigma": sigma, "epsilon": eps, "norm": norm},
+                      ("fidelity_mean", "fidelity_std"), vals[i, eps, norm], score)
+            for i, ((method, sigma, _, _), _) in enumerate(grid) for eps, norm in pairs]
 
 
 def distributions_table(d: int, sigmas: tuple[float, ...],

@@ -44,7 +44,8 @@ def write_workspace(tmp_path, d=8, rows_cols=(2, 2), methods=None, **overrides):
         {"kind": "linear", "coefficients": (rng.normal(size=d) * 0.4).tolist(),
          "bias": 0.1}))
     (tmp_path / "input.json").write_text(json.dumps(
-        {"values": rng.normal(size=d).tolist(), "shape": [2, d // 2, 1]}))
+        {"values": rng.normal(size=d).tolist(),
+         "shape": [2, d // 2, 1] if d % 2 == 0 else [d]}))
     cfg = {
         "model": "model.json",
         "input": "input.json",
@@ -157,6 +158,22 @@ def test_load_input_accepts_flat_lists(tmp_path):
     x, shape = load_input(str(p))
     assert x.tolist() == [1.0, 2.0, 3.0]
     assert shape is None
+
+
+@pytest.mark.parametrize("shape, grid", [([3], None), ([2, 4, 2], None), ([0, 8], None),
+                                         ([], None), ([-2, -4], (2, 2))],
+                         ids=["short", "long", "zero-side", "empty", "negative-sides-grid"])
+def test_an_input_shape_must_hold_its_values_with_or_without_a_grid(tmp_path, capsys,
+                                                                     shape, grid):
+    seg = grid and {"rows": grid[0], "cols": grid[1]}
+    sweep = write_workspace(tmp_path, segmentation=seg, input=json_file(
+        tmp_path, {"values": [0.5] * 8, "shape": shape}, name="shaped.json"))
+    explain = explain_config(tmp_path, [0.1] * 8, 1.0, x={"values": [0.5] * 8, "shape": shape},
+                             segmentation=seg)
+    for argv in (["explain", "--config", explain], ["stability", "--config", sweep]):
+        assert main(argv) == 1
+        assert capsys.readouterr().err == (
+            f"error: input length 8 does not match shape {tuple(shape)}\n")
 
 
 def test_config_from_json_reports_missing_keys():
@@ -331,7 +348,11 @@ def fail_wide_balls(monkeypatch, x, epsilons):
     ({"methods": [{"method": "Lime"}, {"method": "GlimeBinomial"}, {"method": "GlimeGauss"}],
       "sample_sizes": [8], "lambdas": [0.0], "seeds": [1, 4, 2, 5]},
      True, {"SingularSystem", "NonFiniteOutput"}),
-], ids=["explain-fails", "ball-fails", "some-seeds-fail", "seeds-and-balls-fail"])
+    # a repeated entry and sigma: each repeat keeps its own rows
+    ({"methods": [{"method": "Lime"}, {"method": "GlimeGauss"}, {"method": "Lime"}],
+      "sigmas": [0.5, 1.0, 0.5], "sample_sizes": [8], "lambdas": [0.0], "seeds": [1, 4, 2, 5]},
+     True, {"SingularSystem", "NonFiniteOutput"}),
+], ids=["explain-fails", "ball-fails", "some-seeds-fail", "seeds-and-balls-fail", "repeats"])
 def test_run_fidelity_matches_the_direct_nested_loop(tmp_path, monkeypatch, overrides,
                                                      wide_balls_fail, errors):
     epsilons = [0.25, 0.5]
@@ -358,6 +379,11 @@ FAILING_SWEEPS = {
     "some-seeds-fail": dict(methods=[{"method": "Lime"}, {"method": "GlimeBinomial"},
                                      {"method": "GlimeGauss"}],
                             sample_sizes=[8, 64], lambdas=[0.0], seeds=[2, 1, 4, 5]),
+    # a repeated entry, sigma and sample size: each repeat keeps its own rows
+    "repeats": dict(methods=[{"method": "Lime"}, {"method": "GlimeBinomial"},
+                             {"method": "Lime"}],
+                    sigmas=[0.5, 1.0, 0.5], sample_sizes=[8, 64, 8], lambdas=[0.0],
+                    seeds=[2, 1, 4]),
 }
 
 
@@ -366,6 +392,7 @@ FAILING_SWEEPS = {
     ("zero-weights", {"SingularSystem", "ConfigError"}),
     ("lambda-zero-n-below-d", {"SingularSystem"}),
     ("some-seeds-fail", {"SingularSystem"}),
+    ("repeats", {"SingularSystem"}),
 ])
 def test_run_stability_matches_the_direct_nested_loop(tmp_path, name, errors):
     config = load_config(write_workspace(tmp_path, **FAILING_SWEEPS[name]))
@@ -375,7 +402,7 @@ def test_run_stability_matches_the_direct_nested_loop(tmp_path, name, errors):
 
 
 @pytest.mark.parametrize("name", ["zero-weights", "lambda-zero-n-below-d",
-                                  "some-seeds-fail"])
+                                  "some-seeds-fail", "repeats"])
 def test_run_convergence_matches_the_direct_nested_loop(tmp_path, name):
     config = load_config(write_workspace(
         tmp_path, **{**FAILING_SWEEPS[name], "methods": [{"method": "Lime"}]}))
@@ -542,18 +569,17 @@ def test_cli_format_flag_switches_to_json(tmp_path):
 
 
 def test_cli_distributions_dumps_the_table():
-    proc = cli("distributions", "--dim", "3", "--sigmas", "0.5,1.0",
-               "--format", "json")
+    proc = cli("distributions", "--config", asset("distributions.json"), "--format", "json")
     assert proc.returncode == 0, proc.stderr
     rows = json.loads(proc.stdout)
-    assert len(rows) == 8
-    assert rows[0]["sigma"] == 0.5 and rows[0]["k"] == 0
+    assert len(rows) == 4 * 17  # d = 16, four sigmas
+    assert rows[0]["sigma"] == 0.25 and rows[0]["k"] == 0
 
 
 def test_cli_config_errors_exit_one(tmp_path):
     assert cli("stability", "--config", str(tmp_path / "missing.json")).returncode == 1
     assert cli("explain").returncode == 1  # --config is required
-    assert cli("distributions").returncode == 1  # needs --dim/--sigmas
+    assert cli("distributions").returncode == 1  # --config is required
     bad = tmp_path / "bad.json"
     bad.write_text("{not json")
     assert cli("stability", "--config", str(bad)).returncode == 1
@@ -578,14 +604,15 @@ def test_a_closed_stdout_is_an_io_failure_in_one_error_line(monkeypatch, capsys)
     monkeypatch.setattr(sys, "stdout", ClosedPipe())
     with pytest.raises(IoFailure, match="cannot write to stdout"):
         write_text("table\n", None)
-    assert main(["distributions", "--dim", "3", "--sigmas", "0.5"]) == 2
+    assert main(["distributions", "--config", asset("distributions.json")]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: cannot write to stdout") and err.count("\n") == 1, err
 
 
 def test_cli_exits_two_without_a_traceback_when_the_reader_closes_stdout():
     proc = subprocess.Popen(
-        [sys.executable, "-m", "localex", "distributions", "--dim", "3", "--sigmas", "0.5"],
+        [sys.executable, "-m", "localex", "distributions", "--config",
+         asset("distributions.json")],
         stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True)
     proc.stdout.close()  # the reader is gone before the table is written
     err = proc.stderr.read()
@@ -619,14 +646,6 @@ def test_cli_runs_the_bundled_sample_configs():
     proc = cli("distributions", "--config", asset("distributions.json"))
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.startswith("sigma,k,")
-
-
-def test_cli_distributions_refuses_a_config_with_the_flags_it_would_override():
-    proc = cli("distributions", "--config", asset("distributions.json"),
-               "--dim", "3", "--sigmas", "9")
-    assert (proc.returncode, proc.stdout) == (1, "")  # no table from either source
-    assert proc.stderr == ("error: distributions takes --config or --dim and --sigmas, "
-                           "not both\n")
 
 
 def explain_config(tmp_path, coefficients, sigma, method="Lime", x=(1.0, 2.0, 3.0),
@@ -728,14 +747,16 @@ def remote_explain_config(tmp_path, **fields):
                   explain_config(tmp, [1e307] * 3, 1.0, method="SmoothGrad")], 2),
     (lambda tmp: ["explain", "--config",
                   explain_config(tmp, [0.3, -0.2, 0.5], 1.0, x=(1.0, math.nan, 3.0))], 1),
-    (lambda tmp: ["distributions", "--dim", "3", "--sigmas", "0"], 1),
-    (lambda tmp: ["distributions", "--dim", "3", "--sigmas=-1"], 1),
-    (lambda tmp: ["distributions", "--dim", "3", "--sigmas", "nan"], 1),
-    (lambda tmp: ["distributions", "--dim", "3", "--sigmas", "1", "--seed", "5"], 1),
-    # a config and a flag it would override
+    (lambda tmp: ["distributions", "--config", json_file(tmp, {"d": 3, "sigmas": [0]})], 1),
+    (lambda tmp: ["distributions", "--config", json_file(tmp, {"d": 3, "sigmas": [-1]})], 1),
+    (lambda tmp: ["distributions", "--config", json_file(tmp, {"d": 3, "sigmas": [math.nan]})],
+     1),
+    (lambda tmp: ["distributions", "--config", asset("distributions.json"), "--seed", "5"], 1),
+    # flags that are gone: d and sigmas come from the config alone
     (lambda tmp: ["distributions", "--config", asset("distributions.json"), "--dim", "3"], 1),
     (lambda tmp: ["distributions", "--config", asset("distributions.json"), "--sigmas", "9"],
      1),
+    (lambda tmp: ["distributions", "--dim", "3"], 1),
     (lambda tmp: ["stability", "--config", write_workspace(tmp), "--jobs", "0"], 1),
     (lambda tmp: ["stability", "--config", write_workspace(tmp), "--jobs=-3"], 1),
     (lambda tmp: ["explain", "--config",
@@ -892,15 +913,25 @@ def remote_explain_config(tmp_path, **fields):
      1),
     (lambda tmp: ["stability", "--config",
                   with_model(write_workspace(tmp), coefficients=[math.nan] + [0.1] * 7)], 1),
-    # settings read from outside: a table format for explain, a sigma list that
-    # does not parse, a grid without cols, a shape that does not hold the input,
-    # an unknown reference, a sample size of 0 and an unknown output format
+    # settings read from outside: a table format for explain, which takes none, a
+    # grid without cols, a shape that does not hold the input, with a grid or
+    # without, and a shape with a negative side, an unknown reference, a sample
+    # size of 0 and an unknown output format
     (lambda tmp: ["explain", "--config", explain_config(tmp, [0.3, -0.2, 0.5], 1.0),
                   "--format", "csv"], 1),
-    (lambda tmp: ["distributions", "--dim", "4", "--sigmas", "0.5,abc"], 1),
+    (lambda tmp: ["explain", "--config", explain_config(tmp, [0.3, -0.2, 0.5], 1.0),
+                  "--format", "json"], 1),
     (lambda tmp: ["stability", "--config", write_workspace(tmp, segmentation={"rows": 2})], 1),
     (lambda tmp: ["explain", "--config", explain_config(
         tmp, [0.1] * 64, 1.0, x={"values": [0.5] * 64, "shape": [4, 5]},
+        segmentation={"rows": 2, "cols": 2})], 1),
+    (lambda tmp: ["explain", "--config", explain_config(
+        tmp, [0.3, -0.2, 0.5], 1.0, x={"values": [1.0, 2.0, 3.0], "shape": [2]})], 1),
+    (lambda tmp: ["stability", "--config", write_workspace(
+        tmp, segmentation=None,
+        input=json_file(tmp, {"values": [0.5] * 8, "shape": [3]}, name="shaped.json"))], 1),
+    (lambda tmp: ["explain", "--config", explain_config(
+        tmp, [0.1] * 8, 1.0, x={"values": [0.5] * 8, "shape": [-2, -4]},
         segmentation={"rows": 2, "cols": 2})], 1),
     (lambda tmp: ["explain", "--config",
                   explain_config(tmp, [0.3, -0.2, 0.5], 1.0, reference="median")], 1),
@@ -939,7 +970,8 @@ def remote_explain_config(tmp_path, **fields):
 ], ids=["nonfinite-output", "zero-weights", "ridge-overflow", "smoothgrad-overflow",
         "nan-input", "sigma-zero", "sigma-negative",
         "sigma-nan", "distributions-seed", "distributions-config-and-dim",
-        "distributions-config-and-sigmas", "jobs-zero", "jobs-negative", "lambda-string",
+        "distributions-config-and-sigmas", "distributions-dim", "jobs-zero", "jobs-negative",
+        "lambda-string",
         "lambda-null",
         "explain-segmentation-list", "sweep-segmentation-list", "metrics-list",
         "output-list", "config-array", "norm-l3", "epsilon-negative", "m-zero",
@@ -966,8 +998,9 @@ def remote_explain_config(tmp_path, **fields):
         "output-path-nul", "exact-shap-too-wide", "model-coefficients-not-numbers",
         "input-values-not-numbers", "quadratic-matrix-true", "mlp-weight-string",
         "model-coefficient-nan", "model-bias-infinity", "mlp-bias-infinity",
-        "mlp-weight-overflow", "sweep-model-nan", "explain-format-csv",
-        "distributions-sigmas-not-numbers", "sweep-grid-rows-only", "input-shape-mismatch",
+        "mlp-weight-overflow", "sweep-model-nan", "explain-format-csv", "explain-format-json",
+        "sweep-grid-rows-only", "input-shape-mismatch", "explain-shape-mismatch-no-grid",
+        "sweep-shape-mismatch-no-grid", "input-shape-negative",
         "explain-reference-median", "sweep-sample-sizes-zero", "output-format-xml",
         "sweep-shape-huge", "explain-shape-huge", "linear-coefficients-matrix",
         "quadratic-matrix-flat", "quadratic-matrix-too-small", "mlp-no-layers",
