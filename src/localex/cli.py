@@ -1,7 +1,8 @@
 """Command-line entry point.
 
 Subcommands: explain (one explanation as JSON), stability / converge /
-fidelity (sweep tables as CSV or JSON), distributions (sampling-law dump).
+fidelity (sweep tables as CSV or JSON, as the config's output.format says),
+distributions (sampling-law dump).
 Exit codes: 0 success, 1 configuration or usage error, 2 runtime failure.
 """
 from __future__ import annotations
@@ -31,6 +32,7 @@ from .harness import (
     run_convergence,
     run_fidelity,
     run_stability,
+    table_format,
 )
 from .models import check_input, load_model
 
@@ -56,9 +58,6 @@ def build_parser() -> argparse.ArgumentParser:
         sp = subs.add_parser(name, help=blurb)
         sp.add_argument("--config", required=True, help="JSON config file")
         sp.add_argument("--out", default=None, help="output path (default stdout)")
-        if name != "explain":
-            sp.add_argument("--format", choices=("csv", "json"), default=None,
-                            help="table format (default: config's, else csv)")
         if name != "distributions":
             sp.add_argument("--seed", type=int, default=None,
                             help="master seed; replaces the config's seed(s)")
@@ -103,18 +102,16 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     config = load_config(args.config)
     if args.seed is not None:
         config = reseed(config, args.seed)
-    rows = _RUNNERS[args.command](config)
-    fmt = args.format or config.out_format
-    path = args.out if args.out is not None else config.out_path
-    emit(rows, fmt, path)
+    emit(_RUNNERS[args.command](config), config.out_format, args.out)
     return 0
 
 
 def _cmd_distributions(args: argparse.Namespace) -> int:
     obj = config_block(read_json(args.config, "config"), "distributions config")
+    fmt = table_format(obj)
     rows = distributions_table(field(obj, "d", int), field(obj, "sigmas", [float]),
                                field(obj, "ks", [int], None))
-    emit(rows, args.format or "csv", args.out)
+    emit(rows, fmt, args.out)
     return 0
 
 

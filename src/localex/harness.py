@@ -138,7 +138,6 @@ class ExperimentConfig:
     epsilons: tuple[float, ...] = (0.5,)
     norms: tuple[str, ...] = ("l2",)
     m: int = 2048
-    out_path: str | None = None
     out_format: str = "csv"
 
     def __post_init__(self) -> None:
@@ -160,10 +159,6 @@ class ExperimentConfig:
             raise ConfigError(f"norms must be among {', '.join(NORMS)}")
         if self.m < 1:
             raise ConfigError("m must be >= 1")
-        if self.reference_kind not in ("mean", "zero"):
-            raise ConfigError("reference must be 'mean' or 'zero'")
-        if self.out_format not in ("csv", "json"):
-            raise ConfigError("output format must be csv or json")
         for entry in self.method_entries:
             if "sigma" in entry:
                 raise ConfigError(
@@ -184,12 +179,23 @@ def config_block(value: Any, what: str) -> dict:
     return value
 
 
+def table_format(obj: dict) -> str:
+    """A table config's output format, csv or json: its `output` block holds
+    `format` alone, since --out names where the table goes."""
+    out = field(obj, "output", dict, None) or {}
+    if extra := sorted(set(out) - {"format"}):
+        raise ConfigError(f"output holds only format, not {extra}; "
+                          "write a table to a file with --out")
+    fmt = field(out, "format", str, "csv")
+    if fmt not in ("csv", "json"):
+        raise ConfigError("output format must be csv or json")
+    return fmt
+
+
 def config_from_json(obj: Any, base_dir: str = ".") -> ExperimentConfig:
     obj = config_block(obj, "experiment config")
     seg = field(obj, "segmentation", dict, None) or {}
     met = field(obj, "metrics", dict, None) or {}
-    out = field(obj, "output", dict, None) or {}
-    out_path = field(out, "path", str, None)
     return ExperimentConfig(
         model_path=resolve(field(obj, "model", str), base_dir),
         input_path=resolve(field(obj, "input", str), base_dir),
@@ -205,8 +211,7 @@ def config_from_json(obj: Any, base_dir: str = ".") -> ExperimentConfig:
         epsilons=field(met, "epsilons", [float], (0.5,)),
         norms=field(met, "norms", [str], ("l2",)),
         m=field(met, "m", int, 2048),
-        out_path=None if out_path is None else resolve(out_path, base_dir),
-        out_format=field(out, "format", str, "csv"),
+        out_format=table_format(obj),
     )
 
 

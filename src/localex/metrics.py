@@ -18,7 +18,7 @@ from .models import ModelSpec, evaluate, evaluate_blocks
 
 DEFAULT_TOP_K = 20
 NORMS = ("l1", "l2", "linf")  # the balls unit_ball can draw
-BALL_CHUNK = 512  # rows unit_ball normalises at once
+BALL_CHUNK = 32  # rows unit_ball normalises at once, in one reused buffer
 
 
 def top_k_indices(w: np.ndarray, k: int) -> np.ndarray:
@@ -87,14 +87,17 @@ def unit_ball(norm: str, m: int, dim: int, seed: int) -> UnitBall:
     if norm == "linf":
         return UnitBall(rng.random((m, dim)), None)
     g = rng.normal(size=(m, dim)) if norm == "l2" else rng.laplace(size=(m, dim))
-    # normalised BALL_CHUNK rows at a time, so the norms' temporaries are one
-    # chunk, not a second m x D array; each row's norm is np.linalg.norm's sum
+    # normalised BALL_CHUNK rows at a time through one buffer of that many rows,
+    # so no second m x D array is made; each row's norm is np.linalg.norm's sum,
+    # which does not depend on the rows beside it
+    buf = np.empty((min(m, BALL_CHUNK), dim))
     for start in range(0, m, BALL_CHUNK):
         c = g[start:start + BALL_CHUNK]
+        part = buf[:len(c)]
         if norm == "l2":
-            c /= np.sqrt(np.add.reduce(c * c, axis=1, keepdims=True))
+            c /= np.sqrt(np.add.reduce(np.multiply(c, c, out=part), axis=1, keepdims=True))
         else:
-            c /= np.abs(c).sum(axis=1, keepdims=True)
+            c /= np.abs(c, out=part).sum(axis=1, keepdims=True)
     return UnitBall(g, rng.random(m) ** (1.0 / dim))
 
 

@@ -81,6 +81,7 @@ COMMON = {
                                                         "cols": st.integers(1, 4)}),
     "reference": st.sampled_from(["mean", "zero"]),
 }
+OUTPUT = st.fixed_dictionaries({}, optional={"format": st.sampled_from(["csv", "json"])})
 CONFIGS = {
     "explain": st.fixed_dictionaries(
         {"model": st.just("model.json"), "input": st.just("input.json"),
@@ -95,11 +96,10 @@ CONFIGS = {
                       "k": st.integers(1, 8), "epsilons": few(WIDTHS),
                       "norms": few(st.sampled_from(["l1", "l2", "linf"])),
                       "m": st.integers(1, 64)}),
-                  "output": st.fixed_dictionaries({}, optional={
-                      "path": st.just("out.csv"), "format": st.sampled_from(["csv", "json"])})}),
+                  "output": OUTPUT}),
     "distributions": st.fixed_dictionaries(
         {"d": st.integers(1, 8), "sigmas": few(WIDTHS)},
-        optional={"ks": few(st.integers(0, 8), 0)}),
+        optional={"ks": few(st.integers(0, 8), 0), "output": OUTPUT}),
 }
 
 

@@ -131,8 +131,12 @@ def test_config_rejects_empty_and_duplicate_grids():
         ExperimentConfig(**{**base, "seeds": (1, 1)})
     with pytest.raises(ConfigError):
         ExperimentConfig(**{**base, "lambdas": (-0.5,)})
-    with pytest.raises(ConfigError):
-        ExperimentConfig(**{**base, "reference_kind": "median"})
+
+
+def test_an_unknown_reference_fails_before_any_cell_runs(tmp_path):
+    config = load_config(write_workspace(tmp_path, reference="median"))
+    with pytest.raises(ConfigError, match="reference must be 'mean' or 'zero'"):
+        build_context(config)
 
 
 @pytest.mark.parametrize("counts", [
@@ -560,16 +564,18 @@ def test_cli_stability_writes_identical_bytes_across_runs(tmp_path):
     assert header == b"method,sigma,lambda,n,mean_jaccard,std,error"
 
 
-def test_cli_format_flag_switches_to_json(tmp_path):
-    path = write_workspace(tmp_path, methods=[{"method": "Lime"}])
-    proc = cli("converge", "--config", path, "--format", "json")
+def test_cli_output_format_switches_to_json(tmp_path):
+    path = write_workspace(tmp_path, methods=[{"method": "Lime"}], output={"format": "json"})
+    proc = cli("converge", "--config", path)
     assert proc.returncode == 0, proc.stderr
     rows = json.loads(proc.stdout)
     assert isinstance(rows, list) and "mse_monotone" in rows[0]
 
 
-def test_cli_distributions_dumps_the_table():
-    proc = cli("distributions", "--config", asset("distributions.json"), "--format", "json")
+def test_cli_distributions_dumps_the_table(tmp_path):
+    with open(asset("distributions.json"), encoding="utf-8") as fh:
+        config = {**json.load(fh), "output": {"format": "json"}}
+    proc = cli("distributions", "--config", json_file(tmp_path, config))
     assert proc.returncode == 0, proc.stderr
     rows = json.loads(proc.stdout)
     assert len(rows) == 4 * 17  # d = 16, four sigmas
@@ -735,6 +741,10 @@ def remote_explain_config(tmp_path, **fields):
         tmp_path, {"kind": "remote", "endpoint": "http://127.0.0.1:9/f", **fields})
 
 
+TABLE_CONFIGS = {"stability": "stability.json", "converge": "convergence.json",
+                 "fidelity": "fidelity.json", "distributions": "distributions.json"}
+
+
 @pytest.mark.parametrize("make_args, code", [
     # model outputs overflow to inf
     (lambda tmp: ["explain", "--config", explain_config(tmp, [1e308] * 3, 1.0)], 2),
@@ -887,8 +897,7 @@ def remote_explain_config(tmp_path, **fields):
                   explain_config(tmp, [0.3, -0.2, 0.5], 1.0, model="a\x00b")], 1),
     (lambda tmp: ["explain", "--config",
                   explain_config(tmp, [0.3, -0.2, 0.5], 1.0, model="a\nb")], 1),
-    (lambda tmp: ["stability", "--config", write_workspace(tmp, output={"path": "a\x00b"})],
-     2),
+    (lambda tmp: ["stability", "--config", write_workspace(tmp), "--out", "a\x00b"], 2),
     # exact KernelShap past its width cap, which the request alone rules out
     (lambda tmp: ["explain", "--config", with_method(explain_config(
         tmp, [0.1] * 25, 1.0, method="KernelShap", x=[0.5] * 25), exact=True)], 1),
@@ -967,6 +976,9 @@ def remote_explain_config(tmp_path, **fields):
     # fidelity explains at one sample size and one lambda
     (lambda tmp: ["fidelity", "--config", write_workspace(tmp, sample_sizes=[64, 1024])], 1),
     (lambda tmp: ["fidelity", "--config", write_workspace(tmp, lambdas=[1, 0.001])], 1),
+    # a table's format is its config's output.format
+    *[(lambda tmp, argv=[command, "--config", asset(TABLE_CONFIGS[command]), "--format", fmt]:
+       argv, 1) for command in TABLE_CONFIGS for fmt in ("csv", "json")],
 ], ids=["nonfinite-output", "zero-weights", "ridge-overflow", "smoothgrad-overflow",
         "nan-input", "sigma-zero", "sigma-negative",
         "sigma-nan", "distributions-seed", "distributions-config-and-dim",
@@ -1006,12 +1018,24 @@ def remote_explain_config(tmp_path, **fields):
         "quadratic-matrix-flat", "quadratic-matrix-too-small", "mlp-no-layers",
         "mlp-bias-length", "remote-batch-size-zero", "converge-kernelshap",
         "converge-two-methods", "converge-lime-unweighted", "fidelity-two-sample-sizes",
-        "fidelity-two-lambdas"])
+        "fidelity-two-lambdas",
+        *[f"{command}-format-{fmt}" for command in TABLE_CONFIGS for fmt in ("csv", "json")]])
 @pytest.mark.filterwarnings("error::RuntimeWarning")  # a warning is a second line
 def test_cli_reports_bad_values_in_one_error_line(tmp_path, capsys, make_args, code):
     assert main(make_args(tmp_path)) == code
     err = capsys.readouterr().err
     assert err.startswith("error:") and err.count("\n") == 1, err
+
+
+@pytest.mark.parametrize("command", TABLE_CONFIGS)
+def test_an_output_block_names_no_file(tmp_path, capsys, command):
+    # --out alone names a table's file; a config's output.path is refused, not ignored
+    with open(asset(TABLE_CONFIGS[command]), encoding="utf-8") as fh:
+        config = {**json.load(fh), "output": {"path": "table.csv", "format": "csv"}}
+    assert main([command, "--config", json_file(tmp_path, config)]) == 1
+    assert capsys.readouterr() == ("", "error: output holds only format, not ['path']; "
+                                       "write a table to a file with --out\n")
+    assert list(tmp_path.iterdir()) == [tmp_path / "file.json"]
 
 
 def test_an_mlp_without_layers_is_reported_as_such(tmp_path, capsys):

@@ -179,8 +179,8 @@ def test_unit_ball_is_the_whole_norm_oracle_bit_for_bit(norm, m):
 
 @pytest.mark.parametrize("norm", NORMS)
 def test_a_ball_holds_one_m_by_d_array(norm):
-    # the draw, one chunk's temporaries and small change: neither a whole-ball
-    # norm nor sample_ball's scaling makes a second m x D array
+    # the draw, one chunk's buffer and small change: neither a whole-ball norm,
+    # a chunk's own temporaries nor sample_ball's scaling makes a second array
     m, dim = 2048, 3072
     bound = m * dim * 8 + BALL_CHUNK * dim * 8 + 2**20
     ball, peak = traced_peak(lambda: unit_ball(norm, m, dim, 0))

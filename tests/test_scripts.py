@@ -1,6 +1,7 @@
 import importlib.util
 import os
 import pathlib
+import re
 import subprocess
 import sys
 
@@ -36,3 +37,18 @@ def test_code_lines_prints_module_lines_their_total_and_the_dataclass_count():
     assert total[1] == "total" and int(total[0]) == sum(int(count) for count, _ in modules)
     assert classes[1:] == ["classes", "built", "as", "dataclasses", "at", "import"]
     assert int(classes[0]) >= 1
+
+
+def test_import_time_prints_its_three_figures_and_the_importtime_list():
+    proc = subprocess.run([sys.executable, os.path.join(SCRIPTS, "import_time.py"), "-n", "1"],
+                          capture_output=True, text=True, check=True)
+    wall, after_numpy, rss, heading, *entries = proc.stdout.splitlines()
+    assert re.fullmatch(r"import localex\.cli: \d+\.\d{3} s \(min of 1 interpreters\)", wall)
+    assert re.fullmatch(r"import localex\.cli after import numpy: \d+\.\d ms "
+                        r"\(min of 1 interpreters\)", after_numpy)
+    assert re.fullmatch(r"ru_maxrss of import localex\.cli over import numpy: "
+                        r"\d+\.\d\d-\d+\.\d\d MiB \(1 interpreters\)", rss)
+    assert heading == "largest cumulative -X importtime entries (one run):"
+    assert 1 <= len(entries) <= 10
+    assert all(re.fullmatch(r" *\d+\.\d ms  \S+", entry) for entry in entries)
+    assert "localex.cli" in [entry.split()[-1] for entry in entries]
