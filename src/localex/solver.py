@@ -10,13 +10,29 @@ so the bits are theirs. The module is loaded from its file: importing
 scipy.linalg would first run the package's __init__, which pulls in
 numpy.f2py and numpy.testing and costs about 0.2 s of every cold start, and
 even scipy's own __init__ costs about 1 MiB.
+
+A fit with fewer than THREADED_FROM_D columns runs numpy's BLAS products on
+one thread. OpenBLAS threads the products of a tall design, such as the
+65,534-row exact-KernelSHAP fit; at these widths a second thread saves no
+time, and once the product is done it spins idle for about 0.1 s, which
+doubles the CPU time of a sweep of small fits. The count is set through
+ctypes on the OpenBLAS that numpy links, found at the first narrow fit, and
+it is process-wide. Under another BLAS, or an OpenBLAS whose thread calls are
+not found, the scope does nothing. Where OpenBLAS splits a product of a tall
+design (from about 2^15 rows at d = 16 on 2 threads), the split moves the
+last bits of w, so a narrow fit now has its one-thread bits at any thread
+count; shorter designs are not split and have the same bits either way.
 """
 from __future__ import annotations
 
+import contextlib
+import ctypes
+import functools
 import importlib.machinery
 import importlib.util
 import math
 import os
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -45,6 +61,24 @@ def _load_flapack():
 
 
 _flapack = _load_flapack()
+
+# Narrower fits run on one BLAS thread. On 2 cores the products of a fit on 2^11
+# to 2^17 rows took 0.81-1.20x as long on one thread as on two at d = 16 and 32,
+# and 1.14-1.44x as long at d = 64 and 128 (two probes, medians of 9, in
+# BENCH_30.json), so a second thread pays from d = 64 on.
+THREADED_FROM_D = 64
+_one_thread = threading.Lock()  # held from setting the count to one to restoring it
+
+
+@functools.cache
+def _openblas_threads():
+    """The (get, set) thread-count calls of the OpenBLAS that numpy links,
+    looked up through numpy.linalg's compiled module, whose dependencies
+    include it; None where either is missing."""
+    with contextlib.suppress(OSError, AttributeError):
+        lib = ctypes.CDLL(np.linalg._umath_linalg.__file__)
+        return (ctypes.CFUNCTYPE(ctypes.c_int)(("scipy_openblas_get_num_threads64_", lib)),
+                ctypes.CFUNCTYPE(None, ctypes.c_int)(("scipy_openblas_set_num_threads64_", lib)))
 
 
 @dataclass(frozen=True)
@@ -89,7 +123,6 @@ def _weighted_r2(y: np.ndarray, yhat: np.ndarray, yc: np.ndarray, pi: np.ndarray
     return float(1.0 - pi @ (y - yhat) ** 2 / ss_tot)
 
 
-@np.errstate(over="ignore", invalid="ignore")  # overflow is reported as NonFiniteOutput
 def solve_weighted_ridge(problem: RidgeProblem) -> tuple[np.ndarray, float, float]:
     """The fitted surrogate (w, intercept, r2): attributions, unpenalized
     intercept and weighted R^2, by a closed-form solve via an SPD factorization
@@ -98,7 +131,26 @@ def solve_weighted_ridge(problem: RidgeProblem) -> tuple[np.ndarray, float, floa
     Raises SingularSystem when lambda = 0 and the (centered) Gram matrix is
     rank-deficient; there is deliberately no pseudo-inverse fallback, since a
     silent minimum-norm solution would mask under-sampling.
+
+    Below THREADED_FROM_D columns the fit sets OpenBLAS to one thread and puts
+    the previous count back when it returns or raises. The count is
+    process-wide: another Python thread's numpy BLAS calls also run on one
+    thread meanwhile, and two such fits take turns.
     """
+    if problem.design.shape[1] >= THREADED_FROM_D or (calls := _openblas_threads()) is None:
+        return _fit(problem)
+    get, set_ = calls
+    with _one_thread:
+        before = get()
+        set_(1)
+        try:
+            return _fit(problem)
+        finally:
+            set_(before)
+
+
+@np.errstate(over="ignore", invalid="ignore")  # overflow is reported as NonFiniteOutput
+def _fit(problem: RidgeProblem) -> tuple[np.ndarray, float, float]:
     z, y, pi = problem.design, problem.responses, problem.sample_weights
     d = z.shape[1]
     sw = pi / pi.sum()

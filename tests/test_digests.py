@@ -40,13 +40,10 @@ def _model_server(model_path: str):
         proc.stdout.close()
 
 
-@pytest.mark.parametrize("workload", ["desk_sweeps", "image_fidelity", "remote_explain"])
-def test_seed_zero_outputs_match_the_recorded_digests(workload, tmp_path):
+def plan_digests(workload: str, work: str) -> dict:
+    """SHA-256 of each output of the workload's seed-0 plan, built in work."""
     workloads = _workloads()
-    with open(os.path.join(PERFBENCH, "digests.json"), encoding="utf-8") as fh:
-        recorded = json.load(fh)[workload]
-    plan = workloads.build(workload, workloads.DEFAULT_SEED, str(tmp_path),
-                           os.path.abspath(ROOT))
+    plan = workloads.build(workload, workloads.DEFAULT_SEED, work, os.path.abspath(ROOT))
     digests = {}
     with contextlib.ExitStack() as stack:
         if "server_model" in plan:
@@ -59,4 +56,33 @@ def test_seed_zero_outputs_match_the_recorded_digests(workload, tmp_path):
             assert cli.main(op["argv"]) == 0, op["name"]
             with open(op["out"], "rb") as fh:
                 digests[op["name"]] = hashlib.sha256(fh.read()).hexdigest()
-    assert digests == recorded
+    return digests
+
+
+def _recorded(workload: str) -> dict:
+    with open(os.path.join(PERFBENCH, "digests.json"), encoding="utf-8") as fh:
+        return json.load(fh)[workload]
+
+
+@pytest.mark.parametrize("workload", ["desk_sweeps", "image_fidelity", "remote_explain"])
+def test_seed_zero_outputs_match_the_recorded_digests(workload, tmp_path):
+    assert plan_digests(workload, str(tmp_path)) == _recorded(workload)
+
+
+@pytest.mark.parametrize("threads", ["1", "4"])
+@pytest.mark.parametrize("workload", ["desk_sweeps", "image_fidelity"])
+def test_seed_zero_outputs_match_the_recorded_digests_at_one_and_four_blas_threads(
+        workload, threads, tmp_path):
+    # a fresh interpreter, since OpenBLAS reads OPENBLAS_NUM_THREADS once, when
+    # numpy loads it; the fits below 64 columns still run on one thread, while
+    # the image fits and the products outside the solver take the count given
+    import localex
+
+    code = ("import json, sys; import test_digests; "
+            "print(json.dumps(test_digests.plan_digests(sys.argv[1], sys.argv[2])))")
+    path = os.pathsep.join([os.path.dirname(os.path.abspath(__file__)),
+                            os.path.dirname(os.path.dirname(localex.__file__))])
+    proc = subprocess.run([sys.executable, "-c", code, workload, str(tmp_path)],
+                          capture_output=True, text=True, check=True,
+                          env={**os.environ, "PYTHONPATH": path, "OPENBLAS_NUM_THREADS": threads})
+    assert json.loads(proc.stdout) == _recorded(workload)

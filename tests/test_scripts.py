@@ -52,3 +52,16 @@ def test_import_time_prints_its_three_figures_and_the_importtime_list():
     assert 1 <= len(entries) <= 10
     assert all(re.fullmatch(r" *\d+\.\d ms  \S+", entry) for entry in entries)
     assert "localex.cli" in [entry.split()[-1] for entry in entries]
+
+
+def test_cpu_per_op_prints_wall_cpu_and_their_ratio_for_each_op_and_the_pass():
+    proc = subprocess.run([sys.executable, os.path.join(SCRIPTS, "cpu_per_op.py"),
+                           "desk_sweeps", "-k", "1"],
+                          capture_output=True, text=True, check=True)
+    title, heading, *rows = proc.stdout.splitlines()
+    assert title == "desk_sweeps, seed 0: mean per pass over 1 passes after one warm-up"
+    assert heading.split() == ["op", "wall_s", "cpu_s", "cpu/wall"]
+    assert [row.split()[0] for row in rows] == ["stability", "converge", "fidelity",
+                                                "distributions", "explain_lime",
+                                                "shap_stability", "pass"]
+    assert all(re.fullmatch(r"\S+ +\d+\.\d{4} +\d+\.\d{4} +\d+\.\d\d", row) for row in rows)

@@ -1,3 +1,4 @@
+import concurrent.futures
 import math
 import os
 import subprocess
@@ -9,7 +10,8 @@ import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from localex.errors import SingularSystem
+from localex import solver
+from localex.errors import NonFiniteOutput, SingularSystem
 from localex.sampling import (Binomial, ExpKernel, Gaussian, Laplace, UniformBinary, Unit,
                               batch_weights, draw)
 from localex.solver import RidgeProblem, solve_weighted_ridge
@@ -152,6 +154,126 @@ def test_a_numerically_indefinite_full_rank_system_fails_the_factorization():
                     _cho_solve_w(p)
                 return
     pytest.fail("no draw reached the factorization failure")
+
+
+# ---------------------------------------------------------------------------
+# one BLAS thread below THREADED_FROM_D columns
+
+
+@pytest.fixture
+def blas(monkeypatch):
+    """The thread count put at 3, a spy on the solver's setter, and the counts
+    seen inside each fit; the count is put back afterwards."""
+    calls = solver._openblas_threads()
+    if calls is None:
+        pytest.skip("numpy's BLAS has no OpenBLAS thread calls")
+    get, set_ = calls
+    default = get()
+    seen = {"set": [], "in_fit": []}
+
+    def spy_set(n):
+        seen["set"].append(n)
+        set_(n)
+
+    fit = solver._fit
+
+    def spy_fit(problem):
+        seen["in_fit"].append(get())
+        return fit(problem)
+
+    monkeypatch.setattr(solver, "_openblas_threads", lambda: (get, spy_set))
+    monkeypatch.setattr(solver, "_fit", spy_fit)
+    set_(3)
+    yield get, seen
+    set_(default)
+
+
+def test_the_thread_calls_of_numpys_scipy_openblas_are_found():
+    if np.show_config(mode="dicts")["Build Dependencies"]["blas"]["name"] != "scipy-openblas":
+        pytest.skip("numpy does not link scipy-openblas")
+    calls = solver._openblas_threads()
+    assert calls is not None and calls[0]() >= 1
+
+
+@pytest.mark.parametrize("path", ["_ctypes", "missing"])
+def test_a_library_without_the_thread_calls_gives_no_calls(path, monkeypatch):
+    import _ctypes
+
+    lib = _ctypes.__file__ if path == "_ctypes" else os.path.join(os.getcwd(), "missing.so")
+    monkeypatch.setattr(np.linalg._umath_linalg, "__file__", lib)
+    assert solver._openblas_threads.__wrapped__() is None
+
+
+def test_a_narrow_fit_runs_on_one_thread_and_puts_the_count_back(blas):
+    get, seen = blas
+    solve_weighted_ridge(random_problem(0, n=200, d=16))
+    assert seen == {"set": [1, 3], "in_fit": [1]}
+    assert get() == 3
+
+
+def test_a_fit_of_threaded_from_d_columns_leaves_the_count_alone(blas):
+    _, seen = blas
+    solve_weighted_ridge(random_problem(0, n=400, d=solver.THREADED_FROM_D))
+    assert seen == {"set": [], "in_fit": [3]}
+
+
+@pytest.mark.parametrize("raises", ["singular", "non-finite"])
+def test_a_fit_that_raises_puts_the_count_back(raises, blas):
+    get, seen = blas
+    if raises == "singular":
+        z = np.array([[1.0, 2.0, 3.0], [1.0, 2.0, 3.0]])
+        p, error = RidgeProblem(z, np.array([1.0, 1.0]), np.ones(2), 0.0), SingularSystem
+    else:
+        p = random_problem(0, n=20, d=3)
+        p, error = RidgeProblem(p.design, p.responses * 1e300, np.ones(20), 1.0), NonFiniteOutput
+    with pytest.raises(error):
+        solve_weighted_ridge(p)
+    assert seen["set"] == [1, 3] and get() == 3
+
+
+def test_narrow_fits_on_eight_threads_each_run_on_one_and_put_the_count_back(blas):
+    get, seen = blas
+    problems = [random_problem(seed, n=64, d=4) for seed in range(8)] * 25
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with concurrent.futures.ThreadPoolExecutor(max_workers=8) as pool:
+            for future in [pool.submit(solve_weighted_ridge, p) for p in problems]:
+                future.result(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert seen["in_fit"] == [1] * len(problems)
+    assert get() == 3
+
+
+@pytest.mark.parametrize("n", [16, 256, 2048])
+def test_a_narrow_fit_has_the_same_bits_in_the_scope_and_without_it(n, monkeypatch):
+    # at these heights OpenBLAS splits no product of the fit, so the thread
+    # count cannot move a bit; the taller designs it does split are checked by
+    # the next test and by the digests at 1 and 4 threads
+    p = random_problem(n, n=n, d=16)
+    w, *fit = solve_weighted_ridge(p)
+    monkeypatch.setattr(solver, "_openblas_threads", lambda: None)
+    w_plain, *fit_plain = solve_weighted_ridge(p)
+    assert (w.tobytes(), *fit) == (w_plain.tobytes(), *fit_plain)
+
+
+def test_a_tall_narrow_fit_has_the_same_bits_at_one_and_four_threads():
+    # a 2^16 x 16 design is split across threads by OpenBLAS, which changes
+    # the last bits of w at 2 threads against 1; in the scope it runs on one
+    import localex
+
+    src = os.path.dirname(os.path.dirname(localex.__file__))
+    code = ("import hashlib, numpy as np; from localex.solver import RidgeProblem, "
+            "solve_weighted_ridge; rng = np.random.default_rng(7); n = 2**16; "
+            "w, b, r2 = solve_weighted_ridge(RidgeProblem(rng.normal(size=(n, 16)), "
+            "rng.normal(size=n), rng.uniform(0.1, 2.0, n), 0.5)); "
+            "print(hashlib.sha256(w.tobytes() + np.array([b, r2]).tobytes()).hexdigest())")
+    out = {subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          check=True, env={**os.environ, "PYTHONPATH": src,
+                                           "OPENBLAS_NUM_THREADS": threads}).stdout
+           for threads in ("1", "4")}
+    assert len(out) == 1
 
 
 def test_cli_import_leaves_scipy_linalg_stats_numpy_f2py_testing_and_http_transport_unloaded():
