@@ -3,7 +3,12 @@
 Subcommands: explain (one explanation as JSON), stability / converge /
 fidelity (sweep tables as CSV or JSON, as the config's output.format says),
 distributions (sampling-law dump).
-Exit codes: 0 success, 1 configuration or usage error, 2 runtime failure.
+Exit codes: 0 success, 1 configuration or usage error, 2 runtime failure,
+running out of memory among them. Each command runs inside
+solver.one_blas_thread: an explain of image-scale blocks keeps the second core
+busy by evaluating one block on a helper thread while it lifts the next
+(models.evaluate_blocks), and a threaded product would leave an OpenBLAS worker
+spinning through the lifts.
 """
 from __future__ import annotations
 
@@ -35,6 +40,7 @@ from .harness import (
     table_format,
 )
 from .models import check_input, load_model
+from .solver import one_blas_thread
 
 
 class _Parser(argparse.ArgumentParser):
@@ -117,15 +123,19 @@ def _cmd_distributions(args: argparse.Namespace) -> int:
 
 def main(argv: list[str] | None = None) -> int:
     try:
-        args = build_parser().parse_args(argv)
-        if args.command == "explain":
-            return _cmd_explain(args)
-        if args.command == "distributions":
-            return _cmd_distributions(args)
-        return _cmd_sweep(args)
-    except EngineError as exc:
+        with one_blas_thread():
+            args = build_parser().parse_args(argv)
+            if args.command == "explain":
+                return _cmd_explain(args)
+            if args.command == "distributions":
+                return _cmd_distributions(args)
+            return _cmd_sweep(args)
+    except (EngineError, MemoryError) as exc:
+        text = str(exc)
+        if isinstance(exc, MemoryError):  # numpy's names the array; Python's own is bare
+            text = f"out of memory: {text}" if text else "out of memory"
         # one line, whatever the text holds: a path from a config may hold line breaks
-        print("error: " + "\\n".join(str(exc).splitlines()), file=sys.stderr)
+        print("error: " + "\\n".join(text.splitlines()), file=sys.stderr)
         return 1 if isinstance(exc, ConfigError) else 2
 
 

@@ -297,15 +297,17 @@ def explain(req: ExplainRequest, samples: OneSlot | None = None) -> Explanation:
     and fit: by ridge with the method's fixed lambda, if it has one, else the
     request's, or from known moments. n records the samples used (exact
     KernelShap: all). The samples are lifted and evaluated one block at a time,
-    so memory holds the n x d samples and one block of raw points, never all n
-    of them. A remote model is asked once per distinct binary mask, in the order
-    the masks first occur, its endpoint being taken to be a function of each
-    point; the responses are then copied to every sample, so weights and fit see
-    all n, and a non-finite response is counted over the points sent. A builtin
-    model evaluates every sample, since its last bits can depend on the row
-    count of its call. samples, when given, keeps the last sample set and its
-    responses: a request with the same law, lift, n and seed on the same model,
-    input, segmentation and reference reuses them and only weights and fits."""
+    so memory holds the n x d samples and one block of raw points (two while a
+    builtin model of image-scale blocks evaluates one as the next is lifted),
+    never all n of them. A remote model is asked once per distinct binary mask,
+    in the order the masks first occur, its endpoint being taken to be a
+    function of each point; the responses are then copied to every sample, so
+    weights and fit see all n, and a non-finite response is counted over the
+    points sent. A builtin model evaluates every sample, since its last bits can
+    depend on the row count of its call. samples, when given, keeps the last
+    sample set and its responses: a request with the same law, lift, n and seed
+    on the same model, input, segmentation and reference reuses them and only
+    weights and fits."""
     method, seg = req.method, req.segmentation
     lam = req.lam if method.fixed_lam is None else method.fixed_lam
     law, kernel = method.sampler(seg.d)
@@ -322,7 +324,7 @@ def explain(req: ExplainRequest, samples: OneSlot | None = None) -> Explanation:
                 return reconstruct_binary(req.x, req.reference, seg, sent[block])
             return reconstruct_continuous(req.x, seg, sent[block])
 
-        y = evaluate_blocks(req.model, len(sent), lift, evaluate)
+        y = evaluate_blocks(req.model, len(sent), lift, evaluate, overlap=True)
         # req rides along so that the objects whose ids are in the key stay alive
         return req, design, y[back]
 

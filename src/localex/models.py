@@ -34,6 +34,12 @@ from .errors import (
 # call, so responses may differ from one whole call's in the last bits; the
 # tests pin where blocks of this size match a whole call bit for bit.
 BLOCK_ROWS = 512
+# evaluate_blocks overlaps blocks of this many values per point or more: D = 3072
+# (32x32x3 images) gains, desk's D = 16 and 64 do not. A thread handoff costs
+# about as much as lifting 512 points of 64 values: overlapping every explain of
+# more than one block raised desk_sweeps' latency_ms_tail from 0.42-0.43 ms to
+# 0.74 ms and its pass_s by a third (2-core VM, two 10 s runs, BENCH_31.json).
+OVERLAP_FROM_WIDTH = 1024
 REMOTE_MAX_TIMEOUT_MS = 3_600_000  # one hour per request
 REMOTE_MAX_RETRIES = 10  # the pauses between attempts add up to 6.55 s at most
 
@@ -183,7 +189,8 @@ class Remote(_Model):
     """HTTP adapter: POST {"points": [[...]]} -> {"values": [...]}, through
     urllib, one connection per POST. A forward call posts batch_size points at
     a time, two batches at once on two worker threads of its own, so the server
-    works on one while the client encodes or reads another."""
+    works on one while the client encodes or reads another; a call of one batch
+    posts it on the calling thread."""
 
     endpoint: str
     timeout_ms: int = 10000
@@ -211,13 +218,16 @@ class Remote(_Model):
             raise ValueError(f"retries must be in [0, {REMOTE_MAX_RETRIES}], got {self.retries}")
 
     def forward(self, pts: np.ndarray) -> np.ndarray:
-        """POST pts batch_size points at a time. Every batch is handed at once to a
-        pool of two worker threads that this call makes, so two requests at most are
-        in flight, and they may reach the server in either order. As soon as one
-        fails, the batches still queued are cancelled, and the first failure in
-        batch order is raised once both workers have stopped."""
-        import concurrent.futures
+        """POST pts batch_size points at a time. A single batch is posted on the
+        calling thread. More are handed at once to a pool of two worker threads
+        that this call makes, so two requests at most are in flight, and they may
+        reach the server in either order. As soon as one fails, the batches still
+        queued are cancelled, and the first failure in batch order is raised once
+        both workers have stopped."""
         step = self.batch_size
+        if len(pts) <= step:  # nothing to overlap, so no thread handoff to pay
+            return self._post(pts)
+        import concurrent.futures
         pool = concurrent.futures.ThreadPoolExecutor(max_workers=2)
         try:
             posts = [pool.submit(self._post, pts[start:start + step])
@@ -300,24 +310,50 @@ def _non_finite(bad: int, n: int) -> NonFiniteOutput:
 
 def evaluate_blocks(
     model: ModelSpec, n: int, rows: typing.Callable[[slice], np.ndarray],
-    evaluate: typing.Callable[[ModelSpec, np.ndarray], np.ndarray],
+    evaluate: typing.Callable[[ModelSpec, np.ndarray], np.ndarray], overlap: bool = False,
 ) -> np.ndarray:
     """The model's responses to n points made model.block_rows at a time:
     evaluate(model, rows(block)) for each block, a slice of range(n), in order.
     Callers pass the evaluate they look up themselves. Each block is made inside
     its call, so only one block of points exists at once. Raises
-    NonFiniteOutput counting over all n points.
+    NonFiniteOutput counting over all n points, else the first failure in block
+    order.
+
+    With overlap, for a builtin model of OVERLAP_FROM_WIDTH inputs or more and
+    more than one block, the calling thread makes block k + 1 while one helper
+    thread that this call makes and stops evaluates block k, so two blocks exist
+    at once. Only evaluate runs on the helper: blocks are allocated by the
+    calling thread, whose malloc arena then reuses their memory. The helper has
+    stopped by the time the call returns or raises.
     """
     y = np.empty(n)
     bad = 0
-    for start in range(0, n, model.block_rows):
-        block = slice(start, start + model.block_rows)
+    blocks = [slice(start, start + model.block_rows) for start in range(0, n, model.block_rows)]
+
+    def collect(block: slice, values: typing.Callable[[], np.ndarray]) -> None:
+        nonlocal bad
         try:
-            y[block] = evaluate(model, rows(block))
+            y[block] = values()
         except NonFiniteOutput as exc:
             if not exc.bad:  # not a count of this block's responses
                 raise
             bad += exc.bad
+
+    # a remote model's width is None: it overlaps its own POSTs
+    if overlap and len(blocks) > 1 and (model.width or 0) >= OVERLAP_FROM_WIDTH:
+        import concurrent.futures
+        with concurrent.futures.ThreadPoolExecutor(max_workers=1) as helper:
+            pending = blocks[0], helper.submit(evaluate, model, rows(blocks[0])).result
+            for block in blocks[1:]:
+                try:
+                    points = rows(block)
+                finally:  # the block before fails first in block order
+                    collect(*pending)
+                pending = block, helper.submit(evaluate, model, points).result
+            collect(*pending)
+    else:
+        for block in blocks:
+            collect(block, lambda: evaluate(model, rows(block)))
     if bad:
         raise _non_finite(bad, n)
     return y

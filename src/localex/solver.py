@@ -12,11 +12,11 @@ numpy.f2py and numpy.testing and costs about 0.2 s of every cold start, and
 even scipy's own __init__ costs about 1 MiB.
 
 A fit with fewer than THREADED_FROM_D columns runs numpy's BLAS products on
-one thread. OpenBLAS threads the products of a tall design, such as the
-65,534-row exact-KernelSHAP fit; at these widths a second thread saves no
-time, and once the product is done it spins idle for about 0.1 s, which
-doubles the CPU time of a sweep of small fits. The count is set through
-ctypes on the OpenBLAS that numpy links, found at the first narrow fit, and
+one thread, inside one_blas_thread. OpenBLAS threads the products of a tall
+design, such as the 65,534-row exact-KernelSHAP fit; at these widths a second
+thread saves no time, and once the product is done it spins idle for about
+0.1 s, which doubles the CPU time of a sweep of small fits. The count is set
+through ctypes on the OpenBLAS that numpy links, found at the first scope, and
 it is process-wide. Under another BLAS, or an OpenBLAS whose thread calls are
 not found, the scope does nothing. Where OpenBLAS splits a product of a tall
 design (from about 2^15 rows at d = 16 on 2 threads), the split moves the
@@ -67,7 +67,9 @@ _flapack = _load_flapack()
 # and 1.14-1.44x as long at d = 64 and 128 (two probes, medians of 9, in
 # BENCH_30.json), so a second thread pays from d = 64 on.
 THREADED_FROM_D = 64
-_one_thread = threading.Lock()  # held from setting the count to one to restoring it
+_count_lock = threading.Lock()  # held while _open or the thread count is read or set
+_open = 0  # one_blas_thread scopes open now, on any thread
+_restore = 0  # the count the first of them found
 
 
 @functools.cache
@@ -79,6 +81,32 @@ def _openblas_threads():
         lib = ctypes.CDLL(np.linalg._umath_linalg.__file__)
         return (ctypes.CFUNCTYPE(ctypes.c_int)(("scipy_openblas_get_num_threads64_", lib)),
                 ctypes.CFUNCTYPE(None, ctypes.c_int)(("scipy_openblas_set_num_threads64_", lib)))
+
+
+@contextlib.contextmanager
+def one_blas_thread():
+    """Run the body with OpenBLAS at one thread. Scopes nest and overlap: the
+    first to open sets the count to one, and the last to close puts back the
+    count the first found, when its body returns or raises. The scope takes its
+    lock only to count scopes and read or set the thread count, never across
+    its body, so a narrow fit inside a command's scope, on the same thread,
+    opens a scope of its own without waiting, and scopes on other threads run
+    at once. The count is process-wide: numpy's BLAS calls on every Python
+    thread run on one thread while any scope is open."""
+    global _open, _restore
+    calls = _openblas_threads()
+    with _count_lock:
+        if calls and not _open:
+            _restore = calls[0]()
+            calls[1](1)
+        _open += 1
+    try:
+        yield
+    finally:
+        with _count_lock:
+            _open -= 1
+            if calls and not _open:
+                calls[1](_restore)
 
 
 @dataclass(frozen=True)
@@ -132,21 +160,11 @@ def solve_weighted_ridge(problem: RidgeProblem) -> tuple[np.ndarray, float, floa
     rank-deficient; there is deliberately no pseudo-inverse fallback, since a
     silent minimum-norm solution would mask under-sampling.
 
-    Below THREADED_FROM_D columns the fit sets OpenBLAS to one thread and puts
-    the previous count back when it returns or raises. The count is
-    process-wide: another Python thread's numpy BLAS calls also run on one
-    thread meanwhile, and two such fits take turns.
+    Below THREADED_FROM_D columns the fit runs inside one_blas_thread.
     """
-    if problem.design.shape[1] >= THREADED_FROM_D or (calls := _openblas_threads()) is None:
+    narrow = problem.design.shape[1] < THREADED_FROM_D
+    with one_blas_thread() if narrow else contextlib.nullcontext():
         return _fit(problem)
-    get, set_ = calls
-    with _one_thread:
-        before = get()
-        set_(1)
-        try:
-            return _fit(problem)
-        finally:
-            set_(before)
 
 
 @np.errstate(over="ignore", invalid="ignore")  # overflow is reported as NonFiniteOutput

@@ -1,6 +1,9 @@
 import os.path
 
 import numpy as np
+import pytest
+
+from localex import solver
 
 from localex.explain import (
     ExplainRequest,
@@ -75,3 +78,32 @@ def image_case(kind, side, seed=0):
         model = Mlp([rng.normal(size=(dim, 32)) / np.sqrt(dim), rng.normal(size=(32, 1))],
                     [rng.normal(size=32) * 0.1, np.zeros(1)])
     return model, x, grid_segment(side, side, 3, side // 4, side // 4)
+
+
+@pytest.fixture
+def blas(monkeypatch):
+    """The thread count put at 3, a spy on the solver's setter, which every
+    one_blas_thread scope calls, and the counts seen inside each fit; the count
+    is put back afterwards."""
+    calls = solver._openblas_threads()
+    if calls is None:
+        pytest.skip("numpy's BLAS has no OpenBLAS thread calls")
+    get, set_ = calls
+    default = get()
+    seen = {"set": [], "in_fit": []}
+
+    def spy_set(n):
+        seen["set"].append(n)
+        set_(n)
+
+    fit = solver._fit
+
+    def spy_fit(problem):
+        seen["in_fit"].append(get())
+        return fit(problem)
+
+    monkeypatch.setattr(solver, "_openblas_threads", lambda: (get, spy_set))
+    monkeypatch.setattr(solver, "_fit", spy_fit)
+    set_(3)
+    yield get, seen
+    set_(default)

@@ -23,7 +23,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import ALL_METHODS
+from conftest import ALL_METHODS, asset
+from localex import cli
 from localex.cli import main
 
 # well-formed values; corrupted() puts arbitrary JSON in place of some of them
@@ -252,3 +253,24 @@ def test_an_endpoint_urllib_cannot_parse_exits_1_with_one_error_line(tmp_path, c
     code, err = run_remote_explain({"endpoint": "http://[::1/p"}, tmp_path, capsys)
     assert code == 1
     assert err.startswith("error: ") and "Invalid IPv6 URL" in err and err.count("\n") == 1, err
+
+
+@pytest.mark.parametrize("exc, line", [
+    (MemoryError("Unable to allocate 9.31 GiB for an array with shape (50000, 25000) and "
+                 "data type float64"),
+     "error: out of memory: Unable to allocate 9.31 GiB for an array with shape (50000, "
+     "25000) and data type float64\n"),
+    (MemoryError(), "error: out of memory\n"),
+], ids=["numpy", "bare"])
+def test_running_out_of_memory_exits_2_with_one_line_and_puts_the_blas_count_back(
+        exc, line, blas, monkeypatch, capsys):
+    # a sweep cell that runs out of memory records it as that cell's error and the
+    # sweep goes on; this is what reaches the command from outside a cell
+    def runner(config):
+        raise exc
+
+    get, seen = blas
+    monkeypatch.setitem(cli._RUNNERS, "stability", runner)
+    assert main(["stability", "--config", asset("stability.json")]) == 2
+    assert capsys.readouterr().err == line
+    assert seen["set"] == [1, 3] and get() == 3

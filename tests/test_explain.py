@@ -1,9 +1,11 @@
 import dataclasses
 import inspect
 import json
+import math
 import os
 import subprocess
 import sys
+import threading
 import tracemalloc
 import typing
 
@@ -17,7 +19,7 @@ from conftest import (ALL_METHODS, IMAGE_MODELS, asset, assert_same, blocks_matc
 import localex.explain as explain_module
 from localex.cli import main
 from localex.errors import (MAX_VALUES, ConfigError, DimensionTooLarge, NonFiniteOutput,
-                            ShapDegenerate)
+                            RemoteUnavailable, ShapDegenerate)
 from localex.explain import (
     ExplainRequest,
     GlimeBinomial,
@@ -40,7 +42,9 @@ from localex.feature_space import (
     singleton_segments,
 )
 from localex.harness import load_input
-from localex.models import BLOCK_ROWS, Linear, Quadratic, Remote, evaluate, load_model
+from localex import models
+from localex.models import (BLOCK_ROWS, Linear, Quadratic, Remote, evaluate, evaluate_blocks,
+                            load_model)
 from localex.sampling import (EXACT_SHAP_MAX_D, Binomial, Coalitions, DistributionSpec,
                               Gaussian, Laplace, UniformBinary, UniformBox, draw)
 from oracles import (explain_whole, gradient, infinite_limit_linear_binomial,
@@ -505,6 +509,100 @@ def test_explain_peak_memory_over_a_warm_baseline_stays_near_the_design():
         assert child.returncode == 0, name
         ratios[name] = int(out) * 1024 / (n * d * 8)
     assert all(ratios[name] <= bound for name, bound in bounds.items()), ratios
+
+
+def _spied_explain(req, monkeypatch):
+    """explain(req) and, per block evaluated, whether it was evaluated off the
+    calling thread and whether its points were column-major."""
+    caller, blocks = threading.get_ident(), []
+
+    def spy(model, points):
+        blocks.append((threading.get_ident() != caller, points.flags.f_contiguous))
+        return evaluate(model, points)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(explain_module, "evaluate", spy)
+        return explain(req), blocks
+
+
+@pytest.mark.parametrize("method", LIFTS, ids=repr)
+@pytest.mark.parametrize("n", [1300, 2048])
+def test_overlapped_blocks_give_the_serial_bits(method, n, monkeypatch):
+    model, x, seg = image_case("mlp", 32)  # 3072 -> 32 -> 1
+    req = ExplainRequest(model=model, x=x, segmentation=seg, method=method, n=n, seed=5,
+                         reference=mean_reference(x, seg))
+    exp, blocks = _spied_explain(req, monkeypatch)
+    monkeypatch.setattr(models, "OVERLAP_FROM_WIDTH", math.inf)
+    serial, serial_blocks = _spied_explain(req, monkeypatch)
+    count = -(-n // BLOCK_ROWS)
+    assert blocks == [(True, True)] * count and serial_blocks == [(False, True)] * count
+    assert np.r_[exp.w, exp.intercept, exp.r2].tobytes() == \
+        np.r_[serial.w, serial.intercept, serial.r2].tobytes()
+
+
+def _planted(n, bad_rows):
+    """n points of width 3072, with an infinity in each of bad_rows, and a
+    lift of them that records the blocks it makes."""
+    points = np.zeros((n, 3072))
+    points[bad_rows, 0] = np.inf
+    lifted = []
+
+    def rows(block):
+        lifted.append(block.start)
+        return points[block]
+
+    return rows, lifted
+
+
+def test_overlapped_blocks_count_non_finite_responses_over_all_n():
+    rows, lifted = _planted(1300, [3, 700, 701, 1299])  # blocks 0, 1 and 2
+    with pytest.raises(NonFiniteOutput, match=r"^model returned 4 non-finite value\(s\) "
+                       r"for 1300 points$"):
+        evaluate_blocks(Linear(np.ones(3072)), 1300, rows, evaluate, overlap=True)
+    assert lifted == [0, 512, 1024]
+
+
+def _pool_workers():
+    return [t for t in threading.enumerate() if t.name.startswith("ThreadPoolExecutor")]
+
+
+@pytest.mark.parametrize("lift_fails", [False, True])
+def test_an_overlapped_forward_error_is_raised_once_the_helper_has_stopped(lift_fails):
+    # block 0's forward fails while block 1 is lifted; its error comes first in
+    # block order even when block 1's lift fails too
+    rows, lifted = _planted(2048, [])
+
+    def lift(block):
+        if lift_fails and block.start:
+            raise MemoryError
+        return rows(block)
+
+    def forward(model, points):
+        raise RemoteUnavailable("block 0 failed")
+
+    with pytest.raises(RemoteUnavailable, match="block 0 failed"):
+        evaluate_blocks(Linear(np.ones(3072)), 2048, lift, forward, overlap=True)
+    assert lifted == ([0] if lift_fails else [0, 512])
+    assert _pool_workers() == []
+
+
+def test_an_overlapped_lift_error_is_raised_after_the_block_before_it_is_evaluated():
+    rows, lifted = _planted(2048, [])
+    evaluated = []
+
+    def lift(block):
+        if block.start == 1024:
+            raise MemoryError
+        return rows(block)
+
+    def forward(model, points):
+        evaluated.append(len(points))
+        return evaluate(model, points)
+
+    with pytest.raises(MemoryError):
+        evaluate_blocks(Linear(np.ones(3072)), 2048, lift, forward, overlap=True)
+    assert lifted == [0, 512] and evaluated == [512, 512]
+    assert _pool_workers() == []
 
 
 def test_blocks_leave_remote_posts_unchanged(monkeypatch):

@@ -480,6 +480,17 @@ def test_no_worker_outlives_a_forward_call(server):
     assert _pool_workers() == []
 
 
+def test_a_one_batch_call_posts_on_the_calling_thread(server, monkeypatch):
+    pts = np.arange(8.0).reshape(4, 2)
+    pooled = evaluate(Remote(server, batch_size=2), pts)
+    started, start = [], threading.Thread.start
+    monkeypatch.setattr(threading.Thread, "start", lambda self: (started.append(self), start(self)))
+    one = evaluate(Remote(server, batch_size=4), pts)
+    assert started == []
+    assert one.tobytes() == pooled.tobytes() == pts.sum(axis=1).tobytes()
+    assert _Handler.bodies[-1] == points_body(pts)
+
+
 class _Threaded(BaseHTTPRequestHandler):
     """Answers each POST with the status and values reply(points) gives, for a
     server with threads, so that a POST held in reply holds up no other."""

@@ -160,34 +160,6 @@ def test_a_numerically_indefinite_full_rank_system_fails_the_factorization():
 # one BLAS thread below THREADED_FROM_D columns
 
 
-@pytest.fixture
-def blas(monkeypatch):
-    """The thread count put at 3, a spy on the solver's setter, and the counts
-    seen inside each fit; the count is put back afterwards."""
-    calls = solver._openblas_threads()
-    if calls is None:
-        pytest.skip("numpy's BLAS has no OpenBLAS thread calls")
-    get, set_ = calls
-    default = get()
-    seen = {"set": [], "in_fit": []}
-
-    def spy_set(n):
-        seen["set"].append(n)
-        set_(n)
-
-    fit = solver._fit
-
-    def spy_fit(problem):
-        seen["in_fit"].append(get())
-        return fit(problem)
-
-    monkeypatch.setattr(solver, "_openblas_threads", lambda: (get, spy_set))
-    monkeypatch.setattr(solver, "_fit", spy_fit)
-    set_(3)
-    yield get, seen
-    set_(default)
-
-
 def test_the_thread_calls_of_numpys_scipy_openblas_are_found():
     if np.show_config(mode="dicts")["Build Dependencies"]["blas"]["name"] != "scipy-openblas":
         pytest.skip("numpy does not link scipy-openblas")
@@ -215,6 +187,14 @@ def test_a_fit_of_threaded_from_d_columns_leaves_the_count_alone(blas):
     _, seen = blas
     solve_weighted_ridge(random_problem(0, n=400, d=solver.THREADED_FROM_D))
     assert seen == {"set": [], "in_fit": [3]}
+
+
+def test_nested_scopes_set_the_count_once_and_the_outer_one_puts_it_back(blas):
+    get, seen = blas
+    with solver.one_blas_thread():
+        solve_weighted_ridge(random_problem(0, n=200, d=16))
+        assert get() == 1
+    assert seen == {"set": [1, 3], "in_fit": [1]} and get() == 3
 
 
 @pytest.mark.parametrize("raises", ["singular", "non-finite"])
