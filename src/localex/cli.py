@@ -14,10 +14,9 @@ from __future__ import annotations
 
 import argparse
 import functools
-import os.path
 import sys
 
-from .errors import ConfigError, EngineError, field, read_json, write_text
+from .errors import ConfigError, EngineError, write_text
 from .explain import (
     ExplainRequest,
     explain,
@@ -25,19 +24,18 @@ from .explain import (
     method_from_json,
 )
 from .harness import (
+    DistributionsConfig,
+    ExplainConfig,
     build_space,
-    config_block,
     distributions_table,
     emit,
     json_dumps,
     load_config,
     load_input,
     reseed,
-    resolve,
     run_convergence,
     run_fidelity,
     run_stability,
-    table_format,
 )
 from .models import check_input, load_model
 from .solver import one_blas_thread
@@ -71,26 +69,16 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _cmd_explain(args: argparse.Namespace) -> int:
-    obj = config_block(read_json(args.config, "config"), "explain config")
-    base = os.path.dirname(os.path.abspath(args.config))
-    model_path = resolve(field(obj, "model", str), base)
-    input_path = resolve(field(obj, "input", str), base)
-    method = method_from_json(field(obj, "method", dict))
-    n = field(obj, "n", int)
-    seed = field(obj, "seed", int, 0)
-    seg = field(obj, "segmentation", dict, None) or {}
-    rows, cols = field(seg, "rows", int, None), field(seg, "cols", int, None)
-    reference_kind = field(obj, "reference", str, "mean")
-    lam = field(obj, "lambda", float, 1.0)  # explain puts a method's fixed lambda in its place
-    if args.seed is not None:
-        seed = args.seed
-    model = load_model(model_path)
-    x, shape = load_input(input_path)
-    seg, reference = build_space(x, shape, rows, cols, reference_kind)
+    config = load_config(args.config, ExplainConfig)
+    method = method_from_json(config.method)
+    model = load_model(config.model)
+    x, shape = load_input(config.input)
+    seg, reference = build_space(x, shape, config.segmentation, config.reference)
     check_input(model, x)
     req = ExplainRequest(
-        model=model, x=x, segmentation=seg, method=method,
-        n=n, seed=seed, lam=lam, reference=reference,
+        model=model, x=x, segmentation=seg, method=method, n=config.n,
+        seed=config.seed if args.seed is None else args.seed, lam=config.lam,
+        reference=reference,
     )
     exp = explain(req)
     write_text(json_dumps(explanation_to_json(exp)) + "\n", args.out)
@@ -108,16 +96,13 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     config = load_config(args.config)
     if args.seed is not None:
         config = reseed(config, args.seed)
-    emit(_RUNNERS[args.command](config), config.out_format, args.out)
+    emit(_RUNNERS[args.command](config), config.output.format, args.out)
     return 0
 
 
 def _cmd_distributions(args: argparse.Namespace) -> int:
-    obj = config_block(read_json(args.config, "config"), "distributions config")
-    fmt = table_format(obj)
-    rows = distributions_table(field(obj, "d", int), field(obj, "sigmas", [float]),
-                               field(obj, "ks", [int], None))
-    emit(rows, fmt, args.out)
+    config = load_config(args.config, DistributionsConfig)
+    emit(distributions_table(config.d, config.sigmas, config.ks), config.output.format, args.out)
     return 0
 
 

@@ -10,8 +10,8 @@ import functools
 import json
 import os
 import sys
-from dataclasses import MISSING, fields
-from typing import Any, get_type_hints
+from dataclasses import MISSING, fields, is_dataclass
+from typing import Any, get_args, get_origin, get_type_hints
 
 import numpy as np
 
@@ -104,33 +104,34 @@ def read_json(path: str, what: str) -> Any:
         raise ConfigError(f"cannot read {what} {path}: {exc}") from exc
 
 
-# each field kind: the JSON types it takes (true and false are never numbers) and its
-# name in errors. An np.ndarray field takes an array of numbers, read by read_numbers.
+# each scalar field kind: the JSON types it takes (true and false are never numbers)
+# and its name in errors; tuple stands for tuple[X, ...], a JSON array of X
 _FIELD_KINDS = {int: ((int,), "an integer"), float: ((int, float), "a number"),
                 bool: ((bool,), "true or false"), str: ((str,), "a string"),
-                dict: ((dict,), "an object"), list: ((list,), "a list")}
+                dict: ((dict,), "an object"), tuple: ((list,), "a list")}
 
 
-def field(obj: dict, key: str, kind: Any, default: Any = MISSING) -> Any:
-    """obj[key] read as kind: int, float (any number, returned as a float), bool, str,
-    dict, np.ndarray (read_numbers), or [kind], a list of kind returned as a tuple. An
-    absent key, or null where the default is None, reads as the default; without one
-    it is a ConfigError, as is a value that kind does not take."""
-    if key not in obj or obj[key] is None and default is None:
-        if default is MISSING:
-            raise ConfigError(f"missing field {key!r}")
-        return default
+def field(obj: dict, key: str, kind: Any) -> Any:
+    """obj[key] read as kind, an annotation read_fields takes; an absent key is a
+    ConfigError."""
+    if key not in obj:
+        raise ConfigError(f"missing field {key!r}")
     return _as_kind(obj[key], kind, key)
 
 
 def _as_kind(value: Any, kind: Any, name: str) -> Any:
     if kind is np.ndarray:
         return read_numbers(value, name)
-    listed = isinstance(kind, list)
-    types, expected = _FIELD_KINDS[list if listed else kind]
+    if is_dataclass(kind):
+        return kind(**read_fields(kind, {} if value is None else value, name))
+    args = get_args(kind)
+    if type(None) in args:  # X | None
+        return None if value is None else _as_kind(value, args[0], name)
+    origin = get_origin(kind) or kind
+    types, expected = _FIELD_KINDS[origin]
     if isinstance(value, types) and (bool in types or not isinstance(value, bool)):
-        if listed:
-            return tuple(_as_kind(item, kind[0], f"{name}[{i}]") for i, item in enumerate(value))
+        if origin is tuple:
+            return tuple(_as_kind(item, args[0], f"{name}[{i}]") for i, item in enumerate(value))
         try:
             return float(value) if kind is float else value
         except OverflowError:  # an integer literal beyond the double range
@@ -162,11 +163,23 @@ def read_numbers(value: Any, name: str) -> np.ndarray:
 _type_hints = functools.cache(get_type_hints)  # a class's annotations, resolved once
 
 
-def read_fields(cls: type, obj: dict) -> dict:
-    """Keyword arguments for dataclass cls from a JSON object, each field read by its
-    annotation and an absent one taking its default."""
+def read_fields(cls: type, obj: Any, name: str, tags: tuple[str, ...] = ()) -> dict:
+    """Keyword arguments for dataclass cls from a JSON object, called name in errors.
+    Each field is read from its key, its name or else its metadata["key"], by its
+    annotation: int, float (any number, returned as a float), bool, str, dict,
+    np.ndarray (read_numbers), tuple[X, ...] (a list of X), X | None (null reads as
+    None) or a dataclass (an object read by this function, null reading as {}, so as
+    the class's defaults). An absent field takes its default; without one it is a ConfigError,
+    as is a value its annotation does not take and a key that is neither a field's
+    nor among tags."""
+    if not isinstance(obj, dict):
+        raise ConfigError(f"{name} must be a JSON object")
+    keys = {f.metadata.get("key", f.name): f for f in fields(cls)}
+    if unknown := next((key for key in obj if key not in keys and key not in tags), None):
+        raise ConfigError(f"{name} has no field {unknown!r}")
     hints = _type_hints(cls)
-    return {f.name: field(obj, f.name, hints[f.name], f.default) for f in fields(cls)}
+    return {f.name: field(obj, key, hints[f.name]) if key in obj or f.default is MISSING
+            else f.default for key, f in keys.items()}
 
 
 def write_text(text: str, path: str | None) -> None:

@@ -162,12 +162,14 @@ def method_to_json(method: MethodSpec) -> dict:
 
 
 def method_from_json(obj: dict) -> MethodSpec:
+    """A method entry: the method tag, then its fields. Every entry accepts sigma,
+    which a sweep adds to each, and a method without one (KernelShap) ignores it."""
     name = field(obj, "method", str)
     if name not in _METHODS:
         raise ConfigError(f"unknown method: {name!r}")
     cls = _METHODS[name]
     try:
-        return cls(**read_fields(cls, obj))
+        return cls(**read_fields(cls, obj, f"{name} method entry", ("method", "sigma")))
     except MALFORMED as exc:
         raise ConfigError(f"malformed {name} method entry: {exc}") from exc
 

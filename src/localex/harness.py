@@ -2,7 +2,7 @@
 sizes, and regularization, emitting plot-ready CSV/JSON tables.
 
 Grid cells are independent; failures are recorded in an error column instead of
-aborting the sweep. Re-running an identical config yields byte-identical files:
+aborting the sweep, except running out of memory, which stops it. Re-running an identical config yields byte-identical files:
 floats are serialized with 17 significant digits and rows follow grid order.
 """
 from __future__ import annotations
@@ -19,8 +19,7 @@ from typing import Any, Callable
 
 import numpy as np
 
-from .errors import (ConfigError, check_rows, check_scale, field, read_json, read_numbers,
-                     write_text)
+from .errors import ConfigError, check_rows, check_scale, read_fields, read_json, write_text
 from .explain import (
     ExplainRequest,
     Explanation,
@@ -120,29 +119,70 @@ def emit(rows: list[dict], fmt: str, path: str | None) -> None:
 # configuration
 
 
-@dataclass(frozen=True)
-class ExperimentConfig:
-    """A sweep grid: methods x sigmas x lambdas x sample sizes, seeds within."""
+# Each JSON object a command reads is a frozen dataclass whose fields are its keys,
+# read by errors.read_fields; a nested object is a dataclass field, null its defaults.
 
-    model_path: str
-    input_path: str
-    method_entries: tuple[dict, ...]
-    sigmas: tuple[float, ...]
-    sample_sizes: tuple[int, ...]
-    lambdas: tuple[float, ...]
-    seeds: tuple[int, ...] = DEFAULT_SEEDS
-    grid_rows: int | None = None
-    grid_cols: int | None = None
-    reference_kind: str = "mean"
+
+@dataclass(frozen=True)
+class Grid:
+    """A config's segmentation: rows x cols grid cells on an image input; with
+    neither given, every coordinate is its own feature."""
+
+    rows: int | None = None
+    cols: int | None = None
+
+
+@dataclass(frozen=True)
+class Metrics:
+    """A sweep config's metrics: stability's top-K (None: min(20, d)), and
+    fidelity's ball radii, norms and ball points."""
+
     k: int | None = None
     epsilons: tuple[float, ...] = (0.5,)
     norms: tuple[str, ...] = ("l2",)
     m: int = 2048
-    out_format: str = "csv"
 
     def __post_init__(self) -> None:
-        for name in ("method_entries", "sigmas", "sample_sizes", "lambdas", "seeds",
-                     "epsilons", "norms"):
+        for name in ("epsilons", "norms"):
+            if not getattr(self, name):
+                raise ConfigError(f"{name} must be non-empty")
+        check_scale("epsilons", *self.epsilons, error=ConfigError)
+        if any(norm not in NORMS for norm in self.norms):
+            raise ConfigError(f"norms must be among {', '.join(NORMS)}")
+        if self.m < 1:
+            raise ConfigError("m must be >= 1")
+
+
+@dataclass(frozen=True)
+class Output:
+    """A table config's output: the table's format. --out names its file."""
+
+    format: str = "csv"
+
+    def __post_init__(self) -> None:
+        if self.format not in ("csv", "json"):
+            raise ConfigError("output format must be csv or json")
+
+
+@dataclass(frozen=True)
+class ExperimentConfig:
+    """A sweep config: a grid of methods x sigmas x lambdas x sample sizes, seeds
+    within. Each method entry is a method's JSON fields without sigma."""
+
+    model: str
+    input: str
+    methods: tuple[dict, ...]
+    sigmas: tuple[float, ...]
+    sample_sizes: tuple[int, ...]
+    lambdas: tuple[float, ...]
+    seeds: tuple[int, ...] = DEFAULT_SEEDS
+    segmentation: Grid = Grid()
+    reference: str = "mean"
+    metrics: Metrics = Metrics()
+    output: Output = Output()
+
+    def __post_init__(self) -> None:
+        for name in ("methods", "sigmas", "sample_sizes", "lambdas", "seeds"):
             if not getattr(self, name):
                 raise ConfigError(f"{name} must be non-empty")
         if len(set(self.seeds)) != len(self.seeds):
@@ -151,15 +191,10 @@ class ExperimentConfig:
             raise ConfigError("seeds must be >= 0")
         if any(n < 1 for n in self.sample_sizes):
             raise ConfigError("sample sizes must be >= 1")
-        for name in ("sigmas", "epsilons"):
-            check_scale(name, *getattr(self, name), error=ConfigError)
+        check_scale("sigmas", *self.sigmas, error=ConfigError)
         if not all(0 <= lam < math.inf for lam in self.lambdas):
             raise ConfigError("lambdas must be finite and >= 0")
-        if any(norm not in NORMS for norm in self.norms):
-            raise ConfigError(f"norms must be among {', '.join(NORMS)}")
-        if self.m < 1:
-            raise ConfigError("m must be >= 1")
-        for entry in self.method_entries:
+        for entry in self.methods:
             if "sigma" in entry:
                 raise ConfigError(
                     "method entries must not pin sigma; it comes from the sigmas axis"
@@ -167,69 +202,57 @@ class ExperimentConfig:
             method_from_json({**entry, "sigma": 1.0})  # validate tag and flags early
 
 
-def resolve(path: str, base_dir: str) -> str:
-    """A path from a config file, taken relative to the file's directory."""
-    return path if os.path.isabs(path) else os.path.join(base_dir, path)
+@dataclass(frozen=True)
+class ExplainConfig:
+    """An explain config: one method entry explained with n samples."""
+
+    model: str
+    input: str
+    method: dict
+    n: int
+    seed: int = 0
+    segmentation: Grid = Grid()
+    reference: str = "mean"
+    # explain puts a method's fixed lambda in its place
+    lam: float = dataclasses.field(default=1.0, metadata={"key": "lambda"})
 
 
-def config_block(value: Any, what: str) -> dict:
-    """A config file's top level, which must be a JSON object."""
-    if not isinstance(value, dict):
-        raise ConfigError(f"{what} must be a JSON object")
-    return value
+@dataclass(frozen=True)
+class DistributionsConfig:
+    """A distributions config: the arguments of distributions_table."""
+
+    d: int
+    sigmas: tuple[float, ...]
+    ks: tuple[int, ...] | None = None
+    output: Output = Output()
 
 
-def table_format(obj: dict) -> str:
-    """A table config's output format, csv or json: its `output` block holds
-    `format` alone, since --out names where the table goes."""
-    out = field(obj, "output", dict, None) or {}
-    if extra := sorted(set(out) - {"format"}):
-        raise ConfigError(f"output holds only format, not {extra}; "
-                          "write a table to a file with --out")
-    fmt = field(out, "format", str, "csv")
-    if fmt not in ("csv", "json"):
-        raise ConfigError("output format must be csv or json")
-    return fmt
+@dataclass(frozen=True)
+class InputFile:
+    """An input file that is an object; a file that is an array holds values alone."""
+
+    values: np.ndarray
+    shape: tuple[int, ...] | None = None
 
 
-def config_from_json(obj: Any, base_dir: str = ".") -> ExperimentConfig:
-    obj = config_block(obj, "experiment config")
-    seg = field(obj, "segmentation", dict, None) or {}
-    met = field(obj, "metrics", dict, None) or {}
-    return ExperimentConfig(
-        model_path=resolve(field(obj, "model", str), base_dir),
-        input_path=resolve(field(obj, "input", str), base_dir),
-        method_entries=field(obj, "methods", [dict]),
-        sigmas=field(obj, "sigmas", [float]),
-        sample_sizes=field(obj, "sample_sizes", [int]),
-        lambdas=field(obj, "lambdas", [float]),
-        seeds=field(obj, "seeds", [int], DEFAULT_SEEDS),
-        grid_rows=field(seg, "rows", int, None),
-        grid_cols=field(seg, "cols", int, None),
-        reference_kind=field(obj, "reference", str, "mean"),
-        k=field(met, "k", int, None),
-        epsilons=field(met, "epsilons", [float], (0.5,)),
-        norms=field(met, "norms", [str], ("l2",)),
-        m=field(met, "m", int, 2048),
-        out_format=table_format(obj),
-    )
-
-
-def load_config(path: str) -> ExperimentConfig:
+def load_config(path: str, cls: type = ExperimentConfig) -> Any:
+    """The config file at path read as cls: ExperimentConfig, ExplainConfig or
+    DistributionsConfig. Its model and input paths are taken relative to the
+    file's directory."""
+    values = read_fields(cls, read_json(path, "config"), "config")
     base_dir = os.path.dirname(os.path.abspath(path))
-    return config_from_json(read_json(path, "config"), base_dir=base_dir)
+    for key in {"model", "input"} & values.keys():
+        values[key] = os.path.join(base_dir, values[key])  # an absolute path stays
+    return cls(**values)
 
 
 def load_input(path: str) -> tuple[np.ndarray, tuple[int, ...] | None]:
     """Input file: either a flat JSON array or {"values": [...], "shape": [...]}, whose
     shape holds exactly its values."""
     obj = read_json(path, "input")
-    try:
-        values = read_numbers(obj if isinstance(obj, list) else obj["values"], "values")
-    # KeyError, TypeError: neither an array nor an object that holds values
-    except (KeyError, TypeError, ConfigError) as exc:
-        raise ConfigError(f"malformed input file {path}: {exc}") from exc
-    shape = None if isinstance(obj, list) else field(obj, "shape", [int], None)
+    file = InputFile(**read_fields(InputFile, obj if isinstance(obj, dict) else {"values": obj},
+                                   "input file"))
+    values, shape = file.values, file.shape
     if values.ndim != 1 or values.size == 0:
         raise ConfigError(f"input file {path} must hold a non-empty flat array of numbers")
     if not np.all(np.isfinite(values)):
@@ -247,41 +270,32 @@ class RunContext:
     reference: Reference
 
 
-def build_space(
-    x: np.ndarray,
-    shape: tuple[int, ...] | None,
-    grid_rows: int | None,
-    grid_cols: int | None,
-    reference_kind: str,
-) -> tuple[Segmentation, Reference]:
+def build_space(x: np.ndarray, shape: tuple[int, ...] | None, grid: Grid,
+                reference: str) -> tuple[Segmentation, Reference]:
     """Segmentation and reference for an input: grid cells or singletons."""
-    if grid_rows is not None or grid_cols is not None:
+    if grid.rows is not None or grid.cols is not None:
         if shape is None or len(shape) not in (2, 3):
             raise ConfigError("grid segmentation needs an input with an image shape")
-        if grid_rows is None or grid_cols is None:
+        if grid.rows is None or grid.cols is None:
             raise ConfigError("grid segmentation needs both rows and cols")
         h, w, c = (*shape, 1)[:3]  # an h x w image has one channel
-        seg = grid_segment(h, w, c, grid_rows, grid_cols)
+        seg = grid_segment(h, w, c, grid.rows, grid.cols)
     else:
         seg = singleton_segments(x.shape[0])
-    if reference_kind == "mean":
-        reference = mean_reference(x, seg)
-    elif reference_kind == "zero":
-        reference = Reference(np.zeros_like(x))
-    else:
-        raise ConfigError("reference must be 'mean' or 'zero'")
-    return seg, reference
+    if reference == "mean":
+        return seg, mean_reference(x, seg)
+    if reference == "zero":
+        return seg, Reference(np.zeros_like(x))
+    raise ConfigError("reference must be 'mean' or 'zero'")
 
 
 def build_context(config: ExperimentConfig) -> RunContext:
-    model = load_model(config.model_path)
-    x, shape = load_input(config.input_path)
-    seg, reference = build_space(
-        x, shape, config.grid_rows, config.grid_cols, config.reference_kind
-    )
+    model = load_model(config.model)
+    x, shape = load_input(config.input)
+    seg, reference = build_space(x, shape, config.segmentation, config.reference)
     check_input(model, x)
     check_rows("sample size", max(config.sample_sizes), x.size)
-    check_rows("m", config.m, x.size)
+    check_rows("m", config.metrics.m, x.size)
     return RunContext(model, x, seg, reference)
 
 
@@ -291,9 +305,13 @@ def build_context(config: ExperimentConfig) -> RunContext:
 
 def _attempt(compute: Callable[[], Any]) -> Any:
     """compute()'s value, or its failure as a cell's error text: the text, not
-    the exception, whose traceback would pin the arrays of the frames it left."""
+    the exception, whose traceback would pin the arrays of the frames it left.
+    Running out of memory is raised instead and stops the sweep: it depends on
+    the machine, not the config, so a table recording it would not reproduce."""
     try:
         return compute()
+    except MemoryError:
+        raise
     except Exception as exc:  # record, keep sweeping
         return f"{type(exc).__name__}: {exc}"
 
@@ -349,13 +367,14 @@ def run_stability(config: ExperimentConfig) -> list[dict]:
         raise ConfigError("stability needs at least two seeds")
     ctx = build_context(config)
     d = ctx.segmentation.d
-    if config.k is not None and not 1 <= config.k <= d:
-        raise ConfigError(f"k must be in [1, {d}], got {config.k}")
+    k = config.metrics.k
+    if k is not None and not 1 <= k <= d:
+        raise ConfigError(f"k must be in [1, {d}], got {k}")
 
     return [_cell_row({"method": method.label, "sigma": sigma, "lambda": lam, "n": n},
-                      ("mean_jaccard", "std"), exps, lambda *e: top_k_jaccard(e, config.k))
+                      ("mean_jaccard", "std"), exps, lambda *e: top_k_jaccard(e, k))
             for (method, sigma, lam, n), exps in _explain_grid(
-                ctx, config, config.method_entries, config.seeds)]
+                ctx, config, config.methods, config.seeds)]
 
 
 def run_convergence(config: ExperimentConfig) -> list[dict]:
@@ -365,7 +384,7 @@ def run_convergence(config: ExperimentConfig) -> list[dict]:
     Each (sigma, lambda) group carries an mse_monotone flag: whether the MSE
     strictly decreases across the sample-size grid.
     """
-    methods = [method_from_json({**entry, "sigma": 1.0}) for entry in config.method_entries]
+    methods = [method_from_json({**entry, "sigma": 1.0}) for entry in config.methods]
     if methods != [Lime(1.0)]:
         raise ConfigError('converge compares Lime with GlimeBinomial: methods must be '
                           '[{"method": "Lime"}]')
@@ -399,8 +418,9 @@ def run_fidelity(config: ExperimentConfig) -> list[dict]:
         raise ConfigError("fidelity explains at one sample size and one lambda: "
                           "sample_sizes and lambdas must each hold one value")
     ctx = build_context(config)
-    grid = _explain_grid(ctx, config, config.method_entries, config.seeds)
-    pairs = list(itertools.product(config.epsilons, config.norms))
+    grid = _explain_grid(ctx, config, config.methods, config.seeds)
+    met = config.metrics
+    pairs = list(itertools.product(met.epsilons, met.norms))
     # per (cell, epsilon, norm), the cell's per-seed explanations; each one that
     # is scored is then overwritten by its fidelity or its ball's failure
     vals = {(i, *pair): list(exps) for i, (_, exps) in enumerate(grid) for pair in pairs}
@@ -409,10 +429,10 @@ def run_fidelity(config: ExperimentConfig) -> list[dict]:
         scored = [i for i, (_, exps) in enumerate(grid) if isinstance(exps[k], Explanation)]
         if not scored:
             continue
-        for norm, eps in itertools.product(config.norms, config.epsilons):
+        for norm, eps in itertools.product(met.norms, met.epsilons):
             reports = _attempt(lambda: local_fidelity(
                 ctx.model, ctx.x, [grid[i][1][k] for i in scored], ctx.segmentation,
-                eps, norm, config.m, substream_seed(s, _BALL_STREAM), balls,
+                eps, norm, met.m, substream_seed(s, _BALL_STREAM), balls,
             ))
             for j, i in enumerate(scored):  # a failed ball fails every cell it scores
                 vals[i, eps, norm][k] = reports if isinstance(reports, str) else reports[j]

@@ -54,8 +54,7 @@ def _check_finite(*params: np.ndarray | float) -> None:
 class _Model:
     """A model kind's row, read by evaluate and the file codec instead of its
     type: these attributes and forward(points). A model file holds the kind tag,
-    then fields_to_json(); from_fields reads them back, an absent field taking
-    its dataclass default."""
+    then fields_to_json(); from_fields reads them back with read_fields."""
 
     kind: str  # the model file's "kind" tag
     width: int | None  # declared input width; None: the server defines it
@@ -67,7 +66,7 @@ class _Model:
 
     @classmethod
     def from_fields(cls, obj: dict) -> ModelSpec:
-        return cls(**read_fields(cls, obj))
+        return cls(**read_fields(cls, obj, f"{cls.kind} model", ("kind",)))
 
 
 @dataclass(frozen=True)
@@ -165,9 +164,23 @@ class Mlp(_Model):
 
     @classmethod
     def from_fields(cls, obj: dict) -> Mlp:
-        layers = field(obj, "layers", [dict])
-        return cls([field(layer, "weights", np.ndarray) for layer in layers],
-                   [field(layer, "bias", np.ndarray) for layer in layers])
+        layers = read_fields(_MlpFile, obj, "mlp model", ("kind",))["layers"]
+        return cls([layer.weights for layer in layers], [layer.bias for layer in layers])
+
+
+@dataclass(frozen=True)
+class Layer:
+    """One entry of an mlp model file's layers."""
+
+    weights: np.ndarray
+    bias: np.ndarray
+
+
+@dataclass(frozen=True)
+class _MlpFile:
+    """An mlp model file's fields."""
+
+    layers: tuple[Layer, ...]
 
 
 def points_body(batch: np.ndarray) -> bytes:

@@ -354,14 +354,14 @@ def stability_rows_direct(config: ExperimentConfig) -> list[dict]:
     ctx = build_context(config)
     rows = []
     for entry, sigma, lam, n in itertools.product(
-        config.method_entries, config.sigmas, config.lambdas, config.sample_sizes
+        config.methods, config.sigmas, config.lambdas, config.sample_sizes
     ):
         method = method_from_json({**entry, "sigma": sigma})
         row = {"method": method.label, "sigma": sigma, "lambda": lam, "n": n,
                "mean_jaccard": None, "std": None, "error": ""}
         try:
             exps = [_explain_direct(ctx, method, n, lam, s) for s in config.seeds]
-            row.update(top_k_jaccard(exps, config.k))
+            row.update(top_k_jaccard(exps, config.metrics.k))
         except Exception as exc:
             row["error"] = _failure_text(exc)
         rows.append(row)
@@ -400,7 +400,7 @@ def fidelity_rows_direct(config: ExperimentConfig) -> list[dict]:
     ctx = build_context(config)
     rows = []
     for entry, sigma, eps, norm in itertools.product(
-        config.method_entries, config.sigmas, config.epsilons, config.norms
+        config.methods, config.sigmas, config.metrics.epsilons, config.metrics.norms
     ):
         method = method_from_json({**entry, "sigma": sigma})
         row = {"method": method.label, "sigma": sigma, "epsilon": eps, "norm": norm,
@@ -410,7 +410,8 @@ def fidelity_rows_direct(config: ExperimentConfig) -> list[dict]:
             for s in config.seeds:
                 exp = _explain_direct(ctx, method, config.sample_sizes[0], config.lambdas[0], s)
                 vals += local_fidelity(ctx.model, ctx.x, [exp], ctx.segmentation,
-                                       eps, norm, config.m, substream_seed(s, _BALL_STREAM))
+                                       eps, norm, config.metrics.m,
+                                       substream_seed(s, _BALL_STREAM))
             row["fidelity_mean"] = float(np.mean(vals))
             row["fidelity_std"] = float(np.std(vals))
         except Exception as exc:

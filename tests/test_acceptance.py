@@ -27,7 +27,7 @@ from localex.feature_space import (
     mean_reference,
     singleton_segments,
 )
-from localex.harness import ExperimentConfig, emit, load_input, run_stability
+from localex.harness import ExperimentConfig, Grid, Metrics, emit, load_input, run_stability
 from localex.metrics import local_fidelity
 from localex.models import Linear, Quadratic, evaluate, load_model
 from localex.sampling import (
@@ -153,13 +153,13 @@ def test_criterion_05_weighted_and_weight_free_routes_share_a_limit():
 def test_criterion_06_weight_free_masks_stabilize_small_sigma_rankings():
     with budget(120):
         config = ExperimentConfig(
-            model_path=asset("linear_8x8.json"),
-            input_path=asset("input_8x8.json"),
-            method_entries=({"method": "Lime"},
+            model=asset("linear_8x8.json"),
+            input=asset("input_8x8.json"),
+            methods=({"method": "Lime"},
                             {"method": "Lime", "unit_weights": True},
                             {"method": "GlimeBinomial"}),
             sigmas=(0.25,), sample_sizes=(256,), lambdas=(1.0,),
-            seeds=tuple(range(10)), grid_rows=4, grid_cols=4, k=5)
+            seeds=tuple(range(10)), segmentation=Grid(4, 4), metrics=Metrics(k=5))
         rows = {r["method"]: r for r in run_stability(config)}
         assert all(r["error"] == "" for r in rows.values())
         binom = rows["GlimeBinomial"]["mean_jaccard"]
@@ -318,11 +318,11 @@ def test_criterion_11_solver_invariances_and_failure_modes():
 
 def test_criterion_12_identical_configs_reproduce_byte_identical_outputs(tmp_path):
     config = ExperimentConfig(
-        model_path=asset("linear_8x8.json"),
-        input_path=asset("input_8x8.json"),
-        method_entries=({"method": "Lime"}, {"method": "GlimeBinomial"}),
+        model=asset("linear_8x8.json"),
+        input=asset("input_8x8.json"),
+        methods=({"method": "Lime"}, {"method": "GlimeBinomial"}),
         sigmas=(0.5, 1.0), sample_sizes=(128,), lambdas=(1.0,),
-        seeds=(0, 1, 2), grid_rows=4, grid_cols=4, k=5)
+        seeds=(0, 1, 2), segmentation=Grid(4, 4), metrics=Metrics(k=5))
     for fmt in ("csv", "json"):
         first = tmp_path / f"first.{fmt}"
         second = tmp_path / f"second.{fmt}"

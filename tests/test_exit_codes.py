@@ -264,8 +264,7 @@ def test_an_endpoint_urllib_cannot_parse_exits_1_with_one_error_line(tmp_path, c
 ], ids=["numpy", "bare"])
 def test_running_out_of_memory_exits_2_with_one_line_and_puts_the_blas_count_back(
         exc, line, blas, monkeypatch, capsys):
-    # a sweep cell that runs out of memory records it as that cell's error and the
-    # sweep goes on; this is what reaches the command from outside a cell
+    # a sweep cell that runs out of memory stops the sweep the same way
     def runner(config):
         raise exc
 

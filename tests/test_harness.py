@@ -20,9 +20,12 @@ from localex.cli import main
 from localex.errors import MAX_VALUES, ConfigError, IoFailure, NonFiniteOutput, write_text
 from localex.explain import KernelShap, SmoothGrad, method_to_json
 from localex.harness import (
+    DistributionsConfig,
     ExperimentConfig,
+    Grid,
+    Metrics,
+    Output,
     build_context,
-    config_from_json,
     distributions_table,
     emit,
     fmt_float,
@@ -108,7 +111,7 @@ def test_emit_rejects_bad_tables(tmp_path):
 def test_load_config_resolves_paths_relative_to_the_file(tmp_path):
     path = write_workspace(tmp_path)
     config = load_config(path)
-    assert config.model_path == str(tmp_path / "model.json")
+    assert config.model == str(tmp_path / "model.json")
     ctx = build_context(config)
     assert ctx.segmentation.d == 4
     assert ctx.x.shape == (8,)
@@ -121,8 +124,8 @@ def test_method_entries_must_not_pin_sigma(tmp_path):
 
 
 def test_config_rejects_empty_and_duplicate_grids():
-    base = dict(model_path="m", input_path="i",
-                method_entries=({"method": "Lime"},), sigmas=(1.0,),
+    base = dict(model="m", input="i",
+                methods=({"method": "Lime"},), sigmas=(1.0,),
                 sample_sizes=(8,), lambdas=(1.0,), seeds=(0, 1))
     ExperimentConfig(**base)
     with pytest.raises(ConfigError):
@@ -180,9 +183,28 @@ def test_an_input_shape_must_hold_its_values_with_or_without_a_grid(tmp_path, ca
             f"error: input length 8 does not match shape {tuple(shape)}\n")
 
 
-def test_config_from_json_reports_missing_keys():
-    with pytest.raises(ConfigError):
-        config_from_json({"model": "m.json"})
+def test_load_config_reports_missing_keys(tmp_path):
+    with pytest.raises(ConfigError, match="missing field 'input'"):
+        load_config(json_file(tmp_path, {"model": "m.json"}))
+
+
+def test_null_reads_as_the_default_for_objects_and_optional_fields(tmp_path):
+    sweep = load_config(write_workspace(tmp_path, segmentation=None, metrics=None, output=None))
+    assert (sweep.segmentation, sweep.metrics, sweep.output) == (Grid(), Metrics(), Output())
+    assert load_config(write_workspace(tmp_path, metrics={"k": None, "m": 64})).metrics.k is None
+    dist = load_config(json_file(tmp_path, {"d": 3, "sigmas": [0.5], "ks": None, "output": None}),
+                       DistributionsConfig)
+    assert (dist.ks, dist.output) == (None, Output())
+    assert load_input(json_file(tmp_path, {"values": [1.0, 2.0], "shape": None}))[1] is None
+
+
+def test_the_readmes_sweep_config_reads_as_a_sweep_config(tmp_path):
+    with open(os.path.join(os.path.dirname(__file__), "..", "README.md"), encoding="utf-8") as fh:
+        readme = fh.read()
+    block = readme.split("### Sweep config schema")[1].split("```json\n")[1].split("```")[0]
+    config = load_config(json_file(tmp_path, json.loads(block)))
+    assert config.model == str(tmp_path / "linear_8x8.json")
+    assert config.segmentation == Grid(4, 4) and config.metrics == Metrics(k=5)
 
 
 def test_grid_segmentation_requires_an_image_shape(tmp_path):
@@ -232,6 +254,21 @@ def test_run_stability_records_cell_failures_and_continues(tmp_path):
     assert "DimensionTooLarge" in by_method["KernelShap"]["error"]
     assert by_method["KernelShap"]["mean_jaccard"] is None
     assert by_method["GlimeGauss"]["error"] == ""
+
+
+def test_running_out_of_memory_in_a_cell_stops_the_sweep(tmp_path, monkeypatch, capsys):
+    # how much memory a cell finds depends on the machine, not on the config
+    def explain(req, samples, real=harness.explain):
+        if req.method.label == "GlimeBinomial":
+            raise MemoryError("Unable to allocate 8.00 GiB for an array")
+        return real(req, samples)
+
+    monkeypatch.setattr(harness, "explain", explain)
+    out = tmp_path / "table.csv"
+    assert main(["stability", "--config", write_workspace(tmp_path), "--out", str(out)]) == 2
+    assert capsys.readouterr() == ("", "error: out of memory: Unable to allocate 8.00 GiB "
+                                       "for an array\n")
+    assert not out.exists()
 
 
 def test_run_stability_needs_two_seeds(tmp_path):
@@ -1027,15 +1064,72 @@ def test_cli_reports_bad_values_in_one_error_line(tmp_path, capsys, make_args, c
     assert err.startswith("error:") and err.count("\n") == 1, err
 
 
-@pytest.mark.parametrize("command", TABLE_CONFIGS)
-def test_an_output_block_names_no_file(tmp_path, capsys, command):
-    # --out alone names a table's file; a config's output.path is refused, not ignored
+def with_output_path(tmp, command):
+    """A copy of the bundled config of a table command whose output block also
+    holds a path."""
     with open(asset(TABLE_CONFIGS[command]), encoding="utf-8") as fh:
-        config = {**json.load(fh), "output": {"path": "table.csv", "format": "csv"}}
-    assert main([command, "--config", json_file(tmp_path, config)]) == 1
-    assert capsys.readouterr() == ("", "error: output holds only format, not ['path']; "
-                                       "write a table to a file with --out\n")
-    assert list(tmp_path.iterdir()) == [tmp_path / "file.json"]
+        config = json.load(fh)
+    return json_file(tmp, {**config, "output": {"path": "table.csv", "format": "csv"}})
+
+
+IDENTITY = [[1, 0, 0], [0, 1, 0], [0, 0, 1]]
+
+
+@pytest.mark.parametrize("make_args, line", [
+    (lambda tmp: ["explain", "--config",
+                  explain_config(tmp, [0.3, -0.2, 0.5], 1.0, lamda=5)],
+     "config has no field 'lamda'"),
+    (lambda tmp: ["stability", "--config", write_workspace(tmp, metric={"k": 3})],
+     "config has no field 'metric'"),
+    (lambda tmp: ["distributions", "--config",
+                  json_file(tmp, {"d": 4, "sigmas": [0.5], "k": [1]})],
+     "config has no field 'k'"),
+    (lambda tmp: ["explain", "--config", explain_config(
+        tmp, [0.3, -0.2, 0.5], 1.0, segmentation={"rows": 1, "colz": 3})],
+     "segmentation has no field 'colz'"),
+    (lambda tmp: ["fidelity", "--config",
+                  write_workspace(tmp, metrics={"m": 64, "epsilon": [0.25]})],
+     "metrics has no field 'epsilon'"),
+    # a config's output.path is refused, not ignored: --out alone names a table's file
+    *[(lambda tmp, command=command: [command, "--config", with_output_path(tmp, command)],
+       "output has no field 'path'") for command in TABLE_CONFIGS],
+    (lambda tmp: ["explain", "--config", with_method(
+        explain_config(tmp, [0.3, -0.2, 0.5], 1.0), unit_weight=True)],
+     "Lime method entry has no field 'unit_weight'"),
+    (lambda tmp: ["stability", "--config",
+                  write_workspace(tmp, methods=[{"method": "KernelShap", "exct": False}])],
+     "KernelShap method entry has no field 'exct'"),
+    (lambda tmp: ["explain", "--config",
+                  with_model(explain_config(tmp, [0.3, -0.2, 0.5], 1.0), bais=0.1)],
+     "linear model has no field 'bais'"),
+    (lambda tmp: ["explain", "--config", model_explain_config(
+        tmp, {"kind": "quadratic", "matrix": IDENTITY, "coefficients": [0, 0, 0],
+              "coefficient": [0, 0, 0]})],
+     "quadratic model has no field 'coefficient'"),
+    (lambda tmp: ["explain", "--config", remote_explain_config(tmp, timeout=5)],
+     "remote model has no field 'timeout'"),
+    (lambda tmp: ["explain", "--config", model_explain_config(
+        tmp, {"kind": "mlp", "layers": [{"weights": IDENTITY, "bias": [0, 0, 0]},
+                                        {"weights": [[1], [1], [1]], "bias": [0]}],
+              "activation": "relu"})],
+     "mlp model has no field 'activation'"),
+    (lambda tmp: ["explain", "--config", model_explain_config(
+        tmp, {"kind": "mlp", "layers": [{"weights": IDENTITY, "bias": [0, 0, 0]},
+                                        {"weights": [[1], [1], [1]], "biases": [0]}]})],
+     "layers[1] has no field 'biases'"),
+    (lambda tmp: ["explain", "--config", explain_config(
+        tmp, [0.3, -0.2, 0.5], 1.0, x={"values": [1.0, 2.0, 3.0], "shap": [3]})],
+     "input file has no field 'shap'"),
+], ids=["explain-config", "sweep-config", "distributions-config", "segmentation", "metrics",
+        *[f"{command}-output" for command in TABLE_CONFIGS], "method-entry",
+        "sweep-method-entry", "linear-model", "quadratic-model", "remote-model", "mlp-model",
+        "mlp-layer", "input-file"])
+def test_a_misspelled_key_exits_1_with_one_line_naming_it_and_its_object(tmp_path, capsys,
+                                                                         make_args, line):
+    out = tmp_path / "out"
+    assert main([*make_args(tmp_path), "--out", str(out)]) == 1
+    assert capsys.readouterr() == ("", f"error: {line}\n")
+    assert not out.exists()
 
 
 def test_an_mlp_without_layers_is_reported_as_such(tmp_path, capsys):
