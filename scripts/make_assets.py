@@ -13,7 +13,7 @@ import numpy as np
 sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
 
 from localex.harness import json_dumps  # noqa: E402
-from localex.models import Linear, Mlp, Quadratic, model_to_json  # noqa: E402
+from localex.models import Layer, Linear, Mlp, Quadratic, model_to_json  # noqa: E402
 
 ASSETS = os.path.join(os.path.dirname(__file__), "..", "assets")
 
@@ -50,7 +50,7 @@ def main() -> None:
     b1 = rng.normal(size=16) * 0.1
     w2 = rng.normal(size=(16, 1)) * 0.5
     b2 = rng.normal(size=1) * 0.1
-    write("mlp_small.json", model_to_json(Mlp((w1, w2), (b1, b2))))
+    write("mlp_small.json", model_to_json(Mlp((Layer(w1, b1), Layer(w2, b2)))))
     write("input_8.json", {"values": rng.normal(size=8).tolist(), "shape": [8]})
 
     # sample configs that exercise each CLI subcommand

@@ -34,11 +34,11 @@ MAX_VALUES = 2**27  # float64 values one array of rows may hold: 1 GiB
 
 
 def check_rows(name: str, rows: int, width: int) -> None:
-    """Raise ConfigError unless rows of width float64 values fit in MAX_VALUES,
-    so that no count read from a config asks for an unbounded array."""
+    """Raise ConfigError unless rows of width float64 values, an array called name,
+    fit in MAX_VALUES, so that no count read from a config asks for an unbounded
+    array."""
     if rows * width > MAX_VALUES:
-        raise ConfigError(f"{name} x width must be at most {MAX_VALUES} values, "
-                          f"got {rows} x {width}")
+        raise ConfigError(f"{name} must be at most {MAX_VALUES} values, got {rows} x {width}")
 
 
 class EngineError(Exception):
@@ -111,11 +111,11 @@ _FIELD_KINDS = {int: ((int,), "an integer"), float: ((int, float), "a number"),
                 dict: ((dict,), "an object"), tuple: ((list,), "a list")}
 
 
-def field(obj: dict, key: str, kind: Any) -> Any:
+def field(obj: dict, key: str, kind: Any, name: str) -> Any:
     """obj[key] read as kind, an annotation read_fields takes; an absent key is a
-    ConfigError."""
+    ConfigError naming obj as name."""
     if key not in obj:
-        raise ConfigError(f"missing field {key!r}")
+        raise ConfigError(f"{name} is missing field {key!r}")
     return _as_kind(obj[key], kind, key)
 
 
@@ -178,7 +178,7 @@ def read_fields(cls: type, obj: Any, name: str, tags: tuple[str, ...] = ()) -> d
     if unknown := next((key for key in obj if key not in keys and key not in tags), None):
         raise ConfigError(f"{name} has no field {unknown!r}")
     hints = _type_hints(cls)
-    return {f.name: field(obj, key, hints[f.name]) if key in obj or f.default is MISSING
+    return {f.name: field(obj, key, hints[f.name], name) if key in obj or f.default is MISSING
             else f.default for key, f in keys.items()}
 
 

@@ -164,7 +164,7 @@ def method_to_json(method: MethodSpec) -> dict:
 def method_from_json(obj: dict) -> MethodSpec:
     """A method entry: the method tag, then its fields. Every entry accepts sigma,
     which a sweep adds to each, and a method without one (KernelShap) ignores it."""
-    name = field(obj, "method", str)
+    name = field(obj, "method", str, "method entry")
     if name not in _METHODS:
         raise ConfigError(f"unknown method: {name!r}")
     cls = _METHODS[name]
@@ -198,7 +198,8 @@ class ExplainRequest:
             )
         if self.n < 1:
             raise ConfigError(f"sample count must be >= 1, got {self.n}")
-        check_rows("n", self.n, x.size)
+        check_rows("n x width", self.n, x.size)
+        check_rows("the ridge system's d x d", self.segmentation.d, self.segmentation.d)
         if self.seed < 0:
             raise ConfigError(f"seed must be >= 0, got {self.seed}")
         if not 0 <= self.lam < math.inf:

@@ -294,8 +294,9 @@ def build_context(config: ExperimentConfig) -> RunContext:
     x, shape = load_input(config.input)
     seg, reference = build_space(x, shape, config.segmentation, config.reference)
     check_input(model, x)
-    check_rows("sample size", max(config.sample_sizes), x.size)
-    check_rows("m", config.metrics.m, x.size)
+    check_rows("sample size x width", max(config.sample_sizes), x.size)
+    check_rows("m x width", config.metrics.m, x.size)
+    check_rows("the ridge system's d x d", seg.d, seg.d)
     return RunContext(model, x, seg, reference)
 
 
@@ -365,6 +366,7 @@ def run_stability(config: ExperimentConfig) -> list[dict]:
     """Mean/std of pairwise top-K Jaccard across seeds, per grid cell."""
     if len(config.seeds) < 2:
         raise ConfigError("stability needs at least two seeds")
+    check_rows("the seed pairs", len(config.seeds) * (len(config.seeds) - 1) // 2, 1)
     ctx = build_context(config)
     d = ctx.segmentation.d
     k = config.metrics.k

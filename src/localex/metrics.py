@@ -41,7 +41,8 @@ def top_k_jaccard(explanations: Sequence[Explanation], k: int | None = None) -> 
     if not 1 <= k <= d:
         raise ValueError(f"k must be in [1, {d}], got {k}")
     tops = [frozenset(top_k_indices(e.w, k).tolist()) for e in explanations]
-    pairs = [len(a & b) / len(a | b) for a, b in itertools.combinations(tops, 2)]
+    pairs = np.fromiter((len(a & b) / len(a | b) for a, b in itertools.combinations(tops, 2)),
+                        np.float64, count=len(tops) * (len(tops) - 1) // 2)
     return {"mean_jaccard": float(np.mean(pairs)), "std": float(np.std(pairs))}
 
 

@@ -54,19 +54,11 @@ def _check_finite(*params: np.ndarray | float) -> None:
 class _Model:
     """A model kind's row, read by evaluate and the file codec instead of its
     type: these attributes and forward(points). A model file holds the kind tag,
-    then fields_to_json(); from_fields reads them back with read_fields."""
+    then the kind's fields, which are its constructor's arguments."""
 
     kind: str  # the model file's "kind" tag
     width: int | None  # declared input width; None: the server defines it
     block_rows: int = BLOCK_ROWS  # the most points one forward call is given
-
-    def fields_to_json(self) -> dict:
-        values = {f.name: getattr(self, f.name) for f in dataclasses.fields(self)}
-        return {k: v.tolist() if isinstance(v, np.ndarray) else v for k, v in values.items()}
-
-    @classmethod
-    def from_fields(cls, obj: dict) -> ModelSpec:
-        return cls(**read_fields(cls, obj, f"{cls.kind} model", ("kind",)))
 
 
 @dataclass(frozen=True)
@@ -120,67 +112,52 @@ class Quadratic(_Model):
 
 
 @dataclass(frozen=True)
-class Mlp(_Model):
-    """Fixed-weight dense network, tanh hidden activations, scalar linear output.
-
-    weights[i] has shape (fan_in, fan_out); weights are loaded from a file and
-    never trained. The file lists them as layers of {"weights", "bias"}.
-    """
-
-    weights: tuple[np.ndarray, ...]
-    biases: tuple[np.ndarray, ...]
-    kind = "mlp"
-
-    def __post_init__(self) -> None:
-        ws = tuple(np.asarray(w, dtype=np.float64) for w in self.weights)
-        bs = tuple(np.asarray(b, dtype=np.float64) for b in self.biases)
-        if not ws:
-            raise ValueError("a network needs at least one layer")
-        if len(ws) != len(bs):
-            raise ValueError("need one bias vector per weight matrix")
-        for w, b in zip(ws, bs):
-            if w.ndim != 2 or b.shape != (w.shape[1],):
-                raise ValueError("layer shapes are inconsistent")
-        if ws[-1].shape[1] != 1:
-            raise ValueError("output layer must produce a scalar")
-        for w_prev, w_next in zip(ws, ws[1:]):
-            if w_prev.shape[1] != w_next.shape[0]:
-                raise ValueError("consecutive layer widths do not chain")
-        _check_finite(*ws, *bs)
-        object.__setattr__(self, "weights", ws)
-        object.__setattr__(self, "biases", bs)
-
-    width = property(lambda self: self.weights[0].shape[0])
-
-    def forward(self, pts: np.ndarray) -> np.ndarray:
-        h = pts
-        for w, b in zip(self.weights[:-1], self.biases[:-1]):
-            h = np.tanh(h @ w + b)
-        return (h @ self.weights[-1] + self.biases[-1])[:, 0]
-
-    def fields_to_json(self) -> dict:
-        return {"layers": [{"weights": w.tolist(), "bias": b.tolist()}
-                           for w, b in zip(self.weights, self.biases)]}
-
-    @classmethod
-    def from_fields(cls, obj: dict) -> Mlp:
-        layers = read_fields(_MlpFile, obj, "mlp model", ("kind",))["layers"]
-        return cls([layer.weights for layer in layers], [layer.bias for layer in layers])
-
-
-@dataclass(frozen=True)
 class Layer:
-    """One entry of an mlp model file's layers."""
+    """One dense layer of an mlp: weights of shape (fan_in, fan_out) and a bias of
+    length fan_out, both finite."""
 
     weights: np.ndarray
     bias: np.ndarray
 
+    def __post_init__(self) -> None:
+        w = np.asarray(self.weights, dtype=np.float64)
+        b = np.asarray(self.bias, dtype=np.float64)
+        if w.ndim != 2 or b.shape != (w.shape[1],):
+            raise ValueError("layer shapes are inconsistent")
+        _check_finite(w, b)
+        object.__setattr__(self, "weights", w)
+        object.__setattr__(self, "bias", b)
+
 
 @dataclass(frozen=True)
-class _MlpFile:
-    """An mlp model file's fields."""
+class Mlp(_Model):
+    """Fixed-weight dense network, tanh hidden activations, scalar linear output.
+
+    Its layers are loaded from a file and never trained.
+    """
 
     layers: tuple[Layer, ...]
+    kind = "mlp"
+
+    def __post_init__(self) -> None:
+        layers = tuple(self.layers)
+        if not layers:
+            raise ValueError("a network needs at least one layer")
+        if layers[-1].weights.shape[1] != 1:
+            raise ValueError("output layer must produce a scalar")
+        for prev, layer in zip(layers, layers[1:]):
+            if prev.weights.shape[1] != layer.weights.shape[0]:
+                raise ValueError("consecutive layer widths do not chain")
+        object.__setattr__(self, "layers", layers)
+
+    width = property(lambda self: self.layers[0].weights.shape[0])
+
+    def forward(self, pts: np.ndarray) -> np.ndarray:
+        h = pts
+        for layer in self.layers[:-1]:
+            h = np.tanh(h @ layer.weights + layer.bias)
+        out = self.layers[-1]
+        return (h @ out.weights + out.bias)[:, 0]
 
 
 def points_body(batch: np.ndarray) -> bytes:
@@ -397,17 +374,28 @@ def evaluate(model: ModelSpec, points: np.ndarray) -> np.ndarray:
 def model_from_json(obj: dict) -> ModelSpec:
     if not isinstance(obj, dict):
         raise ConfigError("model file must be a JSON object")
-    kind = field(obj, "kind", str)
+    kind = field(obj, "kind", str, "model file")
     if kind not in _KINDS:
         raise ConfigError(f"unknown model kind: {kind!r}")
+    cls = _KINDS[kind]
     try:
-        return _KINDS[kind].from_fields(obj)
+        return cls(**read_fields(cls, obj, f"{kind} model", ("kind",)))
     except MALFORMED as exc:
         raise ConfigError(f"malformed '{kind}' model: {exc}") from exc
 
 
+def _to_json(value: typing.Any) -> typing.Any:
+    """A model field as JSON: a dataclass as an object of its fields, a tuple or
+    an array as a list."""
+    if dataclasses.is_dataclass(value):
+        return {f.name: _to_json(getattr(value, f.name)) for f in dataclasses.fields(value)}
+    if isinstance(value, tuple):
+        return [_to_json(item) for item in value]
+    return value.tolist() if isinstance(value, np.ndarray) else value
+
+
 def model_to_json(model: ModelSpec) -> dict:
-    return {"kind": model.kind, **model.fields_to_json()}
+    return {"kind": model.kind, **_to_json(model)}
 
 
 def load_model(path: str) -> ModelSpec:

@@ -11,17 +11,16 @@ scipy.linalg would first run the package's __init__, which pulls in
 numpy.f2py and numpy.testing and costs about 0.2 s of every cold start, and
 even scipy's own __init__ costs about 1 MiB.
 
-A fit with fewer than THREADED_FROM_D columns runs numpy's BLAS products on
-one thread, inside one_blas_thread. OpenBLAS threads the products of a tall
-design, such as the 65,534-row exact-KernelSHAP fit; at these widths a second
-thread saves no time, and once the product is done it spins idle for about
-0.1 s, which doubles the CPU time of a sweep of small fits. The count is set
-through ctypes on the OpenBLAS that numpy links, found at the first scope, and
-it is process-wide. Under another BLAS, or an OpenBLAS whose thread calls are
-not found, the scope does nothing. Where OpenBLAS splits a product of a tall
-design (from about 2^15 rows at d = 16 on 2 threads), the split moves the
-last bits of w, so a narrow fit now has its one-thread bits at any thread
-count; shorter designs are not split and have the same bits either way.
+Every fit runs numpy's BLAS products on one thread, inside one_blas_thread.
+OpenBLAS threads the products of a tall design, such as the 65,534-row
+exact-KernelSHAP fit, and once the product is done its idle worker spins for
+about 0.1 s, which doubles the CPU time of a sweep of small fits. The count is
+set through ctypes on the OpenBLAS that numpy links, found at the first scope,
+and it is process-wide. Under another BLAS, or an OpenBLAS whose thread calls
+are not found, the scope does nothing. Where OpenBLAS splits a product of a
+tall design (from about 2^15 rows at d = 16 on 2 threads), the split moves the
+last bits of w, so every fit has its one-thread bits at any thread count;
+shorter designs are not split and have the same bits either way.
 """
 from __future__ import annotations
 
@@ -62,11 +61,6 @@ def _load_flapack():
 
 _flapack = _load_flapack()
 
-# Narrower fits run on one BLAS thread. On 2 cores the products of a fit on 2^11
-# to 2^17 rows took 0.81-1.20x as long on one thread as on two at d = 16 and 32,
-# and 1.14-1.44x as long at d = 64 and 128 (two probes, medians of 9, in
-# BENCH_30.json), so a second thread pays from d = 64 on.
-THREADED_FROM_D = 64
 _count_lock = threading.Lock()  # held while _open or the thread count is read or set
 _open = 0  # one_blas_thread scopes open now, on any thread
 _restore = 0  # the count the first of them found
@@ -89,10 +83,10 @@ def one_blas_thread():
     first to open sets the count to one, and the last to close puts back the
     count the first found, when its body returns or raises. The scope takes its
     lock only to count scopes and read or set the thread count, never across
-    its body, so a narrow fit inside a command's scope, on the same thread,
-    opens a scope of its own without waiting, and scopes on other threads run
-    at once. The count is process-wide: numpy's BLAS calls on every Python
-    thread run on one thread while any scope is open."""
+    its body, so a fit inside a command's scope, on the same thread, opens a
+    scope of its own without waiting, and scopes on other threads run at once.
+    The count is process-wide: numpy's BLAS calls on every Python thread run on
+    one thread while any scope is open."""
     global _open, _restore
     calls = _openblas_threads()
     with _count_lock:
@@ -160,10 +154,9 @@ def solve_weighted_ridge(problem: RidgeProblem) -> tuple[np.ndarray, float, floa
     rank-deficient; there is deliberately no pseudo-inverse fallback, since a
     silent minimum-norm solution would mask under-sampling.
 
-    Below THREADED_FROM_D columns the fit runs inside one_blas_thread.
+    The fit runs inside one_blas_thread.
     """
-    narrow = problem.design.shape[1] < THREADED_FROM_D
-    with one_blas_thread() if narrow else contextlib.nullcontext():
+    with one_blas_thread():
         return _fit(problem)
 
 

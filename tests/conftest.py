@@ -17,7 +17,7 @@ from localex.explain import (
     explain,
 )
 from localex.feature_space import grid_segment, singleton_segments
-from localex.models import BLOCK_ROWS, Linear, Mlp, Quadratic
+from localex.models import BLOCK_ROWS, Layer, Linear, Mlp, Quadratic
 
 ASSETS = os.path.join(os.path.dirname(__file__), "..", "assets")
 
@@ -75,8 +75,8 @@ def image_case(kind, side, seed=0):
     elif kind == "quadratic":
         model = Quadratic(rng.normal(size=(dim, dim)) * 0.01, rng.normal(size=dim) * 0.1, 0.1)
     else:
-        model = Mlp([rng.normal(size=(dim, 32)) / np.sqrt(dim), rng.normal(size=(32, 1))],
-                    [rng.normal(size=32) * 0.1, np.zeros(1)])
+        w1, w2 = rng.normal(size=(dim, 32)) / np.sqrt(dim), rng.normal(size=(32, 1))
+        model = Mlp([Layer(w1, rng.normal(size=32) * 0.1), Layer(w2, np.zeros(1))])
     return model, x, grid_segment(side, side, 3, side // 4, side // 4)
 
 

@@ -3,6 +3,7 @@ import inspect
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 import threading
@@ -180,6 +181,16 @@ def test_request_validates_counts_and_lambda():
         request(Lime(0.5), n=MAX_VALUES // X8.size + 1)
 
 
+def test_request_bounds_the_d_x_d_ridge_system_by_the_value_limit():
+    # 11,585^2 values fit in MAX_VALUES and 11,586^2 do not; n = 1 keeps n x D small
+    d = math.isqrt(MAX_VALUES)
+    request(GlimeGauss(0.5), n=1, x=np.zeros(d), seg=singleton_segments(d))
+    with pytest.raises(ConfigError, match=re.escape(
+            f"the ridge system's d x d must be at most {MAX_VALUES} values, "
+            f"got {d + 1} x {d + 1}")):
+        request(GlimeGauss(0.5), n=1, x=np.zeros(d + 1), seg=singleton_segments(d + 1))
+
+
 # ---------------------------------------------------------------------------
 # determinism
 
@@ -349,13 +360,11 @@ def test_smoothgrad_approaches_the_gradient_as_sigma_shrinks():
     # needs curvature in the gradient (tanh) so the smoothing bias dominates,
     # and a probe point with f ~ 0 so the noise term stays bounded as sigma
     # shrinks
-    from localex.models import Mlp
+    from localex.models import Layer, Mlp
 
     rng = np.random.default_rng(7)
-    model = Mlp(
-        (rng.normal(size=(4, 12)) * 0.6, rng.normal(size=(12, 1)) * 0.6),
-        (rng.normal(size=12) * 0.1, rng.normal(size=1) * 0.1),
-    )
+    w1, w2 = rng.normal(size=(4, 12)) * 0.6, rng.normal(size=(12, 1)) * 0.6
+    model = Mlp((Layer(w1, rng.normal(size=12) * 0.1), Layer(w2, rng.normal(size=1) * 0.1)))
     pts = rng.normal(size=(500, 4))
     vals = evaluate(model, pts)
     a = pts[np.argmax(vals)]

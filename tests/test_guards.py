@@ -12,7 +12,7 @@ from localex.feature_space import (Reference, Segmentation, feature_offsets, mea
                                    singleton_segments)
 from localex.harness import json_dumps
 from localex.metrics import explanation_distance, local_fidelity, top_k_jaccard
-from localex.models import Linear, Mlp
+from localex.models import Linear
 from localex.sampling import (UniformBinary, Unit, batch_weights, binomial_pmf, draw,
                               expected_weight_uniform)
 from localex.solver import RidgeProblem
@@ -73,8 +73,6 @@ GUARDS = {
                                ValueError, "k must be in [0, 2], got 3"),
     "expected-weight-d-zero": (lambda: expected_weight_uniform(0, 1.0),
                                ValueError, "d must be >= 1, got 0"),
-    "mlp-bias-count": (lambda: Mlp((np.ones((2, 1)),), ()),
-                       ValueError, "need one bias vector per weight matrix"),
     "json-dumps-object": (lambda: json_dumps(object()), TypeError, "cannot serialize object"),
 }
 

@@ -5,6 +5,7 @@ import json
 import math
 import os.path
 import pkgutil
+import re
 import subprocess
 import sys
 import tracemalloc
@@ -153,6 +154,25 @@ def test_build_context_bounds_rows_by_the_value_limit(tmp_path, counts):
         build_context(load_config(write_workspace(tmp_path, **counts(rows + 1))))
 
 
+def test_build_context_bounds_the_d_x_d_ridge_system_by_the_value_limit(tmp_path):
+    # singleton segments on an input of d values: d = 11,585 fits, 11,586 does not
+    d = math.isqrt(MAX_VALUES)
+    build_context(load_config(write_workspace(tmp_path, d=d, segmentation=None)))
+    with pytest.raises(ConfigError, match=re.escape(
+            f"the ridge system's d x d must be at most {MAX_VALUES} values, "
+            f"got {d + 1} x {d + 1}")):
+        build_context(load_config(write_workspace(tmp_path, d=d + 1, segmentation=None)))
+
+
+def test_a_wide_explain_exits_1_before_it_forms_its_d_x_d_system(tmp_path, capsys):
+    # n x D = 192,000 values, but the 12,000 x 12,000 Gram alone would take 1.07 GiB
+    path = explain_config(tmp_path, [0.1] * 12_000, 0.5, method="GlimeGauss",
+                          x=[0.5] * 12_000, n=16)
+    assert main(["explain", "--config", path]) == 1
+    assert capsys.readouterr() == ("", f"error: the ridge system's d x d must be at most "
+                                       f"{MAX_VALUES} values, got 12000 x 12000\n")
+
+
 def test_unknown_method_in_config_fails_early(tmp_path):
     path = write_workspace(tmp_path, methods=[{"method": "Anchors"}])
     with pytest.raises(ConfigError):
@@ -275,6 +295,22 @@ def test_run_stability_needs_two_seeds(tmp_path):
     config = load_config(write_workspace(tmp_path, seeds=[0]))
     with pytest.raises(ConfigError):
         run_stability(config)
+
+
+def test_run_stability_bounds_its_seed_pairs_by_the_value_limit(tmp_path, monkeypatch):
+    # 16,384 seeds make 134,209,536 pairs, within MAX_VALUES; 16,385 make more
+    class Checked(Exception):
+        pass
+
+    def build_context(config):
+        raise Checked
+
+    monkeypatch.setattr(harness, "build_context", build_context)
+    with pytest.raises(Checked):
+        run_stability(load_config(write_workspace(tmp_path, seeds=list(range(16_384)))))
+    with pytest.raises(ConfigError, match=re.escape(
+            f"the seed pairs must be at most {MAX_VALUES} values, got 134225920 x 1")):
+        run_stability(load_config(write_workspace(tmp_path, seeds=list(range(16_385)))))
 
 
 def test_run_convergence_attaches_a_monotone_flag_per_group(tmp_path):
@@ -1126,6 +1162,37 @@ IDENTITY = [[1, 0, 0], [0, 1, 0], [0, 0, 1]]
         "mlp-layer", "input-file"])
 def test_a_misspelled_key_exits_1_with_one_line_naming_it_and_its_object(tmp_path, capsys,
                                                                          make_args, line):
+    out = tmp_path / "out"
+    assert main([*make_args(tmp_path), "--out", str(out)]) == 1
+    assert capsys.readouterr() == ("", f"error: {line}\n")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("make_args, line", [
+    (lambda tmp: ["explain", "--config",
+                  model_explain_config(tmp, {"kind": "mlp", "layers": [None]})],
+     "layers[0] is missing field 'weights'"),
+    (lambda tmp: ["explain", "--config", model_explain_config(
+        tmp, {"kind": "mlp", "layers": [{"weights": IDENTITY, "bias": [0, 0, 0]},
+                                        {"weights": [[1], [1], [1]]}]})],
+     "layers[1] is missing field 'bias'"),
+    (lambda tmp: ["explain", "--config", model_explain_config(tmp, {"kind": "linear"})],
+     "linear model is missing field 'coefficients'"),
+    (lambda tmp: ["explain", "--config", model_explain_config(tmp, {"coefficients": [1, 2, 3]})],
+     "model file is missing field 'kind'"),
+    (lambda tmp: ["explain", "--config",
+                  explain_config(tmp, [0.3, -0.2, 0.5], 1.0, x={"shape": [3]})],
+     "input file is missing field 'values'"),
+    (lambda tmp: ["stability", "--config", json_file(tmp, {"model": "m.json"})],
+     "config is missing field 'input'"),
+    (lambda tmp: ["stability", "--config", write_workspace(tmp, methods=[{"unit_weights": True}])],
+     "method entry is missing field 'method'"),
+    (lambda tmp: ["distributions", "--config", json_file(tmp, {"sigmas": [0.5]})],
+     "config is missing field 'd'"),
+], ids=["mlp-layer-null", "mlp-layer-bias", "linear-model", "model-file", "input-file",
+        "sweep-config", "sweep-method-entry", "distributions-config"])
+def test_a_missing_field_exits_1_with_one_line_naming_it_and_its_object(tmp_path, capsys,
+                                                                        make_args, line):
     out = tmp_path / "out"
     assert main([*make_args(tmp_path), "--out", str(out)]) == 1
     assert capsys.readouterr() == ("", f"error: {line}\n")

@@ -68,6 +68,17 @@ def test_jaccard_matches_set_arithmetic():
                       "std": pytest.approx(np.std(pairs))}
 
 
+@pytest.mark.parametrize("count", [2, 3, 10, 57])
+def test_jaccard_has_the_bits_of_the_mean_and_std_of_a_list_of_pair_scores(count):
+    rng = np.random.default_rng(count)
+    for k in (1, 3, 5):
+        exps = [make_exp(rng.normal(size=8).round(1), seed) for seed in range(count)]
+        tops = [set(top_k_indices(e.w, k).tolist()) for e in exps]
+        pairs = [jaccard_direct(a, b) for i, a in enumerate(tops) for b in tops[i + 1:]]
+        report = top_k_jaccard(exps, k)
+        assert report == {"mean_jaccard": float(np.mean(pairs)), "std": float(np.std(pairs))}
+
+
 def test_jaccard_default_k_caps_at_twenty():
     # the top 20 of 0..29 are 10..29: top 20 of the reverse shares 10..19 of them
     exps = [make_exp(np.arange(30.0)), make_exp(np.arange(30.0)[::-1], seed=1)]

@@ -34,6 +34,7 @@ from localex.errors import (
 from localex.models import (
     REMOTE_MAX_RETRIES,
     REMOTE_MAX_TIMEOUT_MS,
+    Layer,
     Linear,
     Mlp,
     Quadratic,
@@ -51,10 +52,8 @@ from oracles import (central_difference_gradient, distinct_rows_direct, explain_
 
 def small_mlp() -> Mlp:
     rng = np.random.default_rng(5)
-    return Mlp(
-        (rng.normal(size=(3, 8)) * 0.5, rng.normal(size=(8, 1)) * 0.5),
-        (rng.normal(size=8) * 0.1, rng.normal(size=1) * 0.1),
-    )
+    w1, w2 = rng.normal(size=(3, 8)) * 0.5, rng.normal(size=(8, 1)) * 0.5
+    return Mlp((Layer(w1, rng.normal(size=8) * 0.1), Layer(w2, rng.normal(size=1) * 0.1)))
 
 
 # ---------------------------------------------------------------------------
@@ -83,15 +82,16 @@ def test_quadratic_symmetrizes_its_matrix():
 def test_mlp_forward_matches_manual_computation():
     m = small_mlp()
     x = np.array([0.2, -0.4, 1.0])
-    manual = np.tanh(x @ m.weights[0] + m.biases[0]) @ m.weights[1] + m.biases[1]
+    first, out = m.layers
+    manual = np.tanh(x @ first.weights + first.bias) @ out.weights + out.bias
     assert evaluate(m, x[None])[0] == pytest.approx(manual[0], rel=1e-14)
 
 
 def test_mlp_rejects_inconsistent_layers():
     with pytest.raises(ValueError):
-        Mlp((np.zeros((3, 4)), np.zeros((5, 1))), (np.zeros(4), np.zeros(1)))
+        Mlp((Layer(np.zeros((3, 4)), np.zeros(4)), Layer(np.zeros((5, 1)), np.zeros(1))))
     with pytest.raises(ValueError):
-        Mlp((np.zeros((3, 2)),), (np.zeros(2),))  # output width != 1
+        Mlp((Layer(np.zeros((3, 2)), np.zeros(2)),))  # output width != 1
 
 
 def test_evaluate_rejects_wrong_width():

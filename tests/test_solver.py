@@ -157,7 +157,7 @@ def test_a_numerically_indefinite_full_rank_system_fails_the_factorization():
 
 
 # ---------------------------------------------------------------------------
-# one BLAS thread below THREADED_FROM_D columns
+# every fit on one BLAS thread
 
 
 def test_the_thread_calls_of_numpys_scipy_openblas_are_found():
@@ -176,17 +176,12 @@ def test_a_library_without_the_thread_calls_gives_no_calls(path, monkeypatch):
     assert solver._openblas_threads.__wrapped__() is None
 
 
-def test_a_narrow_fit_runs_on_one_thread_and_puts_the_count_back(blas):
+@pytest.mark.parametrize("d", [16, 64])
+def test_a_narrow_fit_runs_on_one_thread_and_puts_the_count_back(d, blas):
     get, seen = blas
-    solve_weighted_ridge(random_problem(0, n=200, d=16))
+    solve_weighted_ridge(random_problem(0, n=400, d=d))
     assert seen == {"set": [1, 3], "in_fit": [1]}
     assert get() == 3
-
-
-def test_a_fit_of_threaded_from_d_columns_leaves_the_count_alone(blas):
-    _, seen = blas
-    solve_weighted_ridge(random_problem(0, n=400, d=solver.THREADED_FROM_D))
-    assert seen == {"set": [], "in_fit": [3]}
 
 
 def test_nested_scopes_set_the_count_once_and_the_outer_one_puts_it_back(blas):
@@ -238,15 +233,17 @@ def test_a_narrow_fit_has_the_same_bits_in_the_scope_and_without_it(n, monkeypat
     assert (w.tobytes(), *fit) == (w_plain.tobytes(), *fit_plain)
 
 
-def test_a_tall_narrow_fit_has_the_same_bits_at_one_and_four_threads():
-    # a 2^16 x 16 design is split across threads by OpenBLAS, which changes
-    # the last bits of w at 2 threads against 1; in the scope it runs on one
+@pytest.mark.parametrize("n, d, seed", [(2**16, 16, 7), (2**15, 64, 0)])
+def test_a_tall_narrow_fit_has_the_same_bits_at_one_and_four_threads(n, d, seed):
+    # OpenBLAS splits the products of these designs across threads, which
+    # changes the last bits of w at 4 threads against 1; in the scope each
+    # runs on one
     import localex
 
     src = os.path.dirname(os.path.dirname(localex.__file__))
     code = ("import hashlib, numpy as np; from localex.solver import RidgeProblem, "
-            "solve_weighted_ridge; rng = np.random.default_rng(7); n = 2**16; "
-            "w, b, r2 = solve_weighted_ridge(RidgeProblem(rng.normal(size=(n, 16)), "
+            f"solve_weighted_ridge; rng = np.random.default_rng({seed}); n = {n}; "
+            f"w, b, r2 = solve_weighted_ridge(RidgeProblem(rng.normal(size=(n, {d})), "
             "rng.normal(size=n), rng.uniform(0.1, 2.0, n), 0.5)); "
             "print(hashlib.sha256(w.tobytes() + np.array([b, r2]).tobytes()).hexdigest())")
     out = {subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,

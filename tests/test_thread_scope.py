@@ -49,8 +49,8 @@ def test_each_command_runs_on_one_thread_and_puts_the_count_back(command, exit_c
 
 
 def test_a_narrow_fit_inside_a_command_opens_its_own_scope_without_waiting(blas, tmp_path):
-    # explain_lime fits d = 16 columns, below THREADED_FROM_D, on the thread that
-    # holds the command's scope
+    # explain_lime's fit opens its own scope on the thread that holds the
+    # command's
     get, seen = blas
     codes = []
     argv = ["explain", "--config", asset("explain_lime.json"), "--out", str(tmp_path / "e")]
