@@ -1,5 +1,6 @@
 """Error types shared across the package, the file helpers that turn OS and
-JSON failures into them, and the one reader that types every JSON field.
+JSON failures into them, and the one codec of every JSON object: a reader that
+types each field and a writer.
 
 The CLI maps ConfigError to exit code 1 and every other failure to exit
 code 2, so keep configuration problems on the ConfigError branch.
@@ -180,6 +181,36 @@ def read_fields(cls: type, obj: Any, name: str, tags: tuple[str, ...] = ()) -> d
     hints = _type_hints(cls)
     return {f.name: field(obj, key, hints[f.name], name) if key in obj or f.default is MISSING
             else f.default for key, f in keys.items()}
+
+
+def read_tagged(obj: Any, tag: str, classes: dict[str, type], name: str, noun: str,
+                extra: tuple[str, ...] = ()) -> Any:
+    """The instance a tagged JSON object describes: the class that its tag field
+    picks from classes, built from its other fields by read_fields. Errors call
+    the object name until its tag is read, and "<tag> <noun>" after it, such as
+    "mlp model". A key in extra is accepted where no field takes it. An unknown
+    tag, and a constructor that raises MALFORMED, is one ConfigError."""
+    if not isinstance(obj, dict):
+        raise ConfigError(f"{name} must be a JSON object")
+    value = field(obj, tag, str, name)
+    if value not in classes:
+        raise ConfigError(f"{name} has unknown {tag} {value!r}, not one of {', '.join(classes)}")
+    cls, name = classes[value], f"{value} {noun}"
+    try:
+        return cls(**read_fields(cls, obj, name, (tag, *extra)))
+    except MALFORMED as exc:
+        raise ConfigError(f"malformed {name}: {exc}") from exc
+
+
+def to_json(value: Any) -> Any:
+    """value as read_fields reads it back: a dataclass as an object of its fields,
+    leaving out a flag that is off by default, a tuple or an array as a list."""
+    if is_dataclass(value):
+        return {f.name: to_json(v) for f in fields(value)
+                if (v := getattr(value, f.name)) is not False or f.default is not False}
+    if isinstance(value, tuple):
+        return [to_json(item) for item in value]
+    return value.tolist() if isinstance(value, np.ndarray) else value
 
 
 def write_text(text: str, path: str | None) -> None:

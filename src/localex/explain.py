@@ -10,15 +10,13 @@ request, including the seed; identical requests yield identical explanations.
 """
 from __future__ import annotations
 
-import dataclasses
 import math
 import typing
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (MALFORMED, ConfigError, NonFiniteOutput, check_rows, check_scale, field,
-                     read_fields)
+from .errors import ConfigError, NonFiniteOutput, check_rows, check_scale, read_tagged, to_json
 from .feature_space import Reference, Segmentation, reconstruct_binary, reconstruct_continuous
 from .models import ModelSpec, evaluate, evaluate_blocks
 from .sampling import (
@@ -153,25 +151,13 @@ def method_name(method: MethodSpec) -> str:
 
 def method_to_json(method: MethodSpec) -> dict:
     """The method tag, then its fields, leaving out flags that are off by default."""
-    obj: dict = {"method": method_name(method)}
-    for f in dataclasses.fields(method):
-        value = getattr(method, f.name)
-        if value or f.default is not False:
-            obj[f.name] = value
-    return obj
+    return {"method": method_name(method), **to_json(method)}
 
 
 def method_from_json(obj: dict) -> MethodSpec:
     """A method entry: the method tag, then its fields. Every entry accepts sigma,
     which a sweep adds to each, and a method without one (KernelShap) ignores it."""
-    name = field(obj, "method", str, "method entry")
-    if name not in _METHODS:
-        raise ConfigError(f"unknown method: {name!r}")
-    cls = _METHODS[name]
-    try:
-        return cls(**read_fields(cls, obj, f"{name} method entry", ("method", "sigma")))
-    except MALFORMED as exc:
-        raise ConfigError(f"malformed {name} method entry: {exc}") from exc
+    return read_tagged(obj, "method", _METHODS, "method entry", "method entry", ("sigma",))
 
 
 # ---------------------------------------------------------------------------

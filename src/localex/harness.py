@@ -327,6 +327,9 @@ def _explain_grid(ctx: RunContext, config: ExperimentConfig, entries: tuple[dict
     lambda), so that each set is drawn, lifted and evaluated once and kept in
     one slot while its group runs. A method whose seed draws nothing (exact
     KernelShap) is explained once per cell, and that result serves every seed."""
+    # each explanation held takes 8 d bytes and about 1 KiB more (measured at d = 16, 256)
+    count = math.prod(map(len, (entries, config.sigmas, config.lambdas, config.sample_sizes)))
+    check_rows("the sweep's explanations", count * len(seeds), ctx.segmentation.d + 128)
     cells = []
     for entry, sigma in itertools.product(entries, config.sigmas):
         method = method_from_json({**entry, "sigma": sigma})
@@ -419,9 +422,12 @@ def run_fidelity(config: ExperimentConfig) -> list[dict]:
     if len(config.sample_sizes) != 1 or len(config.lambdas) != 1:
         raise ConfigError("fidelity explains at one sample size and one lambda: "
                           "sample_sizes and lambdas must each hold one value")
+    met = config.metrics
+    # each (cell, epsilon, norm) holds a row of about 0.5 KiB and 44 bytes per seed (measured)
+    scores = math.prod(map(len, (config.methods, config.sigmas, met.epsilons, met.norms)))
+    check_rows("the fidelity table's scores", scores, 6 * len(config.seeds) + 64)
     ctx = build_context(config)
     grid = _explain_grid(ctx, config, config.methods, config.seeds)
-    met = config.metrics
     pairs = list(itertools.product(met.epsilons, met.norms))
     # per (cell, epsilon, norm), the cell's per-seed explanations; each one that
     # is scored is then overwritten by its fidelity or its ball's failure
@@ -459,6 +465,8 @@ def distributions_table(d: int, sigmas: tuple[float, ...],
         ks = tuple(range(d + 1))
     if not ks or any(k < 0 or k > d for k in ks):
         raise ConfigError(f"ks must be non-empty and lie in [0, {d}]")
+    # each k takes a d-byte mask and, per sigma, a row of about 450 bytes (measured)
+    check_rows("the distributions table", len(ks), (d + 450 * len(sigmas)) // 8)
     shap = shap_weights_by_size(d)
     kept = np.arange(d) < np.asarray(ks)[:, None]  # one mask per k, its first k kept
     rows = []

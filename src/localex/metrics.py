@@ -5,7 +5,6 @@ toward lower indices.
 """
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -40,9 +39,15 @@ def top_k_jaccard(explanations: Sequence[Explanation], k: int | None = None) -> 
         k = min(DEFAULT_TOP_K, d)
     if not 1 <= k <= d:
         raise ValueError(f"k must be in [1, {d}], got {k}")
-    tops = [frozenset(top_k_indices(e.w, k).tolist()) for e in explanations]
-    pairs = np.fromiter((len(a & b) / len(a | b) for a, b in itertools.combinations(tops, 2)),
-                        np.float64, count=len(tops) * (len(tops) - 1) // 2)
+    # row i marks explanation i's top k; float32 sums these counts (at most d) exactly
+    tops = np.zeros((len(explanations), d), np.float32)
+    for row, e in zip(tops, explanations):
+        row[top_k_indices(e.w, k)] = 1
+    pairs, start = np.empty(len(tops) * (len(tops) - 1) // 2), 0
+    for i in range(len(tops) - 1):  # the pairs (i, j > i), in itertools.combinations order
+        shared = (tops[i + 1:] @ tops[i]).astype(np.float64)
+        pairs[start:start + len(shared)] = shared / (2 * k - shared)  # |a & b| / |a | b|
+        start += len(shared)
     return {"mean_jaccard": float(np.mean(pairs)), "std": float(np.std(pairs))}
 
 

@@ -7,7 +7,6 @@ response and leaves the assumption to the caller.
 """
 from __future__ import annotations
 
-import dataclasses
 import json
 import time
 import typing
@@ -17,16 +16,15 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import (
-    MALFORMED,
     ConfigError,
     DimensionMismatch,
     NonFiniteOutput,
     RemoteMalformed,
     RemoteUnavailable,
-    field,
-    read_fields,
     read_json,
     read_numbers,
+    read_tagged,
+    to_json,
 )
 
 # points a builtin model is given per forward call, so an explain lifts at most
@@ -372,30 +370,11 @@ def evaluate(model: ModelSpec, points: np.ndarray) -> np.ndarray:
 
 
 def model_from_json(obj: dict) -> ModelSpec:
-    if not isinstance(obj, dict):
-        raise ConfigError("model file must be a JSON object")
-    kind = field(obj, "kind", str, "model file")
-    if kind not in _KINDS:
-        raise ConfigError(f"unknown model kind: {kind!r}")
-    cls = _KINDS[kind]
-    try:
-        return cls(**read_fields(cls, obj, f"{kind} model", ("kind",)))
-    except MALFORMED as exc:
-        raise ConfigError(f"malformed '{kind}' model: {exc}") from exc
-
-
-def _to_json(value: typing.Any) -> typing.Any:
-    """A model field as JSON: a dataclass as an object of its fields, a tuple or
-    an array as a list."""
-    if dataclasses.is_dataclass(value):
-        return {f.name: _to_json(getattr(value, f.name)) for f in dataclasses.fields(value)}
-    if isinstance(value, tuple):
-        return [_to_json(item) for item in value]
-    return value.tolist() if isinstance(value, np.ndarray) else value
+    return read_tagged(obj, "kind", _KINDS, "model file", "model")
 
 
 def model_to_json(model: ModelSpec) -> dict:
-    return {"kind": model.kind, **_to_json(model)}
+    return {"kind": model.kind, **to_json(model)}
 
 
 def load_model(path: str) -> ModelSpec:

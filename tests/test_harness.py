@@ -19,7 +19,7 @@ import localex.explain as explain_module
 from localex import harness, metrics
 from localex.cli import main
 from localex.errors import MAX_VALUES, ConfigError, IoFailure, NonFiniteOutput, write_text
-from localex.explain import KernelShap, SmoothGrad, method_to_json
+from localex.explain import KernelShap, SmoothGrad, method_from_json, method_to_json
 from localex.harness import (
     DistributionsConfig,
     ExperimentConfig,
@@ -38,7 +38,7 @@ from localex.harness import (
     run_fidelity,
     run_stability,
 )
-from localex.models import BLOCK_ROWS
+from localex.models import BLOCK_ROWS, model_from_json, model_to_json
 from localex.sampling import ExpKernel, batch_weights, bernoulli_p, binomial_pmf, substream_seed
 
 
@@ -311,6 +311,46 @@ def test_run_stability_bounds_its_seed_pairs_by_the_value_limit(tmp_path, monkey
     with pytest.raises(ConfigError, match=re.escape(
             f"the seed pairs must be at most {MAX_VALUES} values, got 134225920 x 1")):
         run_stability(load_config(write_workspace(tmp_path, seeds=list(range(16_385)))))
+
+
+class Checked(Exception):
+    """Raised by a stand-in for the first step after a bound is checked."""
+
+
+def raise_checked(*args):
+    raise Checked
+
+
+@pytest.mark.parametrize("command, stand_in, config, fits, refused, line", [
+    # 800 seeds on a 2 x 2 grid, each explanation taking d + 128 = 132 values:
+    # 1,271 sigmas fit, 1,272 do not
+    ("stability", "_attempt", lambda tmp, sigmas: write_workspace(
+        tmp, methods=[{"method": "GlimeGauss"}], sigmas=sigmas, seeds=list(range(800))),
+     [0.5] * 1271, [0.5] * 1272, "the sweep's explanations must be at most 134217728 "
+     "values, got 1017600 x 132"),
+    # 10 seeds, each (cell, epsilon, norm) taking 6 x 10 + 64 = 124 values: 601 sigmas
+    # x 1,801 epsilons fit, 602 x 1,801 do not
+    ("fidelity", "build_context", lambda tmp, sigmas: write_workspace(
+        tmp, methods=[{"method": "GlimeGauss"}], sigmas=sigmas, seeds=list(range(10)),
+        metrics={"epsilons": [0.5] * 1801}),
+     [0.5] * 601, [0.5] * 602, "the fidelity table's scores must be at most 134217728 "
+     "values, got 1084202 x 124"),
+    # 4,097 ks at d = 4,096, each taking (4,096 + 450 x sigmas) // 8 values: 573
+    # sigmas fit, 574 do not
+    ("distributions", "shap_weights_by_size",
+     lambda tmp, sigmas: json_file(tmp, {"d": 4096, "sigmas": sigmas}),
+     [0.5] * 573, [0.5] * 574, "the distributions table must be at most 134217728 "
+     "values, got 4097 x 32799"),
+], ids=["sweep-explanations", "fidelity-scores", "distributions-rows"])
+def test_a_table_that_outgrows_the_value_limit_exits_1_before_any_work(
+        tmp_path, monkeypatch, capsys, command, stand_in, config, fits, refused, line):
+    monkeypatch.setattr(harness, stand_in, raise_checked)
+    with pytest.raises(Checked):
+        main([command, "--config", config(tmp_path, fits), "--out", str(tmp_path / "out")])
+    assert main([command, "--config", config(tmp_path, refused),
+                 "--out", str(tmp_path / "out")]) == 1
+    assert capsys.readouterr() == ("", f"error: {line}\n")
+    assert not (tmp_path / "out").exists()
 
 
 def test_run_convergence_attaches_a_monotone_flag_per_group(tmp_path):
@@ -1203,7 +1243,62 @@ def test_an_mlp_without_layers_is_reported_as_such(tmp_path, capsys):
     path = model_explain_config(tmp_path, {"kind": "mlp", "layers": []})
     assert main(["explain", "--config", path]) == 1
     assert capsys.readouterr().err == (
-        "error: malformed 'mlp' model: a network needs at least one layer\n")
+        "error: malformed mlp model: a network needs at least one layer\n")
+
+
+# per model kind and method class: an object as the codec writes it, and fields
+# that fail its constructor's checks (KernelShap checks none)
+TAGGED_OBJECTS = {
+    "linear": ({"kind": "linear", "coefficients": [0.3, -0.2, 0.5], "bias": 0.25},
+               {"coefficients": [[1.0, 2.0]]}),
+    "quadratic": ({"kind": "quadratic", "matrix": IDENTITY, "coefficients": [0.5, 0.0, -1.0],
+                   "bias": -0.5}, {"matrix": [[1.0, 0.0], [0.0, 1.0]]}),
+    "mlp": ({"kind": "mlp", "layers": [{"weights": IDENTITY, "bias": [0.0, 0.5, 0.0]},
+                                       {"weights": [[1.0], [-1.0], [2.0]], "bias": [0.25]}]},
+            {"layers": [{"weights": [[1.0], [1.0], [1.0]], "bias": [0.0, 0.0]}]}),
+    "remote": ({"kind": "remote", "endpoint": "http://127.0.0.1:9/f", "timeout_ms": 500,
+                "batch_size": 16, "retries": 2}, {"batch_size": 0}),
+    "Lime": ({"method": "Lime", "sigma": 0.5, "unit_weights": True}, {"sigma": 0.0}),
+    "GlimeBinomial": ({"method": "GlimeBinomial", "sigma": 1.0}, {"sigma": 1e-200}),
+    "GlimeGauss": ({"method": "GlimeGauss", "sigma": 0.3}, {"sigma": -0.3}),
+    "GlimeLaplace": ({"method": "GlimeLaplace", "sigma": 0.3}, {"sigma": 1e200}),
+    "GlimeUniform": ({"method": "GlimeUniform", "sigma": 0.3}, {"sigma": 0.0}),
+    "KernelShap": ({"method": "KernelShap", "exact": False}, None),
+    "SmoothGrad": ({"method": "SmoothGrad", "sigma": 0.1}, {"sigma": -1.0}),
+}
+
+
+@pytest.mark.parametrize("tag_value", TAGGED_OBJECTS)
+def test_every_model_kind_and_method_class_goes_through_the_one_codec(tmp_path, capsys,
+                                                                      tag_value):
+    obj, broken = TAGGED_OBJECTS[tag_value]
+    kinds, methods = list(TAGGED_OBJECTS)[:4], list(TAGGED_OBJECTS)[4:]
+    if tag_value in kinds:
+        tag, read, write, known = "kind", model_from_json, model_to_json, kinds
+        untagged, name = "model file", f"{tag_value} model"
+    else:
+        tag, read, write, known = "method", method_from_json, method_to_json, methods
+        untagged, name = "method entry", f"{tag_value} method entry"
+    assert write(read(obj)) == obj
+
+    def exits_1_with(entry, line):
+        path = explain_config(tmp_path, [0.3, -0.2, 0.5], 1.0)
+        if tag == "kind":
+            json_file(tmp_path, entry, name="model.json")
+        else:
+            cfg = json.loads((tmp_path / "explain.json").read_text())
+            json_file(tmp_path, {**cfg, "method": entry}, name="explain.json")
+        assert main(["explain", "--config", path]) == 1
+        out, err = capsys.readouterr()
+        assert out == "" and err.count("\n") == 1 and err.startswith(f"error: {line}"), err
+
+    exits_1_with({**obj, tag: "Forest"}, f"{untagged} has unknown {tag} 'Forest', not one of "
+                                         f"{', '.join(known)}\n")
+    exits_1_with({key: value for key, value in obj.items() if key != tag},
+                 f"{untagged} is missing field '{tag}'\n")
+    exits_1_with({**obj, "colour": 1}, f"{name} has no field 'colour'\n")
+    if broken is not None:
+        exits_1_with({**obj, **broken}, f"malformed {name}: ")
 
 
 def load_tracing():

@@ -68,7 +68,7 @@ def test_jaccard_matches_set_arithmetic():
                       "std": pytest.approx(np.std(pairs))}
 
 
-@pytest.mark.parametrize("count", [2, 3, 10, 57])
+@pytest.mark.parametrize("count", [2, 3, 10, 57, 300])
 def test_jaccard_has_the_bits_of_the_mean_and_std_of_a_list_of_pair_scores(count):
     rng = np.random.default_rng(count)
     for k in (1, 3, 5):
