@@ -4,10 +4,13 @@
 
 Builds the workload's plan with perfbench/workloads.py in a temporary
 directory, runs one warm-up pass over its ops through localex.cli.main, then
-K more passes (default 10). Prints each op's mean wall time and CPU time per
-pass and their ratio, then the same for the whole pass. CPU time is the
-process's, so it counts every BLAS thread: on two cores a ratio near 1 means
-one busy core, and near 2 that a second thread worked or spun through the op.
+K more passes (default 10), then one untimed pass under tracemalloc. Prints
+each op's mean wall time and CPU time per pass, their ratio and the op's peak
+of traced memory, then the same for the whole pass (its peak is its largest
+op's). CPU time is the process's, so it counts every BLAS thread: on two
+cores a ratio near 1 means one busy core, and near 2 that a second thread
+worked or spun through the op. The traced peak counts the Python and numpy
+allocations the op makes while it runs, not memory held before it started.
 For remote_explain, perfbench/model_server.py serves the model from a child
 process, which is stopped at the end.
 """
@@ -22,6 +25,7 @@ import subprocess
 import sys
 import tempfile
 import time
+import tracemalloc
 
 ROOT = os.path.join(os.path.dirname(os.path.abspath(__file__)), "..")
 PERFBENCH = os.path.join(ROOT, "perfbench")
@@ -57,15 +61,33 @@ def _served(plan: dict):
         proc.stdout.close()
 
 
+def _run(cli, op: dict) -> None:
+    rc = cli.main(op["argv"])
+    if rc != 0:
+        raise SystemExit(f"{op['name']} exited with code {rc}")
+
+
 def _run_pass(cli, ops: list[dict], totals: dict) -> None:
     for op in ops:
         wall, cpu = time.perf_counter(), time.process_time()
-        rc = cli.main(op["argv"])
+        _run(cli, op)
         times = totals.setdefault(op["name"], [0.0, 0.0])
         times[0] += time.perf_counter() - wall
         times[1] += time.process_time() - cpu
-        if rc != 0:
-            raise SystemExit(f"{op['name']} exited with code {rc}")
+
+
+def _traced_pass(cli, ops: list[dict]) -> dict:
+    """Each op's peak of traced memory in MiB, over one pass under tracemalloc."""
+    peaks = {}
+    tracemalloc.start()
+    try:
+        for op in ops:
+            tracemalloc.reset_peak()
+            _run(cli, op)
+            peaks[op["name"]] = tracemalloc.get_traced_memory()[1] / 2**20
+    finally:
+        tracemalloc.stop()
+    return peaks
 
 
 def main() -> int:
@@ -87,12 +109,15 @@ def main() -> int:
             totals = {}
             for _ in range(args.k):
                 _run_pass(localex.cli, plan["ops"], totals)
+            peaks = _traced_pass(localex.cli, plan["ops"])
     totals["pass"] = [sum(times[i] for times in totals.values()) for i in (0, 1)]
+    peaks["pass"] = max(peaks.values())
     print(f"{args.workload}, seed {args.seed}: mean per pass over {args.k} passes "
           f"after one warm-up")
-    print(f"{'op':<16}{'wall_s':>10}{'cpu_s':>10}{'cpu/wall':>10}")
+    print(f"{'op':<16}{'wall_s':>10}{'cpu_s':>10}{'cpu/wall':>10}{'peak_mib':>10}")
     for name, (wall, cpu) in totals.items():
-        print(f"{name:<16}{wall / args.k:>10.4f}{cpu / args.k:>10.4f}{cpu / wall:>10.2f}")
+        print(f"{name:<16}{wall / args.k:>10.4f}{cpu / args.k:>10.4f}{cpu / wall:>10.2f}"
+              f"{peaks[name]:>10.1f}")
     return 0
 
 

@@ -117,22 +117,27 @@ def field(obj: dict, key: str, kind: Any, name: str) -> Any:
     ConfigError naming obj as name."""
     if key not in obj:
         raise ConfigError(f"{name} is missing field {key!r}")
-    return _as_kind(obj[key], kind, key)
+    return _as_kind(obj[key], kind, key, name)
 
 
-def _as_kind(value: Any, kind: Any, name: str) -> Any:
+def _as_kind(value: Any, kind: Any, key: str, owner: str) -> Any:
+    """value read as kind for field key of the object called owner. A nested
+    object is called by its key, such as layers[0]; a wrong value is named by
+    its owner and key, such as "model file field 'kind'"."""
+    name = f"{owner} field {key!r}"
     if kind is np.ndarray:
         return read_numbers(value, name)
     if is_dataclass(kind):
-        return kind(**read_fields(kind, {} if value is None else value, name))
+        return kind(**read_fields(kind, {} if value is None else value, key))
     args = get_args(kind)
     if type(None) in args:  # X | None
-        return None if value is None else _as_kind(value, args[0], name)
+        return None if value is None else _as_kind(value, args[0], key, owner)
     origin = get_origin(kind) or kind
     types, expected = _FIELD_KINDS[origin]
     if isinstance(value, types) and (bool in types or not isinstance(value, bool)):
         if origin is tuple:
-            return tuple(_as_kind(item, args[0], f"{name}[{i}]") for i, item in enumerate(value))
+            return tuple(_as_kind(item, args[0], f"{key}[{i}]", owner)
+                         for i, item in enumerate(value))
         try:
             return float(value) if kind is float else value
         except OverflowError:  # an integer literal beyond the double range

@@ -132,8 +132,20 @@ def reconstruct_continuous(
     return lifted.T
 
 
-def feature_offsets(delta: np.ndarray, seg: Segmentation) -> np.ndarray:
+def offset_projection(seg: Segmentation) -> np.ndarray:
+    """The D x d matrix feature_offsets multiplies by: column j averages
+    segment j's raw indices."""
+    counts = seg.counts().astype(np.float64)
+    basis = np.zeros((seg.size, seg.d))
+    basis[np.arange(seg.size), seg.assignment] = 1.0 / counts[seg.assignment]
+    return basis
+
+
+def feature_offsets(delta: np.ndarray, seg: Segmentation,
+                    projection: np.ndarray | None = None) -> np.ndarray:
     """Project raw-space deltas onto feature space: per-segment mean of delta.
+    projection, when given, is offset_projection(seg), made once by a caller
+    that projects many blocks.
 
     Left inverse of reconstruct_continuous in the sense that a broadcast offset
     projects back to itself.
@@ -141,8 +153,5 @@ def feature_offsets(delta: np.ndarray, seg: Segmentation) -> np.ndarray:
     delta = np.asarray(delta, dtype=np.float64)
     if delta.shape[-1] != seg.size:
         raise DimensionMismatch(f"delta width {delta.shape[-1]} != D={seg.size}")
-    counts = seg.counts().astype(np.float64)
-    basis = np.zeros((seg.size, seg.d))
-    basis[np.arange(seg.size), seg.assignment] = 1.0 / counts[seg.assignment]
-    return delta @ basis
+    return delta @ (offset_projection(seg) if projection is None else projection)
 

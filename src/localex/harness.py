@@ -39,7 +39,6 @@ from .metrics import NORMS, explanation_distance, local_fidelity, top_k_jaccard
 from .models import ModelSpec, check_input, load_model
 from .sampling import (
     ExpKernel,
-    batch_weights,
     bernoulli_p,
     binomial_pmf,
     expected_weight_uniform,
@@ -427,6 +426,7 @@ def run_fidelity(config: ExperimentConfig) -> list[dict]:
     scores = math.prod(map(len, (config.methods, config.sigmas, met.epsilons, met.norms)))
     check_rows("the fidelity table's scores", scores, 6 * len(config.seeds) + 64)
     ctx = build_context(config)
+    check_rows("the offset projection", ctx.x.size, ctx.segmentation.d)
     grid = _explain_grid(ctx, config, config.methods, config.seeds)
     pairs = list(itertools.product(met.epsilons, met.norms))
     # per (cell, epsilon, norm), the cell's per-seed explanations; each one that
@@ -465,15 +465,14 @@ def distributions_table(d: int, sigmas: tuple[float, ...],
         ks = tuple(range(d + 1))
     if not ks or any(k < 0 or k > d for k in ks):
         raise ConfigError(f"ks must be non-empty and lie in [0, {d}]")
-    # each k takes a d-byte mask and, per sigma, a row of about 450 bytes (measured)
-    check_rows("the distributions table", len(ks), (d + 450 * len(sigmas)) // 8)
+    # each k takes, per sigma, a row of about 450 bytes (measured)
+    check_rows("the distributions table", len(ks), 450 * len(sigmas) // 8)
     shap = shap_weights_by_size(d)
-    kept = np.arange(d) < np.asarray(ks)[:, None]  # one mask per k, its first k kept
     rows = []
     for sigma in sigmas:
         p = bernoulli_p(sigma)
         mean_w = expected_weight_uniform(d, sigma)
-        exp_w = batch_weights(ExpKernel(sigma), kept)
+        exp_w = ExpKernel(sigma).weights(np.asarray(ks), d)
         for k, w in zip(ks, exp_w):
             rows.append(
                 {

@@ -12,7 +12,7 @@ import numpy as np
 
 from .errors import DimensionMismatch, check_scale
 from .explain import Explanation, OneSlot
-from .feature_space import Segmentation, feature_offsets
+from .feature_space import Segmentation, feature_offsets, offset_projection
 from .models import ModelSpec, evaluate, evaluate_blocks
 
 DEFAULT_TOP_K = 20
@@ -48,7 +48,11 @@ def top_k_jaccard(explanations: Sequence[Explanation], k: int | None = None) -> 
         shared = (tops[i + 1:] @ tops[i]).astype(np.float64)
         pairs[start:start + len(shared)] = shared / (2 * k - shared)  # |a & b| / |a | b|
         start += len(shared)
-    return {"mean_jaccard": float(np.mean(pairs)), "std": float(np.std(pairs))}
+    mean = np.mean(pairs)
+    # np.std's arithmetic, in place on the pairs instead of on a copy of them
+    pairs -= mean
+    np.multiply(pairs, pairs, out=pairs)
+    return {"mean_jaccard": float(mean), "std": float(np.sqrt(np.add.reduce(pairs) / len(pairs)))}
 
 
 @dataclass(frozen=True)
@@ -138,10 +142,11 @@ def local_fidelity(
     fidelity compares how each learned linear function tracks the model near x
     regardless of how it was fit. The points are sample_ball's. They are made
     and evaluated one block at a time, and each evaluated block is turned into
-    its offsets in place, so memory holds the ball, the m x d offsets and one
-    block. The offsets are scored against every explanation. balls, when given,
-    keeps the last unit ball, so that a call for another epsilon with the same
-    (norm, m, seed) scales those draws instead of drawing again.
+    its offsets in place, so memory holds the ball, the m x d offsets, one
+    block and the D x d projection, which is built once per call. The offsets
+    are scored against every explanation. balls, when given, keeps the last
+    unit ball, so that a call for another epsilon with the same (norm, m, seed)
+    scales those draws instead of drawing again.
     """
     for e in explanations:
         if e.d != segmentation.d:
@@ -153,11 +158,12 @@ def local_fidelity(
     key = (norm, m, x.shape[0], seed)
     ball = (balls or OneSlot()).get(key, lambda: unit_ball(*key))
     blocks = []  # each evaluated block's offsets, in order
+    projection = offset_projection(segmentation)
 
     def evaluate_then_offsets(model: ModelSpec, points: np.ndarray) -> np.ndarray:
         y = evaluate(model, points)
         points -= x  # evaluated, so the block's points become its offsets in place
-        blocks.append(feature_offsets(points, segmentation))
+        blocks.append(feature_offsets(points, segmentation, projection))
         return y
 
     f = evaluate_blocks(model, m, lambda rows: ball.points(x, epsilon, rows),

@@ -27,11 +27,22 @@ from .errors import (
     to_json,
 )
 
-# points a builtin model is given per forward call, so an explain lifts at most
-# this many rows at once. BLAS kernels can treat a row by the row count of its
-# call, so responses may differ from one whole call's in the last bits; the
-# tests pin where blocks of this size match a whole call bit for bit.
+# the most points a builtin model is given per forward call, so an explain lifts
+# at most this many rows at once. At one BLAS thread a response's last bits
+# depend on its row's place within the matrix kernel's 16-row unroll (in a
+# whole group of 16 or in the call's tail) and on the size of its call: one row
+# takes numpy's gemv path, and a product of at most 10^6 multiply-adds
+# OpenBLAS's small-matrix kernel (SkylakeX). Blocks of a power of two from 16 to
+# BLOCK_ROWS rows, whose last short block joins the one before it (see
+# evaluate_blocks), keep every row's place and, but for a first mlp layer of two
+# or three units, every call's kernel, so they give 512-row blocks' bits; the
+# tests pin where blocks match a whole call bit for bit.
 BLOCK_ROWS = 512
+# float64 values one block of a builtin model's points may hold (4 MiB): a model
+# of width D takes the largest power of two from 16 to BLOCK_ROWS rows that fits,
+# so D <= 1024 keeps 512 rows, D = 3072 (32x32x3 images) takes 128 and
+# D = 150528 (224x224x3) 16
+BLOCK_VALUES = 2**19
 # evaluate_blocks overlaps blocks of this many values per point or more: D = 3072
 # (32x32x3 images) gains, desk's D = 16 and 64 do not. A thread handoff costs
 # about as much as lifting 512 points of 64 values: overlapping every explain of
@@ -56,7 +67,14 @@ class _Model:
 
     kind: str  # the model file's "kind" tag
     width: int | None  # declared input width; None: the server defines it
-    block_rows: int = BLOCK_ROWS  # the most points one forward call is given
+
+    @property
+    def block_rows(self) -> int:
+        """The most points one forward call is given (see BLOCK_VALUES)."""
+        rows = BLOCK_ROWS
+        while rows > 16 and rows * self.width > BLOCK_VALUES:
+            rows //= 2
+        return rows
 
 
 @dataclass(frozen=True)
@@ -303,9 +321,12 @@ def evaluate_blocks(
     """The model's responses to n points made model.block_rows at a time:
     evaluate(model, rows(block)) for each block, a slice of range(n), in order.
     Callers pass the evaluate they look up themselves. Each block is made inside
-    its call, so only one block of points exists at once. Raises
-    NonFiniteOutput counting over all n points, else the first failure in block
-    order.
+    its call, so only one block of points exists at once. A builtin model's
+    short last block joins the block before it, unless BLOCK_ROWS-row blocks
+    would end with that same block: a remainder never becomes a call of its own
+    (one row takes numpy's gemv path, a few rows a small-matrix kernel) where
+    BLOCK_ROWS-row blocks make none. Raises NonFiniteOutput counting over all n
+    points, else the first failure in block order.
 
     With overlap, for a builtin model of OVERLAP_FROM_WIDTH inputs or more and
     more than one block, the calling thread makes block k + 1 while one helper
@@ -316,7 +337,12 @@ def evaluate_blocks(
     """
     y = np.empty(n)
     bad = 0
-    blocks = [slice(start, start + model.block_rows) for start in range(0, n, model.block_rows)]
+    step = model.block_rows
+    starts = list(range(0, n, step))
+    # a builtin's step divides BLOCK_ROWS, a remote model's never does
+    if BLOCK_ROWS % step == 0 and 0 < n % step != n % BLOCK_ROWS:
+        del starts[-1]
+    blocks = [slice(start, end) for start, end in zip(starts, [*starts[1:], n])]
 
     def collect(block: slice, values: typing.Callable[[], np.ndarray]) -> None:
         nonlocal bad
@@ -356,7 +382,12 @@ def evaluate(model: ModelSpec, points: np.ndarray) -> np.ndarray:
     """
     pts = _as_batch(model, points)
     if not 0 < len(pts) <= model.block_rows:
-        return evaluate_blocks(model, len(pts), pts.__getitem__, evaluate)
+        return evaluate_blocks(model, len(pts), pts.__getitem__, _forward)
+    return _forward(model, pts)
+
+
+def _forward(model: ModelSpec, pts: np.ndarray) -> np.ndarray:
+    """model.forward(pts) in one call, for a batch evaluate has checked."""
     with np.errstate(over="ignore", invalid="ignore"):  # reported below instead
         out = model.forward(pts)
     bad = np.count_nonzero(~np.isfinite(out))

@@ -157,6 +157,10 @@ class ExpKernel(_Kernel):
     def __post_init__(self) -> None:
         check_scale("sigma", self.sigma)
 
+    def weights(self, k: np.ndarray, d: int) -> np.ndarray:
+        """The weight of a mask of each count in k, out of d features."""
+        return np.exp((k - d) / (self.sigma * self.sigma))
+
 
 class ShapKernel(_Kernel):
     """pi(z') = (d-1) / (C(d,k) * k * (d-k)); infinite at k in {0, d}."""
@@ -240,7 +244,7 @@ def batch_weights(wspec: WeightSpec, zmatrix: np.ndarray) -> np.ndarray:
         return np.ones(n)
     k = as_masks(z, "weight kernels are defined on binary masks only").sum(axis=1)
     if isinstance(wspec, ExpKernel):
-        return np.exp((k - d) / (wspec.sigma * wspec.sigma))
+        return wspec.weights(k, d)
     if isinstance(wspec, ShapKernel):
         degenerate = (k == 0) | (k == d)
         if np.any(degenerate):

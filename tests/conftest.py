@@ -34,14 +34,15 @@ IMAGE_MODELS = (("linear", 8), ("quadratic", 8), ("mlp", 8), ("linear", 32), ("m
 
 
 def blocks_match_bits(kind, side, n):
-    """Whether responses to n points in BLOCK_ROWS blocks equal those of one
-    whole forward call bit for bit, for the cases the tests run. Two OpenBLAS
-    effects break this: a last block of one row takes another product kernel
-    than the same row in a larger call (n = BLOCK_ROWS + 1), and a linear
-    model's gemv, once split across threads, gives the rows left over by each
-    thread's share another kernel, so which rows those are depends on the
-    call's row count (seen at D = 3072, n = 1300). There the two agree to
-    rounding."""
+    """Whether responses to n points in blocks of model.block_rows equal those
+    of one whole forward call bit for bit, for the cases the tests run. A
+    response's bits depend on its row's place within the product kernel's
+    16-row unroll, which blocks of a power of two of rows keep, and on one-row
+    calls: a last block of one row takes another product kernel than the same
+    row in a larger call (n = BLOCK_ROWS + 1). A linear model's gemv, once
+    split across threads, also gives the rows left over by each thread's share
+    another kernel, so which rows those are depends on the call's row count
+    (seen at D = 3072, n = 1300). There the two agree to rounding."""
     return n % BLOCK_ROWS != 1 and not (kind == "linear" and side == 32 and n > BLOCK_ROWS)
 
 

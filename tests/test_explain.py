@@ -473,6 +473,25 @@ def test_explain_memory_does_not_grow_with_the_lifted_rows(method):
     assert peaks[1] - peaks[0] <= 4 * extra_samples, peaks
 
 
+@pytest.mark.parametrize("method", LIFTS, ids=repr)
+def test_an_explain_of_a_224x224x3_input_holds_blocks_of_16_rows(method):
+    # 16 rows of 150,528 values, two blocks while one is evaluated as the next
+    # is lifted: 37 MiB. Blocks of 512 rows took 702 MiB (Lime), 690 (GlimeGauss)
+    rng = np.random.default_rng(1)
+    model, x = Linear(rng.normal(size=150528) * 0.01, 0.2), rng.random(150528)
+    seg = grid_segment(224, 224, 3, 8, 8)
+    req = ExplainRequest(model=model, x=x, segmentation=seg, method=method, n=600, seed=0,
+                         reference=mean_reference(x, seg))
+    tracemalloc.start()
+    try:
+        exp = explain(req)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert model.block_rows == 16 and np.all(np.isfinite(exp.w))
+    assert peak <= 64 * 2**20, peak
+
+
 _PEAK_OVER_WARM = """
 import sys
 import numpy as np
@@ -543,10 +562,14 @@ def test_overlapped_blocks_give_the_serial_bits(method, n, monkeypatch):
     exp, blocks = _spied_explain(req, monkeypatch)
     monkeypatch.setattr(models, "OVERLAP_FROM_WIDTH", math.inf)
     serial, serial_blocks = _spied_explain(req, monkeypatch)
-    count = -(-n // BLOCK_ROWS)
+    count = n // model.block_rows  # the 20 rows 1300 leaves over join the last block
     assert blocks == [(True, True)] * count and serial_blocks == [(False, True)] * count
     assert np.r_[exp.w, exp.intercept, exp.r2].tobytes() == \
         np.r_[serial.w, serial.intercept, serial.r2].tobytes()
+
+
+# the rows of a block of 3072 points
+STEP_3072 = Linear(np.ones(3072)).block_rows
 
 
 def _planted(n, bad_rows):
@@ -564,11 +587,12 @@ def _planted(n, bad_rows):
 
 
 def test_overlapped_blocks_count_non_finite_responses_over_all_n():
-    rows, lifted = _planted(1300, [3, 700, 701, 1299])  # blocks 0, 1 and 2
+    # in the first, a middle and the last block
+    rows, lifted = _planted(1300, [3, 5 * STEP_3072, 5 * STEP_3072 + 1, 1299])
     with pytest.raises(NonFiniteOutput, match=r"^model returned 4 non-finite value\(s\) "
                        r"for 1300 points$"):
         evaluate_blocks(Linear(np.ones(3072)), 1300, rows, evaluate, overlap=True)
-    assert lifted == [0, 512, 1024]
+    assert lifted == list(range(0, 1300 - STEP_3072, STEP_3072))  # 1300 // STEP_3072 blocks
 
 
 def _pool_workers():
@@ -591,7 +615,7 @@ def test_an_overlapped_forward_error_is_raised_once_the_helper_has_stopped(lift_
 
     with pytest.raises(RemoteUnavailable, match="block 0 failed"):
         evaluate_blocks(Linear(np.ones(3072)), 2048, lift, forward, overlap=True)
-    assert lifted == ([0] if lift_fails else [0, 512])
+    assert lifted == ([0] if lift_fails else [0, STEP_3072])
     assert _pool_workers() == []
 
 
@@ -600,7 +624,7 @@ def test_an_overlapped_lift_error_is_raised_after_the_block_before_it_is_evaluat
     evaluated = []
 
     def lift(block):
-        if block.start == 1024:
+        if block.start == 2 * STEP_3072:
             raise MemoryError
         return rows(block)
 
@@ -610,7 +634,7 @@ def test_an_overlapped_lift_error_is_raised_after_the_block_before_it_is_evaluat
 
     with pytest.raises(MemoryError):
         evaluate_blocks(Linear(np.ones(3072)), 2048, lift, forward, overlap=True)
-    assert lifted == [0, 512] and evaluated == [512, 512]
+    assert lifted == [0, STEP_3072] and evaluated == [STEP_3072, STEP_3072]
     assert _pool_workers() == []
 
 

@@ -313,6 +313,16 @@ def test_run_stability_bounds_its_seed_pairs_by_the_value_limit(tmp_path, monkey
         run_stability(load_config(write_workspace(tmp_path, seeds=list(range(16_385)))))
 
 
+def image_workspace(tmp_path, side, grid):
+    """write_workspace's files for a zero linear model on a side x side x 3 zero
+    image cut into a grid of rows x cols cells."""
+    dim = side * side * 3
+    path = write_workspace(tmp_path, rows_cols=grid)
+    json_file(tmp_path, {"kind": "linear", "coefficients": [0.0] * dim}, name="model.json")
+    json_file(tmp_path, {"values": [0.0] * dim, "shape": [side, side, 3]}, name="input.json")
+    return path
+
+
 class Checked(Exception):
     """Raised by a stand-in for the first step after a bound is checked."""
 
@@ -335,13 +345,18 @@ def raise_checked(*args):
         metrics={"epsilons": [0.5] * 1801}),
      [0.5] * 601, [0.5] * 602, "the fidelity table's scores must be at most 134217728 "
      "values, got 1084202 x 124"),
-    # 4,097 ks at d = 4,096, each taking (4,096 + 450 x sigmas) // 8 values: 573
-    # sigmas fit, 574 do not
+    # 4,097 ks at d = 4,096, each taking 450 x sigmas // 8 values: 582 sigmas fit,
+    # 583 do not
     ("distributions", "shap_weights_by_size",
      lambda tmp, sigmas: json_file(tmp, {"d": 4096, "sigmas": sigmas}),
-     [0.5] * 573, [0.5] * 574, "the distributions table must be at most 134217728 "
-     "values, got 4097 x 32799"),
-], ids=["sweep-explanations", "fidelity-scores", "distributions-rows"])
+     [0.5] * 582, [0.5] * 583, "the distributions table must be at most 134217728 "
+     "values, got 4097 x 32793"),
+    # a 224 x 224 x 3 image, whose D x d offset projection takes 150,528 values per
+    # cell: 27 x 33 = 891 cells fit, 4 x 223 = 892 do not
+    ("fidelity", "_explain_grid", lambda tmp, grid: image_workspace(tmp, 224, grid),
+     (27, 33), (4, 223), "the offset projection must be at most 134217728 values, "
+     "got 150528 x 892"),
+], ids=["sweep-explanations", "fidelity-scores", "distributions-rows", "fidelity-projection"])
 def test_a_table_that_outgrows_the_value_limit_exits_1_before_any_work(
         tmp_path, monkeypatch, capsys, command, stand_in, config, fits, refused, line):
     monkeypatch.setattr(harness, stand_in, raise_checked)
@@ -608,6 +623,20 @@ def test_distributions_exp_kernel_column_is_the_engines_weight():
         column = [row["exp_kernel_weight"] for row in distributions_table(d, (sigma,), ks)]
         engine = [batch_weights(ExpKernel(sigma), np.arange(d)[None, :] < k)[0] for k in ks]
         assert np.array(column).tobytes() == np.array(engine).tobytes(), (sigma, d, ks)
+
+
+def test_distributions_table_holds_no_mask_per_k(monkeypatch):
+    # 4,097 masks of d = 4,096 bools would take 16 MiB; the counts take 32 KiB.
+    # The Shapley column, exact integer arithmetic, is left out: traced, it
+    # takes seconds
+    monkeypatch.setattr(harness, "shap_weights_by_size", np.zeros)
+    tracemalloc.start()
+    try:
+        rows = distributions_table(4096, (0.5,))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(rows) == 4097 and peak <= 4 * 2**20, peak
 
 
 def test_distributions_table_validates_arguments():
@@ -1233,6 +1262,37 @@ def test_a_misspelled_key_exits_1_with_one_line_naming_it_and_its_object(tmp_pat
         "sweep-config", "sweep-method-entry", "distributions-config"])
 def test_a_missing_field_exits_1_with_one_line_naming_it_and_its_object(tmp_path, capsys,
                                                                         make_args, line):
+    out = tmp_path / "out"
+    assert main([*make_args(tmp_path), "--out", str(out)]) == 1
+    assert capsys.readouterr() == ("", f"error: {line}\n")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("make_args, line", [
+    (lambda tmp: ["explain", "--config", model_explain_config(tmp, {"kind": ["x"]})],
+     'model file field \'kind\' must be a string, got ["x"]'),
+    (lambda tmp: ["explain", "--config", model_explain_config(
+        tmp, {"kind": "linear", "coefficients": 3})],
+     "linear model field 'coefficients' must be an array of numbers, got 3"),
+    (lambda tmp: ["explain", "--config", model_explain_config(
+        tmp, {"kind": "remote", "endpoint": "http://127.0.0.1:9/f", "batch_size": 1.5})],
+     "remote model field 'batch_size' must be an integer, got 1.5"),
+    (lambda tmp: ["explain", "--config", model_explain_config(
+        tmp, {"kind": "mlp", "layers": [{"weights": IDENTITY, "bias": [0, 0, True]}]})],
+     "layers[0] field 'bias' must all be numbers, in rows of equal length; got true"),
+    (lambda tmp: ["stability", "--config", write_workspace(tmp, sigmas=[0.5, "1"])],
+     'config field \'sigmas[1]\' must be a number, got "1"'),
+    (lambda tmp: ["fidelity", "--config", write_workspace(tmp, metrics={"m": 2.5})],
+     "metrics field 'm' must be an integer, got 2.5"),
+    (lambda tmp: ["explain", "--config", explain_config(
+        tmp, [0.3, -0.2, 0.5], 1.0, x={"values": [1.0, 2.0, 3.0], "shape": 3})],
+     "input file field 'shape' must be a list, got 3"),
+    (lambda tmp: ["explain", "--config", explain_config(tmp, [0.3, -0.2, 0.5], "1")],
+     'Lime method entry field \'sigma\' must be a number, got "1"'),
+], ids=["model-file", "linear-model", "remote-model", "mlp-layer", "sweep-config", "metrics",
+        "input-file", "method-entry"])
+def test_a_field_of_the_wrong_type_exits_1_with_one_line_naming_it_and_its_object(
+        tmp_path, capsys, make_args, line):
     out = tmp_path / "out"
     assert main([*make_args(tmp_path), "--out", str(out)]) == 1
     assert capsys.readouterr() == ("", f"error: {line}\n")

@@ -79,6 +79,17 @@ def test_jaccard_has_the_bits_of_the_mean_and_std_of_a_list_of_pair_scores(count
         assert report == {"mean_jaccard": float(np.mean(pairs)), "std": float(np.std(pairs))}
 
 
+def test_jaccard_takes_its_std_in_place_on_its_one_pair_array():
+    # 2,000 explanations make 1,999,000 pairs, 15 MiB as float64; np.std's copy
+    # of them would double that
+    rng = np.random.default_rng(6)
+    exps = [make_exp(rng.normal(size=16), seed) for seed in range(2000)]
+    report, peak = traced_peak(lambda: top_k_jaccard(exps, 3))
+    pairs = 2000 * 1999 // 2 * 8
+    assert peak <= pairs + 2**20, peak
+    assert 0.0 < report["std"] < 0.5
+
+
 def test_jaccard_default_k_caps_at_twenty():
     # the top 20 of 0..29 are 10..29: top 20 of the reverse shares 10..19 of them
     exps = [make_exp(np.arange(30.0)), make_exp(np.arange(30.0)[::-1], seed=1)]
@@ -142,7 +153,7 @@ def test_ball_sampling_is_deterministic_per_seed():
 @pytest.mark.parametrize("norm", NORMS)
 def test_every_epsilon_of_a_shared_unit_ball_is_sample_balls_ball_bit_for_bit(monkeypatch,
                                                                              norm):
-    m, seed = 1300, 9  # three blocks of points
+    m, seed = 1300, 9  # ten blocks of points
     x = np.random.default_rng(4).normal(size=3072)
     seg = grid_segment(32, 32, 3, 8, 8)
     exp = Explanation(np.zeros(seg.d), 0.0, None, Lime(1.0), 10, 0, 1.0)
@@ -156,11 +167,13 @@ def test_every_epsilon_of_a_shared_unit_ball_is_sample_balls_ball_bit_for_bit(mo
         local_fidelity(Linear(x), x, [exp], seg, eps, norm, m, seed, balls)
         evaluated[eps], blocks[:] = blocks[:], []
     assert draws == [(norm, m, 3072, seed)]  # one draw serves every epsilon
+    step = Linear(x).block_rows
+    edges = [*range(0, m - step, step), m]  # the last block takes the 20 rows left over
     for eps, hashes in evaluated.items():
         for ball in (sample_ball, sample_ball_direct):
             whole = ball(x, eps, norm, m, seed)
-            assert hashes == [hashlib.sha256(whole[s:s + 512]).digest()
-                              for s in range(0, m, 512)]
+            assert hashes == [hashlib.sha256(whole[a:b]).digest()
+                              for a, b in zip(edges, edges[1:])]
 
 
 def traced_peak(compute):
@@ -224,6 +237,20 @@ def test_local_fidelity_holds_one_block_beside_the_ball_and_the_offsets():
     offsets = m * seg.d * 8
     basis = x.size * seg.d * 8  # feature_offsets' D x d projection
     assert peak <= block + offsets + basis + 2**20
+
+
+def test_local_fidelity_builds_its_projection_once_for_every_block(monkeypatch):
+    model, x, seg = image_case("linear", 32)  # 1300 points: 9 blocks of 128, then 148
+    exp = Explanation(np.zeros(seg.d), 0.0, None, Lime(1.0), 10, 0, 1.0)
+    built, projected = [], []
+    monkeypatch.setattr(metrics, "offset_projection", lambda seg, real=metrics.offset_projection:
+                        built.append(real(seg)) or built[-1])
+    monkeypatch.setattr(metrics, "feature_offsets",
+                        lambda delta, seg, projection, real=metrics.feature_offsets:
+                        projected.append(projection) or real(delta, seg, projection))
+    local_fidelity(model, x, [exp], seg, 0.5, "l2", 1300, 3)
+    assert len(built) == 1 and len(projected) == 10
+    assert all(projection is built[0] for projection in projected)
 
 
 def test_ball_sampling_validates_its_arguments():

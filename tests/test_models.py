@@ -24,6 +24,7 @@ from localex.explain import ExplainRequest, GlimeBinomial, GlimeGauss, Lime, exp
 from localex.feature_space import (Reference, grid_segment, mean_reference, reconstruct_binary,
                                    reconstruct_continuous)
 from localex.harness import json_dumps
+from localex.solver import one_blas_thread
 from localex.errors import (
     ConfigError,
     DimensionMismatch,
@@ -37,9 +38,12 @@ from localex.models import (
     Layer,
     Linear,
     Mlp,
+    BLOCK_ROWS,
+    BLOCK_VALUES,
     Quadratic,
     Remote,
     evaluate,
+    evaluate_blocks,
     check_input,
     load_model,
     model_from_json,
@@ -112,6 +116,50 @@ def test_check_input_compares_the_input_length_with_the_model_width():
     check_input(Remote("http://localhost:1/f"), np.zeros(5))  # the server decides
     with pytest.raises(ConfigError, match="input has length 4, model expects 3"):
         check_input(Linear(np.ones(3)), np.zeros(4))
+
+
+def test_a_builtin_block_is_the_largest_power_of_two_of_rows_within_the_block_values():
+    rows = {dim: Linear(np.ones(dim)).block_rows
+            for dim in (1, 16, 1024, 1025, 2048, 2049, 3072, 8192, 32768, 32769, 150528)}
+    assert rows == {1: 512, 16: 512, 1024: 512, 1025: 256, 2048: 256, 2049: 128, 3072: 128,
+                    8192: 64, 32768: 16, 32769: 16, 150528: 16}
+    assert all(dim * step <= BLOCK_VALUES or step == 16 for dim, step in rows.items())
+    # a remote model's blocks are whole batches, whatever their width
+    assert [Remote("http://localhost:1/f", batch_size=b).block_rows
+            for b in (1, 64, 100, 600)] == [1024, 1024, 1000, 1200]
+
+
+def _block_case_models(dim):
+    """A linear model, mlps of hidden width 1, 8 and 32 and, where its D^2
+    forward stays cheap, a quadratic model, all of width dim."""
+    rng = np.random.default_rng(dim)
+    yield "linear", Linear(rng.normal(size=dim) * 0.1, 0.2)
+    for hidden in (1, 8, 32):
+        w1 = rng.normal(size=(dim, hidden)) / np.sqrt(dim)
+        yield f"mlp{hidden}", Mlp([Layer(w1, rng.normal(size=hidden) * 0.1),
+                                   Layer(rng.normal(size=(hidden, 1)), np.zeros(1))])
+    if dim <= 64:
+        yield "quadratic", Quadratic(rng.normal(size=(dim, dim)) * 0.01,
+                                     rng.normal(size=dim) * 0.1, 0.1)
+
+
+@pytest.mark.parametrize("order", ["C", "F"])
+@pytest.mark.parametrize("dim", [16, 64, 1025, 3072])
+def test_blocks_of_block_rows_give_the_bits_of_512_row_blocks(dim, order):
+    # at one BLAS thread a response's bits depend on its row's place within the
+    # kernel's 16-row unroll and on its call's size (one row, or a small-matrix
+    # product), which blocks of a power of two of rows that divides 512, with a
+    # short last block folded into the one before it, leave as they are
+    pts = np.random.default_rng(7).normal(size=(2048, dim))
+    with one_blas_thread():
+        for name, model in _block_case_models(dim):
+            for n in (1, 15, 16, 17, 129, 257, 513, 1300, 2048):
+                blocks = [np.array(pts[start:min(start + BLOCK_ROWS, n)], order=order)
+                          for start in range(0, n, BLOCK_ROWS)]
+                expected = np.concatenate([model.forward(block) for block in blocks])
+                y = evaluate_blocks(model, n, lambda rows: np.array(pts[rows], order=order),
+                                    evaluate)
+                assert y.tobytes() == expected.tobytes(), (name, n, model.block_rows)
 
 
 def test_remote_rejects_what_it_cannot_use():

@@ -60,8 +60,11 @@ def test_cpu_per_op_prints_wall_cpu_and_their_ratio_for_each_op_and_the_pass():
                           capture_output=True, text=True, check=True)
     title, heading, *rows = proc.stdout.splitlines()
     assert title == "desk_sweeps, seed 0: mean per pass over 1 passes after one warm-up"
-    assert heading.split() == ["op", "wall_s", "cpu_s", "cpu/wall"]
+    assert heading.split() == ["op", "wall_s", "cpu_s", "cpu/wall", "peak_mib"]
     assert [row.split()[0] for row in rows] == ["stability", "converge", "fidelity",
                                                 "distributions", "explain_lime",
                                                 "shap_stability", "pass"]
-    assert all(re.fullmatch(r"\S+ +\d+\.\d{4} +\d+\.\d{4} +\d+\.\d\d", row) for row in rows)
+    assert all(re.fullmatch(r"\S+ +\d+\.\d{4} +\d+\.\d{4} +\d+\.\d\d +\d+\.\d", row)
+               for row in rows)
+    peaks = [float(row.split()[-1]) for row in rows]
+    assert all(peak > 0 for peak in peaks) and peaks[-1] == max(peaks[:-1])
