@@ -6,7 +6,8 @@ distributions (sampling-law dump).
 Exit codes: 0 success, 1 configuration or usage error, 2 runtime failure,
 running out of memory among them. Each command runs inside
 solver.one_blas_thread: an explain of image-scale blocks keeps the second core
-busy by evaluating one block on a helper thread while it lifts the next
+busy by handing the second half of its blocks to a helper thread, which lifts
+and evaluates them while the calling thread does the first half
 (models.evaluate_blocks), and a threaded product would leave an OpenBLAS worker
 spinning through the lifts.
 """

@@ -164,6 +164,18 @@ def method_from_json(obj: dict) -> MethodSpec:
 # requests and explanations
 
 
+def check_held(model: ModelSpec, n: int, seg: Segmentation, name: str = "n") -> None:
+    """Raise ConfigError unless what an explain of n samples holds fits in
+    MAX_VALUES: its n x d samples and fit, its d x d ridge system and, for a
+    remote model, one forward call's raw points. A builtin model's blocks of
+    raw points hold BLOCK_VALUES values whatever n is (16 rows past 32,768
+    inputs), so n x D is not a bound of its own. name names n in the message."""
+    check_rows(f"{name} x d", n, seg.d)
+    if model.width is None:  # a remote model's block: up to block_rows distinct samples
+        check_rows("a remote call's points x width", min(n, model.block_rows), seg.size)
+    check_rows("the ridge system's d x d", seg.d, seg.d)
+
+
 @dataclass(frozen=True)
 class ExplainRequest:
     model: ModelSpec
@@ -184,8 +196,7 @@ class ExplainRequest:
             )
         if self.n < 1:
             raise ConfigError(f"sample count must be >= 1, got {self.n}")
-        check_rows("n x width", self.n, x.size)
-        check_rows("the ridge system's d x d", self.segmentation.d, self.segmentation.d)
+        check_held(self.model, self.n, self.segmentation)
         if self.seed < 0:
             raise ConfigError(f"seed must be >= 0, got {self.seed}")
         if not 0 <= self.lam < math.inf:
@@ -287,10 +298,10 @@ def explain(req: ExplainRequest, samples: OneSlot | None = None) -> Explanation:
     request's, or from known moments. n records the samples used (exact
     KernelShap: all). The samples are lifted and evaluated one block at a time,
     so memory holds the n x d samples and one block of raw points (two while a
-    builtin model of image-scale blocks evaluates one as the next is lifted),
-    never all n of them. A remote model is asked once per distinct binary mask,
-    in the order the masks first occur, its endpoint being taken to be a
-    function of each point; the responses are then copied to every sample, so
+    builtin model of image-scale inputs has its blocks split between two
+    threads), never all n of them. A remote model is asked once per distinct
+    binary mask, in the order the masks first occur, its endpoint being taken to
+    be a function of each point; the responses are then copied to every sample, so
     weights and fit see all n, and a non-finite response is counted over the
     points sent. A builtin model evaluates every sample, since its last bits can
     depend on the row count of its call. samples, when given, keeps the last
@@ -308,12 +319,13 @@ def explain(req: ExplainRequest, samples: OneSlot | None = None) -> Explanation:
         if method.binary and method.seeded and req.model.kind == "remote":
             sent, back = _distinct_masks(design)
 
-        def lift(block: slice) -> np.ndarray:  # raw points of one block of samples
+        def lift(block: slice, out: np.ndarray | None = None) -> np.ndarray:
+            """Raw points of one block of samples, into out when it is given."""
             if method.binary:
-                return reconstruct_binary(req.x, req.reference, seg, sent[block])
-            return reconstruct_continuous(req.x, seg, sent[block])
+                return reconstruct_binary(req.x, req.reference, seg, sent[block], out)
+            return reconstruct_continuous(req.x, seg, sent[block], out)
 
-        y = evaluate_blocks(req.model, len(sent), lift, evaluate, overlap=True)
+        y = evaluate_blocks(req.model, len(sent), lift, evaluate, split=True)
         # req rides along so that the objects whose ids are in the key stay alive
         return req, design, y[back]
 

@@ -9,7 +9,10 @@ order: it is built as the D x n gather of the design's columns and handed back
 transposed. That is the layout numpy's last-axis fancy indexing has always
 given these blocks, and it is part of the output: a model's matrix product
 reads a column-major block through another BLAS kernel than a row-major one,
-and the two can differ in the last bits of the responses.
+and the two can differ in the last bits of the responses. Both lifts gather
+with np.take(mode="clip") straight into that D x n array: a Segmentation's
+ids are all in range, and in the default mode a take given an out gathers
+into a buffer of its own first and then copies it.
 """
 from __future__ import annotations
 
@@ -100,11 +103,23 @@ def mean_reference(x: np.ndarray, seg: Segmentation) -> Reference:
     return Reference(means[seg.assignment])
 
 
+def _lifted(seg: Segmentation, n: int, out: np.ndarray | None) -> np.ndarray:
+    """The D x n array a lift of n samples fills: out, checked, or a new one."""
+    if out is None:
+        return np.empty((seg.size, n))
+    if out.shape != (seg.size, n) or out.dtype != np.float64 or not out.flags.c_contiguous:
+        raise ValueError(f"out must be a C-contiguous {seg.size} x {n} float64 array")
+    return out
+
+
 def reconstruct_binary(
-    x: np.ndarray, r: Reference, seg: Segmentation, zprime: np.ndarray
+    x: np.ndarray, r: Reference, seg: Segmentation, zprime: np.ndarray,
+    out: np.ndarray | None = None,
 ) -> np.ndarray:
     """Lift an n x d batch of binary masks to n x D points: x where the
-    segment is on, the reference where it is off."""
+    segment is on, the reference where it is off. out, when given, is a
+    C-contiguous D x n float64 array that receives the points, and its
+    transpose is returned."""
     x = np.asarray(x, dtype=np.float64)
     z = np.asarray(zprime)
     if x.shape != (seg.size,) or r.values.shape != (seg.size,):
@@ -112,23 +127,33 @@ def reconstruct_binary(
     if z.ndim != 2 or z.shape[1] != seg.d:
         raise DimensionMismatch(f"masks must be n x {seg.d}, got shape {z.shape}")
     z = as_masks(z, "binary reconstruction requires a 0/1 mask")
-    keep = np.take(z.T, seg.assignment, axis=0)  # D x n
-    return np.where(keep, x[:, None], r.values[:, None]).T
+    lifted = _lifted(seg, len(z), out)
+    bits, xb, rb = lifted.view(np.uint64), x.view(np.uint64), r.values.view(np.uint64)
+    # a branch-free select on the values' bits: every bit set where a segment is
+    # kept, none where it is dropped, then x's bits through that mask, r's elsewhere
+    keep = np.ascontiguousarray(z.T, dtype=np.uint64)  # d x n
+    np.negative(keep, out=keep)
+    np.take(keep, seg.assignment, axis=0, out=bits, mode="clip")
+    np.bitwise_and(bits, (xb ^ rb)[:, None], out=bits)
+    np.bitwise_xor(bits, rb[:, None], out=bits)
+    return lifted.T
 
 
 def reconstruct_continuous(
-    x: np.ndarray, seg: Segmentation, zprime: np.ndarray
+    x: np.ndarray, seg: Segmentation, zprime: np.ndarray, out: np.ndarray | None = None,
 ) -> np.ndarray:
     """Lift an n x d batch of continuous offsets to n x D points: each
-    segment's offset added to all its raw indices."""
+    segment's offset added to all its raw indices. out is as for
+    reconstruct_binary."""
     x = np.asarray(x, dtype=np.float64)
     z = np.asarray(zprime, dtype=np.float64)
     if x.shape != (seg.size,):
         raise DimensionMismatch(f"x has length {x.size}, segmentation expects {seg.size}")
     if z.ndim != 2 or z.shape[1] != seg.d:
         raise DimensionMismatch(f"offsets must be n x {seg.d}, got shape {z.shape}")
-    lifted = np.take(z.T, seg.assignment, axis=0)  # D x n
-    lifted += x[:, None]  # x_i + z_j, one addition per element as before
+    lifted = _lifted(seg, len(z), out)
+    np.take(np.ascontiguousarray(z.T), seg.assignment, axis=0, out=lifted, mode="clip")
+    np.add(lifted, x[:, None], out=lifted)  # x_i + z_j, one addition per element as before
     return lifted.T
 
 

@@ -25,6 +25,7 @@ from .explain import (
     Explanation,
     Lime,
     OneSlot,
+    check_held,
     explain,
     method_from_json,
 )
@@ -293,9 +294,8 @@ def build_context(config: ExperimentConfig) -> RunContext:
     x, shape = load_input(config.input)
     seg, reference = build_space(x, shape, config.segmentation, config.reference)
     check_input(model, x)
-    check_rows("sample size x width", max(config.sample_sizes), x.size)
+    check_held(model, max(config.sample_sizes), seg, "sample size")
     check_rows("m x width", config.metrics.m, x.size)
-    check_rows("the ridge system's d x d", seg.d, seg.d)
     return RunContext(model, x, seg, reference)
 
 

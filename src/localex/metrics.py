@@ -141,12 +141,13 @@ def local_fidelity(
     binary masks are evaluated under the same additive-offset convention, so
     fidelity compares how each learned linear function tracks the model near x
     regardless of how it was fit. The points are sample_ball's. They are made
-    and evaluated one block at a time, and each evaluated block is turned into
-    its offsets in place, so memory holds the ball, the m x d offsets, one
-    block and the D x d projection, which is built once per call. The offsets
-    are scored against every explanation. balls, when given, keeps the last
-    unit ball, so that a call for another epsilon with the same (norm, m, seed)
-    scales those draws instead of drawing again.
+    and evaluated one block at a time in one reused buffer, and each evaluated
+    block is turned into its offsets in place and then copied into the m x d
+    offsets, so memory holds the ball, the offsets, one block and the D x d
+    projection, which is built once per call. The offsets are scored against
+    every explanation. balls, when given, keeps the last unit ball, so that a
+    call for another epsilon with the same (norm, m, seed) scales those draws
+    instead of drawing again.
     """
     for e in explanations:
         if e.d != segmentation.d:
@@ -157,18 +158,27 @@ def local_fidelity(
     check_scale("epsilon", epsilon)
     key = (norm, m, x.shape[0], seed)
     ball = (balls or OneSlot()).get(key, lambda: unit_ball(*key))
-    blocks = []  # each evaluated block's offsets, in order
     projection = offset_projection(segmentation)
+    offsets = np.empty((m, segmentation.d))  # filled block by block, in order
+    made = 0  # rows of offsets filled
+    buffer = np.empty(0)  # one block's points, reused for every block
+
+    def points(rows: slice) -> np.ndarray:
+        nonlocal buffer
+        size = (rows.stop - rows.start) * x.size
+        if buffer.size < size:  # the first block, or a last one that took a remainder
+            buffer = np.empty(size)
+        return ball.points(x, epsilon, rows, out=buffer[:size].reshape(-1, x.size))
 
     def evaluate_then_offsets(model: ModelSpec, points: np.ndarray) -> np.ndarray:
+        nonlocal made
         y = evaluate(model, points)
         points -= x  # evaluated, so the block's points become its offsets in place
-        blocks.append(feature_offsets(points, segmentation, projection))
+        offsets[made:made + len(points)] = feature_offsets(points, segmentation, projection)
+        made += len(points)
         return y
 
-    f = evaluate_blocks(model, m, lambda rows: ball.points(x, epsilon, rows),
-                        evaluate_then_offsets)
-    offsets = np.concatenate(blocks)
+    f = evaluate_blocks(model, m, points, evaluate_then_offsets)
     fidelities = []
     for e in explanations:
         surrogate = e.intercept + offsets @ e.w

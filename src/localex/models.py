@@ -8,6 +8,7 @@ response and leaves the assumption to the caller.
 from __future__ import annotations
 
 import json
+import threading
 import time
 import typing
 import urllib.parse
@@ -43,12 +44,15 @@ BLOCK_ROWS = 512
 # so D <= 1024 keeps 512 rows, D = 3072 (32x32x3 images) takes 128 and
 # D = 150528 (224x224x3) 16
 BLOCK_VALUES = 2**19
-# evaluate_blocks overlaps blocks of this many values per point or more: D = 3072
-# (32x32x3 images) gains, desk's D = 16 and 64 do not. A thread handoff costs
-# about as much as lifting 512 points of 64 values: overlapping every explain of
-# more than one block raised desk_sweeps' latency_ms_tail from 0.42-0.43 ms to
-# 0.74 ms and its pass_s by a third (2-core VM, two 10 s runs, BENCH_31.json).
-OVERLAP_FROM_WIDTH = 1024
+# evaluate_blocks splits the blocks of this many values per point or more between
+# two threads: D = 3072 (32x32x3 images) gains, desk's D = 16 and 64 do not. A
+# thread handoff costs about as much as lifting 512 points of 64 values:
+# overlapping every explain of more than one block raised desk_sweeps'
+# latency_ms_tail from 0.42-0.43 ms to 0.74 ms and its pass_s by a third (2-core
+# VM, two 10 s runs, BENCH_31.json). One handoff per explain, not one per block,
+# keeps both cores busy: handed one block at a time, the helper mostly waited for
+# the next lift instead of running beside it.
+SPLIT_FROM_WIDTH = 1024
 REMOTE_MAX_TIMEOUT_MS = 3_600_000  # one hour per request
 REMOTE_MAX_RETRIES = 10  # the pauses between attempts add up to 6.55 s at most
 
@@ -315,8 +319,8 @@ def _non_finite(bad: int, n: int) -> NonFiniteOutput:
 
 
 def evaluate_blocks(
-    model: ModelSpec, n: int, rows: typing.Callable[[slice], np.ndarray],
-    evaluate: typing.Callable[[ModelSpec, np.ndarray], np.ndarray], overlap: bool = False,
+    model: ModelSpec, n: int, rows: typing.Callable[..., np.ndarray],
+    evaluate: typing.Callable[[ModelSpec, np.ndarray], np.ndarray], split: bool = False,
 ) -> np.ndarray:
     """The model's responses to n points made model.block_rows at a time:
     evaluate(model, rows(block)) for each block, a slice of range(n), in order.
@@ -328,15 +332,19 @@ def evaluate_blocks(
     BLOCK_ROWS-row blocks make none. Raises NonFiniteOutput counting over all n
     points, else the first failure in block order.
 
-    With overlap, for a builtin model of OVERLAP_FROM_WIDTH inputs or more and
-    more than one block, the calling thread makes block k + 1 while one helper
-    thread that this call makes and stops evaluates block k, so two blocks exist
-    at once. Only evaluate runs on the helper: blocks are allocated by the
-    calling thread, whose malloc arena then reuses their memory. The helper has
-    stopped by the time the call returns or raises.
+    With split, for a builtin model of SPLIT_FROM_WIDTH inputs or more and more
+    than one block, the calling thread makes and evaluates the first half of the
+    blocks in order while one helper thread, which this call makes and stops,
+    does the second half, so two blocks exist at once. Each half's blocks are
+    made as rows(block, out), out being a C-contiguous D x len(block) view of one
+    buffer per half that the calling thread allocates before the helper starts:
+    the helper's points then take no memory from a malloc arena of its own. Each
+    half counts its own non-finite responses, and the counts are added once both
+    halves have stopped. A failure on the calling thread stops the helper before
+    its next block, and the helper has stopped by the time the call returns or
+    raises.
     """
     y = np.empty(n)
-    bad = 0
     step = model.block_rows
     starts = list(range(0, n, step))
     # a builtin's step divides BLOCK_ROWS, a remote model's never does
@@ -344,30 +352,42 @@ def evaluate_blocks(
         del starts[-1]
     blocks = [slice(start, end) for start, end in zip(starts, [*starts[1:], n])]
 
-    def collect(block: slice, values: typing.Callable[[], np.ndarray]) -> None:
-        nonlocal bad
-        try:
-            y[block] = values()
-        except NonFiniteOutput as exc:
-            if not exc.bad:  # not a count of this block's responses
-                raise
-            bad += exc.bad
+    def run(half: list[slice], buffer: np.ndarray | None = None,
+            stop: threading.Event | None = None) -> int:
+        """Evaluate half's blocks in order into y; returns their count of
+        non-finite responses."""
+        bad = 0
+        for block in half:
+            if stop is not None and stop.is_set():
+                break
+            try:  # no block is held past its evaluation
+                y[block] = evaluate(model, rows(block) if buffer is None else rows(
+                    block, buffer[:model.width * (block.stop - block.start)]
+                    .reshape(model.width, -1)))
+            except NonFiniteOutput as exc:
+                if not exc.bad:  # not a count of this block's responses
+                    raise
+                bad += exc.bad
+        return bad
 
     # a remote model's width is None: it overlaps its own POSTs
-    if overlap and len(blocks) > 1 and (model.width or 0) >= OVERLAP_FROM_WIDTH:
+    if split and len(blocks) > 1 and (model.width or 0) >= SPLIT_FROM_WIDTH:
         import concurrent.futures
+        mid = (len(blocks) + 1) // 2
+        halves = blocks[:mid], blocks[mid:]
+        buffers = [np.empty(model.width * max(b.stop - b.start for b in half))
+                   for half in halves]
+        stop = threading.Event()
         with concurrent.futures.ThreadPoolExecutor(max_workers=1) as helper:
-            pending = blocks[0], helper.submit(evaluate, model, rows(blocks[0])).result
-            for block in blocks[1:]:
-                try:
-                    points = rows(block)
-                finally:  # the block before fails first in block order
-                    collect(*pending)
-                pending = block, helper.submit(evaluate, model, points).result
-            collect(*pending)
+            second = helper.submit(run, halves[1], buffers[1], stop)
+            try:
+                bad = run(halves[0], buffers[0])
+            except BaseException:  # it comes first in block order
+                stop.set()
+                raise
+        bad += second.result()
     else:
-        for block in blocks:
-            collect(block, lambda: evaluate(model, rows(block)))
+        bad = run(blocks)
     if bad:
         raise _non_finite(bad, n)
     return y

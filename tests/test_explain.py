@@ -7,6 +7,7 @@ import re
 import subprocess
 import sys
 import threading
+import time
 import tracemalloc
 import typing
 
@@ -48,6 +49,7 @@ from localex.models import (BLOCK_ROWS, Linear, Quadratic, Remote, evaluate, eva
                             load_model)
 from localex.sampling import (EXACT_SHAP_MAX_D, Binomial, Coalitions, DistributionSpec,
                               Gaussian, Laplace, UniformBinary, UniformBox, draw)
+from localex.solver import one_blas_thread
 from oracles import (explain_whole, gradient, infinite_limit_linear_binomial,
                      infinite_limit_linear_gauss, lift_direct, shapley_bruteforce,
                      smoothgrad_direct)
@@ -179,6 +181,27 @@ def test_request_validates_counts_and_lambda():
     request(Lime(0.5), n=MAX_VALUES // X8.size)  # n x D at the limit; nothing is drawn
     with pytest.raises(ConfigError, match="at most"):
         request(Lime(0.5), n=MAX_VALUES // X8.size + 1)
+
+
+def test_request_bounds_n_by_d_and_a_remote_call_by_its_points():
+    # a 224 x 224 x 3 input on an 8 x 8 grid: a builtin model's explain holds the
+    # n x 64 samples and blocks of 16 rows, whatever n is
+    x, seg = np.zeros(150528), grid_segment(224, 224, 3, 8, 8)
+    wide = Linear(np.zeros(150528))
+    request(Lime(0.5), n=MAX_VALUES // 64, model=wide, x=x, seg=seg, reference=Reference(x))
+    with pytest.raises(ConfigError, match=re.escape(
+            f"n x d must be at most {MAX_VALUES} values, got {MAX_VALUES // 64 + 1} x 64")):
+        request(Lime(0.5), n=MAX_VALUES // 64 + 1, model=wide, x=x, seg=seg,
+                reference=Reference(x))
+    # a remote model is sent up to its block_rows (1,024 for batches of 64) points at
+    # once: 891 of 150,528 values fit, 892 do not, and n bounds the call
+    remote = Remote("http://127.0.0.1:9/f", batch_size=64)
+    request(GlimeGauss(0.5), n=891, model=remote, x=x, seg=seg)
+    with pytest.raises(ConfigError, match=re.escape(
+            f"a remote call's points x width must be at most {MAX_VALUES} values, "
+            f"got 892 x 150528")):
+        request(GlimeGauss(0.5), n=892, model=remote, x=x, seg=seg)
+    request(GlimeGauss(0.5), n=10**6, model=remote, x=X8, seg=SEG8)
 
 
 def test_request_bounds_the_d_x_d_ridge_system_by_the_value_limit():
@@ -474,22 +497,29 @@ def test_explain_memory_does_not_grow_with_the_lifted_rows(method):
 
 
 @pytest.mark.parametrize("method", LIFTS, ids=repr)
-def test_an_explain_of_a_224x224x3_input_holds_blocks_of_16_rows(method):
-    # 16 rows of 150,528 values, two blocks while one is evaluated as the next
-    # is lifted: 37 MiB. Blocks of 512 rows took 702 MiB (Lime), 690 (GlimeGauss)
+def test_an_explain_of_a_224x224x3_input_holds_blocks_of_16_rows(method, monkeypatch):
+    # n = 1,000 makes 62 blocks, the last of 24 rows, split 31 and 31 between two
+    # threads: one buffer of 16 rows of 150,528 values and one of 24, 46 MiB. Blocks
+    # of 512 rows took 702 MiB at n = 600 (Lime), 690 (GlimeGauss)
     rng = np.random.default_rng(1)
     model, x = Linear(rng.normal(size=150528) * 0.01, 0.2), rng.random(150528)
     seg = grid_segment(224, 224, 3, 8, 8)
-    req = ExplainRequest(model=model, x=x, segmentation=seg, method=method, n=600, seed=0,
+    req = ExplainRequest(model=model, x=x, segmentation=seg, method=method, n=1000, seed=0,
                          reference=mean_reference(x, seg))
     tracemalloc.start()
     try:
-        exp = explain(req)
+        with one_blas_thread():
+            exp = explain(req)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     assert model.block_rows == 16 and np.all(np.isfinite(exp.w))
     assert peak <= 64 * 2**20, peak
+    monkeypatch.setattr(models, "SPLIT_FROM_WIDTH", math.inf)
+    with one_blas_thread():
+        serial = explain(req)
+    assert np.r_[exp.w, exp.intercept, exp.r2].tobytes() == \
+        np.r_[serial.w, serial.intercept, serial.r2].tobytes()
 
 
 _PEAK_OVER_WARM = """
@@ -540,102 +570,194 @@ def test_explain_peak_memory_over_a_warm_baseline_stays_near_the_design():
 
 
 def _spied_explain(req, monkeypatch):
-    """explain(req) and, per block evaluated, whether it was evaluated off the
-    calling thread and whether its points were column-major."""
+    """explain(req), at one BLAS thread as under the command line, and per block
+    evaluated whether it was evaluated off the calling thread, whether its
+    points were column-major, and its row count, sorted."""
     caller, blocks = threading.get_ident(), []
 
     def spy(model, points):
-        blocks.append((threading.get_ident() != caller, points.flags.f_contiguous))
+        blocks.append((threading.get_ident() != caller, points.flags.f_contiguous, len(points)))
         return evaluate(model, points)
 
-    with monkeypatch.context() as patch:
+    with monkeypatch.context() as patch, one_blas_thread():
         patch.setattr(explain_module, "evaluate", spy)
-        return explain(req), blocks
+        return explain(req), sorted(blocks)
 
 
+@pytest.mark.parametrize("kind", ["linear", "mlp"])  # 3072 -> 1 and 3072 -> 32 -> 1
 @pytest.mark.parametrize("method", LIFTS, ids=repr)
 @pytest.mark.parametrize("n", [1300, 2048])
-def test_overlapped_blocks_give_the_serial_bits(method, n, monkeypatch):
-    model, x, seg = image_case("mlp", 32)  # 3072 -> 32 -> 1
+def test_split_blocks_give_the_serial_bits(kind, method, n, monkeypatch):
+    model, x, seg = image_case(kind, 32)
     req = ExplainRequest(model=model, x=x, segmentation=seg, method=method, n=n, seed=5,
                          reference=mean_reference(x, seg))
     exp, blocks = _spied_explain(req, monkeypatch)
-    monkeypatch.setattr(models, "OVERLAP_FROM_WIDTH", math.inf)
+    monkeypatch.setattr(models, "SPLIT_FROM_WIDTH", math.inf)
     serial, serial_blocks = _spied_explain(req, monkeypatch)
-    count = n // model.block_rows  # the 20 rows 1300 leaves over join the last block
-    assert blocks == [(True, True)] * count and serial_blocks == [(False, True)] * count
+    # the 20 rows 1300 leaves over join the last block, which the helper evaluates
+    count, step = n // model.block_rows, model.block_rows
+    sizes = [step] * (count - 1) + [step + n % step]
+    mid = (count + 1) // 2  # the calling thread's half
+    assert blocks == sorted([(False, True, rows) for rows in sizes[:mid]]
+                            + [(True, True, rows) for rows in sizes[mid:]])
+    assert serial_blocks == sorted((False, True, rows) for rows in sizes)
     assert np.r_[exp.w, exp.intercept, exp.r2].tobytes() == \
         np.r_[serial.w, serial.intercept, serial.r2].tobytes()
+
+
+def test_every_block_off_the_calling_thread_is_in_a_buffer_the_caller_allocated(monkeypatch):
+    # the helper's points take no memory from a malloc arena of its own: each block
+    # it evaluates is a view of an array the calling thread allocated before the
+    # helper ran anything
+    model, x, seg = image_case("mlp", 32)
+    req = ExplainRequest(model=model, x=x, segmentation=seg, method=Lime(0.5), n=2048,
+                         seed=5, reference=mean_reference(x, seg))
+    caller, log = threading.get_ident(), []
+    empty = np.empty
+
+    def spy_empty(*args, **kwargs):
+        array = empty(*args, **kwargs)
+        log.append(("empty", threading.get_ident(), array))
+        return array
+
+    def spy_evaluate(model, points):
+        log.append(("evaluate", threading.get_ident(), points))
+        return evaluate(model, points)
+
+    monkeypatch.setattr(np, "empty", spy_empty)
+    monkeypatch.setattr(explain_module, "evaluate", spy_evaluate)
+    explain(req)
+    monkeypatch.undo()
+    helper_start = next(i for i, (_, thread, _) in enumerate(log) if thread != caller)
+    before = [array for kind, thread, array in log[:helper_start]
+              if kind == "empty" and thread == caller]
+    off = [points for kind, thread, points in log if kind == "evaluate" and thread != caller]
+    assert len(off) == 2048 // model.block_rows // 2
+    assert not any(thread != caller for kind, thread, _ in log if kind == "empty")
+    assert all(any(np.shares_memory(points, array) for array in before) for points in off)
 
 
 # the rows of a block of 3072 points
 STEP_3072 = Linear(np.ones(3072)).block_rows
 
 
-def _planted(n, bad_rows):
-    """n points of width 3072, with an infinity in each of bad_rows, and a
-    lift of them that records the blocks it makes."""
-    points = np.zeros((n, 3072))
+def _planted(n, bad_rows, width=3072):
+    """n points of this width, each holding its own row index in column 1 and an
+    infinity in column 0 where it is one of bad_rows, and a lift of them that
+    records the start of each block it makes and fills out as a lift would."""
+    points = np.zeros((n, width))
+    points[:, 1] = np.arange(n)
     points[bad_rows, 0] = np.inf
     lifted = []
 
-    def rows(block):
+    def rows(block, out=None):
         lifted.append(block.start)
-        return points[block]
+        if out is None:
+            return points[block]
+        out[...] = points[block].T
+        return out.T
 
     return rows, lifted
 
 
-def test_overlapped_blocks_count_non_finite_responses_over_all_n():
-    # in the first, a middle and the last block
-    rows, lifted = _planted(1300, [3, 5 * STEP_3072, 5 * STEP_3072 + 1, 1299])
-    with pytest.raises(NonFiniteOutput, match=r"^model returned 4 non-finite value\(s\) "
+def test_split_blocks_count_non_finite_responses_over_all_n():
+    # in the first block, the last of the calling thread's half, the first of the
+    # helper's and the last block
+    mid = (1300 // STEP_3072 + 1) // 2 * STEP_3072
+    rows, lifted = _planted(1300, [3, mid - 1, mid, mid + 1, 1299])
+    with pytest.raises(NonFiniteOutput, match=r"^model returned 5 non-finite value\(s\) "
                        r"for 1300 points$"):
-        evaluate_blocks(Linear(np.ones(3072)), 1300, rows, evaluate, overlap=True)
-    assert lifted == list(range(0, 1300 - STEP_3072, STEP_3072))  # 1300 // STEP_3072 blocks
+        evaluate_blocks(Linear(np.ones(3072)), 1300, rows, evaluate, split=True)
+    assert sorted(lifted) == list(range(0, 1300 - STEP_3072, STEP_3072))  # every block
 
 
 def _pool_workers():
     return [t for t in threading.enumerate() if t.name.startswith("ThreadPoolExecutor")]
 
 
-@pytest.mark.parametrize("lift_fails", [False, True])
-def test_an_overlapped_forward_error_is_raised_once_the_helper_has_stopped(lift_fails):
-    # block 0's forward fails while block 1 is lifted; its error comes first in
-    # block order even when block 1's lift fails too
+@pytest.mark.parametrize("failing", ["caller", "helper", "both"])
+def test_a_split_forward_error_is_raised_once_the_helper_has_stopped(failing):
+    # 16 blocks, 8 per half. Block 0's forward fails on the calling thread, or block
+    # 8's on the helper, or block 0's forward and block 8's lift both fail; the
+    # failure first in block order is raised, and no worker is left
     rows, lifted = _planted(2048, [])
-
-    def lift(block):
-        if lift_fails and block.start:
-            raise MemoryError
-        return rows(block)
-
-    def forward(model, points):
-        raise RemoteUnavailable("block 0 failed")
-
-    with pytest.raises(RemoteUnavailable, match="block 0 failed"):
-        evaluate_blocks(Linear(np.ones(3072)), 2048, lift, forward, overlap=True)
-    assert lifted == ([0] if lift_fails else [0, STEP_3072])
-    assert _pool_workers() == []
-
-
-def test_an_overlapped_lift_error_is_raised_after_the_block_before_it_is_evaluated():
-    rows, lifted = _planted(2048, [])
+    helper_start = 8 * STEP_3072
+    failing_forward = {"caller": 0, "helper": helper_start, "both": 0}[failing]
     evaluated = []
 
-    def lift(block):
-        if block.start == 2 * STEP_3072:
+    def lift(block, out=None):
+        if failing == "both" and block.start == helper_start:
             raise MemoryError
-        return rows(block)
+        return rows(block, out)
 
     def forward(model, points):
-        evaluated.append(len(points))
+        start = int(points[0, 1])
+        if start == failing_forward:
+            raise RemoteUnavailable(f"block {start // STEP_3072} failed")
+        evaluated.append(start)
+        return evaluate(model, points)
+
+    with pytest.raises(RemoteUnavailable, match=f"block {failing_forward // STEP_3072} failed"):
+        evaluate_blocks(Linear(np.ones(3072)), 2048, lift, forward, split=True)
+    assert _pool_workers() == []
+    if failing == "helper":  # the calling thread's half ran to its end, the helper's stopped
+        assert sorted(evaluated) == list(range(0, helper_start, STEP_3072))
+
+
+def test_a_failure_on_the_calling_thread_stops_the_helper_before_its_next_block():
+    # the calling thread's lift of block 1 fails while the helper evaluates block 8,
+    # which waits until well after the failure: the helper makes none of blocks 9-15
+    rows, lifted = _planted(2048, [])
+    failed = threading.Event()
+    evaluated = []
+
+    def lift(block, out=None):
+        if block.start == STEP_3072:
+            failed.set()
+            raise MemoryError
+        return rows(block, out)
+
+    def forward(model, points):
+        if threading.current_thread() is not threading.main_thread():
+            assert failed.wait(10)
+            time.sleep(0.05)
+        evaluated.append(int(points[0, 1]) // STEP_3072)
         return evaluate(model, points)
 
     with pytest.raises(MemoryError):
-        evaluate_blocks(Linear(np.ones(3072)), 2048, lift, forward, overlap=True)
-    assert lifted == [0, STEP_3072] and evaluated == [STEP_3072, STEP_3072]
+        evaluate_blocks(Linear(np.ones(3072)), 2048, lift, forward, split=True)
+    assert sorted(lifted) == [0, 8 * STEP_3072] and sorted(evaluated) == [0, 8]
     assert _pool_workers() == []
+
+
+def test_split_blocks_under_a_short_switch_interval_count_every_non_finite_response():
+    # threads switched every microsecond, for at most 5 s. 5 blocks (4 of 512 rows
+    # and one of 100), rows 0-1535 on the calling thread and the rest on the helper:
+    # the split counts over all n with non-finite rows in both halves, and keeps
+    # the serial responses without them
+    model, n, mid = Linear(np.arange(1024.0)), 4 * 512 + 100, 3 * 512
+    rng = np.random.default_rng(36)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        deadline, rounds = time.monotonic() + 5.0, 0
+        while rounds < 40 and time.monotonic() < deadline:
+            rounds += 1
+            bad = set() if rounds % 4 == 0 else {
+                int(rng.integers(0, mid)), int(rng.integers(mid, n)),
+                *rng.integers(0, n, size=rng.integers(0, 4)).tolist()}
+            rows, _ = _planted(n, sorted(bad), width=1024)
+            if bad:
+                with pytest.raises(NonFiniteOutput) as caught:
+                    evaluate_blocks(model, n, rows, evaluate, split=True)
+                assert caught.value.bad == len(bad)
+            else:
+                assert evaluate_blocks(model, n, rows, evaluate, split=True).tobytes() \
+                    == evaluate_blocks(model, n, rows, evaluate).tobytes()
+            assert _pool_workers() == []
+    finally:
+        sys.setswitchinterval(interval)
+    assert rounds >= 8
 
 
 def test_blocks_leave_remote_posts_unchanged(monkeypatch):

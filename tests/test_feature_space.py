@@ -172,6 +172,57 @@ def test_batch_lifts_are_column_major_and_equal_the_direct_lift(binary):
                         == evaluate(model, np.asfortranarray(direct)).tobytes())
 
 
+# -0.0, the smallest subnormal, a subnormal, the largest finite value and its
+# negative, and ordinary values, in x and in the reference
+EDGE_VALUES = np.array([-0.0, 0.0, 5e-324, -2.5e-310, np.finfo(float).max,
+                        -np.finfo(float).max, 1.0, -3.25])
+
+
+@pytest.mark.parametrize("lift", ["binary-bool", "binary-float", "continuous"])
+@pytest.mark.parametrize("n", [1, 7, 64])
+def test_lifts_into_out_and_without_it_equal_the_direct_lift_bit_for_bit(lift, n):
+    rng = np.random.default_rng(n)
+    seg = grid_segment(4, 6, 2, 2, 3)  # D = 48, d = 6
+    x = rng.permutation(np.resize(EDGE_VALUES, seg.size))
+    r = Reference(rng.permutation(np.resize(EDGE_VALUES, seg.size)))
+    if lift == "continuous":  # offsets that keep every sum finite
+        z = rng.permutation(np.resize([-0.0, 0.0, 5e-324, -1e-320, 0.5, -2.0], n * seg.d))
+        z = z.reshape(n, seg.d)
+        direct = lift_direct(x, seg, z)
+
+        def run(out):
+            return reconstruct_continuous(x, seg, z, out)
+    else:
+        masks = rng.random((n, seg.d)) < 0.5
+        z = masks if lift == "binary-bool" else masks.astype(np.float64)
+        direct = lift_direct(x, seg, z, r.values)
+
+        def run(out):
+            return reconstruct_binary(x, r, seg, z, out)
+
+    size = seg.size * n
+    fence = np.frombuffer(b"\xa5" * 8 * (size + 32), dtype=np.float64).copy()
+    out = fence[16:16 + size].reshape(seg.size, n)
+    into = run(out)
+    for lifted in (run(None), into):
+        assert lifted.shape == (n, seg.size) and lifted.flags.f_contiguous
+        assert np.ascontiguousarray(lifted).tobytes() == direct.tobytes()
+    assert into.T.shape == out.shape and into.T.ctypes.data == out.ctypes.data
+    untouched = np.r_[fence[:16], fence[16 + size:]]
+    assert untouched.tobytes() == b"\xa5" * 8 * 32
+
+
+@pytest.mark.parametrize("out", [np.empty((48, 4)), np.empty((48, 3), order="F"),
+                                 np.empty((48, 3), dtype=np.float32)],
+                         ids=["shape", "layout", "dtype"])
+def test_a_lift_refuses_an_out_it_cannot_fill_as_the_block(out):
+    seg = grid_segment(4, 6, 2, 2, 3)
+    with pytest.raises(ValueError, match="C-contiguous 48 x 3 float64"):
+        reconstruct_continuous(np.zeros(48), seg, np.zeros((3, 6)), out)
+    with pytest.raises(ValueError, match="C-contiguous 48 x 3 float64"):
+        reconstruct_binary(np.zeros(48), Reference(np.zeros(48)), seg, np.ones((3, 6)), out)
+
+
 @given(st.integers(min_value=0, max_value=2**32 - 1))
 def test_feature_offsets_inverts_the_broadcast_lift(seed):
     rng = np.random.default_rng(seed)

@@ -143,14 +143,17 @@ def test_an_unknown_reference_fails_before_any_cell_runs(tmp_path):
         build_context(config)
 
 
-@pytest.mark.parametrize("counts", [
-    lambda rows: {"sample_sizes": [8, rows]},
-    lambda rows: {"metrics": {"m": rows}},
+@pytest.mark.parametrize("counts, width, name", [
+    (lambda rows: {"sample_sizes": [8, rows]}, 4, "sample size x d"),
+    (lambda rows: {"metrics": {"m": rows}}, 8, "m x width"),
 ], ids=["sample-size", "m"])
-def test_build_context_bounds_rows_by_the_value_limit(tmp_path, counts):
-    rows = MAX_VALUES // 8  # the workspace input has D = 8
+def test_build_context_bounds_rows_by_the_value_limit(tmp_path, counts, width, name):
+    # the workspace input has D = 8 on a 2 x 2 grid, d = 4: the samples and the fit
+    # hold n x d values, the fidelity ball m x D
+    rows = MAX_VALUES // width
     build_context(load_config(write_workspace(tmp_path, **counts(rows))))
-    with pytest.raises(ConfigError, match="at most"):
+    with pytest.raises(ConfigError, match=re.escape(
+            f"{name} must be at most {MAX_VALUES} values, got {rows + 1} x {width}")):
         build_context(load_config(write_workspace(tmp_path, **counts(rows + 1))))
 
 
@@ -548,8 +551,8 @@ def test_stability_draws_lifts_and_evaluates_each_sample_set_once(tmp_path, monk
     monkeypatch.setattr(explain_module, "draw", lambda law, n, seed, real=explain_module.draw:
                         draws.append((law, n, seed)) or real(law, n, seed))
     monkeypatch.setattr(explain_module, "reconstruct_binary",
-                        lambda x, r, seg, z, real=explain_module.reconstruct_binary:
-                        lifts.append((len(draws), len(z))) or real(x, r, seg, z))
+                        lambda x, r, seg, z, out=None, real=explain_module.reconstruct_binary:
+                        lifts.append((len(draws), len(z))) or real(x, r, seg, z, out))
     config = load_config(write_workspace(
         tmp_path, methods=[{"method": "Lime"}, {"method": "Lime", "unit_weights": True},
                            {"method": "GlimeBinomial"}],
